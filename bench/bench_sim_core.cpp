@@ -11,7 +11,7 @@
 // batch0 goodput ratio is the amortization headline), and the 100-seed
 // sweep wall-clock (serial and thread-pool; the thread-pool leg is marked
 // skipped on a single-core box) — and emits a machine-readable JSON report
-// (BENCH_PR9.json is the checked-in baseline). Allocation counts come from
+// (BENCH_PR10.json is the checked-in baseline). Allocation counts come from
 // a global operator new hook, so every figure carries an allocs-per-event
 // column.
 //
@@ -350,7 +350,7 @@ Result benchHeartbeatStorm(int repeats) {
 // keeps exactly one pending arrival while hundreds of multicasts overlap.
 // Measures end-to-end simulator events/sec (scheduler + network + protocol
 // + workload generation) under sustained overload. With `metrics` on, the
-// streaming recorder (PR 4) observes every cast/delivery/send — the pair
+// streaming recorder (PR 4) observes every cast and delivery — the pair
 // of runs is the recorder-overhead measurement.
 uint64_t runOpenLoopStorm(int casts, bool metrics,
                           wanmc::SimTime batchWindow = 0, int batchMax = 0,

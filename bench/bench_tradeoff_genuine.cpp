@@ -48,7 +48,9 @@ Point measure(core::ProtocolKind kind, int systemGroups, uint64_t seed) {
   Point p;
   p.safe = r.checkAtomicSuite().empty();
   p.interPerMsg = static_cast<double>(r.traffic.interAlgorithmic()) / count;
-  p.minDegree = r.trace.minLatencyDegree().value_or(-1);
+  p.minDegree = r.metrics.latencyDegrees.empty()
+                    ? -1
+                    : r.metrics.latencyDegrees.begin()->first;
   double wallSum = 0;
   for (MsgId id : ids)
     wallSum += static_cast<double>(r.trace.wallLatency(id).value_or(0)) / kMs;

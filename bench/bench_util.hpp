@@ -83,8 +83,10 @@ inline StreamStats runBroadcastStream(core::RunConfig cfg, int count,
   auto r = ex.run(horizon);
   StreamStats s;
   s.safe = r.checkAtomicSuite().empty();
-  if (auto d = r.trace.minLatencyDegree()) s.minDegree = *d;
-  if (auto d = r.trace.maxLatencyDegree()) s.maxDegree = *d;
+  if (!r.metrics.latencyDegrees.empty()) {
+    s.minDegree = r.metrics.latencyDegrees.begin()->first;
+    s.maxDegree = r.metrics.latencyDegrees.rbegin()->first;
+  }
   s.interPerMsg =
       static_cast<double>(r.traffic.interAlgorithmic()) / count;
   return s;

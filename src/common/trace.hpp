@@ -7,6 +7,7 @@
 //     max_{q in Pi'(m)} ts(A-Deliver(m)_q) - ts(A-XCast(m)_p).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -60,21 +61,12 @@ struct PartitionEvent {
   SimTime when = 0;
 };
 
-// One packet on the wire (for message-complexity accounting and for the
-// genuineness / quiescence checkers).
-struct WireEvent {
-  ProcessId from = kNoProcess;
-  ProcessId to = kNoProcess;
-  Layer layer = Layer::kProtocol;
-  bool interGroup = false;
-  SimTime sentAt = 0;
-};
-
-// Aggregated trace of one simulation run.
+// Aggregated trace of one simulation run. Each fact is recorded once: a
+// message's sender and destination live only in its CastEvent (CastIndex
+// looks them up by id).
 struct RunTrace {
   std::vector<CastEvent> casts;
   std::vector<DeliveryEvent> deliveries;
-  std::vector<WireEvent> wire;  // populated when Network::recordWire is on
   // Fault-plane events (always recorded; empty in fault-free runs).
   std::vector<CrashEvent> crashes;
   std::vector<RecoveryEvent> recoveries;
@@ -83,8 +75,6 @@ struct RunTrace {
   uint64_t linkDrops = 0;
   // Wire copies discarded by the iid LossModel (sim::Runtime::setLossRate).
   uint64_t lossDrops = 0;
-  std::map<MsgId, GroupSet> destOf;
-  std::map<MsgId, ProcessId> senderOf;
 
   // Per-process delivery sequences, in delivery order.
   [[nodiscard]] std::map<ProcessId, std::vector<MsgId>> sequences() const {
@@ -114,33 +104,6 @@ struct RunTrace {
     return best;
   }
 
-  // Latency degrees of all cast-and-delivered messages.
-  [[nodiscard]] std::vector<int64_t> allLatencyDegrees() const {
-    std::vector<int64_t> out;
-    for (const auto& c : casts)
-      if (auto d = latencyDegree(c.msg)) out.push_back(*d);
-    return out;
-  }
-
-  // The paper defines the latency degree of an *algorithm* as the minimum
-  // Delta over admissible runs and messages; within one run this is the
-  // minimum over messages.
-  [[nodiscard]] std::optional<int64_t> minLatencyDegree() const {
-    auto all = allLatencyDegrees();
-    if (all.empty()) return std::nullopt;
-    int64_t best = all.front();
-    for (int64_t v : all) best = std::min(best, v);
-    return best;
-  }
-
-  [[nodiscard]] std::optional<int64_t> maxLatencyDegree() const {
-    auto all = allLatencyDegrees();
-    if (all.empty()) return std::nullopt;
-    int64_t best = all.front();
-    for (int64_t v : all) best = std::max(best, v);
-    return best;
-  }
-
   // Max simulated wall-clock delay between cast and last delivery of m.
   [[nodiscard]] std::optional<SimTime> wallLatency(MsgId id) const {
     auto cast = castOf(id);
@@ -155,9 +118,32 @@ struct RunTrace {
   }
 };
 
+// The cast event of each message id, in one dense table (core::Experiment
+// allocates ids sequentially from 1). Built once per pass over a trace by
+// the checkers and exporters that look up a delivered message's sender or
+// destination. If an id was cast twice, the later cast wins. Holds
+// pointers into `trace.casts`: the trace must outlive the index.
+class CastIndex {
+ public:
+  explicit CastIndex(const RunTrace& trace) {
+    MsgId maxId = 0;
+    for (const CastEvent& c : trace.casts) maxId = std::max(maxId, c.msg);
+    if (!trace.casts.empty()) byId_.assign(maxId + 1, nullptr);
+    for (const CastEvent& c : trace.casts) byId_[c.msg] = &c;
+  }
+
+  // nullptr when `id` was never cast.
+  [[nodiscard]] const CastEvent* find(MsgId id) const {
+    return id < byId_.size() ? byId_[id] : nullptr;
+  }
+
+ private:
+  std::vector<const CastEvent*> byId_;
+};
+
 // Fault-plane counters: one block of the metrics Summary. Derived from the
-// RunTrace (see faultStatsOf) so the streaming recorder and the offline
-// summarizeTrace fallback stay field-for-field identical.
+// RunTrace and injected into the Summary at harvest (and by summarizeTrace),
+// like the traffic counters.
 struct FaultStats {
   uint64_t crashes = 0;
   uint64_t recoveries = 0;
@@ -181,8 +167,8 @@ struct FaultStats {
 
 // Reliable-channel substrate counters (src/channel/). Maintained by the
 // channel plane itself, not derivable from the RunTrace: like lastAlgoSend,
-// they are injected identically into both Summary constructions at harvest.
-// All-zero when channels are off.
+// they are injected into the Summary at harvest. All-zero when channels
+// are off.
 struct ChannelStats {
   uint64_t dataSent = 0;           // first transmissions of protocol packets
   uint64_t retransmits = 0;        // timer- or NACK-triggered resends
@@ -196,8 +182,8 @@ struct ChannelStats {
 };
 
 // Bootstrap-plane counters (src/bootstrap/). Like ChannelStats: maintained
-// by the bootstrap plane itself and injected into both Summary constructions
-// at harvest. All-zero when the plane is unarmed.
+// by the bootstrap plane itself and injected into the Summary at harvest.
+// All-zero when the plane is unarmed.
 struct BootstrapStats {
   uint64_t snapshotsRequested = 0;  // kRequest packets sent by rejoiners
   uint64_t snapshotsServed = 0;     // kOffer packets sent by live peers

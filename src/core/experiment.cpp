@@ -114,7 +114,6 @@ void Experiment::validateBackend() const {
   if (cfg_.stack.reliableChannels) reject("stack.reliableChannels");
   if (cfg_.stack.bootstrap.armed) reject("stack.bootstrap.armed");
   if (cfg_.lossRate != 0) reject("lossRate");
-  if (cfg_.recordWire) reject("recordWire");
   if (cfg_.workload && cfg_.workload->model == workload::Model::kClosedLoop &&
       cfg_.workload->inFlightCap > 0)
     reject("a capped closed-loop workload (delivery feedback)");
@@ -129,12 +128,15 @@ Experiment::Experiment(RunConfig cfg) : cfg_(cfg) {
   if (cfg_.backend == exec::Backend::kSim) {
     rt_ = std::make_unique<sim::Runtime>(topo, cfg_.latency, cfg_.seed);
     ctx_ = rt_.get();
-    rt_->setRecordWire(cfg_.recordWire);
     // Registered before any node or workload so the measurement plane sees
     // every event; the recorder is passive, so run behavior is unchanged.
     // (Threaded runs have no observer registry: RunResult::metrics is
-    // reconstructed from the merged wall-clock trace at harvest.)
-    if (cfg_.metrics) recorder_ = std::make_unique<metrics::Recorder>(*rt_);
+    // replayed from the merged wall-clock trace at harvest.)
+    if (cfg_.metrics) {
+      recorder_ = std::make_unique<metrics::Recorder>(rt_->topology());
+      rt_->addObserver(recorder_.get(),
+                       sim::kObserveCasts | sim::kObserveDeliveries);
+    }
   } else {
     threaded_ = std::make_unique<exec::ThreadedRuntime>(topo, cfg_.latency,
                                                         cfg_.seed);
@@ -435,18 +437,20 @@ RunResult Experiment::harvest() const {
   r.trace = ctx.trace();
   r.traffic = ctx.traffic();
   r.lastAlgoSend = ctx.lastAlgorithmicSend();
-  r.endTime = ctx.now();
-  r.metrics = recorder_
-                  ? recorder_->summary(ctx.now())
-                  : metrics::summarizeTrace(ctx.trace(), ctx.topology(),
-                                            ctx.traffic(),
-                                            ctx.lastAlgorithmicSend(),
-                                            ctx.now());
-  // The recorder observes casts/deliveries/sends, not fault events; both
-  // constructions take the fault block straight from the trace. The channel
-  // block is likewise injected identically into both constructions: the
-  // plane's counters are not reconstructible from the trace.
-  r.metrics.faults = faultStatsOf(ctx.trace());
+  r.endTime = ctx.now();  // read once: the threaded clock keeps running
+  if (recorder_) {
+    // The recorder sees casts and deliveries only: inject what the trace
+    // does not hold, exactly as summarizeTrace does.
+    r.metrics = recorder_->summary(r.endTime);
+    r.metrics.traffic = r.traffic;
+    r.metrics.lastAlgoSendAt = r.lastAlgoSend;
+    r.metrics.faults = faultStatsOf(r.trace);
+  } else {
+    r.metrics = metrics::summarizeTrace(r.trace, r.topo, r.traffic,
+                                        r.lastAlgoSend, r.endTime);
+  }
+  // The channel and bootstrap planes' counters are not reconstructible
+  // from the trace either.
   if (channel_) r.metrics.channels = channel_->stats();
   if (bootstrap_) {
     r.metrics.bootstrap = bootstrap_->stats();

@@ -84,7 +84,6 @@ struct RunConfig {
   // never perturbs the latency draws of surviving copies. Protocol
   // liveness under loss requires stack.reliableChannels.
   double lossRate = 0;
-  bool recordWire = false;
   // Streaming measurement plane (src/metrics/): when on (the default), a
   // metrics::Recorder observes the run and RunResult::metrics is built
   // online, with no trace rescan. Observation never perturbs the run (the

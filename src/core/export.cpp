@@ -1,7 +1,6 @@
 #include "core/export.hpp"
 
 #include <algorithm>
-#include <map>
 #include <vector>
 
 namespace wanmc::core {
@@ -21,14 +20,13 @@ std::string destString(const GroupSet& s) {
 
 void writeDeliveriesCsv(const RunResult& r, std::ostream& os) {
   os << "process,group,msg,sender,destGroups,lamport,simTimeUs,order\n";
+  const CastIndex casts(r.trace);
   for (const auto& d : r.trace.deliveries) {
-    const auto destIt = r.trace.destOf.find(d.msg);
-    const auto senderIt = r.trace.senderOf.find(d.msg);
+    const CastEvent* c = casts.find(d.msg);
     os << d.process << ',' << r.topo.group(d.process) << ',' << d.msg << ','
-       << (senderIt != r.trace.senderOf.end() ? senderIt->second : -1) << ','
-       << (destIt != r.trace.destOf.end() ? destString(destIt->second)
-                                          : std::string())
-       << ',' << d.lamport << ',' << d.when << ',' << d.order << '\n';
+       << (c != nullptr ? c->process : kNoProcess) << ','
+       << (c != nullptr ? destString(c->dest) : std::string()) << ','
+       << d.lamport << ',' << d.when << ',' << d.order << '\n';
   }
 }
 

@@ -4,7 +4,7 @@
 //
 // Redesigned around the streaming metrics plane (PR 4): writeSummaryJson
 // and writeLatencyCsv read RunResult::metrics (built online by
-// metrics::Recorder — no O(trace) rescan and no recordWire requirement);
+// metrics::Recorder — no O(trace) rescan);
 // the row-per-event CSVs still walk the trace, which is what they export.
 #pragma once
 

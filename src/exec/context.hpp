@@ -280,7 +280,7 @@ class Context {
 
   // Raw single-copy transmission for the channel plane: traffic accounting
   // under `accountLayer` (DATA under its inner layer, ACK/NACK under
-  // kChannel), wire observers, link state, drop filter, loss model, latency
+  // kChannel), link state, drop filter, loss model, latency
   // draw, then ChannelHook::onWireArrive at the receiver. Never touches the
   // Lamport clocks: only the ORIGINAL multicast ticks the sender's clock
   // (paper §2.3); retransmissions carry the original stamp inside the

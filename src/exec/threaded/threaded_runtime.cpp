@@ -330,10 +330,6 @@ void ThreadedRuntime::mergeTraces() {
               if (a.process != b.process) return a.process < b.process;
               return a.order < b.order;
             });
-  for (const CastEvent& c : trace_.casts) {
-    trace_.destOf[c.msg] = c.dest;
-    trace_.senderOf[c.msg] = c.process;
-  }
   for (const PerThread& p : per_)
     for (int l = 0; l < kNumLayers; ++l) {
       traffic_.perLayer[l].intra += p.traffic.perLayer[l].intra;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/runtime.hpp"
-
 namespace wanmc::metrics {
 
 namespace {
@@ -20,12 +18,9 @@ uint32_t addresseeCount(const Topology& topo, const GroupSet& dest) {
 
 }  // namespace
 
-Recorder::Recorder(sim::Runtime& rt) : rt_(rt) {
-  const Topology& topo = rt_.topology();
-  perGroup_.resize(static_cast<size_t>(topo.numGroups()));
-  perDestSize_.resize(static_cast<size_t>(topo.numGroups()) + 1);
-  rt_.addObserver(this, sim::kObserveCasts | sim::kObserveDeliveries |
-                            sim::kObserveSends);
+Recorder::Recorder(const Topology& topo) : topo_(topo) {
+  perGroup_.resize(static_cast<size_t>(topo_.numGroups()));
+  perDestSize_.resize(static_cast<size_t>(topo_.numGroups()) + 1);
 }
 
 void Recorder::onCast(const CastEvent& ev) {
@@ -41,7 +36,7 @@ void Recorder::onCast(const CastEvent& ev) {
   MsgStat& s = stats_[idx];
   s.castAt = ev.when;
   s.castLamport = ev.lamport;
-  s.addressees = addresseeCount(rt_.topology(), ev.dest);
+  s.addressees = addresseeCount(topo_, ev.dest);
   s.destGroups = static_cast<uint32_t>(ev.dest.size());
 }
 
@@ -53,8 +48,7 @@ void Recorder::onDeliver(const DeliveryEvent& ev) {
   if (s == nullptr || s->castAt < 0) return;  // never cast: no latency
   const SimTime latency = ev.when - s->castAt;
   deliveryLatency_.add(latency);
-  perGroup_[static_cast<size_t>(rt_.topology().group(ev.process))].add(
-      latency);
+  perGroup_[static_cast<size_t>(topo_.group(ev.process))].add(latency);
   perDestSize_[s->destGroups].add(latency);
 
   s->lastDeliveryAt = ev.when;
@@ -64,38 +58,19 @@ void Recorder::onDeliver(const DeliveryEvent& ev) {
   if (delta > s->maxLamportDelta) s->maxLamportDelta = delta;
 }
 
-void Recorder::onSend(const WireEvent& ev) {
-  auto& counter = traffic_.at(ev.layer);
-  if (ev.interGroup) {
-    ++counter.inter;
-  } else {
-    ++counter.intra;
-  }
-  // FD heartbeats, channel ACK/NACK control packets and bootstrap
-  // handshake traffic are substrate, not algorithm traffic: none of them
-  // resets the quiescence clock (mirrors Runtime's lastAlgorithmicSend
-  // accounting, incl. channelSend).
-  if (ev.layer != Layer::kFailureDetector && ev.layer != Layer::kChannel &&
-      ev.layer != Layer::kBootstrap)
-    lastAlgoSendAt_ = ev.sentAt;
-}
-
 Summary Recorder::summary(SimTime endTime) const {
   Summary out;
-  const Topology& topo = rt_.topology();
-  out.processes = topo.numProcesses();
-  out.groups = topo.numGroups();
+  out.processes = topo_.numProcesses();
+  out.groups = topo_.numGroups();
   out.casts = casts_;
   out.deliveries = deliveries_;
   out.firstCastAt = firstCastAt_;
   out.lastCastAt = lastCastAt_;
   out.lastDeliveryAt = lastDeliveryAt_;
-  out.lastAlgoSendAt = lastAlgoSendAt_;
   out.endTime = endTime;
   out.deliveryLatency = deliveryLatency_;
   out.perGroup = perGroup_;
   out.perDestSize = perDestSize_;
-  out.traffic = traffic_;
 
   // Message-level fold: O(#messages), independent of trace length.
   for (const MsgStat& s : stats_) {

@@ -1,14 +1,18 @@
-// metrics::Recorder — streaming, observer-driven run measurement.
+// metrics::Recorder — the one builder of metrics::Summary.
 //
-// One Recorder subscribes to the runtime's cast/delivery/send hooks
-// (sim/observer.hpp) and maintains every aggregate of metrics::Summary
-// online: latency histograms bin each delivery the instant it happens,
-// per-message state lives in a dense msg-id-indexed table (message ids are
-// allocated sequentially from 1 by core::Experiment), and traffic/
-// quiescence counters ride the send hook. Nothing rescans the RunTrace and
-// nothing requires recordWire.
+// A Recorder is fed the cast and delivery events of a run (the hooks of
+// sim/observer.hpp) and maintains every trace-derived aggregate of
+// metrics::Summary online: latency histograms bin each delivery the
+// instant it happens, and per-message state lives in a dense
+// msg-id-indexed table (message ids are allocated sequentially from 1 by
+// core::Experiment). A sim run registers it with the runtime; threaded
+// runs and runs with metrics off replay the recorded trace into one
+// (summarizeTrace). The counters a trace does not hold — per-layer
+// traffic, the last algorithmic send, and the fault, channel and bootstrap
+// blocks — are injected by the caller (core::Experiment::harvest,
+// summarizeTrace).
 //
-// Hot-path discipline: onDeliver/onSend are allocation-free at steady
+// Hot-path discipline: onCast/onDeliver are allocation-free at steady
 // state (the per-message table grows geometrically, like a vector), never
 // draw from the runtime RNG, and never schedule events — a recorded run is
 // byte-identical to an unrecorded one (pinned by the golden fingerprints
@@ -20,32 +24,29 @@
 
 #include "metrics/summary.hpp"
 #include "sim/observer.hpp"
-
-namespace wanmc::sim {
-class Runtime;
-}
+#include "sim/topology.hpp"
 
 namespace wanmc::metrics {
 
 class Recorder final : public sim::RunObserver {
  public:
-  // Registers with `rt` for casts, deliveries, and sends. The recorder
-  // must stay alive while the runtime dispatches events and while
-  // summary() is called (core::Experiment owns both and destroys the
-  // runtime first).
-  explicit Recorder(sim::Runtime& rt);
+  // `topo` must outlive the recorder. To observe a sim run live, register
+  // it with rt.addObserver(&rec, sim::kObserveCasts | sim::kObserveDeliveries)
+  // before the run starts.
+  explicit Recorder(const Topology& topo);
 
   Recorder(const Recorder&) = delete;
   Recorder& operator=(const Recorder&) = delete;
 
   void onCast(const CastEvent& ev) override;
   void onDeliver(const DeliveryEvent& ev) override;
-  void onSend(const WireEvent& ev) override;
 
-  // Snapshot of everything measured so far. Message-level aggregates
-  // (final-latency histogram, latency-degree tally, completion counters)
-  // are folded here from the per-message table — O(#messages), not
-  // O(trace) — so summary() may be called mid-run and again later.
+  // Snapshot of everything measured so far. traffic, lastAlgoSendAt and
+  // the fault, channel and bootstrap blocks keep their defaults for the
+  // caller to inject. Message-level aggregates (final-latency histogram,
+  // latency-degree tally, completion counters) are folded here from the
+  // per-message table — O(#messages), not O(trace) — so summary() may be
+  // called mid-run and again later.
   [[nodiscard]] Summary summary(SimTime endTime) const;
 
  private:
@@ -66,7 +67,7 @@ class Recorder final : public sim::RunObserver {
     return idx < stats_.size() ? &stats_[idx] : nullptr;
   }
 
-  sim::Runtime& rt_;
+  const Topology& topo_;
   std::vector<MsgStat> stats_;  // dense by MsgId; slot 0 unused
 
   // Streaming aggregates (delivery-level histograms fill in place;
@@ -74,13 +75,11 @@ class Recorder final : public sim::RunObserver {
   LogHistogram deliveryLatency_;
   std::vector<LogHistogram> perGroup_;
   std::vector<LogHistogram> perDestSize_;
-  TrafficStats traffic_;
   uint64_t casts_ = 0;
   uint64_t deliveries_ = 0;
   SimTime firstCastAt_ = -1;
   SimTime lastCastAt_ = -1;
   SimTime lastDeliveryAt_ = -1;
-  SimTime lastAlgoSendAt_ = -1;
 };
 
 }  // namespace wanmc::metrics

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "metrics/recorder.hpp"
+
 namespace wanmc::metrics {
 
 namespace {
@@ -86,66 +88,15 @@ void Summary::merge(const Summary& other) {
 Summary summarizeTrace(const RunTrace& trace, const Topology& topo,
                        const TrafficStats& traffic, SimTime lastAlgoSend,
                        SimTime endTime) {
-  Summary out;
-  out.processes = topo.numProcesses();
-  out.groups = topo.numGroups();
+  // Every cast first: a delivery the trace lists before its cast (possible
+  // only in a hand-assembled trace) still counts.
+  Recorder rec(topo);
+  for (const CastEvent& c : trace.casts) rec.onCast(c);
+  for (const DeliveryEvent& d : trace.deliveries) rec.onDeliver(d);
+  Summary out = rec.summary(endTime);
   out.traffic = traffic;
-  out.faults = faultStatsOf(trace);
   out.lastAlgoSendAt = lastAlgoSend;
-  out.endTime = endTime;
-  out.perGroup.resize(static_cast<size_t>(topo.numGroups()));
-  out.perDestSize.resize(static_cast<size_t>(topo.numGroups()) + 1);
-
-  // Rebuild exactly the per-message state the streaming Recorder keeps;
-  // the two constructions are asserted field-identical in tests.
-  struct MsgStat {
-    SimTime castAt = -1;
-    SimTime lastDeliveryAt = -1;
-    uint64_t castLamport = 0;
-    int64_t maxLamportDelta = -1;
-    uint32_t deliveries = 0;
-    uint32_t addressees = 0;
-    uint32_t destGroups = 0;
-  };
-  std::map<MsgId, MsgStat> stats;
-
-  out.casts = trace.casts.size();
-  for (const CastEvent& c : trace.casts) {
-    if (out.firstCastAt < 0) out.firstCastAt = c.when;
-    out.lastCastAt = std::max(out.lastCastAt, c.when);
-    MsgStat& s = stats[c.msg];
-    s.castAt = c.when;
-    s.castLamport = c.lamport;
-    s.destGroups = static_cast<uint32_t>(c.dest.size());
-    s.addressees = 0;
-    for (GroupId g : c.dest.groups())
-      s.addressees += static_cast<uint32_t>(topo.groupSize(g));
-  }
-
-  out.deliveries = trace.deliveries.size();
-  for (const DeliveryEvent& d : trace.deliveries) {
-    out.lastDeliveryAt = std::max(out.lastDeliveryAt, d.when);
-    auto it = stats.find(d.msg);
-    if (it == stats.end() || it->second.castAt < 0) continue;
-    MsgStat& s = it->second;
-    const SimTime latency = d.when - s.castAt;
-    out.deliveryLatency.add(latency);
-    out.perGroup[static_cast<size_t>(topo.group(d.process))].add(latency);
-    out.perDestSize[s.destGroups].add(latency);
-    s.lastDeliveryAt = d.when;
-    ++s.deliveries;
-    const int64_t delta = static_cast<int64_t>(d.lamport) -
-                          static_cast<int64_t>(s.castLamport);
-    if (delta > s.maxLamportDelta) s.maxLamportDelta = delta;
-  }
-
-  for (const auto& [id, s] : stats) {
-    if (s.castAt < 0 || s.deliveries == 0) continue;
-    ++out.completed;
-    if (s.deliveries >= s.addressees) ++out.fullyDelivered;
-    out.msgLatency.add(s.lastDeliveryAt - s.castAt);
-    ++out.latencyDegrees[s.maxLamportDelta];
-  }
+  out.faults = faultStatsOf(trace);
   return out;
 }
 

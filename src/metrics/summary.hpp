@@ -2,11 +2,10 @@
 //
 // A Summary is a value type: everything the export layer, the sweep driver,
 // and the regression tests need from a finished run, with no pointer back
-// into the trace. It is built online by metrics::Recorder (one observer
-// hooked into the runtime, src/metrics/recorder.hpp) or offline by
-// summarizeTrace() (the O(trace) fallback used when metrics are disabled,
-// and the cross-check oracle in tests: both constructions are field-for-
-// field identical on the same run).
+// into the trace. metrics::Recorder (src/metrics/recorder.hpp) is its one
+// builder: fed live by the sim runtime's observer hooks, or by
+// summarizeTrace() replaying a recorded trace (threaded runs, runs with
+// metrics off, hand-assembled RunResults).
 //
 // Percentile semantics: every histogram bins LATENCIES (microseconds of
 // simulated wall-clock between A-XCast(m) and an A-Deliver(m)) into the
@@ -76,21 +75,20 @@ struct Summary {
   // deliver stamp minus cast stamp), the paper's §2.3 metric. Exact.
   std::map<int64_t, uint64_t> latencyDegrees;
 
-  // Per-layer wire counters (identical accounting to Runtime's
-  // TrafficStats — maintained from the observer plane, no recordWire).
+  // Per-layer wire counters: the runtime's TrafficStats, injected at
+  // harvest.
   TrafficStats traffic;
 
   // Fault-plane counters (fault plane v2): crashes, recoveries, partition
   // cut/heal transitions, and wire copies dropped on cut links. Derived
-  // from the trace's fault events in BOTH constructions (faultStatsOf), so
-  // the streaming/offline equivalence holds field-for-field.
+  // from the trace's fault events (faultStatsOf) and injected at harvest.
   FaultStats faults;
 
   // Reliable-channel substrate counters (src/channel/): retransmits, ACKs,
   // duplicate/stale suppression, holdback overflow. Maintained by the
-  // channel plane and injected identically into both constructions at
-  // Experiment::harvest (like lastAlgoSendAt, they are not reconstructible
-  // from the trace). All-zero when channels are off.
+  // channel plane and injected at Experiment::harvest (like lastAlgoSendAt,
+  // they are not reconstructible from the trace). All-zero when channels
+  // are off.
   ChannelStats channels;
 
   // Bootstrap state-transfer counters (src/bootstrap/): snapshots served,
@@ -120,10 +118,11 @@ struct Summary {
   friend bool operator==(const Summary&, const Summary&) = default;
 };
 
-// O(trace) construction of the same Summary the streaming Recorder builds:
-// the fallback when RunConfig::metrics is off, and the equivalence oracle
-// in tests. `lastAlgoSend` and `traffic` come from the runtime (they are
-// not reconstructible from an unrecorded wire).
+// The Summary of a recorded trace: replays its casts, then its deliveries,
+// into a Recorder, and injects what the trace does not hold — `traffic`
+// and `lastAlgoSend` from the runtime, the fault block from the trace's
+// fault events. Builds RunResult::metrics for threaded runs and for runs
+// with RunConfig::metrics off.
 [[nodiscard]] Summary summarizeTrace(const RunTrace& trace,
                                      const Topology& topo,
                                      const TrafficStats& traffic,

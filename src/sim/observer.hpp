@@ -1,17 +1,18 @@
 // Typed run-observer registry: the simulator's measurement plane.
 //
-// A RunObserver subscribes to the runtime's instrumentation points — cast,
-// delivery, and wire-send events — and sees each event exactly once, at the
-// instant the runtime records it. Observers are PASSIVE: they must not draw
-// from the runtime RNG and anything they schedule goes through the
+// A RunObserver subscribes to the runtime's instrumentation points — cast
+// and delivery events — and sees each event exactly once, at the instant
+// the runtime records it. Observers are PASSIVE: they must not draw from
+// the runtime RNG and anything they schedule goes through the
 // deterministic scheduler, so observation never perturbs a run (the golden
 // fingerprints pin this).
 //
-// This generalizes (and since PR 10 fully replaces) the PR 3
-// addDeliveryObserver hook: the metrics recorder (src/metrics/), the
-// streaming order checkers (src/verify/streaming.hpp), and the experiment's
-// closed-loop workload feedback all feed off this plane instead of
-// rescanning the RunTrace after the fact.
+// The same two hooks are the replay interface. The metrics recorder
+// (src/metrics/) and the prefix-order checker (src/verify/streaming.hpp)
+// observe a sim run live, and summarizeTrace and the verify:: prefix-order
+// checks feed them a recorded RunTrace instead, so each job has one
+// implementation on both backends. The experiment's closed-loop workload
+// feedback observes live deliveries too.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +27,6 @@ namespace wanmc::sim {
 enum ObserverInterest : uint32_t {
   kObserveCasts = 1u << 0,       // every recordCast (A-XCast)
   kObserveDeliveries = 1u << 1,  // every recordDelivery (A-Deliver)
-  kObserveSends = 1u << 2,       // every wire copy handed to the network
 };
 
 class RunObserver {
@@ -37,9 +37,6 @@ class RunObserver {
   virtual void onCast(const CastEvent& ev) { (void)ev; }
   // An A-Deliver was recorded.
   virtual void onDeliver(const DeliveryEvent& ev) { (void)ev; }
-  // One wire copy was handed to the network (counted even if a drop filter
-  // later discards it — this mirrors the TrafficStats accounting).
-  virtual void onSend(const WireEvent& ev) { (void)ev; }
 };
 
 }  // namespace wanmc::sim

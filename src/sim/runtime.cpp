@@ -92,11 +92,6 @@ WANMC_HOT void Runtime::multicast(ProcessId from,
     } else {
       ++counter.intra;
     }
-    if (recordWire_ || !sendObservers_.empty()) {
-      const WireEvent ev{from, to, layer, inter, sched_.now()};
-      if (recordWire_) trace_.wire.push_back(ev);
-      for (RunObserver* o : sendObservers_) o->onSend(ev);
-    }
 
     // Cut links drop the copy before the latency draw, exactly like the
     // drop filter: link state never perturbs the RNG stream of the copies
@@ -149,11 +144,6 @@ WANMC_HOT void Runtime::channelSend(ProcessId from, ProcessId to,
       accountLayer != Layer::kBootstrap) {
     lastAlgoSend_ = sched_.now();
     sentAlgo_[static_cast<size_t>(from)] = 1;
-  }
-  if (recordWire_ || !sendObservers_.empty()) {
-    const WireEvent ev{from, to, accountLayer, inter, sched_.now()};
-    if (recordWire_) trace_.wire.push_back(ev);
-    for (RunObserver* o : sendObservers_) o->onSend(ev);
   }
   if (anyLinkState_ && !linkUp(from, to)) {
     ++trace_.linkDrops;
@@ -353,8 +343,6 @@ void Runtime::recordCast(ProcessId pid, const AppMsgPtr& m) {
   trace_.casts.push_back(CastEvent{pid, m->id, m->dest,
                                    lamport_[static_cast<size_t>(pid)],
                                    sched_.now()});
-  trace_.destOf[m->id] = m->dest;
-  trace_.senderOf[m->id] = pid;
   for (RunObserver* o : castObservers_) o->onCast(trace_.casts.back());
 }
 

@@ -234,7 +234,7 @@ class Runtime final : public exec::Context {
 
   // ---- observer plane ------------------------------------------------------
   //
-  // Typed observers (sim/observer.hpp) see cast/delivery/send events
+  // Typed observers (sim/observer.hpp) see cast and delivery events
   // synchronously, in registration order. Observers are passive: they never
   // draw from the runtime RNG, and anything they schedule goes through the
   // deterministic scheduler, so observation never perturbs reproducibility.
@@ -247,7 +247,6 @@ class Runtime final : public exec::Context {
   void addObserver(RunObserver* obs, uint32_t interests) {
     if (interests & kObserveCasts) castObservers_.push_back(obs);
     if (interests & kObserveDeliveries) deliveryObservers_.push_back(obs);
-    if (interests & kObserveSends) sendObservers_.push_back(obs);
   }
 
   [[nodiscard]] const RunTrace& trace() const override { return trace_; }
@@ -255,8 +254,6 @@ class Runtime final : public exec::Context {
   [[nodiscard]] const TrafficStats& traffic() const override {
     return traffic_;
   }
-
-  void setRecordWire(bool on) { recordWire_ = on; }
 
   [[nodiscard]] SimTime lastAlgorithmicSend() const override {
     return lastAlgoSend_;
@@ -433,10 +430,8 @@ class Runtime final : public exec::Context {
   std::vector<OwnedListener> recoveryListeners_;
   std::vector<RunObserver*> castObservers_;
   std::vector<RunObserver*> deliveryObservers_;
-  std::vector<RunObserver*> sendObservers_;
   RunTrace trace_;
   TrafficStats traffic_;
-  bool recordWire_ = false;
   SimTime lastAlgoSend_ = -1;
   std::vector<uint8_t> sentAlgo_;
   std::vector<uint8_t> recvAlgo_;

@@ -300,22 +300,15 @@ Scenario& Scenario::withDefaultExpectations() {
 // ---------------------------------------------------------------------------
 
 verify::Violations checkExpectations(const core::RunResult& r,
-                                     const PropertyExpectations& exp,
-                                     const verify::StreamingOrderChecker* order) {
+                                     const PropertyExpectations& exp) {
   verify::Violations out;
   auto append = [&out](verify::Violations v) {
     out.insert(out.end(), v.begin(), v.end());
   };
   const auto ctx = r.checkContext();
   append(verify::checkUniformIntegrity(ctx));
-  if (order != nullptr) {
-    // Streaming verdict, built incrementally during the run: no O(n^2)
-    // end-of-run sequence comparison.
-    append(exp.uniform ? order->violations() : order->violations(r.correct));
-  } else {
-    append(exp.uniform ? verify::checkUniformPrefixOrder(ctx)
-                       : verify::checkPrefixOrderCorrectOnly(ctx));
-  }
+  append(exp.uniform ? verify::checkUniformPrefixOrder(ctx)
+                     : verify::checkPrefixOrderCorrectOnly(ctx));
   if (exp.checkLiveness) {
     append(verify::checkValidity(ctx));
     append(exp.uniform ? verify::checkUniformAgreement(ctx)
@@ -406,17 +399,6 @@ ScenarioResult ScenarioRunner::run() const {
 
   core::Experiment ex(cfg);
   const Topology& topo = ex.context().topology();
-  const bool onSim = cfg.backend == exec::Backend::kSim;
-
-  // Prefix order is checked incrementally from the observer plane while
-  // the run progresses (verify/streaming.hpp); passive, so fingerprints
-  // are unaffected. The observer registry is a sim facility: a threaded
-  // run is checked from its merged trace instead (checkExpectations falls
-  // back to the trace-based oracle when no streaming verdict is passed).
-  verify::StreamingOrderChecker orderChecker(topo);
-  if (onSim)
-    ex.runtime().addObserver(&orderChecker,
-                             sim::kObserveCasts | sim::kObserveDeliveries);
 
   ScenarioResult result;
   result.name = s.name;
@@ -432,9 +414,7 @@ ScenarioResult ScenarioRunner::run() const {
   }
 
   // Recovery schedule: scripted verbatim, plus one seed-derived recovery
-  // per effective crash. Recovered processes are excluded from the
-  // streaming prefix-order pairs up front (their sequences restart
-  // mid-run; the trace-based checkers skip them the same way).
+  // per effective crash.
   result.effectiveRecoveries = s.recoveries;
   if (s.randomRecoveries) {
     auto extra = materializeRecoveries(result.effectiveCrashes,
@@ -453,10 +433,8 @@ ScenarioResult ScenarioRunner::run() const {
   }
 
   for (const auto& c : result.effectiveCrashes) ex.crashAt(c.pid, c.when);
-  for (const auto& rec : result.effectiveRecoveries) {
+  for (const auto& rec : result.effectiveRecoveries)
     ex.recoverAt(rec.pid, rec.when);
-    orderChecker.excludeProcess(rec.pid);
-  }
 
   // Partition windows: scripted verbatim + seed-derived healing cuts.
   result.effectivePartitions = s.partitions;
@@ -494,8 +472,7 @@ ScenarioResult ScenarioRunner::run() const {
   }
 
   result.run = ex.run(s.runUntil);
-  result.violations = checkExpectations(result.run, s.expect,
-                                        onSim ? &orderChecker : nullptr);
+  result.violations = checkExpectations(result.run, s.expect);
   result.fingerprint = traceFingerprint(result.run);
   return result;
 }

@@ -23,7 +23,6 @@
 #include "common/time.hpp"
 #include "core/experiment.hpp"
 #include "verify/properties.hpp"
-#include "verify/streaming.hpp"
 #include "workload/spec.hpp"
 
 namespace wanmc::testing {
@@ -287,14 +286,10 @@ class ScenarioRunner {
 // are behaviorally identical iff their fingerprints are byte-identical.
 [[nodiscard]] std::string traceFingerprint(const core::RunResult& r);
 
-// Checks `r` against `exp`; returns all violations found. When `order` is
-// non-null its streaming verdict replaces the trace-based O(n^2)
-// final-sequence prefix-order comparison (the default path through
-// ScenarioRunner — the trace-based checkers remain the offline oracle and
-// are cross-checked against the streaming ones in tests).
+// Checks `r` against `exp`; returns all violations found. Sim and threaded
+// runs take the same path: every check reads the harvested trace.
 [[nodiscard]] verify::Violations checkExpectations(
-    const core::RunResult& r, const PropertyExpectations& exp,
-    const verify::StreamingOrderChecker* order = nullptr);
+    const core::RunResult& r, const PropertyExpectations& exp);
 
 // ---------------------------------------------------------------------------
 // The shared crash/drop/seed matrix every protocol stack is tested under.

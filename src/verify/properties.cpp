@@ -4,6 +4,8 @@
 #include <sstream>
 #include <tuple>
 
+#include "verify/streaming.hpp"
+
 namespace wanmc::verify {
 
 namespace {
@@ -21,50 +23,11 @@ std::string mname(MsgId m) {
   return s;
 }
 
-bool isAddressee(const CheckContext& ctx, ProcessId p, MsgId m) {
-  auto it = ctx.trace->destOf.find(m);
-  if (it == ctx.trace->destOf.end()) return false;
-  return it->second.contains(ctx.topo->group(p));
-}
-
-// Final delivery sequence of every process.
-std::map<ProcessId, std::vector<MsgId>> sequences(const CheckContext& ctx) {
-  return ctx.trace->sequences();
-}
-
-Violations prefixOrderOver(const CheckContext& ctx,
-                           const std::set<ProcessId>& procs) {
-  Violations out;
-  auto seqs = sequences(ctx);
-  std::vector<ProcessId> ps(procs.begin(), procs.end());
-  for (size_t i = 0; i < ps.size(); ++i) {
-    for (size_t j = i + 1; j < ps.size(); ++j) {
-      const ProcessId p = ps[i];
-      const ProcessId q = ps[j];
-      // Project both sequences on messages addressed to BOTH p and q.
-      auto project = [&](ProcessId self) {
-        std::vector<MsgId> out2;
-        for (MsgId m : seqs[self])
-          if (isAddressee(ctx, p, m) && isAddressee(ctx, q, m))
-            out2.push_back(m);
-        return out2;
-      };
-      const auto sp = project(p);
-      const auto sq = project(q);
-      const size_t n = std::min(sp.size(), sq.size());
-      for (size_t x = 0; x < n; ++x) {
-        if (sp[x] != sq[x]) {
-          std::ostringstream os;
-          os << "prefix order violated between " << pname(p) << " and "
-             << pname(q) << " at position " << x << ": " << mname(sp[x])
-             << " vs " << mname(sq[x]);
-          out.push_back(os.str());
-          break;
-        }
-      }
-    }
-  }
-  return out;
+// False for a message that was never cast.
+bool isAddressee(const CheckContext& ctx, const CastIndex& casts, ProcessId p,
+                 MsgId m) {
+  const CastEvent* c = casts.find(m);
+  return c != nullptr && c->dest.contains(ctx.topo->group(p));
 }
 
 // Sorted recovery times per process, for incarnation segmentation.
@@ -96,6 +59,7 @@ Violations checkUniformIntegrity(const CheckContext& ctx) {
   Violations out;
   std::set<MsgId> cast;
   for (const auto& c : ctx.trace->casts) cast.insert(c.msg);
+  const CastIndex casts(*ctx.trace);
   const auto recTimes = recoveryTimes(ctx);
 
   // The duplicate check binds per (process, incarnation): an amnesiac
@@ -110,7 +74,7 @@ Violations checkUniformIntegrity(const CheckContext& ctx) {
     if (!cast.count(d.msg))
       out.push_back(pname(d.process) + " delivered " + mname(d.msg) +
                     " which was never A-XCast");
-    if (!isAddressee(ctx, d.process, d.msg))
+    if (!isAddressee(ctx, casts, d.process, d.msg))
       out.push_back(pname(d.process) + " delivered " + mname(d.msg) +
                     " but is not an addressee");
   }
@@ -127,6 +91,7 @@ Violations checkRecoveredDelivery(const CheckContext& ctx) {
   Violations out;
   const auto recTimes = recoveryTimes(ctx);
   if (recTimes.empty()) return out;
+  const CastIndex casts(*ctx.trace);
 
   std::map<ProcessId, std::set<MsgId>> deliveredBy;
   for (const auto& d : ctx.trace->deliveries)
@@ -146,13 +111,13 @@ Violations checkRecoveredDelivery(const CheckContext& ctx) {
       continue;
     for (const auto& c : ctx.trace->casts) {
       if (c.when <= lastRecovery) continue;  // pre-recovery: no obligation
-      if (!isAddressee(ctx, p, c.msg)) continue;
+      if (!isAddressee(ctx, casts, p, c.msg)) continue;
       // Only messages the correct addressees all delivered: the protocol
       // demonstrably completed them, so the recovered process — alive the
       // whole time — must have delivered too.
       bool settled = true;
       for (ProcessId q : ctx.correct) {
-        if (!isAddressee(ctx, q, c.msg)) continue;
+        if (!isAddressee(ctx, casts, q, c.msg)) continue;
         if (!deliveredBy[q].count(c.msg)) {
           settled = false;
           break;
@@ -174,11 +139,12 @@ Violations checkValidity(const CheckContext& ctx) {
   std::map<ProcessId, std::set<MsgId>> deliveredBy;
   for (const auto& d : ctx.trace->deliveries)
     deliveredBy[d.process].insert(d.msg);
+  const CastIndex casts(*ctx.trace);
 
   for (const auto& c : ctx.trace->casts) {
     if (!ctx.correct.count(c.process)) continue;  // only correct senders
     for (ProcessId q : ctx.correct) {
-      if (!isAddressee(ctx, q, c.msg)) continue;
+      if (!isAddressee(ctx, casts, q, c.msg)) continue;
       if (!deliveredBy[q].count(c.msg))
         out.push_back("validity: correct " + pname(q) + " never delivered " +
                       mname(c.msg) + " cast by correct " + pname(c.process));
@@ -200,9 +166,10 @@ Violations agreementImpl(const CheckContext& ctx, bool uniform) {
     if (ctx.correct.count(d.process)) deliveredByCorrect.insert(d.msg);
   }
   const auto& trigger = uniform ? deliveredByAnyone : deliveredByCorrect;
+  const CastIndex casts(*ctx.trace);
   for (MsgId m : trigger) {
     for (ProcessId q : ctx.correct) {
-      if (!isAddressee(ctx, q, m)) continue;
+      if (!isAddressee(ctx, casts, q, m)) continue;
       if (!deliveredBy[q].count(m))
         out.push_back(std::string(uniform ? "uniform " : "") +
                       "agreement: correct " + pname(q) +
@@ -223,20 +190,30 @@ Violations checkAgreementCorrectOnly(const CheckContext& ctx) {
   return agreementImpl(ctx, /*uniform=*/false);
 }
 
+namespace {
+
+// Replays the trace into the streaming checker: every cast first (the
+// checker keys deliveries on their message's destination), then the
+// deliveries in recorded order. Recovered processes are skipped: an
+// amnesiac rejoin restarts its sequence mid-run, so no prefix comparison
+// across the gap is sound (see recoveredProcesses). Their deliveries still
+// bind under uniform agreement and per-incarnation integrity.
+StreamingOrderChecker replayOrder(const CheckContext& ctx) {
+  StreamingOrderChecker checker(*ctx.topo);
+  for (ProcessId p : recoveredProcesses(ctx)) checker.excludeProcess(p);
+  for (const auto& c : ctx.trace->casts) checker.onCast(c);
+  for (const auto& d : ctx.trace->deliveries) checker.onDeliver(d);
+  return checker;
+}
+
+}  // namespace
+
 Violations checkUniformPrefixOrder(const CheckContext& ctx) {
-  // Recovered processes are skipped: an amnesiac rejoin restarts its
-  // sequence mid-run, so no prefix comparison across the gap is sound
-  // (see recoveredProcesses). Their deliveries still bind under uniform
-  // agreement and per-incarnation integrity.
-  const std::set<ProcessId> recovered = recoveredProcesses(ctx);
-  std::set<ProcessId> all;
-  for (ProcessId p : ctx.topo->allProcesses())
-    if (!recovered.count(p)) all.insert(p);
-  return prefixOrderOver(ctx, all);
+  return replayOrder(ctx).violations();
 }
 
 Violations checkPrefixOrderCorrectOnly(const CheckContext& ctx) {
-  return prefixOrderOver(ctx, ctx.correct);
+  return replayOrder(ctx).violations(ctx.correct);
 }
 
 Violations checkGenuineness(const CheckContext& ctx,

@@ -68,7 +68,8 @@ using Violations = std::vector<std::string>;
 
 // Uniform prefix order: for any two processes p,q and the final sequences
 // S_p, S_q projected on messages addressed to both p and q, one projection
-// is a prefix of the other.
+// is a prefix of the other. Checked by replaying the trace into
+// StreamingOrderChecker (verify/streaming.hpp).
 [[nodiscard]] Violations checkUniformPrefixOrder(const CheckContext& ctx);
 
 // Prefix order restricted to pairs of correct processes.

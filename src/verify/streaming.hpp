@@ -1,21 +1,19 @@
-// Streaming prefix-order checking over the observer plane.
+// Prefix-order checking: the one implementation, on both backends.
 //
-// The trace-based checkers (verify/properties.hpp) compare FINAL delivery
-// sequences pairwise at end of run: O(n^2) projections over the whole
-// trace, the hot spot the ROADMAP called out for big traces. This checker
-// is fed incrementally by the runtime's cast/delivery hooks instead: for
-// every unordered process pair {p, q} it keeps one merged cursor — a queue
-// of deliveries one side is ahead by, projected on messages addressed to
-// BOTH — and compares elements the moment both sides have one. Each
-// delivery of message m touches only the addressees of m, so the total
-// work is O(deliveries * addressees), with no end-of-run rescan; the
-// per-pair queues hold only the current divergence between the two
-// processes, not whole sequences.
+// StreamingOrderChecker is fed cast and delivery events (sim/observer.hpp):
+// live from a sim runtime, or replayed from a recorded trace by
+// checkUniformPrefixOrder / checkPrefixOrderCorrectOnly
+// (verify/properties.hpp). For every unordered process pair {p, q} it keeps
+// one merged cursor — a queue of deliveries one side is ahead by, projected
+// on messages addressed to BOTH — and compares elements the moment both
+// sides have one. Each delivery of message m touches only the addressees
+// of m, so the total work is O(deliveries * addressees), with no pairwise
+// comparison of final sequences; the per-pair queues hold only the current
+// divergence between the two processes, not whole sequences.
 //
-// Verdicts (and violation strings) are identical to
-// checkUniformPrefixOrder / checkPrefixOrderCorrectOnly on every run —
-// cross-checked over the full standard matrix in tests. The trace-based
-// checkers remain available as the offline oracle.
+// The tests keep that pairwise final-sequence comparison as a reference
+// oracle and check that both give the same violations, word for word, on
+// every cell of the standard matrix.
 #pragma once
 
 #include <cstdint>
@@ -33,16 +31,16 @@ namespace wanmc::verify {
 
 class StreamingOrderChecker final : public sim::RunObserver {
  public:
-  // `topo` must outlive the checker. Register with
-  //   rt.addObserver(&checker, sim::kObserveCasts | sim::kObserveDeliveries)
+  // `topo` must outlive the checker. To check a sim run live, register it
+  // with rt.addObserver(&checker, sim::kObserveCasts | sim::kObserveDeliveries)
   // before the run starts.
   explicit StreamingOrderChecker(const Topology& topo);
 
-  // Excludes `p` from all pair comparisons. Call BEFORE the run for
-  // processes scheduled to crash-and-RECOVER: a recovered process rejoins
+  // Excludes `p` from all pair comparisons. Call BEFORE the first event
+  // for processes that crash and RECOVER: a recovered process rejoins
   // with reset state, so its delivery sequence restarts mid-run and
-  // cross-incarnation prefix comparison is meaningless (matches the
-  // trace-based checkers, which skip recovered processes the same way).
+  // cross-incarnation prefix comparison is meaningless (see
+  // recoveredProcesses).
   void excludeProcess(ProcessId p) {
     excluded_[static_cast<size_t>(p)] = 1;
   }
@@ -50,11 +48,11 @@ class StreamingOrderChecker final : public sim::RunObserver {
   void onCast(const CastEvent& ev) override;
   void onDeliver(const DeliveryEvent& ev) override;
 
-  // Violations over all process pairs (uniform prefix order), in the same
-  // pair order and wording as checkUniformPrefixOrder.
+  // Violations over all process pairs (uniform prefix order), in pair
+  // order: "prefix order violated between p<p> and p<q> at position <i>:
+  // m<a> vs m<b>", with p < q and m<a> the message p delivered there.
   [[nodiscard]] Violations violations() const;
-  // Restricted to pairs where both processes are in `correct`
-  // (checkPrefixOrderCorrectOnly).
+  // Restricted to pairs where both processes are in `correct`.
   [[nodiscard]] Violations violations(
       const std::set<ProcessId>& correct) const;
 

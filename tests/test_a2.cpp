@@ -60,8 +60,8 @@ TEST(A2, WarmRunReachesLatencyDegreeOne) {
     ex.castAllAt(kMs + i * 40 * kMs, static_cast<ProcessId>(i % 4), "x");
   auto r = ex.run(600 * kSec);
   EXPECT_TRUE(r.checkAtomicSuite().empty()) << r.checkAtomicSuite()[0];
-  ASSERT_TRUE(r.trace.minLatencyDegree().has_value());
-  EXPECT_EQ(*r.trace.minLatencyDegree(), 1);
+  ASSERT_FALSE(r.metrics.latencyDegrees.empty());
+  EXPECT_EQ(r.metrics.latencyDegrees.begin()->first, 1);
 }
 
 TEST(A2, TotalOrderAcrossConcurrentSenders) {

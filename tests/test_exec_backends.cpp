@@ -15,6 +15,7 @@
 #include <optional>
 
 #include "exec/context.hpp"
+#include "oracle.hpp"
 #include "testing/scenario.hpp"
 
 namespace wanmc {
@@ -60,6 +61,15 @@ TEST_P(ExecBackends, FailureFreeCellHoldsOnBothBackends) {
   EXPECT_EQ(simResult.run.trace.casts.size(), thrResult.run.trace.casts.size());
   EXPECT_EQ(simResult.run.trace.deliveries.size(),
             thrResult.run.trace.deliveries.size());
+
+  // The threaded Summary is a replay of the merged trace: it must equal the
+  // oracle's independent rebuild, with the runtime's traffic and last
+  // algorithmic send injected, and count every cast as completed.
+  const core::RunResult& thr = thrResult.run;
+  EXPECT_EQ(thr.metrics,
+            oracle::summarizeTrace(thr.trace, thr.topo, thr.traffic,
+                                   thr.lastAlgoSend, thr.endTime));
+  EXPECT_EQ(thr.metrics.completed, thr.metrics.casts);
 }
 
 INSTANTIATE_TEST_SUITE_P(

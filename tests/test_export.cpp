@@ -92,7 +92,6 @@ TEST(ExportJson, ViolationsAreReported) {
   r.topo = Topology(1, 1);
   r.correct = {0};
   r.trace.casts.push_back(CastEvent{0, 1, GroupSet::of({0}), 0, 0});
-  r.trace.destOf[1] = GroupSet::of({0});
   r.trace.deliveries.push_back(DeliveryEvent{0, 1, 0, 1, 0});
   r.trace.deliveries.push_back(DeliveryEvent{0, 1, 0, 2, 1});
   std::ostringstream os;

@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "oracle.hpp"
 #include "sim/runtime.hpp"
 #include "core/experiment.hpp"
 #include "testing/scenario.hpp"
@@ -269,12 +270,12 @@ TEST(Recovery, RunResultSplitsCorrectAndRecovered) {
   EXPECT_EQ(r.correct.count(1), 0u);   // recovered != correct
   EXPECT_EQ(r.recovered.count(1), 1u);
   EXPECT_EQ(r.correct.size(), 3u);
-  // The fault block is identical in both summary constructions.
+  // The fault block matches the oracle's rebuild from the trace.
   EXPECT_EQ(r.metrics.faults.crashes, 1u);
   EXPECT_EQ(r.metrics.faults.recoveries, 1u);
   EXPECT_EQ(r.metrics.faults,
-            metrics::summarizeTrace(r.trace, r.topo, r.traffic,
-                                    r.lastAlgoSend, r.endTime)
+            oracle::summarizeTrace(r.trace, r.topo, r.traffic,
+                                   r.lastAlgoSend, r.endTime)
                 .faults);
   // The recovered process delivers the post-recovery message (A1 rejoins).
   EXPECT_TRUE(verify::checkRecoveredDelivery(r.checkContext()).empty());
@@ -313,8 +314,6 @@ TEST(RecoverySemantics, IntegrityBindsPerIncarnation) {
   Topology topo(1, 2);
   RunTrace t;
   t.casts.push_back(CastEvent{0, 1, GroupSet::single(0), 0, 10});
-  t.destOf[1] = GroupSet::single(0);
-  t.senderOf[1] = 0;
   // p1 delivers m1, crashes, recovers, and re-delivers it (amnesia): OK.
   t.deliveries.push_back(DeliveryEvent{1, 1, 0, 20, 0});
   t.crashes.push_back(CrashEvent{1, 30});
@@ -334,8 +333,6 @@ TEST(RecoverySemantics, UniformPrefixOrderSkipsRecoveredProcesses) {
   RunTrace t;
   for (MsgId m = 1; m <= 2; ++m) {
     t.casts.push_back(CastEvent{0, m, GroupSet::single(0), 0, 10});
-    t.destOf[m] = GroupSet::single(0);
-    t.senderOf[m] = 0;
   }
   // p0 delivers m1 then m2; p1 (recovered mid-run) delivers only m2 —
   // a prefix violation between never-crashed processes, but p1 restarted.
@@ -363,8 +360,6 @@ TEST(RecoverySemantics, RecoveredDeliveryObligation) {
   // m1 cast after p1's recovery, delivered by every correct addressee
   // (p0) but not by p1: violation.
   t.casts.push_back(CastEvent{0, 1, GroupSet::single(0), 0, 30});
-  t.destOf[1] = GroupSet::single(0);
-  t.senderOf[1] = 0;
   t.deliveries.push_back(DeliveryEvent{0, 1, 0, 40, 0});
   auto v = verify::checkRecoveredDelivery(ctxOf(t, topo, {0}));
   ASSERT_EQ(v.size(), 1u);
@@ -383,8 +378,6 @@ TEST(RecoverySemantics, NoObligationAfterASecondCrash) {
   t.recoveries.push_back(RecoveryEvent{1, 20});
   t.crashes.push_back(CrashEvent{1, 60});
   t.casts.push_back(CastEvent{0, 1, GroupSet::single(0), 0, 30});
-  t.destOf[1] = GroupSet::single(0);
-  t.senderOf[1] = 0;
   t.deliveries.push_back(DeliveryEvent{0, 1, 0, 40, 0});
   EXPECT_TRUE(verify::checkRecoveredDelivery(ctxOf(t, topo, {0})).empty());
 }

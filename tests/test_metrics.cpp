@@ -9,10 +9,10 @@
 
 #include "core/experiment.hpp"
 #include "core/export.hpp"
-#include "metrics/recorder.hpp"
-#include "sim/runtime.hpp"
 #include "metrics/summary.hpp"
 #include "metrics/sweep.hpp"
+#include "oracle.hpp"
+#include "sim/runtime.hpp"
 #include "testing/scenario.hpp"
 
 namespace wanmc {
@@ -77,7 +77,7 @@ TEST(LogHistogram, PercentileIsMonotoneInQ) {
 }
 
 // ---------------------------------------------------------------------------
-// Recorder vs trace-based Summary: identical constructions.
+// Recorder vs the oracle's independent rebuild from the trace.
 // ---------------------------------------------------------------------------
 
 core::RunResult runOne(ProtocolKind kind, bool metricsOn, uint64_t seed,
@@ -101,7 +101,7 @@ TEST(MetricsEquivalence, StreamingMatchesTraceRescan) {
     for (bool crash : {false, true}) {
       if (crash && kind == ProtocolKind::kA2) continue;  // keep it quick
       auto r = runOne(kind, /*metricsOn=*/true, 5, crash);
-      const Summary rebuilt = metrics::summarizeTrace(
+      const Summary rebuilt = oracle::summarizeTrace(
           r.trace, r.topo, r.traffic, r.lastAlgoSend, r.endTime);
       EXPECT_EQ(r.metrics, rebuilt)
           << core::protocolName(kind) << " crash=" << crash;

@@ -15,8 +15,6 @@ struct Builder {
   void cast(MsgId id, ProcessId sender, GroupSet dest, uint64_t lamport = 0,
             SimTime when = 0) {
     trace.casts.push_back(CastEvent{sender, id, dest, lamport, when});
-    trace.destOf[id] = dest;
-    trace.senderOf[id] = sender;
   }
   void deliver(ProcessId p, MsgId id, uint64_t lamport = 0,
                SimTime when = 0) {
@@ -131,7 +129,9 @@ TEST(PrefixOrder, CatchesOrderInversion) {
   b.deliver(0, 2);
   b.deliver(2, 2);
   b.deliver(2, 1);  // inverted
-  EXPECT_FALSE(verify::checkUniformPrefixOrder(b.ctx()).empty());
+  EXPECT_EQ(verify::checkUniformPrefixOrder(b.ctx()),
+            (verify::Violations{"prefix order violated between p0 and p2 at "
+                                "position 0: m1 vs m2"}));
 }
 
 TEST(PrefixOrder, ProjectionIgnoresNonSharedMessages) {

@@ -78,20 +78,6 @@ TEST(Multicast, EmptyDestinationListIsANoop) {
   EXPECT_EQ(rt.traffic().at(Layer::kProtocol).total(), 0u);
 }
 
-TEST(Multicast, WireTraceRecordsEveryCopy) {
-  sim::Runtime rt = makeRt(2, 1);
-  rt.setRecordWire(true);
-  for (ProcessId p = 0; p < 2; ++p)
-    rt.attach(p, std::make_unique<Probe>(rt, p));
-  rt.start();
-  rt.multicast(0, {1}, std::make_shared<const TagPayload>(1));
-  rt.run();
-  ASSERT_EQ(rt.trace().wire.size(), 1u);
-  EXPECT_EQ(rt.trace().wire[0].from, 0);
-  EXPECT_EQ(rt.trace().wire[0].to, 1);
-  EXPECT_TRUE(rt.trace().wire[0].interGroup);
-}
-
 // ---------------------------------------------------------------------------
 // Consensus corner cases.
 // ---------------------------------------------------------------------------

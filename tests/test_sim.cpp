@@ -339,13 +339,11 @@ TEST(Trace, LatencyDegreeComputation) {
   RunTrace t;
   auto m = makeAppMessage(1, 0, GroupSet::of({0, 1}));
   t.casts.push_back(CastEvent{0, 1, m->dest, 5, 0});
-  t.destOf[1] = m->dest;
   t.deliveries.push_back(DeliveryEvent{0, 1, 7, 10, 0});
   t.deliveries.push_back(DeliveryEvent{1, 1, 6, 12, 0});
   ASSERT_TRUE(t.latencyDegree(1).has_value());
   EXPECT_EQ(*t.latencyDegree(1), 2);  // max(7, 6) - 5
   EXPECT_FALSE(t.latencyDegree(99).has_value());
-  EXPECT_EQ(*t.minLatencyDegree(), 2);
 }
 
 }  // namespace

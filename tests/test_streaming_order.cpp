@@ -1,15 +1,16 @@
-// Streaming-vs-trace checker equivalence over the full standard matrix
-// (PR 4 acceptance): for every (protocol, scenario, seed) cell, the
-// incremental prefix-order checker fed by the observer-plane event stream
-// must return exactly the violations the O(n^2) trace-based checkers
-// return — uniform AND correct-only — and the streaming metrics Summary
-// must equal the trace-rescan Summary. Synthetic violating traces cover
-// the positive (violation-reporting) paths, which real protocols never
-// exercise.
+// Prefix order and the metrics Summary against their reference oracles
+// (tests/oracle.hpp) over the full standard matrix: for every (protocol,
+// scenario, seed) cell, verify::checkUniformPrefixOrder and
+// checkPrefixOrderCorrectOnly (a trace replay into the streaming checker)
+// must return exactly the violations the pairwise oracle returns, and the
+// Recorder's Summary must equal the oracle's rebuild. Synthetic violating
+// traces cover the positive (violation-reporting) paths, which real
+// protocols never exercise, and pin the violation wording.
 #include <gtest/gtest.h>
 
 #include <string>
 
+#include "oracle.hpp"
 #include "testing/scenario.hpp"
 #include "verify/streaming.hpp"
 
@@ -19,6 +20,7 @@ namespace {
 using core::ProtocolKind;
 using testing::MatrixOptions;
 using testing::ScenarioResult;
+using verify::Violations;
 
 constexpr ProtocolKind kAllProtocols[] = {
     ProtocolKind::kA1,        ProtocolKind::kFritzke98,
@@ -28,51 +30,39 @@ constexpr ProtocolKind kAllProtocols[] = {
     ProtocolKind::kVicente02, ProtocolKind::kDetMerge00,
 };
 
-// Replays a recorded run into a fresh streaming checker: all casts first
-// (each cast chronologically precedes its deliveries, and the checker
-// keys only on destinations), then deliveries in recorded order — the
-// same per-process and global interleaving the live observer saw.
-// Recovered processes are excluded up front, exactly as ScenarioRunner
-// excludes them from its live checker (the trace-based oracle skips them
-// via verify::recoveredProcesses).
-verify::StreamingOrderChecker replay(const core::RunResult& r) {
-  verify::StreamingOrderChecker checker(r.topo);
-  for (ProcessId p : r.recovered) checker.excludeProcess(p);
-  for (const auto& c : r.trace.casts) checker.onCast(c);
-  for (const auto& d : r.trace.deliveries) checker.onDeliver(d);
-  return checker;
+// Both prefix-order verdicts of `r` against the pairwise oracle.
+void expectOrderMatchesOracle(const core::RunResult& r,
+                              const std::string& name = {}) {
+  const auto ctx = r.checkContext();
+  EXPECT_EQ(verify::checkUniformPrefixOrder(ctx),
+            oracle::uniformPrefixOrder(ctx))
+      << name;
+  EXPECT_EQ(verify::checkPrefixOrderCorrectOnly(ctx),
+            oracle::prefixOrderCorrectOnly(ctx))
+      << name;
 }
 
 TEST(StreamingOrder, MatchesTraceCheckersOnFullStandardMatrix) {
   for (ProtocolKind kind : kAllProtocols) {
     for (const ScenarioResult& res :
          runStandardMatrix(kind, MatrixOptions{})) {
-      const auto checker = replay(res.run);
-      const auto ctx = res.run.checkContext();
-      EXPECT_EQ(checker.violations(),
-                verify::checkUniformPrefixOrder(ctx))
-          << res.name;
-      EXPECT_EQ(checker.violations(res.run.correct),
-                verify::checkPrefixOrderCorrectOnly(ctx))
-          << res.name;
-      // And the metrics plane: streaming Summary == trace rescan. The
-      // channel-substrate and bootstrap blocks are maintained by their
+      expectOrderMatchesOracle(res.run, res.name);
+      // The channel-substrate and bootstrap blocks are maintained by their
       // planes and injected at harvest — like lastAlgoSend they are not
-      // reconstructible from the trace, so the rescan oracle takes them
-      // verbatim.
-      metrics::Summary rescan = metrics::summarizeTrace(
+      // reconstructible from the trace, so the oracle takes them verbatim.
+      metrics::Summary expected = oracle::summarizeTrace(
           res.run.trace, res.run.topo, res.run.traffic,
           res.run.lastAlgoSend, res.run.endTime);
-      rescan.channels = res.run.metrics.channels;
-      rescan.bootstrap = res.run.metrics.bootstrap;
-      EXPECT_EQ(res.run.metrics, rescan) << res.name;
+      expected.channels = res.run.metrics.channels;
+      expected.bootstrap = res.run.metrics.bootstrap;
+      EXPECT_EQ(res.run.metrics, expected) << res.name;
     }
   }
 }
 
 // ---------------------------------------------------------------------------
-// Synthetic violating runs: both checkers must agree on the violation,
-// its position, and its wording.
+// Synthetic violating runs: the checker and the oracle must agree on the
+// violation, its position, and its wording.
 // ---------------------------------------------------------------------------
 
 core::RunResult syntheticRun() {
@@ -85,8 +75,6 @@ core::RunResult syntheticRun() {
 void cast(core::RunResult& r, MsgId m, ProcessId sender, GroupSet dest,
           SimTime when) {
   r.trace.casts.push_back(CastEvent{sender, m, dest, 0, when});
-  r.trace.destOf[m] = dest;
-  r.trace.senderOf[m] = sender;
 }
 
 void deliver(core::RunResult& r, ProcessId p, MsgId m, SimTime when) {
@@ -109,16 +97,22 @@ TEST(StreamingOrder, FlagsSwappedPairIdenticallyToOracle) {
     deliver(r, p, 2, 21);
   }
 
-  const auto checker = replay(r);
-  const auto oracle = verify::checkUniformPrefixOrder(r.checkContext());
-  EXPECT_EQ(checker.violations(), oracle);
-  ASSERT_FALSE(oracle.empty());
-  // p0-vs-p2 and the swapped pair partners: p2 disagrees with p0, p1; p3
-  // disagrees with p2. 3 violated pairs either way.
-  EXPECT_EQ(oracle.size(), 3u);
-  EXPECT_NE(oracle[0].find("between p0 and p2"), std::string::npos);
-  EXPECT_NE(oracle[0].find("at position 0"), std::string::npos);
-  EXPECT_TRUE(checker.anyViolation());
+  expectOrderMatchesOracle(r);
+  // p2 disagrees with p0 and p1; p3 disagrees with p2.
+  EXPECT_EQ(
+      verify::checkUniformPrefixOrder(r.checkContext()),
+      (Violations{
+          "prefix order violated between p0 and p2 at position 0: m1 vs m2",
+          "prefix order violated between p1 and p2 at position 0: m1 vs m2",
+          "prefix order violated between p2 and p3 at position 0: m2 vs m1"}));
+
+  // Fed live, the checker flags the divergence as soon as it happens.
+  verify::StreamingOrderChecker checker(r.topo);
+  for (const auto& c : r.trace.casts) checker.onCast(c);
+  for (size_t i = 0; i < r.trace.deliveries.size(); ++i) {
+    checker.onDeliver(r.trace.deliveries[i]);
+    EXPECT_EQ(checker.anyViolation(), i >= 1) << "after delivery " << i;
+  }
 }
 
 TEST(StreamingOrder, CorrectOnlyFiltersCrashedPairs) {
@@ -135,13 +129,17 @@ TEST(StreamingOrder, CorrectOnlyFiltersCrashedPairs) {
   deliver(r, 3, 1, 11);
   r.correct = {0, 1, 2};
 
-  const auto checker = replay(r);
+  expectOrderMatchesOracle(r);
   const auto ctx = r.checkContext();
-  EXPECT_EQ(checker.violations(), verify::checkUniformPrefixOrder(ctx));
-  EXPECT_FALSE(checker.violations().empty());  // uniform: p3 counts
-  EXPECT_EQ(checker.violations(r.correct),
-            verify::checkPrefixOrderCorrectOnly(ctx));
-  EXPECT_TRUE(checker.violations(r.correct).empty());  // correct-only: not
+  // Uniform: p3 counts.
+  EXPECT_EQ(
+      verify::checkUniformPrefixOrder(ctx),
+      (Violations{
+          "prefix order violated between p0 and p3 at position 0: m1 vs m2",
+          "prefix order violated between p1 and p3 at position 0: m1 vs m2",
+          "prefix order violated between p2 and p3 at position 0: m1 vs m2"}));
+  // Correct-only: it does not.
+  EXPECT_TRUE(verify::checkPrefixOrderCorrectOnly(ctx).empty());
 }
 
 TEST(StreamingOrder, DivergenceDeepInSequenceReportsPosition) {
@@ -161,11 +159,15 @@ TEST(StreamingOrder, DivergenceDeepInSequenceReportsPosition) {
     deliver(r, p, 5, 21);
   }
 
-  const auto checker = replay(r);
-  const auto oracle = verify::checkUniformPrefixOrder(r.checkContext());
-  EXPECT_EQ(checker.violations(), oracle);
-  ASSERT_EQ(oracle.size(), 4u);  // the four cross pairs
-  EXPECT_NE(oracle[0].find("at position 4: m5 vs m6"), std::string::npos);
+  expectOrderMatchesOracle(r);
+  // The four cross pairs.
+  EXPECT_EQ(
+      verify::checkUniformPrefixOrder(r.checkContext()),
+      (Violations{
+          "prefix order violated between p0 and p2 at position 4: m5 vs m6",
+          "prefix order violated between p0 and p3 at position 4: m5 vs m6",
+          "prefix order violated between p1 and p2 at position 4: m5 vs m6",
+          "prefix order violated between p1 and p3 at position 4: m5 vs m6"}));
 }
 
 TEST(StreamingOrder, PrefixTruncationIsNotAViolation) {
@@ -182,10 +184,8 @@ TEST(StreamingOrder, PrefixTruncationIsNotAViolation) {
     deliver(r, p, 2, 13);
   }
 
-  const auto checker = replay(r);
-  EXPECT_EQ(checker.violations(),
-            verify::checkUniformPrefixOrder(r.checkContext()));
-  EXPECT_TRUE(checker.violations().empty());
+  expectOrderMatchesOracle(r);
+  EXPECT_TRUE(verify::checkUniformPrefixOrder(r.checkContext()).empty());
 }
 
 TEST(StreamingOrder, IgnoresNonAddresseesAndUnknownMessages) {
@@ -195,10 +195,8 @@ TEST(StreamingOrder, IgnoresNonAddresseesAndUnknownMessages) {
   deliver(r, 1, 1, 11);
   deliver(r, 2, 1, 12);   // p2 is not an addressee (integrity's problem)
   deliver(r, 3, 99, 13);  // never cast
-  const auto checker = replay(r);
-  EXPECT_EQ(checker.violations(),
-            verify::checkUniformPrefixOrder(r.checkContext()));
-  EXPECT_TRUE(checker.violations().empty());
+  expectOrderMatchesOracle(r);
+  EXPECT_TRUE(verify::checkUniformPrefixOrder(r.checkContext()).empty());
 }
 
 }  // namespace
