@@ -11,18 +11,18 @@
 // batch0 goodput ratio is the amortization headline), and the 100-seed
 // sweep wall-clock (serial and thread-pool; the thread-pool leg is marked
 // skipped on a single-core box) — and emits a machine-readable JSON report
-// (BENCH_PR10.json is the checked-in baseline). Allocation counts come from
+// (BENCH_PR13.json is the checked-in baseline). Allocation counts come from
 // a global operator new hook, so every figure carries an allocs-per-event
 // column.
 //
 //   bench_sim_core [--quick] [--jobs N] [--out FILE] [--check BASELINE]
 //
 // --quick   reduced iteration budget (CI smoke).
-// --check   compare events/sec fields against a baseline JSON; exit 1 if
-//           any rate regressed by more than 20%, if the metrics recorder
-//           or the idle bootstrap plane costs more than 5% of sim-core
-//           events/sec, or if the channel substrate costs more than 10%
-//           per fired event.
+// --check   compare against a baseline JSON; exit 1 if any rate regressed
+//           by more than 20%, if any allocs/event rose by more than 20% +
+//           0.05, if the metrics recorder or the idle bootstrap plane costs
+//           more than 5% of sim-core events/sec, or if the channel
+//           substrate costs more than 10% per fired event.
 //           Wall-clock fields are machine-dependent and are NOT gated.
 //
 // Intentionally free of the google-benchmark dependency: it must build and
@@ -686,6 +686,29 @@ bool baselineSkipped(const std::string& json, const std::string& bench) {
          key < close;
 }
 
+// Allocation gate: allocs/event may exceed the baseline's by at most 20%
+// + 0.05. The sim's counts repeat exactly at one budget; the slack absorbs
+// what differs between the --quick budget and the full one the baseline
+// is taken at: warm-up (scheduler buckets and tables growing to their
+// high-water marks) spread over fewer events, and on the batch ladder a
+// different batch-fill mix (batch64 reads ~15% more per event at --quick).
+bool allocsWithinBaseline(const std::string& baseline, const Result& r) {
+  constexpr double kRelSlack = 0.20;
+  constexpr double kAbsSlack = 0.05;
+  double base = 0;
+  if (r.allocsPerEvent < 0 ||
+      !extractField(baseline, r.name, "allocs_per_event", &base))
+    return true;
+  const double limit = base * (1.0 + kRelSlack) + kAbsSlack;
+  const bool ok = r.allocsPerEvent <= limit;
+  std::fprintf(stderr,
+               "check %-18s: allocs/event %.3g vs baseline %.3g (limit "
+               "%.3g) %s\n",
+               r.name.c_str(), r.allocsPerEvent, base, limit,
+               ok ? "ok" : "REGRESSED");
+  return ok;
+}
+
 int checkAgainstBaseline(const std::string& baseline,
                          const std::vector<Result>& results) {
   constexpr double kMaxRegression = 0.20;
@@ -696,6 +719,7 @@ int checkAgainstBaseline(const std::string& baseline,
                    r.name.c_str(), r.skipped ? "current" : "baseline");
       continue;
     }
+    if (!allocsWithinBaseline(baseline, r)) ++failures;
     if (r.eventsPerSec <= 0) continue;  // wall-clock-only bench: not gated
     // Gate on the calibration-normalized rate when the baseline has one
     // (machine-independent); fall back to the raw rate for old baselines.

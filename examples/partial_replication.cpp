@@ -109,7 +109,7 @@ int main() {
 
   bool consistent = true;
   for (GroupId g = 0; g < 3; ++g) {
-    const auto members = ex.runtime().topology().members(g);
+    const auto& members = ex.runtime().topology().members(g);
     for (size_t i = 1; i < members.size(); ++i)
       consistent &= replicas[static_cast<size_t>(members[i])].log() ==
                     replicas[static_cast<size_t>(members[0])].log();

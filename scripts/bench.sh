@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Simulator hot-path benchmark runner.
 #
-#   scripts/bench.sh                     full run, writes BENCH_PR10.json
+#   scripts/bench.sh                     full run, writes BENCH_PR13.json
 #   scripts/bench.sh --quick             reduced budget (CI smoke)
-#   scripts/bench.sh --check FILE        also gate events/sec against FILE
-#                                        (exit 1 on >20% regression, on
+#   scripts/bench.sh --check FILE        also gate against FILE (exit 1 on
+#                                        a >20% events/sec regression, on
+#                                        allocs/event above FILE's by more
+#                                        than 20% + 0.05, on
 #                                        metrics-recorder or idle-bootstrap
 #                                        overhead >5%, or on
 #                                        channel-substrate overhead >10%)
@@ -24,7 +26,7 @@ JOBS="${JOBS:-$(nproc)}"
 if [[ -z "${OUT:-}" ]]; then
   case " $* " in
     *" --check "*) OUT="$BUILD_DIR/bench_report.json" ;;
-    *)             OUT="BENCH_PR10.json" ;;
+    *)             OUT="BENCH_PR13.json" ;;
   esac
 fi
 

@@ -30,7 +30,7 @@ case "$TIER" in
   scenario) ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" -L scenario ;;
   bench)
     OUT="$BUILD_DIR/bench_smoke.json" scripts/bench.sh --quick \
-      --check BENCH_PR10.json
+      --check BENCH_PR13.json
     ;;
   sanitize)
     ASAN_DIR="${ASAN_DIR:-build-asan}"

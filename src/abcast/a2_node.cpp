@@ -70,9 +70,7 @@ void A2Node::tryPropose() {
 }
 
 void A2Node::onDecided(consensus::Instance k, const ConsensusValue& v) {
-  const auto* bundle = std::get_if<MsgBundle>(&v);
-  assert(bundle != nullptr && "A2 consensus decides MsgBundles");
-  decisionBuffer_[k] = *bundle;
+  decisionBuffer_[k] = v;
   drainDecisions();
 }
 
@@ -81,9 +79,9 @@ void A2Node::drainDecisions() {
   while (!awaitingBundles_) {
     auto it = decisionBuffer_.find(K_);
     if (it == decisionBuffer_.end()) return;
-    MsgBundle bundle = std::move(it->second);
+    const ConsensusValue v = std::move(it->second);
     decisionBuffer_.erase(it);
-    handleDecided(K_, bundle);
+    handleDecided(K_, v.get<MsgBundle>());
   }
 }
 
@@ -169,7 +167,8 @@ uint64_t A2Node::BootState::approxBytes() const {
   b += 8 * adelivered.size();
   for (const auto& [r, byGroup] : msgs)
     for (const auto& [g, bundle] : byGroup) b += 16 + 24 * bundle.size();
-  for (const auto& [k, bundle] : decisionBuffer) b += 8 + 24 * bundle.size();
+  for (const auto& [k, v] : decisionBuffer)
+    b += 8 + 24 * v.get<MsgBundle>().size();
   return b;
 }
 
@@ -213,8 +212,7 @@ void A2Node::installProtocolState(const bootstrap::Snapshot& snap) {
         rdelivered_.insert(id);
         rdeliveredMsgs_[id] = m;
       }
-    for (const auto& [k, bundle] : s->decisionBuffer)
-      decisionBuffer_.emplace(k, bundle);
+    for (const auto& [k, v] : s->decisionBuffer) decisionBuffer_.emplace(k, v);
   }
   // Messages R-Delivered during the joining window that the donor already
   // A-Delivered leave the working set: the suffix replay delivers them.

@@ -113,7 +113,7 @@ class A2Node : public core::XcastNode {
     std::map<MsgId, AppMsgPtr> rdeliveredMsgs;
     std::set<MsgId> adelivered;
     std::map<uint64_t, std::map<GroupId, MsgBundle>> msgs;
-    std::map<consensus::Instance, MsgBundle> decisionBuffer;
+    std::map<consensus::Instance, ConsensusValue> decisionBuffer;
     bool awaitingBundles = false;
     [[nodiscard]] uint64_t approxBytes() const override;
   };
@@ -141,7 +141,7 @@ class A2Node : public core::XcastNode {
   std::set<MsgId> adelivered_;
   // Msgs: round -> group -> bundle.
   std::map<uint64_t, std::map<GroupId, MsgBundle>> msgs_;
-  std::map<consensus::Instance, MsgBundle> decisionBuffer_;
+  std::map<consensus::Instance, ConsensusValue> decisionBuffer_;
   bool awaitingBundles_ = false;  // decided round K_, waiting for line 16
 
   uint64_t roundsExecuted_ = 0;

@@ -5,6 +5,11 @@
 
 namespace wanmc::amcast {
 
+namespace {
+// Stages a new proposal takes (lines 14-17).
+bool proposable(Stage s) { return s == Stage::s0 || s == Stage::s2; }
+}  // namespace
+
 A1Node::A1Node(exec::Context& rt, ProcessId pid, const core::StackConfig& cfg,
                A1Options opts)
     : core::XcastNode(rt, pid, cfg), opts_(opts) {
@@ -29,27 +34,59 @@ void A1Node::noteMessage(const AppMsgPtr& m) {
   // Uniform integrity: only destination processes handle m.
   if (!m->dest.contains(gid())) return;
   if (pending_.count(m->id) || adelivered_.count(m->id)) return;
-  pending_[m->id] = Pend{m, Stage::s0, K_};  // lines 11-13
+  setPending(m->id, m, Stage::s0, K_);  // lines 11-13
+}
+
+void A1Node::setPending(MsgId id, const AppMsgPtr& m, Stage stage,
+                        uint64_t ts) {
+  auto [it, fresh] = pending_.try_emplace(id);
+  Pend& p = it->second;
+  if (fresh) {
+    pendingByTs_.emplace(ts, id);
+  } else if (p.ts != ts) {
+    auto node = pendingByTs_.extract({p.ts, id});  // re-keyed in place
+    node.value().first = ts;
+    pendingByTs_.insert(std::move(node));
+  }
+  const bool was = !fresh && proposable(p.stage);
+  if (proposable(stage) && !was) {
+    proposable_.insert(id);
+  } else if (!proposable(stage) && was) {
+    proposable_.erase(id);
+  }
+  p = Pend{m, stage, ts};
+}
+
+void A1Node::erasePending(MsgId id) {
+  auto it = pending_.find(id);
+  if (it == pending_.end()) return;
+  pendingByTs_.erase({it->second.ts, id});
+  if (proposable(it->second.stage)) proposable_.erase(id);
+  pending_.erase(it);
 }
 
 void A1Node::tryPropose() {
   if (joining()) return;  // rejoin in progress: no proposal initiation
   if (propK_ > K_) return;  // one proposal per instance (line 14)
-  A1EntrySet set;
-  for (const auto& [id, p] : pending_) {
-    if (p.stage == Stage::s0 || p.stage == Stage::s2)
-      set.push_back(A1Entry{p.msg, p.stage, p.ts});
+  if (proposable_.empty()) return;
+  A1EntrySet set;  // canonical: proposable_ iterates in id order
+  set.reserve(proposable_.size());
+  for (MsgId id : proposable_) {
+    const Pend& p = pending_.at(id);
+    set.push_back(A1Entry{p.msg, p.stage, p.ts});
   }
-  if (set.empty()) return;
-  canonicalize(set);
   propK_ = K_ + 1;  // line 17
   groupConsensus_->propose(K_, std::move(set));
 }
 
 void A1Node::onDecided(consensus::Instance k, const ConsensusValue& v) {
-  const auto* entries = std::get_if<A1EntrySet>(&v);
-  assert(entries != nullptr && "A1 consensus decides A1EntrySets");
-  decisionBuffer_[k] = *entries;
+  // The decision for the current instance applies at once (handleDecided
+  // drains the buffer behind it); a later one waits, shared, in the buffer.
+  if (k == K_ && !joining()) {
+    handleDecided(k, v.get<A1EntrySet>());
+    return;
+  }
+  decisionBuffer_.insert_or_assign(k, v);
   drainDecisions();
 }
 
@@ -63,9 +100,9 @@ void A1Node::drainDecisions() {
   if (joining()) return;
   for (auto it = decisionBuffer_.find(K_); it != decisionBuffer_.end();
        it = decisionBuffer_.find(K_)) {
-    A1EntrySet entries = std::move(it->second);
+    const ConsensusValue v = std::move(it->second);
     decisionBuffer_.erase(it);
-    handleDecided(K_, entries);
+    handleDecided(K_, v.get<A1EntrySet>());
   }
 }
 
@@ -77,41 +114,31 @@ void A1Node::handleDecided(consensus::Instance k, const A1EntrySet& entries) {
   for (const A1Entry& e : entries) {
     const AppMsgPtr& m = e.msg;
     if (adelivered_.count(m->id)) continue;  // already done here
-    Pend& p = pending_[m->id];               // line 30: add or update
-    p.msg = m;
+    uint64_t ts = k;
+    Stage stage = Stage::s1;
 
     if (e.stage == Stage::s2) {
       // line 26: the second consensus fixed the group clock; the final
       // timestamp was already adopted at line 39.
-      p.ts = e.ts;
-      p.stage = Stage::s3;
+      ts = e.ts;
+      stage = Stage::s3;
     } else if (m->dest.size() > 1) {
       // lines 21-24: define this group's proposal (= k) and exchange it.
-      p.ts = k;
-      p.stage = Stage::s1;
       tsProposals_[m->id][gid()] = k;
-      auto ts = std::make_shared<const TsPayload>(m, k, gid());
-      std::vector<ProcessId> remoteDests;
-      for (GroupId g : m->dest.groups()) {
-        if (g == gid()) continue;
-        for (ProcessId q : topology().members(g)) remoteDests.push_back(q);
-      }
-      sendToMany(remoteDests, ts);  // line 24: one send event
+      sendToMany(topology().membersOf(m->dest.without(gid())),
+                 std::make_shared<const TsPayload>(m, k, gid()));  // line 24
       newlyS1.push_back(m->id);
-    } else {
+    } else if (opts_.skipSingleGroup) {
       // lines 28-29: single destination group. With the skip optimization m
       // jumps straight to s3; without it ([5]) m still walks through s1/s2,
       // which for one group degenerates to an extra consensus instance.
-      p.ts = k;
-      if (opts_.skipSingleGroup) {
-        p.stage = Stage::s3;
-      } else {
-        p.stage = Stage::s1;
-        tsProposals_[m->id][gid()] = k;
-        newlyS1.push_back(m->id);
-      }
+      stage = Stage::s3;
+    } else {
+      tsProposals_[m->id][gid()] = k;
+      newlyS1.push_back(m->id);
     }
-    maxTs = std::max(maxTs, p.ts);
+    setPending(m->id, m, stage, ts);  // line 30: add or update
+    maxTs = std::max(maxTs, ts);
   }
 
   // line 31: push the group clock past every decided timestamp.
@@ -129,24 +156,28 @@ void A1Node::handleDecided(consensus::Instance k, const A1EntrySet& entries) {
 void A1Node::onProtocolMessage(ProcessId /*from*/, const PayloadPtr& p) {
   const auto* ts = dynamic_cast<const TsPayload*>(p.get());
   assert(ts != nullptr && "A1 protocol layer speaks TsPayload only");
+  const MsgId id = ts->msg->id;
   noteMessage(ts->msg);  // line 10: (TS, m) also introduces m
-  tsProposals_[ts->msg->id][ts->fromGroup] =
-      std::max(tsProposals_[ts->msg->id][ts->fromGroup], ts->ts);
-  checkStage1(ts->msg->id);
+  // A late copy for an A-Delivered m has nothing left to decide; recording
+  // it would leave a stamp-table entry that nothing ever removes.
+  if (adelivered_.count(id) == 0) {
+    uint64_t& proposal = tsProposals_[id][ts->fromGroup];
+    proposal = std::max(proposal, ts->ts);
+    checkStage1(id);
+  }
   tryPropose();
 }
 
 void A1Node::checkStage1(MsgId id) {
   auto it = pending_.find(id);
   if (it == pending_.end()) return;
-  Pend& p = it->second;
+  const Pend& p = it->second;
   if (p.stage != Stage::s1) return;
 
   // line 33: one proposal from every remote destination group.
   const auto& proposals = tsProposals_[id];
-  for (GroupId g : p.msg->dest.groups()) {
-    if (g != gid() && proposals.count(g) == 0) return;
-  }
+  for (GroupId g : p.msg->dest.without(gid()))
+    if (proposals.count(g) == 0) return;
 
   uint64_t max = 0;  // line 34: TSset includes our own proposal (p.ts)
   for (const auto& [g, ts] : proposals) max = std::max(max, ts);
@@ -155,13 +186,12 @@ void A1Node::checkStage1(MsgId id) {
   if (opts_.skipMaxProposal && p.ts >= max) {
     // line 35-36: our group proposed the final timestamp; its clock is
     // already beyond it (line 31 ran when the proposal was decided).
-    p.stage = Stage::s3;
+    setPending(id, p.msg, Stage::s3, p.ts);
     adeliveryTest();
   } else {
     // lines 39-40: adopt the final timestamp; a second consensus will push
     // the group clock past it.
-    p.ts = max;
-    p.stage = Stage::s2;
+    setPending(id, p.msg, Stage::s2, max);
     tryPropose();
   }
 }
@@ -169,25 +199,15 @@ void A1Node::checkStage1(MsgId id) {
 void A1Node::adeliveryTest() {
   // lines 3-7: deliver every s3 message whose (ts, id) is minimal among ALL
   // pending messages (any stage).
-  for (;;) {
-    const Pend* best = nullptr;
-    MsgId bestId = 0;
-    bool blocked = false;
-    for (const auto& [id, p] : pending_) {
-      if (best == nullptr ||
-          std::pair(p.ts, id) < std::pair(best->ts, bestId)) {
-        best = &p;
-        bestId = id;
-      }
-    }
-    if (best == nullptr) return;
-    if (best->stage != Stage::s3) blocked = true;
-    if (blocked) return;
+  while (!pendingByTs_.empty()) {
+    const MsgId id = pendingByTs_.begin()->second;
+    const Pend& best = pending_.at(id);
+    if (best.stage != Stage::s3) return;
 
-    AppMsgPtr m = best->msg;
-    adelivered_.insert(bestId);
-    pending_.erase(bestId);
-    tsProposals_.erase(bestId);
+    AppMsgPtr m = best.msg;
+    adelivered_.insert(id);
+    erasePending(id);
+    tsProposals_.erase(id);
     adeliver(m);
   }
 }
@@ -201,7 +221,8 @@ uint64_t A1Node::BootState::approxBytes() const {
   for (const auto& [id, p] : pending) b += 40 + p.msg->body.size();
   b += 8 * adelivered.size();
   for (const auto& [id, ps] : tsProposals) b += 8 + 16 * ps.size();
-  for (const auto& [k, es] : decisionBuffer) b += 8 + 48 * es.size();
+  for (const auto& [k, v] : decisionBuffer)
+    b += 8 + 48 * v.get<A1EntrySet>().size();
   return b;
 }
 
@@ -236,12 +257,12 @@ void A1Node::installProtocolState(const bootstrap::Snapshot& snap) {
     // donor's entry wins (its stage is at least as advanced).
     K_ = std::max(K_, s->K);
     propK_ = std::max(propK_, s->propK);
-    for (const auto& [id, p] : s->pending) pending_[id] = p;
-    for (const auto& [k, es] : s->decisionBuffer)
-      decisionBuffer_.emplace(k, es);
+    for (const auto& [id, p] : s->pending)
+      setPending(id, p.msg, p.stage, p.ts);
+    for (const auto& [k, v] : s->decisionBuffer) decisionBuffer_.emplace(k, v);
   }
   for (MsgId id : s->adelivered) {
-    pending_.erase(id);
+    erasePending(id);
     tsProposals_.erase(id);
   }
   // Decisions for instances the donor already executed can never drain

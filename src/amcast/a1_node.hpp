@@ -22,12 +22,20 @@
 // Latency degree: 2 for messages multicast to >= 2 groups (Theorem 4.1,
 // optimal by Prop. 3.1/3.2); 0/1 for single-group messages depending on
 // whether the sender belongs to the destination group.
+//
+// The pending table carries two indexes, kept in step by setPending and
+// erasePending: every entry by (ts, id), so ADeliveryTest reads the
+// minimum instead of scanning, and the ids of the s0/s2 entries, in id
+// order, which is exactly the canonical proposal a new instance takes.
+// Decisions arrive as shared values (common/consensus_value.hpp); the
+// decision buffer holds them without copying.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "common/consensus_value.hpp"
 #include "core/stack_node.hpp"
@@ -71,6 +79,9 @@ class A1Node final : public core::XcastNode {
     return instancesDecided_;
   }
   [[nodiscard]] size_t pendingCount() const { return pending_.size(); }
+  // Messages with timestamp proposals on record; empty once every pending
+  // message is A-Delivered.
+  [[nodiscard]] size_t stampTableSize() const { return tsProposals_.size(); }
 
  protected:
   void onProtocolMessage(ProcessId from, const PayloadPtr& p) override;
@@ -97,9 +108,14 @@ class A1Node final : public core::XcastNode {
     std::map<MsgId, Pend> pending;
     std::set<MsgId> adelivered;
     std::map<MsgId, std::map<GroupId, uint64_t>> tsProposals;
-    std::map<consensus::Instance, A1EntrySet> decisionBuffer;
+    std::map<consensus::Instance, ConsensusValue> decisionBuffer;
     [[nodiscard]] uint64_t approxBytes() const override;
   };
+
+  // Adds or updates a pending entry; the only writers of pending_, so
+  // the two indexes never drift from it.
+  void setPending(MsgId id, const AppMsgPtr& m, Stage stage, uint64_t ts);
+  void erasePending(MsgId id);
 
   // Lines 10-13: first sight of m via R-Deliver or (TS, m).
   void noteMessage(const AppMsgPtr& m);
@@ -120,11 +136,13 @@ class A1Node final : public core::XcastNode {
   uint64_t K_ = 1;      // this group's clock == next consensus instance
   uint64_t propK_ = 1;  // lowest instance we may still propose to
   std::map<MsgId, Pend> pending_;
+  std::set<std::pair<uint64_t, MsgId>> pendingByTs_;  // every entry
+  std::set<MsgId> proposable_;                        // s0/s2 entries
   std::set<MsgId> adelivered_;
-  // Remote (and own) timestamp proposals per message, per group.
+  // Remote (and own) timestamp proposals per pending message, per group.
   std::map<MsgId, std::map<GroupId, uint64_t>> tsProposals_;
   // Decisions that arrived before our clock reached their instance.
-  std::map<consensus::Instance, A1EntrySet> decisionBuffer_;
+  std::map<consensus::Instance, ConsensusValue> decisionBuffer_;
   uint64_t instancesDecided_ = 0;
 };
 

@@ -76,9 +76,7 @@ void RingNode::tryPropose() {
 }
 
 void RingNode::onDecided(consensus::Instance k, const ConsensusValue& v) {
-  const auto* entries = std::get_if<A1EntrySet>(&v);
-  assert(entries != nullptr);
-  decisionBuffer_[k] = *entries;
+  decisionBuffer_[k] = v;
   drainDecisions();
 }
 
@@ -87,9 +85,9 @@ void RingNode::drainDecisions() {
   if (joining()) return;
   for (auto it = decisionBuffer_.find(K_); it != decisionBuffer_.end();
        it = decisionBuffer_.find(K_)) {
-    A1EntrySet entries = std::move(it->second);
+    const ConsensusValue v = std::move(it->second);
     decisionBuffer_.erase(it);
-    handleDecided(K_, entries);
+    handleDecided(K_, v.get<A1EntrySet>());
   }
 }
 
@@ -163,7 +161,8 @@ uint64_t RingNode::BootState::approxBytes() const {
   for (const auto& [id, c] : candidates) b += 40 + c.msg->body.size();
   for (const auto& [id, c] : agreed) b += 40 + c.msg->body.size();
   b += 8 * (queue.size() + acked.size() + forwarded.size() + done.size());
-  for (const auto& [k, es] : decisionBuffer) b += 8 + 48 * es.size();
+  for (const auto& [k, v] : decisionBuffer)
+    b += 8 + 48 * v.get<A1EntrySet>().size();
   return b;
 }
 
@@ -204,8 +203,7 @@ void RingNode::installProtocolState(const bootstrap::Snapshot& snap) {
     agreed_ = s->agreed;
     forwarded_ = s->forwarded;
     for (const auto& [id, c] : s->candidates) candidates_[id] = c;
-    for (const auto& [k, es] : s->decisionBuffer)
-      decisionBuffer_.emplace(k, es);
+    for (const auto& [k, v] : s->decisionBuffer) decisionBuffer_.emplace(k, v);
   }
   for (auto it = acked_.begin(); it != acked_.end();)
     it = done_.count(*it) ? acked_.erase(it) : std::next(it);

@@ -78,7 +78,7 @@ class RingNode final : public core::XcastNode {
     std::set<MsgId> acked;
     std::set<MsgId> forwarded;
     std::set<MsgId> done;
-    std::map<consensus::Instance, A1EntrySet> decisionBuffer;
+    std::map<consensus::Instance, ConsensusValue> decisionBuffer;
     [[nodiscard]] uint64_t approxBytes() const override;
   };
 
@@ -109,7 +109,7 @@ class RingNode final : public core::XcastNode {
   std::set<MsgId> acked_;
   std::set<MsgId> forwarded_;
   std::set<MsgId> done_;
-  std::map<consensus::Instance, A1EntrySet> decisionBuffer_;
+  std::map<consensus::Instance, ConsensusValue> decisionBuffer_;
 };
 
 }  // namespace wanmc::amcast

@@ -100,9 +100,7 @@ void RodriguesNode::noteMessage(const AppMsgPtr& m) {
   auto& svc = serviceFor(m);
   svc.onDecide([this, id = m->id](consensus::Instance,
                                   const ConsensusValue& v) {
-    const auto* ts = std::get_if<uint64_t>(&v);
-    assert(ts != nullptr);
-    onDecided(id, *ts);
+    onDecided(id, v.get<uint64_t>());
   });
 
   auto vote = std::make_shared<const RodriguesPayload>(

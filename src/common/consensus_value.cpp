@@ -3,8 +3,8 @@
 namespace wanmc {
 
 std::string valueDebugString(const ConsensusValue& v) {
-  if (std::holds_alternative<std::monostate>(v)) return "<none>";
-  if (const auto* es = std::get_if<A1EntrySet>(&v)) {
+  if (v.empty()) return "<none>";
+  if (const auto* es = v.getIf<A1EntrySet>()) {
     std::string out = "a1[";
     for (const auto& e : *es) {
       out += "m" + std::to_string(e.msg->id) + ":" + stageName(e.stage) +
@@ -12,12 +12,12 @@ std::string valueDebugString(const ConsensusValue& v) {
     }
     return out + "]";
   }
-  if (const auto* mb = std::get_if<MsgBundle>(&v)) {
+  if (const auto* mb = v.getIf<MsgBundle>()) {
     std::string out = "bundle[";
     for (const auto& m : *mb) out += "m" + std::to_string(m->id) + " ";
     return out + "]";
   }
-  return "ts:" + std::to_string(std::get<uint64_t>(v));
+  return "ts:" + std::to_string(v.get<uint64_t>());
 }
 
 }  // namespace wanmc

@@ -2,14 +2,24 @@
 //
 // Algorithm A1 proposes sets of (message, stage, timestamp) entries; A2
 // proposes message bundles; the Rodrigues-et-al. baseline proposes a single
-// timestamp. A std::variant keeps the abstraction strongly typed while the
+// timestamp. ConsensusValue keeps the abstraction strongly typed while the
 // consensus implementations stay value-agnostic.
+//
+// A ConsensusValue is immutable and shared. An entry set or a bundle is
+// allocated once, when it is proposed; every payload, estimate, acked value,
+// decision, decision buffer and snapshot that carries it afterwards holds
+// the same object, so a copy costs a reference count, not a deep copy.
+// Nothing can change a value under its holders, which is also what lets a
+// payload's value cross threads on the threaded backend. Scalar timestamps
+// are stored inline and never allocate.
 #pragma once
 
 #include <algorithm>
 #include <compare>
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
@@ -67,20 +77,61 @@ inline bool sameBundle(const MsgBundle& a, const MsgBundle& b) {
   return true;
 }
 
-// The value type carried through consensus. monostate is the "no proposal
-// yet" placeholder inside consensus implementations; it is never decided.
-using ConsensusValue =
-    std::variant<std::monostate, A1EntrySet, MsgBundle, uint64_t>;
+// The value type carried through consensus. A default-constructed value is
+// the "no proposal yet" placeholder inside consensus implementations; it is
+// never decided.
+class ConsensusValue {
+ public:
+  ConsensusValue() = default;
+  ConsensusValue(uint64_t ts)  // NOLINT(google-explicit-constructor)
+      : rep_(ts) {}
+  ConsensusValue(A1EntrySet entries)  // NOLINT(google-explicit-constructor)
+      : rep_(std::make_shared<const A1EntrySet>(std::move(entries))) {}
+  ConsensusValue(MsgBundle bundle)  // NOLINT(google-explicit-constructor)
+      : rep_(std::make_shared<const MsgBundle>(std::move(bundle))) {}
+
+  // The held A1EntrySet, MsgBundle or uint64_t; null when the value holds
+  // another type or none.
+  template <class T>
+  [[nodiscard]] const T* getIf() const {
+    if constexpr (std::is_same_v<T, uint64_t>) {
+      return std::get_if<uint64_t>(&rep_);
+    } else {
+      const auto* p = std::get_if<std::shared_ptr<const T>>(&rep_);
+      return p != nullptr ? p->get() : nullptr;
+    }
+  }
+  // Same, but throws std::bad_variant_access when the value holds no T.
+  template <class T>
+  [[nodiscard]] const T& get() const {
+    const T* v = getIf<T>();
+    if (v == nullptr) throw std::bad_variant_access();
+    return *v;
+  }
+  [[nodiscard]] bool empty() const {
+    return std::holds_alternative<std::monostate>(rep_);
+  }
+
+ private:
+  std::variant<std::monostate, uint64_t, std::shared_ptr<const A1EntrySet>,
+               std::shared_ptr<const MsgBundle>>
+      rep_;
+};
 
 inline bool valueEquals(const ConsensusValue& a, const ConsensusValue& b) {
-  if (a.index() != b.index()) return false;
-  if (std::holds_alternative<A1EntrySet>(a))
-    return std::get<A1EntrySet>(a) == std::get<A1EntrySet>(b);
-  if (std::holds_alternative<MsgBundle>(a))
-    return sameBundle(std::get<MsgBundle>(a), std::get<MsgBundle>(b));
-  if (std::holds_alternative<uint64_t>(a))
-    return std::get<uint64_t>(a) == std::get<uint64_t>(b);
-  return true;  // both monostate
+  if (const auto* x = a.getIf<A1EntrySet>()) {
+    const auto* y = b.getIf<A1EntrySet>();
+    return y != nullptr && (x == y || *x == *y);
+  }
+  if (const auto* x = a.getIf<MsgBundle>()) {
+    const auto* y = b.getIf<MsgBundle>();
+    return y != nullptr && (x == y || sameBundle(*x, *y));
+  }
+  if (const auto* x = a.getIf<uint64_t>()) {
+    const auto* y = b.getIf<uint64_t>();
+    return y != nullptr && *x == *y;
+  }
+  return b.empty();  // both empty
 }
 
 [[nodiscard]] std::string valueDebugString(const ConsensusValue& v);

@@ -48,10 +48,29 @@ class GroupSet {
   [[nodiscard]] bool empty() const { return bits_ == 0; }
   [[nodiscard]] uint64_t bits() const { return bits_; }
 
+  // Walks the member groups in ascending order straight off the bitmask:
+  // `for (GroupId g : set)` allocates nothing, unlike groups().
+  class Iterator {
+   public:
+    explicit constexpr Iterator(uint64_t bits) : bits_(bits) {}
+    constexpr GroupId operator*() const {
+      return static_cast<GroupId>(__builtin_ctzll(bits_));
+    }
+    constexpr Iterator& operator++() {
+      bits_ &= bits_ - 1;
+      return *this;
+    }
+    friend bool operator==(const Iterator&, const Iterator&) = default;
+
+   private:
+    uint64_t bits_;
+  };
+  [[nodiscard]] constexpr Iterator begin() const { return Iterator(bits_); }
+  [[nodiscard]] constexpr Iterator end() const { return Iterator(0); }
+
   [[nodiscard]] std::vector<GroupId> groups() const {
     std::vector<GroupId> out;
-    for (uint64_t b = bits_; b != 0; b &= b - 1)
-      out.push_back(static_cast<GroupId>(__builtin_ctzll(b)));
+    for (GroupId g : *this) out.push_back(g);
     return out;
   }
 
@@ -66,7 +85,7 @@ class GroupSet {
   [[nodiscard]] std::string str() const {
     std::string out = "{";
     bool first = true;
-    for (GroupId g : groups()) {
+    for (GroupId g : *this) {
       if (!first) out += ",";
       out += "g";  // built by append: avoids a GCC 12 -Wrestrict
       out += std::to_string(g);  // false positive on operator+

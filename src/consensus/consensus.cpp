@@ -22,7 +22,7 @@ namespace {
 
 std::shared_ptr<const ConsensusPayload> makePayload(
     uint64_t scope, Instance k, uint32_t round, ConsensusPayload::Type type,
-    ConsensusValue value = std::monostate{}, uint32_t estRound = 0) {
+    ConsensusValue value = {}, uint32_t estRound = 0) {
   auto p = std::make_shared<ConsensusPayload>();
   p->scope = scope;
   p->instance = k;
@@ -140,18 +140,24 @@ void EarlyConsensus::coordinatorMaybePropose(Instance k, uint32_t r) {
 void EarlyConsensus::maybeDecideOnAcks(Instance k, uint32_t r) {
   auto& st = state(k);
   if (st.decidedFlag) return;
-  auto& rs = st.rounds[r];
+  const auto& rs = st.rounds[r];
   if (rs.acks.size() < majority()) return;
+  decide(k, r, rs.ackedValue);
+}
+
+void EarlyConsensus::decide(Instance k, uint32_t r, ConsensusValue v) {
+  auto& st = state(k);
   st.decidedFlag = true;
+  // No round state is read once the instance is decided: release it, and
+  // copies that arrive later write nothing (they cannot change the
+  // outcome). `v` is held by value because it may live in a released round.
+  st.rounds.clear();
+  st.estimate = {};
   // Decide BEFORE relaying: the decide event must not inherit the Lamport
   // tick of the (possibly inter-group) relay broadcast.
-  const ConsensusValue v = rs.ackedValue;
   decideLocal(k, v);
-  if (!st.decideRelayed) {
-    st.decideRelayed = true;
-    broadcast(
-        makePayload(scope_, k, r, ConsensusPayload::Type::kDecide, v));
-  }
+  broadcast(makePayload(scope_, k, r, ConsensusPayload::Type::kDecide,
+                        std::move(v)));
 }
 
 void EarlyConsensus::onMessage(ProcessId from, const ConsensusPayload& p) {
@@ -161,7 +167,7 @@ void EarlyConsensus::onMessage(ProcessId from, const ConsensusPayload& p) {
       // A straggler still campaigning in an instance we decided is an
       // amnesiac rejoin catching up: hand it the decision (recovery runs
       // only — see maybeRetransmitDecision).
-      if (maybeRetransmitDecision(from, p.instance)) break;
+      if (maybeRetransmitDecision(from, p.instance) || st.decidedFlag) break;
       auto& rs = st.rounds[p.round];
       rs.estimates[from] = Estimate{p.value, p.estRound};
       // Amnesiac join (recovery runs): an estimate for an instance we
@@ -210,6 +216,7 @@ void EarlyConsensus::onMessage(ProcessId from, const ConsensusPayload& p) {
       break;
     }
     case ConsensusPayload::Type::kAck: {
+      if (st.decidedFlag) break;
       auto& rs = st.rounds[p.round];
       rs.acks.insert(from);
       rs.ackedValue = p.value;
@@ -225,18 +232,9 @@ void EarlyConsensus::onMessage(ProcessId from, const ConsensusPayload& p) {
           p.round > st.round)
         enterRound(p.instance, p.round);
       break;
-    case ConsensusPayload::Type::kDecide: {
-      if (!st.decidedFlag) {
-        st.decidedFlag = true;
-        decideLocal(p.instance, p.value);
-        if (!st.decideRelayed) {
-          st.decideRelayed = true;
-          broadcast(makePayload(scope_, p.instance, p.round,
-                                ConsensusPayload::Type::kDecide, p.value));
-        }
-      }
+    case ConsensusPayload::Type::kDecide:
+      if (!st.decidedFlag) decide(p.instance, p.round, p.value);
       break;
-    }
   }
 }
 
@@ -349,11 +347,8 @@ void CtConsensus::coordinatorMaybeConclude(Instance k, uint32_t r) {
     // estimate only if we adopted it; store-and-reuse is simpler:
     st.decidedFlag = true;
     decideLocal(k, proposalOf(k, r));
-    if (!st.decideRelayed) {
-      st.decideRelayed = true;
-      broadcast(makePayload(scope_, k, r, ConsensusPayload::Type::kDecide,
-                            proposalOf(k, r)));
-    }
+    broadcast(makePayload(scope_, k, r, ConsensusPayload::Type::kDecide,
+                          proposalOf(k, r)));
   }
 }
 
@@ -424,11 +419,8 @@ void CtConsensus::onMessage(ProcessId from, const ConsensusPayload& p) {
       if (!st.decidedFlag) {
         st.decidedFlag = true;
         decideLocal(p.instance, p.value);
-        if (!st.decideRelayed) {
-          st.decideRelayed = true;
-          broadcast(makePayload(scope_, p.instance, p.round,
-                                ConsensusPayload::Type::kDecide, p.value));
-        }
+        broadcast(makePayload(scope_, p.instance, p.round,
+                              ConsensusPayload::Type::kDecide, p.value));
       }
       break;
     }

@@ -16,6 +16,13 @@
 //    propose / ack-nack / decide), four delays, kept as an independent
 //    implementation to cross-validate protocol behaviour in tests.
 //
+// Values are shared, never copied (common/consensus_value.hpp): the value a
+// process proposes is the one object every payload, estimate, acked value
+// and decision refers to. EarlyConsensus releases an instance's per-round
+// state (estimates, acks, its own estimate) as soon as the instance
+// decides; copies that arrive afterwards are dropped before they write
+// anything.
+//
 // Both run over whatever member set they are given. The atomic multicast /
 // broadcast algorithms instantiate them per group (intra-group traffic only,
 // hence latency-degree contribution 0); the Rodrigues-et-al. baseline
@@ -115,8 +122,7 @@ class ConsensusService {
     rt_.multicast(self_, members_, p);  // one send event (paper §2.3)
   }
   void decideLocal(Instance k, const ConsensusValue& v) {
-    if (decided_.count(k)) return;
-    decided_[k] = v;
+    if (!decided_.emplace(k, v).second) return;
     for (const auto& cb : decideCbs_) cb(k, v);
   }
 
@@ -166,11 +172,10 @@ class EarlyConsensus final : public ConsensusService {
   struct InstanceState {
     bool joined = false;     // proposed locally or adopted a proposal
     bool decidedFlag = false;
-    bool decideRelayed = false;
     ConsensusValue estimate;
     uint32_t estRound = 0;
     uint32_t round = 1;      // current round as a participant
-    std::map<uint32_t, RoundState> rounds;
+    std::map<uint32_t, RoundState> rounds;  // emptied at decision
   };
 
   InstanceState& state(Instance k) { return instances_[k]; }
@@ -178,6 +183,8 @@ class EarlyConsensus final : public ConsensusService {
   void enterRound(Instance k, uint32_t r);
   void coordinatorMaybePropose(Instance k, uint32_t r);
   void maybeDecideOnAcks(Instance k, uint32_t r);
+  // Decides k with v, releases its round state and relays the decision.
+  void decide(Instance k, uint32_t r, ConsensusValue v);
   void onSuspicion(ProcessId p);
   void armRoundTimer(Instance k, uint32_t r);
   void sendToCoord(Instance k, uint32_t r,
@@ -211,7 +218,6 @@ class CtConsensus final : public ConsensusService {
   struct InstanceState {
     bool joined = false;
     bool decidedFlag = false;
-    bool decideRelayed = false;
     ConsensusValue estimate;
     uint32_t estRound = 0;
     uint32_t round = 1;

@@ -6,13 +6,11 @@ namespace wanmc::metrics {
 
 namespace {
 
-// Addressee count of a destination set without materializing the group
-// list (GroupSet::groups() allocates; this is the cast hot path).
+// Addressee count of a destination set (the cast hot path: the bit walk
+// allocates nothing).
 uint32_t addresseeCount(const Topology& topo, const GroupSet& dest) {
   uint32_t n = 0;
-  for (uint64_t b = dest.bits(); b != 0; b &= b - 1)
-    n += static_cast<uint32_t>(
-        topo.groupSize(static_cast<GroupId>(__builtin_ctzll(b))));
+  for (GroupId g : dest) n += static_cast<uint32_t>(topo.groupSize(g));
   return n;
 }
 

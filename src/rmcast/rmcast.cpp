@@ -18,79 +18,78 @@ std::vector<ProcessId> allBut(const std::vector<ProcessId>& v,
 }  // namespace
 
 void ReliableMulticast::rmcast(const AppMsgPtr& m) {
-  auto dests = destsOf(*m);
+  auto dests = rt_.topology().membersOf(m->dest);
   auto payload = std::make_shared<const RmPayload>(m, /*relay=*/false);
   rt_.multicast(self_, allBut(dests, self_), payload);
   // The sender itself sees the message immediately (and R-Delivers it at
   // once if it is an addressee).
-  firstSight(m, self_, dests, /*explicitScope=*/false);
+  sight(m, self_, /*explicitScope=*/false, [&] { return std::move(dests); });
 }
 
 void ReliableMulticast::rmcastTo(const AppMsgPtr& m,
                                  const std::vector<ProcessId>& dests) {
   auto payload = std::make_shared<const RmPayload>(m, /*relay=*/false, dests);
   rt_.multicast(self_, allBut(dests, self_), payload);
-  firstSight(m, self_, dests, /*explicitScope=*/true);
+  sight(m, self_, /*explicitScope=*/true, [&] { return dests; });
 }
 
 void ReliableMulticast::onMessage(ProcessId from, const RmPayload& p) {
   if (p.explicitDests.empty()) {
-    firstSight(p.msg, from, destsOf(*p.msg), /*explicitScope=*/false);
+    sight(p.msg, from, /*explicitScope=*/false,
+          [&] { return rt_.topology().membersOf(p.msg->dest); });
   } else {
-    firstSight(p.msg, from, p.explicitDests, /*explicitScope=*/true);
+    sight(p.msg, from, /*explicitScope=*/true,
+          [&] { return p.explicitDests; });
   }
 }
 
-void ReliableMulticast::firstSight(const AppMsgPtr& m, ProcessId copyFrom,
-                                   const std::vector<ProcessId>& dests,
-                                   bool explicitScope) {
-  auto& s = seen_[m->id];
-  if (s.msg == nullptr) {
+template <class ResolveDests>
+void ReliableMulticast::sight(const AppMsgPtr& m, ProcessId copyFrom,
+                              bool explicitScope,
+                              ResolveDests&& resolveDests) {
+  auto [it, fresh] = seen_.try_emplace(m->id);
+  Seen& s = it->second;
+  if (fresh) {
     s.msg = m;
-    s.dests = dests;
-    s.explicitScope = explicitScope;
+    relay(s, resolveDests(), explicitScope);
   }
-  if (rt_.topology().sameGroup(copyFrom, self_)) s.copiesFrom.insert(copyFrom);
-
-  if (!s.relayed) {
-    s.relayed = true;
-    auto relay = std::make_shared<const RmPayload>(
-        m, /*relay=*/true,
-        s.explicitScope ? s.dests : std::vector<ProcessId>{});
-    const GroupId myGroup = rt_.topology().group(self_);
-    std::vector<ProcessId> tos;
-    for (ProcessId q : s.dests) {
-      if (q == self_) continue;
-      const bool sameGroup = rt_.topology().group(q) == myGroup;
-      if (relay_ == RelayPolicy::kEager || sameGroup) tos.push_back(q);
-    }
-    rt_.multicast(self_, tos, relay);
-  }
-  maybeDeliver(m->id);
+  if (uniformity_ == Uniformity::kUniform &&
+      rt_.topology().sameGroup(copyFrom, self_))
+    s.copiesFrom.insert(copyFrom);
+  maybeDeliver(s);
 }
 
-void ReliableMulticast::maybeDeliver(MsgId id) {
-  if (delivered_.count(id)) return;
-  auto& s = seen_[id];
+void ReliableMulticast::relay(Seen& s, std::vector<ProcessId> dests,
+                              bool explicitScope) {
+  const Topology& topo = rt_.topology();
+  const GroupId myGroup = topo.group(self_);
   // Uniform integrity: only addressees R-Deliver. (Non-addressees can still
   // see the message, e.g. a sender that multicasts outside its own group.)
-  if (s.explicitScope) {
-    if (std::find(s.dests.begin(), s.dests.end(), self_) == s.dests.end())
-      return;
-  } else if (!s.msg->dest.contains(rt_.topology().group(self_))) {
-    return;
-  }
+  s.addressee = explicitScope
+                    ? std::find(dests.begin(), dests.end(), self_) !=
+                          dests.end()
+                    : s.msg->dest.contains(myGroup);
+  auto payload = std::make_shared<const RmPayload>(
+      s.msg, /*relay=*/true,
+      explicitScope ? dests : std::vector<ProcessId>{});
+  std::erase_if(dests, [&](ProcessId q) {
+    return q == self_ ||
+           (relay_ != RelayPolicy::kEager && topo.group(q) != myGroup);
+  });
+  rt_.multicast(self_, dests, payload);
+}
 
+void ReliableMulticast::maybeDeliver(Seen& s) {
+  if (s.delivered || !s.addressee) return;
   if (uniformity_ == Uniformity::kUniform) {
     const auto groupSize = static_cast<size_t>(
         rt_.topology().groupSize(rt_.topology().group(self_)));
-    const size_t need = groupSize / 2 + 1;
     // Our own sighting counts as one copy.
-    auto copies = s.copiesFrom;
-    copies.insert(self_);
-    if (copies.size() < need) return;
+    const size_t copies =
+        s.copiesFrom.size() + (s.copiesFrom.count(self_) == 0 ? 1 : 0);
+    if (copies < groupSize / 2 + 1) return;
   }
-  delivered_.insert(id);
+  s.delivered = true;
   for (const auto& cb : deliverCbs_) cb(s.msg);
 }
 

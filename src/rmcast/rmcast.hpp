@@ -26,6 +26,11 @@
 //    latency degree 1 because the extra hops are intra-group. Used by the
 //    Fritzke-et-al. baseline, which the paper contrasts with A1's
 //    non-uniform choice.
+//
+// Per message, a process keeps one Seen entry. Destinations are resolved
+// (and the relay sent) on first sight only; every later copy is a single
+// table lookup, plus a copy count under kUniform, the one policy that
+// reads it.
 #pragma once
 
 #include <cstdint>
@@ -84,10 +89,6 @@ class ReliableMulticast {
 
   void onMessage(ProcessId from, const RmPayload& p);
 
-  [[nodiscard]] bool delivered(MsgId id) const {
-    return delivered_.count(id) > 0;
-  }
-
   // Bootstrap plane (src/bootstrap/): a donor exports its R-Delivered
   // messages; the rejoining incarnation installs them as already-delivered
   // and already-relayed, SILENTLY (no deliver callbacks — the protocol
@@ -97,33 +98,33 @@ class ReliableMulticast {
   [[nodiscard]] std::vector<AppMsgPtr> snapshotDelivered() const {
     std::vector<AppMsgPtr> out;
     for (const auto& [id, s] : seen_)
-      if (delivered_.count(id) > 0) out.push_back(s.msg);
+      if (s.delivered) out.push_back(s.msg);
     return out;
   }
+  // An installed entry counts as seen, so it is never relayed again.
   void installDelivered(const std::vector<AppMsgPtr>& msgs) {
     for (const AppMsgPtr& m : msgs) {
       Seen& s = seen_[m->id];
       s.msg = m;
-      s.relayed = true;
-      delivered_.insert(m->id);
+      s.delivered = true;
     }
   }
 
  private:
   struct Seen {
     AppMsgPtr msg;
-    std::set<ProcessId> copiesFrom;  // distinct own-group copy senders
-    bool relayed = false;
-    bool explicitScope = false;   // dests came from rmcastTo
-    std::vector<ProcessId> dests;
+    std::set<ProcessId> copiesFrom;  // distinct own-group senders, kUniform
+    bool addressee = false;          // fixed on first sight
+    bool delivered = false;
   };
 
-  void firstSight(const AppMsgPtr& m, ProcessId copyFrom,
-                  const std::vector<ProcessId>& dests, bool explicitScope);
-  void maybeDeliver(MsgId id);
-  [[nodiscard]] std::vector<ProcessId> destsOf(const AppMessage& m) const {
-    return rt_.topology().membersOf(m.dest);
-  }
+  // One copy of m from `copyFrom`. On first sight, `resolveDests()` yields
+  // m's destination list and m is relayed; later copies never resolve it.
+  template <class ResolveDests>
+  void sight(const AppMsgPtr& m, ProcessId copyFrom, bool explicitScope,
+             ResolveDests&& resolveDests);
+  void relay(Seen& s, std::vector<ProcessId> dests, bool explicitScope);
+  void maybeDeliver(Seen& s);
 
   exec::Context& rt_;
   ProcessId self_;
@@ -131,7 +132,6 @@ class ReliableMulticast {
   Uniformity uniformity_;
   std::vector<DeliverCb> deliverCbs_;
   std::map<MsgId, Seen> seen_;
-  std::set<MsgId> delivered_;
 };
 
 }  // namespace wanmc::rmcast

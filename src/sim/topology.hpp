@@ -30,25 +30,27 @@ class Topology {
   // Throws std::invalid_argument beyond the GroupSet scale ceiling (a
   // 64-bit group bitmask) or on a non-positive group size: a silent
   // wraparound of the mask would corrupt every destination set.
-  explicit Topology(std::vector<int> sizes) : sizes_(std::move(sizes)) {
-    if (sizes_.size() > 64) {
+  explicit Topology(const std::vector<int>& sizes) {
+    if (sizes.size() > 64) {
       throw std::invalid_argument(
-          "Topology: " + std::to_string(sizes_.size()) +
+          "Topology: " + std::to_string(sizes.size()) +
           " groups exceeds the GroupSet ceiling of 64 (destination sets "
           "are 64-bit group bitmasks; see ROADMAP scale ceilings)");
     }
-    for (size_t g = 0; g < sizes_.size(); ++g) {
-      if (sizes_[g] <= 0) {
+    for (size_t g = 0; g < sizes.size(); ++g) {
+      if (sizes[g] <= 0) {
         throw std::invalid_argument(
             "Topology: group " + std::to_string(g) + " has size " +
-            std::to_string(sizes_[g]) + "; every group needs >= 1 process");
+            std::to_string(sizes[g]) + "; every group needs >= 1 process");
       }
     }
-    groupOf_.clear();
-    for (GroupId g = 0; g < static_cast<GroupId>(sizes_.size()); ++g) {
-      firstPid_.push_back(static_cast<ProcessId>(groupOf_.size()));
-      for (int i = 0; i < sizes_[static_cast<size_t>(g)]; ++i)
+    members_.resize(sizes.size());
+    for (GroupId g = 0; g < static_cast<GroupId>(sizes.size()); ++g) {
+      for (int i = 0; i < sizes[static_cast<size_t>(g)]; ++i) {
+        members_[static_cast<size_t>(g)].push_back(
+            static_cast<ProcessId>(groupOf_.size()));
         groupOf_.push_back(g);
+      }
     }
   }
 
@@ -56,10 +58,10 @@ class Topology {
     return static_cast<int>(groupOf_.size());
   }
   [[nodiscard]] int numGroups() const {
-    return static_cast<int>(sizes_.size());
+    return static_cast<int>(members_.size());
   }
   [[nodiscard]] int groupSize(GroupId g) const {
-    return sizes_[static_cast<size_t>(g)];
+    return static_cast<int>(members(g).size());
   }
   [[nodiscard]] GroupId group(ProcessId p) const {
     assert(p >= 0 && p < numProcesses());
@@ -69,17 +71,22 @@ class Topology {
     return group(a) == group(b);
   }
 
-  [[nodiscard]] std::vector<ProcessId> members(GroupId g) const {
-    std::vector<ProcessId> out;
-    ProcessId first = firstPid_[static_cast<size_t>(g)];
-    for (int i = 0; i < groupSize(g); ++i) out.push_back(first + i);
-    return out;
+  // Built once at construction; the reference lives as long as the
+  // topology.
+  [[nodiscard]] const std::vector<ProcessId>& members(GroupId g) const {
+    return members_[static_cast<size_t>(g)];
   }
 
+  // The members of every group in `gs`, by ascending group id. Every
+  // multicast's per-copy event order follows this order, so the golden
+  // fingerprints pin it.
   [[nodiscard]] std::vector<ProcessId> membersOf(const GroupSet& gs) const {
+    size_t n = 0;
+    for (GroupId g : gs) n += members(g).size();
     std::vector<ProcessId> out;
-    for (GroupId g : gs.groups()) {
-      auto ms = members(g);
+    out.reserve(n);
+    for (GroupId g : gs) {
+      const auto& ms = members(g);
       out.insert(out.end(), ms.begin(), ms.end());
     }
     return out;
@@ -96,9 +103,8 @@ class Topology {
   }
 
  private:
-  std::vector<int> sizes_;
   std::vector<GroupId> groupOf_;
-  std::vector<ProcessId> firstPid_;
+  std::vector<std::vector<ProcessId>> members_;  // members_[g], ascending
 };
 
 }  // namespace wanmc

@@ -48,7 +48,7 @@ std::vector<CrashSpec> materializeCrashes(const Topology& topo,
   std::vector<CrashSpec> out;
   SplitMix64 rng(SplitMix64(seed).fork(plan.salt).next());
   for (GroupId g = 0; g < topo.numGroups(); ++g) {
-    const auto members = topo.members(g);
+    const auto& members = topo.members(g);
     // Strict minority: consensus inside the group must stay solvable.
     const int maxFaulty = (static_cast<int>(members.size()) - 1) / 2;
     const int victims = std::min(plan.perGroup, maxFaulty);

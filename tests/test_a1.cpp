@@ -153,6 +153,21 @@ TEST(A1, QuiescentAfterFiniteCasts) {
   EXPECT_TRUE(v.empty()) << v[0];
 }
 
+TEST(A1, TablesEmptyAfterQuiescentWorkload) {
+  // Once every cast is A-Delivered everywhere nothing may stay behind. In
+  // particular a (TS, m) copy that arrives after m was A-Delivered must not
+  // leave a stamp-table entry that no later step removes.
+  Experiment ex(cfg(3, 3, 5));
+  ex.addWorkload(workload::Spec::openLoopPoisson(300, 3 * kMs, 2));
+  auto r = ex.run();
+  ASSERT_TRUE(r.checkAtomicSuite().empty()) << r.checkAtomicSuite()[0];
+  for (ProcessId p = 0; p < 9; ++p) {
+    const auto& node = dynamic_cast<amcast::A1Node&>(ex.node(p));
+    EXPECT_EQ(node.pendingCount(), 0u) << "p" << p;
+    EXPECT_EQ(node.stampTableSize(), 0u) << "p" << p;
+  }
+}
+
 TEST(A1, SenderOutsideDestinationSet) {
   Experiment ex(fixedCfg(3, 2));
   auto id = ex.castAt(kMs, 0, GroupSet::of({1, 2}), "x");

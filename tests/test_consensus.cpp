@@ -2,8 +2,10 @@
 // (EarlyConsensus and CtConsensus), including crash and suspicion cases.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "sim/runtime.hpp"
 #include "consensus/consensus.hpp"
@@ -83,8 +85,7 @@ TEST_P(ConsensusParamTest, UniformIntegrityDecidedWasProposed) {
   for (int p = 0; p < 5; ++p)
     f.hosts[p]->svc->propose(1, num(static_cast<uint64_t>(p)));
   f.rt.run();
-  const auto& d = f.hosts[0]->decisions[1];
-  const auto v = std::get<uint64_t>(d);
+  const auto v = f.hosts[0]->decisions[1].get<uint64_t>();
   EXPECT_LT(v, 5u);
 }
 
@@ -139,7 +140,7 @@ TEST_P(ConsensusParamTest, ToleratesCoordinatorCrashMidInstance) {
   for (int p = 0; p < 5; ++p) {
     if (p == 1) continue;
     ASSERT_TRUE(f.hosts[p]->decisions.count(1)) << "p" << p;
-    const auto v = std::get<uint64_t>(f.hosts[p]->decisions[1]);
+    const auto v = f.hosts[p]->decisions[1].get<uint64_t>();
     if (!decided) decided = v;
     EXPECT_EQ(*decided, v);
   }
@@ -201,12 +202,26 @@ TEST_P(ConsensusParamTest, BundleValuesRoundTrip) {
   MsgBundle b{makeAppMessage(3, 0, GroupSet::of({0})),
               makeAppMessage(1, 1, GroupSet::of({0}))};
   canonicalize(b);
-  for (int p = 0; p < 3; ++p) f.hosts[p]->svc->propose(1, b);
+  std::vector<ConsensusValue> proposals;
+  for (int p = 0; p < 3; ++p) {
+    proposals.emplace_back(b);
+    f.hosts[p]->svc->propose(1, proposals.back());
+  }
   f.rt.run();
-  const auto& d = std::get<MsgBundle>(f.hosts[1]->decisions[1]);
+  const auto& d = f.hosts[1]->decisions[1].get<MsgBundle>();
   ASSERT_EQ(d.size(), 2u);
   EXPECT_EQ(d[0]->id, 1u);
   EXPECT_EQ(d[1]->id, 3u);
+  // Values are shared, not copied: every host decided the winning
+  // proposal's own bundle object.
+  const bool fromAProposal =
+      std::any_of(proposals.begin(), proposals.end(),
+                  [&](const ConsensusValue& v) {
+                    return &v.get<MsgBundle>() == &d;
+                  });
+  EXPECT_TRUE(fromAProposal);
+  for (int p = 0; p < 3; ++p)
+    EXPECT_EQ(&f.hosts[p]->decisions[1].get<MsgBundle>(), &d) << "p" << p;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, ConsensusParamTest,

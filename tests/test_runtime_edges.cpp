@@ -179,7 +179,7 @@ TEST(ConsensusEdge, A1EntryValuesRoundTrip) {
   canonicalize(set);
   for (int p = 0; p < 3; ++p) f.hosts[p]->svc->propose(1, set);
   f.rt.run();
-  const auto& d = std::get<A1EntrySet>(f.hosts[2]->decisions.at(1));
+  const auto& d = f.hosts[2]->decisions.at(1).get<A1EntrySet>();
   ASSERT_EQ(d.size(), 2u);
   EXPECT_EQ(d[0].msg->id, 3u);
   EXPECT_EQ(d[0].stage, Stage::s2);

@@ -169,6 +169,10 @@ TEST(Topology, RaggedLayout) {
   EXPECT_EQ(t.group(5), 2);
   EXPECT_EQ(t.groupSize(1), 3);
   EXPECT_EQ(t.members(2), (std::vector<ProcessId>{5}));
+  // Ascending group order, whatever order the set was built in: every
+  // multicast's event sequence (and so every golden cell) depends on it.
+  EXPECT_EQ(t.membersOf(GroupSet::of({2, 0})),
+            (std::vector<ProcessId>{0, 1, 5}));
 }
 
 TEST(GroupSet, BasicOps) {
