@@ -137,6 +137,10 @@ class CastIndex {
     return id < byId_.size() ? byId_[id] : nullptr;
   }
 
+  // One past the largest cast id (0 when nothing was cast): the row count
+  // of a table indexed by cast id.
+  [[nodiscard]] size_t size() const { return byId_.size(); }
+
  private:
   std::vector<const CastEvent*> byId_;
 };

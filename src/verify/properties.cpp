@@ -47,6 +47,161 @@ int incarnationAt(const std::vector<SimTime>& times, SimTime when) {
       std::upper_bound(times.begin(), times.end(), when) - times.begin());
 }
 
+constexpr size_t kWordBits = 64;
+
+size_t processes(const CheckContext& ctx) {
+  return static_cast<size_t>(ctx.topo->numProcesses());
+}
+
+// `rows` rows of `bits` bits each, in one allocation. Indexed by message id
+// (ids are dense, the contract CastIndex relies on), one row per id costs
+// what one node per delivery would not.
+class BitRows {
+ public:
+  BitRows(size_t rows, size_t bits)
+      : width_((bits + kWordBits - 1) / kWordBits), words_(rows * width_) {}
+
+  [[nodiscard]] size_t width() const { return width_; }
+  [[nodiscard]] uint64_t word(size_t row, size_t w) const {
+    return words_[row * width_ + w];
+  }
+  [[nodiscard]] bool test(size_t row, size_t bit) const {
+    return (word(row, bit / kWordBits) >> (bit % kWordBits)) & 1;
+  }
+  // Sets the bit; returns whether it was set already.
+  bool testAndSet(size_t row, size_t bit) {
+    uint64_t& w = words_[row * width_ + bit / kWordBits];
+    const uint64_t mask = uint64_t{1} << (bit % kWordBits);
+    const bool was = (w & mask) != 0;
+    w |= mask;
+    return was;
+  }
+
+ private:
+  size_t width_;
+  std::vector<uint64_t> words_;
+};
+
+// What validity, agreement and recovered delivery read: every cast by id,
+// and who A-Delivered each cast id (row m, bit p). A delivery of an id
+// past the last cast gets no row: it is nobody's obligation.
+struct DeliveryTable {
+  explicit DeliveryTable(const CheckContext& ctx)
+      : casts(*ctx.trace),
+        deliveredBy(casts.size(), processes(ctx)),
+        correct(1, processes(ctx)),
+        members(64, processes(ctx)) {
+    for (const auto& d : ctx.trace->deliveries)
+      if (d.msg < casts.size())
+        deliveredBy.testAndSet(d.msg, static_cast<size_t>(d.process));
+    for (ProcessId p : ctx.correct)
+      correct.testAndSet(0, static_cast<size_t>(p));
+    for (ProcessId p = 0; p < ctx.topo->numProcesses(); ++p)
+      members.testAndSet(static_cast<size_t>(ctx.topo->group(p)),
+                         static_cast<size_t>(p));
+  }
+
+  // Calls f(q) for each correct addressee q of m that never delivered it,
+  // by ascending pid. Nothing for an id that was never cast.
+  template <class F>
+  void forEachMissing(MsgId m, F&& f) const {
+    const CastEvent* c = casts.find(m);
+    if (c == nullptr) return;
+    for (size_t w = 0; w < deliveredBy.width(); ++w) {
+      uint64_t addressees = 0;
+      for (GroupId g : c->dest)
+        addressees |= members.word(static_cast<size_t>(g), w);
+      for (uint64_t miss =
+               correct.word(0, w) & addressees & ~deliveredBy.word(m, w);
+           miss != 0; miss &= miss - 1)
+        f(static_cast<ProcessId>(w * kWordBits + __builtin_ctzll(miss)));
+    }
+  }
+
+  CastIndex casts;
+  BitRows deliveredBy;
+  BitRows correct;  // one row: the correct processes
+  BitRows members;  // row g: the members of group g, for every GroupSet bit
+};
+
+Violations integrity(const CheckContext& ctx, const CastIndex& casts) {
+  Violations out;
+  const auto recTimes = recoveryTimes(ctx);
+
+  // The duplicate check binds per (process, incarnation): an amnesiac
+  // recovered process may re-deliver what its dead incarnation delivered,
+  // but never the same message twice within one incarnation. Each slot
+  // gets one bit per cast id: p's incarnations take the slots from
+  // firstSlot[p] on, one more per recovery of p.
+  const size_t n = processes(ctx);
+  std::vector<size_t> firstSlot(n + 1, 0);
+  for (const auto& r : ctx.trace->recoveries)
+    ++firstSlot[static_cast<size_t>(r.process) + 1];
+  for (size_t p = 0; p < n; ++p) firstSlot[p + 1] += firstSlot[p] + 1;
+  BitRows seen(casts.size(), firstSlot[n]);
+  // Delivery counts of the repeats, and of every id past the last cast
+  // (no row), in the order their "N times" lines are reported.
+  std::map<std::tuple<ProcessId, int, MsgId>, int> count;
+  for (const auto& d : ctx.trace->deliveries) {
+    int inc = 0;
+    if (auto it = recTimes.find(d.process); it != recTimes.end())
+      inc = incarnationAt(it->second, d.when);
+    if (d.msg >= casts.size()) {
+      ++count[{d.process, inc, d.msg}];
+    } else if (seen.testAndSet(
+                   d.msg, firstSlot[static_cast<size_t>(d.process)] +
+                              static_cast<size_t>(inc))) {
+      int& k = count[{d.process, inc, d.msg}];
+      k = std::max(k, 1) + 1;  // the first delivery only set the bit
+    }
+    if (casts.find(d.msg) == nullptr)
+      out.push_back(pname(d.process) + " delivered " + mname(d.msg) +
+                    " which was never A-XCast");
+    if (!isAddressee(ctx, casts, d.process, d.msg))
+      out.push_back(pname(d.process) + " delivered " + mname(d.msg) +
+                    " but is not an addressee");
+  }
+  for (const auto& [key, k] : count) {
+    if (k > 1)
+      out.push_back(pname(std::get<0>(key)) + " delivered " +
+                    mname(std::get<2>(key)) + " " + std::to_string(k) +
+                    " times");
+  }
+  return out;
+}
+
+Violations validity(const CheckContext& ctx, const DeliveryTable& table) {
+  Violations out;
+  for (const auto& c : ctx.trace->casts) {
+    if (!ctx.correct.count(c.process)) continue;  // only correct senders
+    table.forEachMissing(c.msg, [&](ProcessId q) {
+      out.push_back("validity: correct " + pname(q) + " never delivered " +
+                    mname(c.msg) + " cast by correct " + pname(c.process));
+    });
+  }
+  return out;
+}
+
+Violations agreement(const DeliveryTable& table, bool uniform) {
+  Violations out;
+  const BitRows& got = table.deliveredBy;
+  // By ascending id. Only a cast id has addressees to owe it; a delivery by
+  // any process (non-uniform: by a correct one) creates the obligation.
+  for (MsgId m = 0; m < table.casts.size(); ++m) {
+    bool triggered = false;
+    for (size_t w = 0; w < got.width(); ++w)
+      triggered |= (got.word(m, w) &
+                    (uniform ? ~uint64_t{0} : table.correct.word(0, w))) != 0;
+    if (!triggered) continue;
+    table.forEachMissing(m, [&](ProcessId q) {
+      out.push_back(std::string(uniform ? "uniform " : "") +
+                    "agreement: correct " + pname(q) + " never delivered " +
+                    mname(m) + " although it was delivered elsewhere");
+    });
+  }
+  return out;
+}
+
 }  // namespace
 
 std::set<ProcessId> recoveredProcesses(const CheckContext& ctx) {
@@ -56,46 +211,14 @@ std::set<ProcessId> recoveredProcesses(const CheckContext& ctx) {
 }
 
 Violations checkUniformIntegrity(const CheckContext& ctx) {
-  Violations out;
-  std::set<MsgId> cast;
-  for (const auto& c : ctx.trace->casts) cast.insert(c.msg);
-  const CastIndex casts(*ctx.trace);
-  const auto recTimes = recoveryTimes(ctx);
-
-  // The duplicate check binds per (process, incarnation): an amnesiac
-  // recovered process may re-deliver what its dead incarnation delivered,
-  // but never the same message twice within one incarnation.
-  std::map<std::tuple<ProcessId, int, MsgId>, int> count;
-  for (const auto& d : ctx.trace->deliveries) {
-    int inc = 0;
-    if (auto it = recTimes.find(d.process); it != recTimes.end())
-      inc = incarnationAt(it->second, d.when);
-    ++count[{d.process, inc, d.msg}];
-    if (!cast.count(d.msg))
-      out.push_back(pname(d.process) + " delivered " + mname(d.msg) +
-                    " which was never A-XCast");
-    if (!isAddressee(ctx, casts, d.process, d.msg))
-      out.push_back(pname(d.process) + " delivered " + mname(d.msg) +
-                    " but is not an addressee");
-  }
-  for (const auto& [key, n] : count) {
-    if (n > 1)
-      out.push_back(pname(std::get<0>(key)) + " delivered " +
-                    mname(std::get<2>(key)) + " " + std::to_string(n) +
-                    " times");
-  }
-  return out;
+  return integrity(ctx, CastIndex(*ctx.trace));
 }
 
 Violations checkRecoveredDelivery(const CheckContext& ctx) {
   Violations out;
   const auto recTimes = recoveryTimes(ctx);
   if (recTimes.empty()) return out;
-  const CastIndex casts(*ctx.trace);
-
-  std::map<ProcessId, std::set<MsgId>> deliveredBy;
-  for (const auto& d : ctx.trace->deliveries)
-    deliveredBy[d.process].insert(d.msg);
+  const DeliveryTable table(ctx);
 
   std::map<ProcessId, SimTime> lastCrash;
   for (const auto& c : ctx.trace->crashes)
@@ -111,20 +234,14 @@ Violations checkRecoveredDelivery(const CheckContext& ctx) {
       continue;
     for (const auto& c : ctx.trace->casts) {
       if (c.when <= lastRecovery) continue;  // pre-recovery: no obligation
-      if (!isAddressee(ctx, casts, p, c.msg)) continue;
+      if (!isAddressee(ctx, table.casts, p, c.msg)) continue;
       // Only messages the correct addressees all delivered: the protocol
       // demonstrably completed them, so the recovered process — alive the
       // whole time — must have delivered too.
       bool settled = true;
-      for (ProcessId q : ctx.correct) {
-        if (!isAddressee(ctx, casts, q, c.msg)) continue;
-        if (!deliveredBy[q].count(c.msg)) {
-          settled = false;
-          break;
-        }
-      }
+      table.forEachMissing(c.msg, [&settled](ProcessId) { settled = false; });
       if (!settled) continue;
-      if (!deliveredBy[p].count(c.msg))
+      if (!table.deliveredBy.test(c.msg, static_cast<size_t>(p)))
         out.push_back("recovery: " + pname(p) + " (recovered at t=" +
                       std::to_string(lastRecovery) + "us) never delivered " +
                       mname(c.msg) + " cast at t=" + std::to_string(c.when) +
@@ -135,59 +252,15 @@ Violations checkRecoveredDelivery(const CheckContext& ctx) {
 }
 
 Violations checkValidity(const CheckContext& ctx) {
-  Violations out;
-  std::map<ProcessId, std::set<MsgId>> deliveredBy;
-  for (const auto& d : ctx.trace->deliveries)
-    deliveredBy[d.process].insert(d.msg);
-  const CastIndex casts(*ctx.trace);
-
-  for (const auto& c : ctx.trace->casts) {
-    if (!ctx.correct.count(c.process)) continue;  // only correct senders
-    for (ProcessId q : ctx.correct) {
-      if (!isAddressee(ctx, casts, q, c.msg)) continue;
-      if (!deliveredBy[q].count(c.msg))
-        out.push_back("validity: correct " + pname(q) + " never delivered " +
-                      mname(c.msg) + " cast by correct " + pname(c.process));
-    }
-  }
-  return out;
+  return validity(ctx, DeliveryTable(ctx));
 }
-
-namespace {
-
-Violations agreementImpl(const CheckContext& ctx, bool uniform) {
-  Violations out;
-  std::map<ProcessId, std::set<MsgId>> deliveredBy;
-  std::set<MsgId> deliveredByAnyone;
-  std::set<MsgId> deliveredByCorrect;
-  for (const auto& d : ctx.trace->deliveries) {
-    deliveredBy[d.process].insert(d.msg);
-    deliveredByAnyone.insert(d.msg);
-    if (ctx.correct.count(d.process)) deliveredByCorrect.insert(d.msg);
-  }
-  const auto& trigger = uniform ? deliveredByAnyone : deliveredByCorrect;
-  const CastIndex casts(*ctx.trace);
-  for (MsgId m : trigger) {
-    for (ProcessId q : ctx.correct) {
-      if (!isAddressee(ctx, casts, q, m)) continue;
-      if (!deliveredBy[q].count(m))
-        out.push_back(std::string(uniform ? "uniform " : "") +
-                      "agreement: correct " + pname(q) +
-                      " never delivered " + mname(m) +
-                      " although it was delivered elsewhere");
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 Violations checkUniformAgreement(const CheckContext& ctx) {
-  return agreementImpl(ctx, /*uniform=*/true);
+  return agreement(DeliveryTable(ctx), /*uniform=*/true);
 }
 
 Violations checkAgreementCorrectOnly(const CheckContext& ctx) {
-  return agreementImpl(ctx, /*uniform=*/false);
+  return agreement(DeliveryTable(ctx), /*uniform=*/false);
 }
 
 namespace {
@@ -219,21 +292,26 @@ Violations checkPrefixOrderCorrectOnly(const CheckContext& ctx) {
 Violations checkGenuineness(const CheckContext& ctx,
                             const GenuinenessInput& in) {
   Violations out;
-  // Allowed participants: every sender and every addressee of cast messages.
-  std::set<ProcessId> allowed;
+  // Allowed participants: every sender, and every member of a group some
+  // cast was addressed to.
+  std::set<ProcessId> senders;
+  uint64_t destBits = 0;
   for (const auto& c : ctx.trace->casts) {
-    allowed.insert(c.process);
-    for (ProcessId p : ctx.topo->allProcesses())
-      if (c.dest.contains(ctx.topo->group(p))) allowed.insert(p);
+    senders.insert(c.process);
+    destBits |= c.dest.bits();
   }
+  const GroupSet addressed(destBits);
+  auto allowed = [&](ProcessId p) {
+    return senders.count(p) != 0 || addressed.contains(ctx.topo->group(p));
+  };
   for (ProcessId p : in.sentAlgorithmic) {
-    if (!allowed.count(p))
+    if (!allowed(p))
       out.push_back("genuineness: " + pname(p) +
                     " sent protocol messages but is neither sender nor "
                     "addressee of any cast message");
   }
   for (ProcessId p : in.receivedAlgorithmic) {
-    if (!allowed.count(p))
+    if (!allowed(p))
       out.push_back("genuineness: " + pname(p) +
                     " received protocol messages but is neither sender nor "
                     "addressee of any cast message");
@@ -262,9 +340,10 @@ Violations checkAtomicSuite(const CheckContext& ctx) {
   auto append = [&out](Violations v) {
     out.insert(out.end(), v.begin(), v.end());
   };
-  append(checkUniformIntegrity(ctx));
-  append(checkValidity(ctx));
-  append(checkUniformAgreement(ctx));
+  const DeliveryTable table(ctx);
+  append(integrity(ctx, table.casts));
+  append(validity(ctx, table));
+  append(agreement(table, /*uniform=*/true));
   append(checkUniformPrefixOrder(ctx));
   return out;
 }

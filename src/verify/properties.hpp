@@ -5,6 +5,17 @@
 // empty means the property held in the observed run. The checkers take the
 // run trace plus the set of processes that were correct (never crashed), so
 // uniform vs non-uniform obligations can be told apart.
+//
+// Cost: integrity, validity, both agreements and recovered delivery read
+// dense tables indexed by message id: one bit per process per cast id
+// (integrity: one per process incarnation) and one row of words per id,
+// so a check runs in O(casts + deliveries) time on up to 64 processes
+// (each further 64 add one word per row). They share CastIndex's
+// assumption that ids are dense (core::Experiment allocates them
+// sequentially from 1): a trace with a sparse, huge id pays a row for
+// every id below it. checkAtomicSuite builds the cast index and the
+// delivered-by table once for all its checks. tests/oracle.hpp keeps the
+// set-based versions the tests compare them against.
 #pragma once
 
 #include <map>

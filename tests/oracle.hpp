@@ -1,15 +1,19 @@
 // Reference oracles for the run-observation jobs. The library builds every
-// metrics::Summary with metrics::Recorder and checks prefix order with
-// verify::StreamingOrderChecker; these are the straightforward, independent
+// metrics::Summary with metrics::Recorder, checks prefix order with
+// verify::StreamingOrderChecker and checks the delivery properties over
+// dense per-message bit tables; these are the straightforward, independent
 // versions the tests check them against: a map-based rebuild of the
-// Summary from the trace, and the pairwise comparison of projected final
-// delivery sequences.
+// Summary from the trace, the pairwise comparison of projected final
+// delivery sequences, and set-based integrity, validity, agreement and
+// recovered-delivery checkers.
 #pragma once
 
 #include <algorithm>
 #include <map>
 #include <set>
 #include <sstream>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "metrics/summary.hpp"
@@ -141,6 +145,177 @@ inline verify::Violations uniformPrefixOrder(const verify::CheckContext& ctx) {
 inline verify::Violations prefixOrderCorrectOnly(
     const verify::CheckContext& ctx) {
   return prefixOrderOver(ctx, ctx.correct);
+}
+
+// ---------------------------------------------------------------------------
+// Set-based integrity, validity, agreement and recovered-delivery checkers:
+// a std::set of delivered ids per process, rebuilt by each checker. Same
+// contracts and wording as their verify:: counterparts.
+// ---------------------------------------------------------------------------
+
+namespace detail {
+
+inline std::string pname(ProcessId p) {
+  std::string s("p");
+  s += std::to_string(p);
+  return s;
+}
+inline std::string mname(MsgId m) {
+  std::string s("m");
+  s += std::to_string(m);
+  return s;
+}
+
+// False for a message that was never cast.
+inline bool isAddressee(const verify::CheckContext& ctx, const CastIndex& casts,
+                        ProcessId p, MsgId m) {
+  const CastEvent* c = casts.find(m);
+  return c != nullptr && c->dest.contains(ctx.topo->group(p));
+}
+
+// Sorted recovery times per process, for incarnation segmentation.
+inline std::map<ProcessId, std::vector<SimTime>> recoveryTimes(
+    const verify::CheckContext& ctx) {
+  std::map<ProcessId, std::vector<SimTime>> out;
+  for (const auto& r : ctx.trace->recoveries) out[r.process].push_back(r.when);
+  for (auto& [p, times] : out) std::sort(times.begin(), times.end());
+  return out;
+}
+
+// Incarnation index of a delivery: the number of recoveries of `p` at or
+// before `when`.
+inline int incarnationAt(const std::vector<SimTime>& times, SimTime when) {
+  return static_cast<int>(
+      std::upper_bound(times.begin(), times.end(), when) - times.begin());
+}
+
+inline verify::Violations agreementImpl(const verify::CheckContext& ctx,
+                                        bool uniform) {
+  verify::Violations out;
+  std::map<ProcessId, std::set<MsgId>> deliveredBy;
+  std::set<MsgId> deliveredByAnyone;
+  std::set<MsgId> deliveredByCorrect;
+  for (const auto& d : ctx.trace->deliveries) {
+    deliveredBy[d.process].insert(d.msg);
+    deliveredByAnyone.insert(d.msg);
+    if (ctx.correct.count(d.process)) deliveredByCorrect.insert(d.msg);
+  }
+  const auto& trigger = uniform ? deliveredByAnyone : deliveredByCorrect;
+  const CastIndex casts(*ctx.trace);
+  for (MsgId m : trigger) {
+    for (ProcessId q : ctx.correct) {
+      if (!isAddressee(ctx, casts, q, m)) continue;
+      if (!deliveredBy[q].count(m))
+        out.push_back(std::string(uniform ? "uniform " : "") +
+                      "agreement: correct " + pname(q) +
+                      " never delivered " + mname(m) +
+                      " although it was delivered elsewhere");
+    }
+  }
+  return out;
+}
+
+}  // namespace detail
+
+inline verify::Violations uniformIntegrity(const verify::CheckContext& ctx) {
+  using namespace detail;
+  verify::Violations out;
+  std::set<MsgId> cast;
+  for (const auto& c : ctx.trace->casts) cast.insert(c.msg);
+  const CastIndex casts(*ctx.trace);
+  const auto recTimes = recoveryTimes(ctx);
+
+  std::map<std::tuple<ProcessId, int, MsgId>, int> count;
+  for (const auto& d : ctx.trace->deliveries) {
+    int inc = 0;
+    if (auto it = recTimes.find(d.process); it != recTimes.end())
+      inc = incarnationAt(it->second, d.when);
+    ++count[{d.process, inc, d.msg}];
+    if (!cast.count(d.msg))
+      out.push_back(pname(d.process) + " delivered " + mname(d.msg) +
+                    " which was never A-XCast");
+    if (!isAddressee(ctx, casts, d.process, d.msg))
+      out.push_back(pname(d.process) + " delivered " + mname(d.msg) +
+                    " but is not an addressee");
+  }
+  for (const auto& [key, n] : count) {
+    if (n > 1)
+      out.push_back(pname(std::get<0>(key)) + " delivered " +
+                    mname(std::get<2>(key)) + " " + std::to_string(n) +
+                    " times");
+  }
+  return out;
+}
+
+inline verify::Violations recoveredDelivery(const verify::CheckContext& ctx) {
+  using namespace detail;
+  verify::Violations out;
+  const auto recTimes = recoveryTimes(ctx);
+  if (recTimes.empty()) return out;
+  const CastIndex casts(*ctx.trace);
+
+  std::map<ProcessId, std::set<MsgId>> deliveredBy;
+  for (const auto& d : ctx.trace->deliveries)
+    deliveredBy[d.process].insert(d.msg);
+
+  std::map<ProcessId, SimTime> lastCrash;
+  for (const auto& c : ctx.trace->crashes)
+    lastCrash[c.process] = std::max(lastCrash[c.process], c.when);
+
+  for (const auto& [p, times] : recTimes) {
+    const SimTime lastRecovery = times.back();
+    if (auto it = lastCrash.find(p);
+        it != lastCrash.end() && it->second > lastRecovery)
+      continue;
+    for (const auto& c : ctx.trace->casts) {
+      if (c.when <= lastRecovery) continue;
+      if (!isAddressee(ctx, casts, p, c.msg)) continue;
+      bool settled = true;
+      for (ProcessId q : ctx.correct) {
+        if (!isAddressee(ctx, casts, q, c.msg)) continue;
+        if (!deliveredBy[q].count(c.msg)) {
+          settled = false;
+          break;
+        }
+      }
+      if (!settled) continue;
+      if (!deliveredBy[p].count(c.msg))
+        out.push_back("recovery: " + pname(p) + " (recovered at t=" +
+                      std::to_string(lastRecovery) + "us) never delivered " +
+                      mname(c.msg) + " cast at t=" + std::to_string(c.when) +
+                      "us although every correct addressee did");
+    }
+  }
+  return out;
+}
+
+inline verify::Violations validity(const verify::CheckContext& ctx) {
+  using namespace detail;
+  verify::Violations out;
+  std::map<ProcessId, std::set<MsgId>> deliveredBy;
+  for (const auto& d : ctx.trace->deliveries)
+    deliveredBy[d.process].insert(d.msg);
+  const CastIndex casts(*ctx.trace);
+
+  for (const auto& c : ctx.trace->casts) {
+    if (!ctx.correct.count(c.process)) continue;
+    for (ProcessId q : ctx.correct) {
+      if (!isAddressee(ctx, casts, q, c.msg)) continue;
+      if (!deliveredBy[q].count(c.msg))
+        out.push_back("validity: correct " + pname(q) + " never delivered " +
+                      mname(c.msg) + " cast by correct " + pname(c.process));
+    }
+  }
+  return out;
+}
+
+inline verify::Violations uniformAgreement(const verify::CheckContext& ctx) {
+  return detail::agreementImpl(ctx, /*uniform=*/true);
+}
+
+inline verify::Violations agreementCorrectOnly(
+    const verify::CheckContext& ctx) {
+  return detail::agreementImpl(ctx, /*uniform=*/false);
 }
 
 }  // namespace wanmc::oracle

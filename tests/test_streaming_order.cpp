@@ -1,15 +1,22 @@
-// Prefix order and the metrics Summary against their reference oracles
-// (tests/oracle.hpp) over the full standard matrix: for every (protocol,
-// scenario, seed) cell, verify::checkUniformPrefixOrder and
+// The trace checkers and the metrics Summary against their reference
+// oracles (tests/oracle.hpp) over the full standard matrix: for every
+// (protocol, scenario, seed) cell, verify::checkUniformPrefixOrder and
 // checkPrefixOrderCorrectOnly (a trace replay into the streaming checker)
-// must return exactly the violations the pairwise oracle returns, and the
-// Recorder's Summary must equal the oracle's rebuild. Synthetic violating
-// traces cover the positive (violation-reporting) paths, which real
-// protocols never exercise, and pin the violation wording.
+// must return exactly the violations the pairwise oracle returns; the
+// integrity, validity, agreement and recovered-delivery checkers (dense bit
+// tables) exactly what the set-based oracles return; and the Recorder's
+// Summary must equal the oracle's rebuild. Real protocols violate nothing,
+// so each cell's trace is also mutated by seeded faults (duplicated,
+// dropped, unknown and misaddressed deliveries, an extra recovery, a
+// process taken out of the correct set) and every checker must still match
+// its oracle, word for word. Synthetic violating traces cover the
+// prefix-order reporting paths and pin the violation wording.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "oracle.hpp"
 #include "testing/scenario.hpp"
 #include "verify/streaming.hpp"
@@ -30,23 +37,131 @@ constexpr ProtocolKind kAllProtocols[] = {
     ProtocolKind::kVicente02, ProtocolKind::kDetMerge00,
 };
 
-// Both prefix-order verdicts of `r` against the pairwise oracle.
-void expectOrderMatchesOracle(const core::RunResult& r,
-                              const std::string& name = {}) {
-  const auto ctx = r.checkContext();
-  EXPECT_EQ(verify::checkUniformPrefixOrder(ctx),
-            oracle::uniformPrefixOrder(ctx))
-      << name;
+// Every trace checker's verdict on `ctx` against its oracle, and the whole
+// suite (whose checks share one delivery table) against the oracles'
+// concatenation.
+void expectMatchesOracle(const verify::CheckContext& ctx,
+                         const std::string& name = {}) {
+  const Violations order = oracle::uniformPrefixOrder(ctx);
+  const Violations integrity = oracle::uniformIntegrity(ctx);
+  const Violations validity = oracle::validity(ctx);
+  const Violations agreement = oracle::uniformAgreement(ctx);
+  EXPECT_EQ(verify::checkUniformPrefixOrder(ctx), order) << name;
   EXPECT_EQ(verify::checkPrefixOrderCorrectOnly(ctx),
             oracle::prefixOrderCorrectOnly(ctx))
       << name;
+  EXPECT_EQ(verify::checkUniformIntegrity(ctx), integrity) << name;
+  EXPECT_EQ(verify::checkValidity(ctx), validity) << name;
+  EXPECT_EQ(verify::checkUniformAgreement(ctx), agreement) << name;
+  EXPECT_EQ(verify::checkAgreementCorrectOnly(ctx),
+            oracle::agreementCorrectOnly(ctx))
+      << name;
+  EXPECT_EQ(verify::checkRecoveredDelivery(ctx),
+            oracle::recoveredDelivery(ctx))
+      << name;
+  Violations suite = integrity;
+  for (const Violations* v : {&validity, &agreement, &order})
+    suite.insert(suite.end(), v->begin(), v->end());
+  EXPECT_EQ(verify::checkAtomicSuite(ctx), suite) << name;
+}
+
+// A run's trace and correct set after one seeded fault.
+struct Mutant {
+  std::string name;
+  RunTrace trace;
+  std::set<ProcessId> correct;
+};
+
+// The seeded mutations of `r` the checkers are compared on.
+std::vector<Mutant> mutantsOf(const core::RunResult& r, uint64_t seed) {
+  SplitMix64 rng(seed);
+  auto pick = [&rng](size_t n) { return static_cast<size_t>(rng.next() % n); };
+  const auto& ds = r.trace.deliveries;
+  const auto procs = static_cast<size_t>(r.topo.numProcesses());
+  auto someProcess = [&] { return static_cast<ProcessId>(pick(procs)); };
+  std::vector<Mutant> out;
+  auto add = [&](const char* what, auto&& mutate) {
+    Mutant m{what, r.trace, r.correct};
+    mutate(m);
+    out.push_back(std::move(m));
+  };
+  // Inserts a delivery of `msg` by `p` at a random position, at the time
+  // of the delivery it displaces.
+  auto insert = [&](Mutant& m, ProcessId p, MsgId msg) {
+    auto& dv = m.trace.deliveries;
+    const size_t at = pick(dv.size() + 1);
+    const SimTime when = at < dv.size() ? dv[at].when : r.endTime;
+    dv.insert(dv.begin() + static_cast<std::ptrdiff_t>(at),
+              DeliveryEvent{p, msg, 0, when, 0});
+  };
+  auto at = [](std::vector<DeliveryEvent>& dv, size_t i) {
+    return dv.begin() + static_cast<std::ptrdiff_t>(i);
+  };
+
+  if (!ds.empty()) {
+    add("duplicate a delivery", [&](Mutant& m) {
+      const size_t i = pick(ds.size());
+      m.trace.deliveries.insert(at(m.trace.deliveries,
+                                   i + 1 + pick(ds.size() - i)),
+                                ds[i]);
+    });
+    add("drop a delivery", [&](Mutant& m) {
+      m.trace.deliveries.erase(at(m.trace.deliveries, pick(ds.size())));
+    });
+  }
+  add("deliver a never-cast id past the last cast, twice", [&](Mutant& m) {
+    MsgId lastCast = 0;
+    for (const CastEvent& c : r.trace.casts)
+      lastCast = std::max(lastCast, c.msg);
+    const ProcessId p = someProcess();
+    const MsgId past = lastCast + 1 + pick(3);
+    insert(m, p, past);
+    insert(m, p, past);
+  });
+  add("deliver id 0", [&](Mutant& m) { insert(m, someProcess(), 0); });
+  if (!r.trace.casts.empty()) {
+    // A process outside the cast's destination delivers it; under a
+    // broadcast, the cast loses one destination group instead, so that
+    // group's deliveries of it are the misaddressed ones.
+    add("deliver to a non-addressee", [&](Mutant& m) {
+      CastEvent& c = m.trace.casts[pick(m.trace.casts.size())];
+      const GroupSet outside(r.topo.allGroups().bits() & ~c.dest.bits());
+      if (!outside.empty()) {
+        const auto groups = outside.groups();
+        const auto& members = r.topo.members(groups[pick(groups.size())]);
+        insert(m, members[pick(members.size())], c.msg);
+      } else if (c.dest.size() > 1) {
+        const auto groups = c.dest.groups();
+        c.dest.remove(groups[pick(groups.size())]);
+      }
+    });
+  }
+  add("insert a recovery", [&](Mutant& m) {
+    const ProcessId p = someProcess();
+    m.trace.recoveries.push_back(
+        RecoveryEvent{p, ds.empty() ? 0 : ds[pick(ds.size())].when});
+    m.correct.erase(p);  // a recovered process is not correct
+  });
+  if (!r.correct.empty()) {
+    add("remove a process from correct", [&](Mutant& m) {
+      m.correct.erase(std::next(
+          m.correct.begin(),
+          static_cast<std::ptrdiff_t>(pick(m.correct.size()))));
+    });
+  }
+  return out;
 }
 
 TEST(StreamingOrder, MatchesTraceCheckersOnFullStandardMatrix) {
+  uint64_t cell = 0;
   for (ProtocolKind kind : kAllProtocols) {
     for (const ScenarioResult& res :
          runStandardMatrix(kind, MatrixOptions{})) {
-      expectOrderMatchesOracle(res.run, res.name);
+      expectMatchesOracle(res.run.checkContext(), res.name);
+      for (const Mutant& m : mutantsOf(res.run, ++cell))
+        expectMatchesOracle(
+            verify::CheckContext{&m.trace, &res.run.topo, m.correct},
+            res.name + " / " + m.name);
       // The channel-substrate and bootstrap blocks are maintained by their
       // planes and injected at harvest — like lastAlgoSend they are not
       // reconstructible from the trace, so the oracle takes them verbatim.
@@ -97,7 +212,7 @@ TEST(StreamingOrder, FlagsSwappedPairIdenticallyToOracle) {
     deliver(r, p, 2, 21);
   }
 
-  expectOrderMatchesOracle(r);
+  expectMatchesOracle(r.checkContext());
   // p2 disagrees with p0 and p1; p3 disagrees with p2.
   EXPECT_EQ(
       verify::checkUniformPrefixOrder(r.checkContext()),
@@ -129,7 +244,7 @@ TEST(StreamingOrder, CorrectOnlyFiltersCrashedPairs) {
   deliver(r, 3, 1, 11);
   r.correct = {0, 1, 2};
 
-  expectOrderMatchesOracle(r);
+  expectMatchesOracle(r.checkContext());
   const auto ctx = r.checkContext();
   // Uniform: p3 counts.
   EXPECT_EQ(
@@ -159,7 +274,7 @@ TEST(StreamingOrder, DivergenceDeepInSequenceReportsPosition) {
     deliver(r, p, 5, 21);
   }
 
-  expectOrderMatchesOracle(r);
+  expectMatchesOracle(r.checkContext());
   // The four cross pairs.
   EXPECT_EQ(
       verify::checkUniformPrefixOrder(r.checkContext()),
@@ -184,7 +299,7 @@ TEST(StreamingOrder, PrefixTruncationIsNotAViolation) {
     deliver(r, p, 2, 13);
   }
 
-  expectOrderMatchesOracle(r);
+  expectMatchesOracle(r.checkContext());
   EXPECT_TRUE(verify::checkUniformPrefixOrder(r.checkContext()).empty());
 }
 
@@ -195,7 +310,7 @@ TEST(StreamingOrder, IgnoresNonAddresseesAndUnknownMessages) {
   deliver(r, 1, 1, 11);
   deliver(r, 2, 1, 12);   // p2 is not an addressee (integrity's problem)
   deliver(r, 3, 99, 13);  // never cast
-  expectOrderMatchesOracle(r);
+  expectMatchesOracle(r.checkContext());
   EXPECT_TRUE(verify::checkUniformPrefixOrder(r.checkContext()).empty());
 }
 
