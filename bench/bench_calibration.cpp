@@ -19,10 +19,10 @@
 // real milliseconds per cast), so the default budget is deliberately
 // small; --quick shrinks it further for the CI smoke job. Wall-clock
 // ratios are machine-dependent and are NOT gated — the CSV is a recorded
-// artifact, like EXPERIMENTS.md tables.
+// artifact.
 //
-// Dependency-free on purpose (no google-benchmark): the CI threaded-smoke
-// job runs it wherever the library builds.
+// Dependency-free on purpose: the CI threaded-smoke job runs it wherever
+// the library builds.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>

@@ -25,8 +25,8 @@
 //           substrate costs more than 10% per fired event.
 //           Wall-clock fields are machine-dependent and are NOT gated.
 //
-// Intentionally free of the google-benchmark dependency: it must build and
-// run everywhere the library does, including the CI smoke job.
+// Dependency-free on purpose: it must build and run everywhere the library
+// does, including the CI smoke job.
 #include <algorithm>
 #include <atomic>
 #include <chrono>

@@ -16,7 +16,7 @@
 // every *unsuspected* destination process instead (identical in the
 // failure-free runs Figure 1 accounts for); this makes each process's own
 // vote a lower bound on the decided timestamp, which gives a simple and
-// airtight hold-back rule. See DESIGN.md §4 for the discussion.
+// airtight hold-back rule.
 #pragma once
 
 #include <cstdint>

@@ -5,8 +5,9 @@
 // This inherits A2's latency degree of 1 — beating the genuine lower bound
 // of 2 (Prop. 3.1/3.2) precisely because it is not genuine: every process in
 // the system works on every message, so its message complexity is O(n^2) per
-// message no matter how few groups are addressed. bench_tradeoff_genuine
-// quantifies this latency/bandwidth tradeoff against A1.
+// message no matter how few groups are addressed. The Tradeoff.* tests in
+// tests/test_integration.cpp check this latency/bandwidth tradeoff against
+// A1.
 #pragma once
 
 #include "abcast/a2_node.hpp"

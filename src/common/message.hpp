@@ -19,7 +19,7 @@ namespace wanmc {
 // records per-layer traffic statistics; the genuineness and quiescence
 // verifiers use the tags to reason about protocol-level traffic exactly as
 // the paper does (its accounting treats consensus/reliable multicast as
-// oracle-based substrates; see DESIGN.md §2).
+// oracle-based substrates).
 enum class Layer : uint8_t {
   kFailureDetector,
   kConsensus,

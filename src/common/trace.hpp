@@ -222,22 +222,17 @@ struct TrafficStats {
     return perLayer[static_cast<int>(l)];
   }
 
-  [[nodiscard]] uint64_t interTotal() const {
-    uint64_t s = 0;
-    for (const auto& c : perLayer) s += c.inter;
-    return s;
-  }
   [[nodiscard]] uint64_t intraTotal() const {
     uint64_t s = 0;
     for (const auto& c : perLayer) s += c.intra;
     return s;
   }
   // Inter-group messages excluding the failure-detector substrate, which the
-  // paper's accounting treats as an oracle (DESIGN.md §2), the reliable-
-  // channel control traffic, which the paper assumes away entirely
-  // (retransmitted DATA copies still count under their inner layer), and the
-  // bootstrap state-transfer plane, which exists outside the paper's model
-  // (its crash-stop processes never rejoin).
+  // paper's accounting treats as an oracle, the reliable-channel control
+  // traffic, which the paper assumes away entirely (retransmitted DATA
+  // copies still count under their inner layer), and the bootstrap
+  // state-transfer plane, which exists outside the paper's model (its
+  // crash-stop processes never rejoin).
   [[nodiscard]] uint64_t interAlgorithmic() const {
     uint64_t s = 0;
     for (int l = 0; l < kNumLayers; ++l)

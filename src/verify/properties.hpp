@@ -89,7 +89,7 @@ using Violations = std::vector<std::string>;
 // Genuineness (paper §2.2): only the sender and the addressees of cast
 // messages take part in the protocol. Checked over the runtime's per-layer
 // participation flags; the failure-detector substrate is excluded (it is an
-// oracle in the paper's accounting, DESIGN.md §2).
+// oracle in the paper's accounting).
 struct GenuinenessInput {
   std::set<ProcessId> sentAlgorithmic;
   std::set<ProcessId> receivedAlgorithmic;

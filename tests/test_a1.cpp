@@ -126,21 +126,32 @@ TEST(A1, SingleGroupMessagesUseOneConsensusInstance) {
 }
 
 TEST(A1, StageSkippingSparesConsensusVsFritzke) {
-  // §4.1/§6: same latency degree, fewer consensus instances than [5].
-  auto countInstances = [](ProtocolKind kind) {
+  // §4.1/§6: fewer consensus instances than [5], hence fewer intra-group
+  // messages, at the same number of inter-group messages.
+  struct Cost {
+    uint64_t instances = 0;
+    uint64_t intra = 0;
+    uint64_t inter = 0;
+  };
+  auto measure = [](ProtocolKind kind) {
     Experiment ex(cfg(2, 2, 3, kind));
     for (int i = 0; i < 6; ++i)
       ex.castAt(kMs + i * 300 * kMs, 0, GroupSet::of({0, 1}), "x");
     auto r = ex.run();
     EXPECT_TRUE(r.checkAtomicSuite().empty());
-    uint64_t total = 0;
+    Cost c;
     for (ProcessId p = 0; p < 4; ++p)
-      total += dynamic_cast<amcast::A1Node&>(ex.node(p))
-                   .consensusInstancesDecided();
-    return total;
+      c.instances += dynamic_cast<amcast::A1Node&>(ex.node(p))
+                         .consensusInstancesDecided();
+    c.intra = r.traffic.intraTotal();
+    c.inter = r.traffic.interAlgorithmic();
+    return c;
   };
-  EXPECT_LT(countInstances(ProtocolKind::kA1),
-            countInstances(ProtocolKind::kFritzke98));
+  const Cost a1 = measure(ProtocolKind::kA1);
+  const Cost fritzke = measure(ProtocolKind::kFritzke98);
+  EXPECT_LT(a1.instances, fritzke.instances);
+  EXPECT_LT(a1.intra, fritzke.intra);
+  EXPECT_EQ(a1.inter, fritzke.inter);
 }
 
 TEST(A1, QuiescentAfterFiniteCasts) {

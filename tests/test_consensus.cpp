@@ -17,15 +17,17 @@ namespace {
 using consensus::ConsensusKind;
 using consensus::Instance;
 
-// A bare test node hosting one consensus service over its whole group.
+// A bare test node hosting one consensus service over every process of
+// the topology (in a one-group topology, its whole group).
 class ConsensusHost final : public core::StackNode {
  public:
   ConsensusHost(sim::Runtime& rt, ProcessId pid, const core::StackConfig& cfg)
       : core::StackNode(rt, pid, cfg) {
-    svc = &addGroupConsensus();
+    svc = &addConsensus(/*scope=*/0, rt.topology().allProcesses());
     svc->onDecide([this](Instance k, const ConsensusValue& v) {
       decisions[k] = v;
       decisionOrder.push_back(k);
+      decisionLamport[k] = runtime().lamport(this->pid());
     });
   }
   void onProtocolMessage(ProcessId, const PayloadPtr&) override {}
@@ -33,13 +35,18 @@ class ConsensusHost final : public core::StackNode {
   consensus::ConsensusService* svc = nullptr;
   std::map<Instance, ConsensusValue> decisions;
   std::vector<Instance> decisionOrder;
+  std::map<Instance, uint64_t> decisionLamport;  // modified Lamport clock
 };
 
 struct Fixture {
   explicit Fixture(int procs, ConsensusKind kind, uint64_t seed = 1,
                    fd::FdKind fdKind = fd::FdKind::kOracle)
-      : rt(Topology(1, procs), sim::LatencyModel::fixed(kMs, 100 * kMs),
-           seed) {
+      : Fixture(1, procs, kind, seed, fdKind) {}
+  Fixture(int groups, int procsPerGroup, ConsensusKind kind,
+          uint64_t seed = 1, fd::FdKind fdKind = fd::FdKind::kOracle)
+      : rt(Topology(groups, procsPerGroup),
+           sim::LatencyModel::fixed(kMs, 100 * kMs), seed) {
+    const int procs = groups * procsPerGroup;
     core::StackConfig cfg;
     cfg.consensusKind = kind;
     cfg.fdKind = fdKind;
@@ -250,6 +257,27 @@ TEST(Consensus, NoInterGroupTrafficForGroupScopedInstances) {
   f.rt.run();
   EXPECT_EQ(f.rt.traffic().at(Layer::kConsensus).inter, 0u);
   EXPECT_GT(f.rt.traffic().at(Layer::kConsensus).intra, 0u);
+}
+
+TEST(EarlyConsensus, AcrossGroupsCostsTwoDelaysAndQuadraticMessages) {
+  // §6's accounting of [11], run across k groups of d: every member decides
+  // at modified-Lamport degree 2 (every clock starts at 0), and the
+  // instance sends at most 2kd(kd-1) inter-group messages.
+  for (auto [k, d] : {std::pair{2, 2}, {2, 3}, {3, 2}, {3, 3}}) {
+    Fixture f(k, d, ConsensusKind::kEarly);
+    const int n = k * d;
+    for (int p = 0; p < n; ++p) f.hosts[p]->svc->propose(1, num(42));
+    f.rt.run();
+    for (int p = 0; p < n; ++p) {
+      ASSERT_TRUE(f.hosts[p]->decisions.count(1))
+          << k << "x" << d << " p" << p;
+      EXPECT_EQ(f.hosts[p]->decisionLamport[1], 2u)
+          << k << "x" << d << " p" << p;
+    }
+    EXPECT_LE(f.rt.traffic().at(Layer::kConsensus).inter,
+              static_cast<uint64_t>(2 * n * (n - 1)))
+        << k << "x" << d;
+  }
 }
 
 }  // namespace
