@@ -11,6 +11,8 @@
 #   scripts/check.sh tsan       ... TSan build; the threaded surface only:
 #                                   jobs=4 golden matrix, parallel-vs-serial
 #                                   sweep equality, 100-seed sweep
+#   scripts/check.sh loc        ... line totals of src/, tests/ and bench/
+#                                   (*.cpp + *.hpp, wc -l); no build
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -19,7 +21,8 @@ TIER="${1:-all}"
 BUILD_DIR="${BUILD_DIR:-build}"
 JOBS="${JOBS:-$(nproc)}"
 
-if [[ "$TIER" != "sanitize" && "$TIER" != "tsan" && "$TIER" != "lint" ]]; then
+if [[ "$TIER" != "sanitize" && "$TIER" != "tsan" && "$TIER" != "lint" &&
+      "$TIER" != "loc" ]]; then
   cmake -B "$BUILD_DIR" -S .
   cmake --build "$BUILD_DIR" -j "$JOBS"
 fi
@@ -70,8 +73,17 @@ case "$TIER" in
     # threaded-smoke job).
     "$TSAN_DIR/test_exec_backends"
     ;;
+  loc)
+    # The one line count: ROADMAP tracks the src/ total as a headline
+    # number next to the bench numbers.
+    for dir in src tests bench; do
+      lines=$(find "$dir" \( -name '*.cpp' -o -name '*.hpp' \) -print0 |
+        xargs -0 cat | wc -l)
+      printf '%-7s %6d\n' "$dir/" "$lines"
+    done
+    ;;
   *)
-    echo "usage: $0 [all|unit|scenario|bench|sanitize|lint|tsan]" >&2
+    echo "usage: $0 [all|unit|scenario|bench|sanitize|lint|tsan|loc]" >&2
     exit 2
     ;;
 esac

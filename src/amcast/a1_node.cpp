@@ -128,7 +128,7 @@ void A1Node::handleDecided(consensus::Instance k, const A1EntrySet& entries) {
       sendToMany(topology().membersOf(m->dest.without(gid())),
                  std::make_shared<const TsPayload>(m, k, gid()));  // line 24
       newlyS1.push_back(m->id);
-    } else if (opts_.skipSingleGroup) {
+    } else if (opts_.stageSkipping) {
       // lines 28-29: single destination group. With the skip optimization m
       // jumps straight to s3; without it ([5]) m still walks through s1/s2,
       // which for one group degenerates to an extra consensus instance.
@@ -183,7 +183,7 @@ void A1Node::checkStage1(MsgId id) {
   for (const auto& [g, ts] : proposals) max = std::max(max, ts);
   max = std::max(max, p.ts);
 
-  if (opts_.skipMaxProposal && p.ts >= max) {
+  if (opts_.stageSkipping && p.ts >= max) {
     // line 35-36: our group proposed the final timestamp; its clock is
     // already beyond it (line 31 ran when the proposal was decided).
     setPending(id, p.msg, Stage::s3, p.ts);

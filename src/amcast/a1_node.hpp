@@ -14,8 +14,8 @@
 //   * a message addressed to a single group jumps s0 -> s3 (one consensus);
 //   * a group whose proposal equals the final timestamp skips s2 (its clock
 //     is already past the final timestamp after line 31).
-// Both optimizations are config flags here so that the [5] baseline is the
-// same code with the flags off — which makes the ablation bench an
+// Both skips hang off one flag, A1Options::stageSkipping, so that the [5]
+// baseline is the same code with the flag off — which makes A1 vs [5] an
 // apples-to-apples comparison of consensus instances and intra-group
 // traffic, the exact savings §4.1/§6 claim.
 //
@@ -60,9 +60,10 @@ struct TsPayload final : Payload {
 };
 
 struct A1Options {
-  // A1's optimizations; both false reproduces Fritzke et al. [5].
-  bool skipSingleGroup = true;   // single-group messages jump s0 -> s3
-  bool skipMaxProposal = true;   // skip s2 when own proposal == max (line 35)
+  // A1's stage skipping: single-group messages jump s0 -> s3, and a group
+  // whose own proposal is the maximum skips s2 (line 35). false
+  // reproduces Fritzke et al. [5].
+  bool stageSkipping = true;
 };
 
 class A1Node final : public core::XcastNode {

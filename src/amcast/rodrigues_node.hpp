@@ -53,6 +53,8 @@ struct RodriguesPayload final : Payload {
 
 class RodriguesNode final : public core::XcastNode {
  public:
+  // Message m's consensus runs under scope kScopeBase + m.id: one scope
+  // per message, above every group-id scope (< 64).
   static constexpr uint64_t kScopeBase = 1u << 20;
 
   RodriguesNode(exec::Context& rt, ProcessId pid,

@@ -49,6 +49,18 @@ inline constexpr int kNumLayers = 7;
   return "?";
 }
 
+// Whether traffic of layer `l` is algorithmic activity: everything except
+// the failure-detector substrate, which the paper's accounting treats as
+// an oracle, the reliable-channel control traffic (ACK/NACK), which the
+// paper assumes away entirely, and the bootstrap state-transfer plane,
+// which exists outside the paper's model (its crash-stop processes never
+// rejoin). Genuineness, quiescence and the inter-group message counts
+// read only algorithmic traffic.
+[[nodiscard]] constexpr bool isAlgorithmic(Layer l) {
+  return l != Layer::kFailureDetector && l != Layer::kChannel &&
+         l != Layer::kBootstrap;
+}
+
 // An application message to be atomically multicast / broadcast.
 // Immutable once created; protocols share it by shared_ptr and keep their
 // mutable per-message state (stage, timestamp) in their own tables, exactly

@@ -227,19 +227,12 @@ struct TrafficStats {
     for (const auto& c : perLayer) s += c.intra;
     return s;
   }
-  // Inter-group messages excluding the failure-detector substrate, which the
-  // paper's accounting treats as an oracle, the reliable-channel control
-  // traffic, which the paper assumes away entirely (retransmitted DATA
-  // copies still count under their inner layer), and the bootstrap
-  // state-transfer plane, which exists outside the paper's model (its
-  // crash-stop processes never rejoin).
+  // Inter-group messages of the algorithmic layers (isAlgorithmic).
+  // Retransmitted channel DATA copies count under their inner layer.
   [[nodiscard]] uint64_t interAlgorithmic() const {
     uint64_t s = 0;
     for (int l = 0; l < kNumLayers; ++l)
-      if (static_cast<Layer>(l) != Layer::kFailureDetector &&
-          static_cast<Layer>(l) != Layer::kChannel &&
-          static_cast<Layer>(l) != Layer::kBootstrap)
-        s += perLayer[l].inter;
+      if (isAlgorithmic(static_cast<Layer>(l))) s += perLayer[l].inter;
     return s;
   }
 };

@@ -35,6 +35,20 @@ std::shared_ptr<const ConsensusPayload> makePayload(
 
 }  // namespace
 
+ConsensusService::ConsensusService(exec::Context& rt, ProcessId self,
+                                   std::vector<ProcessId> members,
+                                   fd::FailureDetector* fd, uint64_t scope,
+                                   SimTime roundTimeout)
+    : rt_(rt),
+      self_(self),
+      members_(std::move(members)),
+      fd_(fd),
+      scope_(scope),
+      roundTimeout_(roundTimeout) {
+  if (fd_ != nullptr)
+    fd_->onSuspicion([this](ProcessId p) { onSuspicion(p); });
+}
+
 bool ConsensusService::maybeRetransmitDecision(ProcessId from, Instance k) {
   if (roundTimeout_ == 0) return false;
   auto it = decided_.find(k);
@@ -45,21 +59,7 @@ bool ConsensusService::maybeRetransmitDecision(ProcessId from, Instance k) {
   return true;
 }
 
-// ===========================================================================
-// EarlyConsensus
-// ===========================================================================
-
-EarlyConsensus::EarlyConsensus(exec::Context& rt, ProcessId self,
-                               std::vector<ProcessId> members,
-                               fd::FailureDetector* fd, uint64_t scope,
-                               SimTime roundTimeout)
-    : ConsensusService(rt, self, std::move(members), fd, scope,
-                       roundTimeout) {
-  if (fd_ != nullptr)
-    fd_->onSuspicion([this](ProcessId p) { onSuspicion(p); });
-}
-
-void EarlyConsensus::propose(Instance k, ConsensusValue v) {
+void ConsensusService::propose(Instance k, ConsensusValue v) {
   auto& st = state(k);
   if (st.joined || st.decidedFlag) return;  // one proposal per instance
   st.joined = true;
@@ -68,7 +68,7 @@ void EarlyConsensus::propose(Instance k, ConsensusValue v) {
   enterRound(k, st.round);
 }
 
-void EarlyConsensus::enterRound(Instance k, uint32_t r) {
+void ConsensusService::enterRound(Instance k, uint32_t r) {
   auto& st = state(k);
   if (st.decidedFlag || !st.joined) return;
   // Bound the fast-forward: after a full rotation we are our own coordinator
@@ -98,7 +98,7 @@ void EarlyConsensus::enterRound(Instance k, uint32_t r) {
   armRoundTimer(k, st.round);
 }
 
-void EarlyConsensus::armRoundTimer(Instance k, uint32_t r) {
+void ConsensusService::armRoundTimer(Instance k, uint32_t r) {
   // Progress under crash-recovery: a round's coordinator can be alive —
   // so the detector never suspects it — yet an amnesiac rejoin that knows
   // nothing of this instance and proposes nothing, ever. Round changes
@@ -114,7 +114,7 @@ void EarlyConsensus::armRoundTimer(Instance k, uint32_t r) {
   });
 }
 
-void EarlyConsensus::coordinatorMaybePropose(Instance k, uint32_t r) {
+void ConsensusService::coordinatorMaybePropose(Instance k, uint32_t r) {
   if (r <= 1) return;  // round 1 never collects estimates
   auto& st = state(k);
   if (st.decidedFlag) return;
@@ -137,7 +137,7 @@ void EarlyConsensus::coordinatorMaybePropose(Instance k, uint32_t r) {
                         best->value, r));
 }
 
-void EarlyConsensus::maybeDecideOnAcks(Instance k, uint32_t r) {
+void ConsensusService::maybeDecideOnAcks(Instance k, uint32_t r) {
   auto& st = state(k);
   if (st.decidedFlag) return;
   const auto& rs = st.rounds[r];
@@ -145,7 +145,7 @@ void EarlyConsensus::maybeDecideOnAcks(Instance k, uint32_t r) {
   decide(k, r, rs.ackedValue);
 }
 
-void EarlyConsensus::decide(Instance k, uint32_t r, ConsensusValue v) {
+void ConsensusService::decide(Instance k, uint32_t r, ConsensusValue v) {
   auto& st = state(k);
   st.decidedFlag = true;
   // No round state is read once the instance is decided: release it, and
@@ -155,12 +155,13 @@ void EarlyConsensus::decide(Instance k, uint32_t r, ConsensusValue v) {
   st.estimate = {};
   // Decide BEFORE relaying: the decide event must not inherit the Lamport
   // tick of the (possibly inter-group) relay broadcast.
-  decideLocal(k, v);
+  if (decided_.emplace(k, v).second)
+    for (const auto& cb : decideCbs_) cb(k, v);
   broadcast(makePayload(scope_, k, r, ConsensusPayload::Type::kDecide,
                         std::move(v)));
 }
 
-void EarlyConsensus::onMessage(ProcessId from, const ConsensusPayload& p) {
+void ConsensusService::onMessage(ProcessId from, const ConsensusPayload& p) {
   auto& st = state(p.instance);
   switch (p.type) {
     case ConsensusPayload::Type::kEstimate: {
@@ -238,7 +239,7 @@ void EarlyConsensus::onMessage(ProcessId from, const ConsensusPayload& p) {
   }
 }
 
-void EarlyConsensus::onSuspicion(ProcessId p) {
+void ConsensusService::onSuspicion(ProcessId p) {
   // Any undecided instance whose current coordinator just got suspected
   // moves on to the next round (whether or not we already acked: if the
   // coordinator crashed mid-broadcast only a minority may have acked, and
@@ -249,213 +250,12 @@ void EarlyConsensus::onSuspicion(ProcessId p) {
   }
 }
 
-// ===========================================================================
-// CtConsensus
-// ===========================================================================
-
-CtConsensus::CtConsensus(exec::Context& rt, ProcessId self,
-                         std::vector<ProcessId> members,
-                         fd::FailureDetector* fd, uint64_t scope,
-                         SimTime roundTimeout)
-    : ConsensusService(rt, self, std::move(members), fd, scope,
-                       roundTimeout) {
-  if (fd_ != nullptr)
-    fd_->onSuspicion([this](ProcessId p) { onSuspicion(p); });
-}
-
-void CtConsensus::propose(Instance k, ConsensusValue v) {
-  auto& st = state(k);
-  if (st.joined || st.decidedFlag) return;
-  st.joined = true;
-  st.estimate = std::move(v);
-  st.estRound = 0;
-  startRound(k);
-}
-
-void CtConsensus::startRound(Instance k) {
-  auto& st = state(k);
-  if (st.decidedFlag || !st.joined) return;
-  for (;; ++st.round) {
-    const uint32_t r = st.round;
-    const ProcessId c = coordinator(k, r);
-    st.repliedThisRound = false;
-    // Phase 1: send the current estimate to the round's coordinator.
-    rt_.send(self_, c,
-             makePayload(scope_, k, r, ConsensusPayload::Type::kEstimate,
-                         st.estimate, st.estRound));
-    coordinatorMaybePropose(k, r);
-    // Phase 3 shortcut: if the coordinator is already suspected, nack and
-    // move on. Terminates because we never suspect ourselves.
-    if (fd_ != nullptr && c != self_ && fd_->suspects(c)) {
-      st.repliedThisRound = true;
-      rt_.send(self_, c,
-               makePayload(scope_, k, r, ConsensusPayload::Type::kNack));
-      continue;
-    }
-    break;
-  }
-  armRoundTimer(k, st.round);
-}
-
-void CtConsensus::armRoundTimer(Instance k, uint32_t r) {
-  // Same crash-recovery progress rule as EarlyConsensus::armRoundTimer:
-  // nack an alive-but-amnesiac coordinator after `roundTimeout_` and move
-  // on, exactly as a suspicion would. Unarmed outside recovery runs.
-  if (roundTimeout_ == 0) return;
-  rt_.timer(self_, roundTimeout_, [this, k, r]() {
-    auto& st = state(k);
-    if (st.decidedFlag || !st.joined || st.round != r) return;  // stale
-    if (st.repliedThisRound) return;  // phase 3 done: pipeline advances
-    st.repliedThisRound = true;
-    rt_.send(self_, coordinator(k, r),
-             makePayload(scope_, k, r, ConsensusPayload::Type::kNack));
-    ++st.round;
-    startRound(k);
-  });
-}
-
-void CtConsensus::coordinatorMaybePropose(Instance k, uint32_t r) {
-  auto& st = state(k);
-  if (st.decidedFlag || coordinator(k, r) != self_) return;
-  auto& rs = st.rounds[r];
-  if (rs.proposalSent || rs.estimates.size() < majority()) return;
-  const std::pair<ConsensusValue, uint32_t>* best = nullptr;
-  ProcessId bestPid = kNoProcess;
-  for (const auto& [pid, est] : rs.estimates) {
-    if (best == nullptr || est.second > best->second ||
-        (est.second == best->second && pid < bestPid)) {
-      best = &est;
-      bestPid = pid;
-    }
-  }
-  rs.proposalSent = true;
-  proposals_[{k, r}] = best->first;
-  broadcast(makePayload(scope_, k, r, ConsensusPayload::Type::kPropose,
-                        best->first, r));
-}
-
-void CtConsensus::coordinatorMaybeConclude(Instance k, uint32_t r) {
-  auto& st = state(k);
-  auto& rs = st.rounds[r];
-  if (rs.concluded || rs.acks.size() + rs.nacks.size() < majority()) return;
-  rs.concluded = true;
-  if (rs.nacks.empty() && !st.decidedFlag) {
-    // All acks: the proposal of round r is locked by a majority — decide.
-    // rs proposal value == current estimate of any acker; the coordinator
-    // proposed it, so it still has it as its own estimate if it acked, but
-    // to be precise we keep the proposed value implicitly via our own
-    // estimate only if we adopted it; store-and-reuse is simpler:
-    st.decidedFlag = true;
-    decideLocal(k, proposalOf(k, r));
-    broadcast(makePayload(scope_, k, r, ConsensusPayload::Type::kDecide,
-                          proposalOf(k, r)));
-  }
-}
-
-void CtConsensus::onMessage(ProcessId from, const ConsensusPayload& p) {
-  auto& st = state(p.instance);
-  switch (p.type) {
-    case ConsensusPayload::Type::kEstimate: {
-      if (maybeRetransmitDecision(from, p.instance)) break;
-      auto& rs = st.rounds[p.round];
-      rs.estimates[from] = {p.value, p.estRound};
-      // Amnesiac join, as in EarlyConsensus (recovery runs only).
-      if (roundTimeout_ != 0 && !st.joined && !st.decidedFlag) {
-        st.joined = true;
-        st.estimate = p.value;
-        st.estRound = p.estRound;
-        st.round = std::max(st.round, p.round);
-        startRound(p.instance);
-      }
-      coordinatorMaybePropose(p.instance, p.round);
-      break;
-    }
-    case ConsensusPayload::Type::kPropose: {
-      proposals_[{p.instance, p.round}] = p.value;
-      if (st.decidedFlag) return;
-      if (p.round < st.round) {
-        // Same stale-proposer catch-up as EarlyConsensus (recovery runs).
-        if (roundTimeout_ != 0)
-          rt_.send(self_, from,
-                   makePayload(scope_, p.instance, st.round,
-                               ConsensusPayload::Type::kNack));
-        return;
-      }
-      st.round = p.round;
-      st.joined = true;
-      st.estimate = p.value;
-      st.estRound = p.round;
-      if (!st.repliedThisRound) {
-        st.repliedThisRound = true;
-        rt_.send(self_, from,
-                 makePayload(scope_, p.instance, p.round,
-                             ConsensusPayload::Type::kAck));
-      }
-      // Phase-3 done: pipeline into the next round (classic CT structure).
-      ++st.round;
-      startRound(p.instance);
-      break;
-    }
-    case ConsensusPayload::Type::kAck: {
-      st.rounds[p.round].acks.insert(from);
-      coordinatorMaybeConclude(p.instance, p.round);
-      break;
-    }
-    case ConsensusPayload::Type::kNack: {
-      // Round catch-up (recovery runs): a nack from a higher round means
-      // we are the stale one — jump there instead of pipelining through
-      // every round in between.
-      if (roundTimeout_ != 0 && st.joined && !st.decidedFlag &&
-          p.round > st.round) {
-        st.round = p.round;
-        startRound(p.instance);
-        break;
-      }
-      st.rounds[p.round].nacks.insert(from);
-      coordinatorMaybeConclude(p.instance, p.round);
-      break;
-    }
-    case ConsensusPayload::Type::kDecide: {
-      if (!st.decidedFlag) {
-        st.decidedFlag = true;
-        decideLocal(p.instance, p.value);
-        broadcast(makePayload(scope_, p.instance, p.round,
-                              ConsensusPayload::Type::kDecide, p.value));
-      }
-      break;
-    }
-  }
-}
-
-void CtConsensus::onSuspicion(ProcessId p) {
-  for (auto& [k, st] : instances_) {
-    if (st.decidedFlag || !st.joined) continue;
-    if (coordinator(k, st.round) == p && !st.repliedThisRound) {
-      st.repliedThisRound = true;
-      rt_.send(self_, p,
-               makePayload(scope_, k, st.round,
-                           ConsensusPayload::Type::kNack));
-      ++st.round;
-      startRound(k);
-    }
-  }
-}
-
-// ===========================================================================
-
 std::unique_ptr<ConsensusService> makeConsensus(
-    ConsensusKind kind, exec::Context& rt, ProcessId self,
+    ConsensusKind /*kind*/, exec::Context& rt, ProcessId self,
     std::vector<ProcessId> members, fd::FailureDetector* fd, uint64_t scope,
     SimTime roundTimeout) {
-  switch (kind) {
-    case ConsensusKind::kEarly:
-      return std::make_unique<EarlyConsensus>(rt, self, std::move(members),
-                                              fd, scope, roundTimeout);
-    case ConsensusKind::kCt:
-      return std::make_unique<CtConsensus>(rt, self, std::move(members), fd,
-                                           scope, roundTimeout);
-  }
-  return nullptr;
+  return std::make_unique<ConsensusService>(rt, self, std::move(members), fd,
+                                            scope, roundTimeout);
 }
 
 }  // namespace wanmc::consensus

@@ -2,32 +2,27 @@
 //
 // The paper assumes consensus is solvable inside every group (§2.1) and its
 // Figure-1 accounting uses Schiper's early consensus [11]: latency degree 2
-// and 2kd(kd-1) messages when run across k groups of d processes. We provide
-// two implementations behind one interface:
-//
-//  * EarlyConsensus — rotating-coordinator, early-deciding: in the first
-//    round the coordinator broadcasts its own proposal without collecting
-//    estimates, everyone lock-broadcasts an ACK, and a process decides on a
-//    majority of ACKs: two message delays in the failure-free case, matching
-//    [11]'s latency degree of 2. Later rounds collect estimates and pick the
-//    most recently locked one (classic indulgent locking), so uniform
-//    agreement holds under f < n/2 crashes and arbitrary suspicion noise.
-//  * CtConsensus — the textbook Chandra–Toueg <>S protocol (estimate /
-//    propose / ack-nack / decide), four delays, kept as an independent
-//    implementation to cross-validate protocol behaviour in tests.
+// and 2kd(kd-1) messages when run across k groups of d processes.
+// ConsensusService is that protocol: rotating-coordinator, early-deciding.
+// In the first round the coordinator broadcasts its own proposal without
+// collecting estimates, everyone lock-broadcasts an ACK, and a process
+// decides on a majority of ACKs: two message delays in the failure-free
+// case, matching [11]'s latency degree of 2. Later rounds collect
+// estimates and pick the most recently locked one (classic indulgent
+// locking), so uniform agreement holds under f < n/2 crashes and
+// arbitrary suspicion noise.
 //
 // Values are shared, never copied (common/consensus_value.hpp): the value a
 // process proposes is the one object every payload, estimate, acked value
-// and decision refers to. EarlyConsensus releases an instance's per-round
-// state (estimates, acks, its own estimate) as soon as the instance
-// decides; copies that arrive afterwards are dropped before they write
-// anything.
+// and decision refers to. An instance's per-round state (estimates, acks,
+// its own estimate) is released as soon as the instance decides; copies
+// that arrive afterwards are dropped before they write anything.
 //
-// Both run over whatever member set they are given. The atomic multicast /
-// broadcast algorithms instantiate them per group (intra-group traffic only,
-// hence latency-degree contribution 0); the Rodrigues-et-al. baseline
-// instantiates them across groups, where the 2 inter-group delays and the
-// O((kd)^2) messages show up exactly as in Figure 1a.
+// The service runs over whatever member set it is given. The atomic
+// multicast / broadcast algorithms instantiate it per group (intra-group
+// traffic only, hence latency-degree contribution 0); the Rodrigues-et-al.
+// baseline instantiates it across groups, where the 2 inter-group delays
+// and the O((kd)^2) messages show up exactly as in Figure 1a.
 #pragma once
 
 #include <cstdint>
@@ -62,43 +57,26 @@ struct ConsensusPayload final : Payload {
   [[nodiscard]] std::string debugString() const override;
 };
 
-class ConsensusService {
+class ConsensusService final {
  public:
   using DecideCb = std::function<void(Instance, const ConsensusValue&)>;
 
-  // `roundTimeout` > 0 arms a per-round progress timer (see the class
-  // comments below): required for liveness under crash-RECOVERY, where a
-  // round's coordinator can be alive (so never suspected) yet amnesiac
-  // about the instance and silent forever. 0 (the default) relies purely
-  // on failure-detector suspicion, the pre-v2 behavior.
+  // `roundTimeout` > 0 arms a per-round progress timer (armRoundTimer):
+  // required for liveness under crash-RECOVERY, where a round's
+  // coordinator can be alive (so never suspected) yet amnesiac about the
+  // instance and silent forever. 0 (the default) relies purely on
+  // failure-detector suspicion, the pre-v2 behavior.
   ConsensusService(exec::Context& rt, ProcessId self,
                    std::vector<ProcessId> members, fd::FailureDetector* fd,
-                   uint64_t scope, SimTime roundTimeout = 0)
-      : rt_(rt),
-        self_(self),
-        members_(std::move(members)),
-        fd_(fd),
-        scope_(scope),
-        roundTimeout_(roundTimeout) {}
-  virtual ~ConsensusService() = default;
+                   uint64_t scope, SimTime roundTimeout = 0);
 
   ConsensusService(const ConsensusService&) = delete;
   ConsensusService& operator=(const ConsensusService&) = delete;
 
-  virtual void propose(Instance k, ConsensusValue v) = 0;
-  virtual void onMessage(ProcessId from, const ConsensusPayload& p) = 0;
+  void propose(Instance k, ConsensusValue v);
+  void onMessage(ProcessId from, const ConsensusPayload& p);
 
   void onDecide(DecideCb cb) { decideCbs_.push_back(std::move(cb)); }
-  [[nodiscard]] uint64_t scope() const { return scope_; }
-  [[nodiscard]] const std::vector<ProcessId>& members() const {
-    return members_;
-  }
-  [[nodiscard]] bool decided(Instance k) const {
-    return decided_.count(k) > 0;
-  }
-  [[nodiscard]] const ConsensusValue& decision(Instance k) const {
-    return decided_.at(k);
-  }
 
   // Bootstrap plane (src/bootstrap/): the decided-instance table is part of
   // a donor's snapshot, and a rejoining incarnation installs it SILENTLY —
@@ -112,50 +90,6 @@ class ConsensusService {
   void installDecisions(const std::map<Instance, ConsensusValue>& ds) {
     for (const auto& [k, v] : ds) decided_.emplace(k, v);
   }
-
- protected:
-  [[nodiscard]] size_t majority() const { return members_.size() / 2 + 1; }
-  [[nodiscard]] ProcessId coordinator(Instance k, uint32_t round) const {
-    return members_[(k + round - 1) % members_.size()];
-  }
-  void broadcast(const std::shared_ptr<const ConsensusPayload>& p) {
-    rt_.multicast(self_, members_, p);  // one send event (paper §2.3)
-  }
-  void decideLocal(Instance k, const ConsensusValue& v) {
-    if (!decided_.emplace(k, v).second) return;
-    for (const auto& cb : decideCbs_) cb(k, v);
-  }
-
-  // Decision retransmission (armed with the round timeout): an estimate
-  // for an instance we already decided means the sender is stuck in a
-  // round the rest of us finished long ago — an amnesiac rejoin catching
-  // up. Reply with the decision. Gated on roundTimeout_ so runs without
-  // recovery keep their exact pre-v2 message traffic.
-  bool maybeRetransmitDecision(ProcessId from, Instance k);
-
-  exec::Context& rt_;
-  ProcessId self_;
-  std::vector<ProcessId> members_;
-  fd::FailureDetector* fd_;
-  uint64_t scope_;
-  SimTime roundTimeout_ = 0;
-  std::map<Instance, ConsensusValue> decided_;
-
- private:
-  std::vector<DecideCb> decideCbs_;
-};
-
-// ---------------------------------------------------------------------------
-// Early-deciding rotating-coordinator consensus (default).
-// ---------------------------------------------------------------------------
-class EarlyConsensus final : public ConsensusService {
- public:
-  EarlyConsensus(exec::Context& rt, ProcessId self,
-                 std::vector<ProcessId> members, fd::FailureDetector* fd,
-                 uint64_t scope, SimTime roundTimeout = 0);
-
-  void propose(Instance k, ConsensusValue v) override;
-  void onMessage(ProcessId from, const ConsensusPayload& p) override;
 
  private:
   struct Estimate {
@@ -178,6 +112,17 @@ class EarlyConsensus final : public ConsensusService {
     std::map<uint32_t, RoundState> rounds;  // emptied at decision
   };
 
+  [[nodiscard]] size_t majority() const { return members_.size() / 2 + 1; }
+  [[nodiscard]] ProcessId coordinator(Instance k, uint32_t round) const {
+    return members_[(k + round - 1) % members_.size()];
+  }
+  void broadcast(const std::shared_ptr<const ConsensusPayload>& p) {
+    rt_.multicast(self_, members_, p);  // one send event (paper §2.3)
+  }
+  void sendToCoord(Instance k, uint32_t r,
+                   const std::shared_ptr<const ConsensusPayload>& p) {
+    rt_.send(self_, coordinator(k, r), p);
+  }
   InstanceState& state(Instance k) { return instances_[k]; }
 
   void enterRound(Instance k, uint32_t r);
@@ -187,62 +132,28 @@ class EarlyConsensus final : public ConsensusService {
   void decide(Instance k, uint32_t r, ConsensusValue v);
   void onSuspicion(ProcessId p);
   void armRoundTimer(Instance k, uint32_t r);
-  void sendToCoord(Instance k, uint32_t r,
-                   const std::shared_ptr<const ConsensusPayload>& p) {
-    rt_.send(self_, coordinator(k, r), p);
-  }
+  // Decision retransmission (armed with the round timeout): an estimate
+  // for an instance we already decided means the sender is stuck in a
+  // round the rest of us finished long ago — an amnesiac rejoin catching
+  // up. Reply with the decision. Gated on roundTimeout_ so runs without
+  // recovery keep their exact pre-v2 message traffic.
+  bool maybeRetransmitDecision(ProcessId from, Instance k);
 
+  exec::Context& rt_;
+  ProcessId self_;
+  std::vector<ProcessId> members_;
+  fd::FailureDetector* fd_;
+  uint64_t scope_;
+  SimTime roundTimeout_ = 0;
   std::map<Instance, InstanceState> instances_;
+  std::map<Instance, ConsensusValue> decided_;
+  std::vector<DecideCb> decideCbs_;
 };
 
-// ---------------------------------------------------------------------------
-// Classic Chandra-Toueg <>S consensus (four phases per round).
-// ---------------------------------------------------------------------------
-class CtConsensus final : public ConsensusService {
- public:
-  CtConsensus(exec::Context& rt, ProcessId self,
-              std::vector<ProcessId> members, fd::FailureDetector* fd,
-              uint64_t scope, SimTime roundTimeout = 0);
-
-  void propose(Instance k, ConsensusValue v) override;
-  void onMessage(ProcessId from, const ConsensusPayload& p) override;
-
- private:
-  struct RoundState {
-    std::map<ProcessId, std::pair<ConsensusValue, uint32_t>> estimates;
-    std::set<ProcessId> acks;
-    std::set<ProcessId> nacks;
-    bool proposalSent = false;
-    bool concluded = false;  // coordinator finished phase 4 for this round
-  };
-  struct InstanceState {
-    bool joined = false;
-    bool decidedFlag = false;
-    ConsensusValue estimate;
-    uint32_t estRound = 0;
-    uint32_t round = 1;
-    bool repliedThisRound = false;  // sent ack or nack for `round`
-    std::map<uint32_t, RoundState> rounds;
-  };
-
-  InstanceState& state(Instance k) { return instances_[k]; }
-
-  void startRound(Instance k);
-  void coordinatorMaybePropose(Instance k, uint32_t r);
-  void coordinatorMaybeConclude(Instance k, uint32_t r);
-  void onSuspicion(ProcessId p);
-  void armRoundTimer(Instance k, uint32_t r);
-  [[nodiscard]] const ConsensusValue& proposalOf(Instance k, uint32_t r) {
-    return proposals_[{k, r}];
-  }
-
-  std::map<Instance, InstanceState> instances_;
-  // Proposal broadcast in (instance, round), remembered by every process so
-  // the coordinator can decide it in phase 4.
-  std::map<std::pair<Instance, uint32_t>, ConsensusValue> proposals_;
-};
-
-enum class ConsensusKind { kEarly, kCt };
+// The service has one kind. The tag and the factory remain for
+// benchmark/probes.cpp, which builds its consensus probe through
+// makeConsensus(ConsensusKind::kEarly, ...).
+enum class ConsensusKind { kEarly };
 
 std::unique_ptr<ConsensusService> makeConsensus(
     ConsensusKind kind, exec::Context& rt, ProcessId self,

@@ -1,6 +1,5 @@
 #include "core/experiment.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <sstream>
 #include <stdexcept>
@@ -55,17 +54,16 @@ std::unique_ptr<XcastNode> makeNode(ProtocolKind kind, exec::Context& rt,
   StackConfig stack = cfg.stack;
   switch (kind) {
     case ProtocolKind::kA1:
-      return std::make_unique<amcast::A1Node>(rt, pid, stack,
-                                              amcast::A1Options{true, true});
+      return std::make_unique<amcast::A1Node>(
+          rt, pid, stack, amcast::A1Options{.stageSkipping = true});
     case ProtocolKind::kFritzke98:
       // [5]: no stage skipping, uniform reliable multicast. Uniformity comes
       // from majority-of-own-group copies via INTRA-group relays ([6]'s
       // domain-based scheme), which keeps the primitive at latency degree 1
       // and hence [5] at degree 2, exactly as Figure 1a accounts it.
       stack.rmUniformity = rmcast::Uniformity::kUniform;
-      stack.rmRelay = rmcast::RelayPolicy::kIntraOnly;
       return std::make_unique<amcast::A1Node>(
-          rt, pid, stack, amcast::A1Options{false, false});
+          rt, pid, stack, amcast::A1Options{.stageSkipping = false});
     case ProtocolKind::kDelporte00:
       return std::make_unique<amcast::RingNode>(rt, pid, stack);
     case ProtocolKind::kRodrigues98:
@@ -179,9 +177,8 @@ Experiment::Experiment(RunConfig cfg) : cfg_(cfg) {
         [this](ProcessId sender, GroupSet dest,
                std::vector<AppMsgPtr> casts) {
           // Carrier ids come from the same allocator as cast ids so the
-          // two can never collide; checkMsgIdCeiling budgeted for them
-          // and allocCarrierId enforces the ceiling at mint time.
-          const MsgId cid = allocCarrierId();
+          // two can never collide.
+          const MsgId cid = nextMsgId_++;
           AppMsgPtr carrier = makeCarrier(cid, sender, dest, std::move(casts));
           // The window expires on the harness side (sim scheduler / threaded
           // driver wheel); the xcast itself must run where the sender's
@@ -231,54 +228,9 @@ void Experiment::validateCast(ProcessId sender, const GroupSet& dest) const {
   }
 }
 
-uint64_t Experiment::carrierBudget(uint64_t casts) const {
-  if (!batchingEnabled()) return 0;
-  const int s = cfg_.stack.batchMaxSize;
-  // No effective size cap (unbounded, or singleton batches): the flush
-  // pattern alone decides, and every cast may become its own carrier.
-  if (s <= 1) return casts;
-  return (casts + static_cast<uint64_t>(s) - 1) / static_cast<uint64_t>(s);
-}
-
-MsgId Experiment::allocCarrierId() {
-  if (cfg_.protocol == ProtocolKind::kRodrigues98 &&
-      nextMsgId_ >= amcast::RodriguesNode::kScopeBase) {
-    throw std::runtime_error(
-        "Rodrigues98: a batch-carrier id reached the kScopeBase "
-        "consensus-scope band (2^20) — the window-flush pattern minted more "
-        "carriers than the batchMaxSize budget anticipated. Lower the cast "
-        "budget, raise batchMaxSize, or split the run.");
-  }
-  return nextMsgId_++;
-}
-
-void Experiment::checkMsgIdCeiling(uint64_t pending) const {
-  if (cfg_.protocol != ProtocolKind::kRodrigues98) return;
-  const uint64_t ceiling = amcast::RodriguesNode::kScopeBase;
-  // Ids already reserved by installed-but-not-yet-drained workloads count
-  // against the budget too: generators allocate lazily, so the ceiling
-  // must be enforced against the eventual total, not the current counter.
-  // With batching on, carriers draw from the same allocator: the budget
-  // grows by the exact size-trigger carrier count (carrierBudget). A
-  // window-flush pattern that mints more is caught per carrier by
-  // allocCarrierId, so the upfront check can use the tight count instead
-  // of the old conservative 2x.
-  const uint64_t budget = reservedWorkloadIds_ + pending;
-  const uint64_t reach = nextMsgId_ + budget + carrierBudget(budget);
-  if (reach <= ceiling) return;
-  std::ostringstream os;
-  os << "Rodrigues98 runs one consensus instance per message under scope "
-     << "kScopeBase + msgId (kScopeBase = 2^20): a workload reaching msg id "
-     << (reach - 1)
-     << " would collide with the scope band. Split the run or use another "
-     << "protocol for >1M-message workloads (ROADMAP: scale ceilings).";
-  throw std::invalid_argument(os.str());
-}
-
 MsgId Experiment::castAt(SimTime when, ProcessId sender, GroupSet dest,
                          std::string body) {
   validateCast(sender, dest);
-  checkMsgIdCeiling(1);
   const MsgId id = nextMsgId_++;
   auto msg = makeAppMessage(id, sender, dest, std::move(body));
   // A harness event (Context::harnessAt), not an incarnation-bound
@@ -294,7 +246,6 @@ MsgId Experiment::castAt(SimTime when, ProcessId sender, GroupSet dest,
 
 MsgId Experiment::issueWorkloadCast(ProcessId sender, GroupSet dest,
                                     std::string body) {
-  if (reservedWorkloadIds_ > 0) --reservedWorkloadIds_;  // reserved -> used
   const MsgId id = nextMsgId_++;
   if (!ctx_->crashed(sender))
     dispatchCast(sender, makeAppMessage(id, sender, dest, std::move(body)));
@@ -327,15 +278,7 @@ void Experiment::dispatchCast(ProcessId sender, const AppMsgPtr& m) {
 
 workload::Generator& Experiment::addWorkload(workload::Spec spec) {
   // Generated senders/destinations are valid by construction; replayed
-  // trace entries are user input and validated up front, as is the total
-  // message-id budget of the workload (reserved now, consumed as the
-  // generator issues — layered workloads share one budget).
-  const uint64_t budget =
-      spec.model == workload::Model::kTraceReplay
-          ? static_cast<uint64_t>(spec.trace.size())
-          : static_cast<uint64_t>(std::max(spec.count, 0));
-  checkMsgIdCeiling(budget);
-  reservedWorkloadIds_ += budget;
+  // trace entries are user input and validated up front.
   if (spec.model == workload::Model::kTraceReplay) {
     // Validate the effective destination the generator will issue: empty
     // means "all groups", and broadcast protocols always get the full set.

@@ -167,9 +167,8 @@ class Experiment {
   // Schedule an A-XCast of a fresh message at simulated time `when`.
   // Returns the message id. For broadcast protocols pass the full group set
   // (or use castAllAt). Throws std::invalid_argument on an out-of-range
-  // sender, an empty or out-of-range destination set, a partial destination
-  // set under a broadcast protocol, or a Rodrigues98 workload that would
-  // exhaust the kScopeBase consensus-scope band.
+  // sender, an empty or out-of-range destination set, or a partial
+  // destination set under a broadcast protocol.
   MsgId castAt(SimTime when, ProcessId sender, GroupSet dest,
                std::string body = {});
   MsgId castAllAt(SimTime when, ProcessId sender, std::string body = {});
@@ -218,21 +217,6 @@ class Experiment {
   void validateCast(ProcessId sender, const GroupSet& dest) const;
   // Throws std::invalid_argument on an out-of-range pid (crash/recover).
   void checkPid(ProcessId pid, const char* what) const;
-  // Rejects message ids that would leave the Rodrigues98 consensus-scope
-  // band [kScopeBase, ...) collision-free territory (ROADMAP "Scale
-  // ceilings"): `pending` ids must fit below kScopeBase.
-  void checkMsgIdCeiling(uint64_t pending) const;
-  // Exact worst-case carrier-id count for `casts` batched casts, derived
-  // from batchMaxSize (0 when batching is off). The size trigger caps a
-  // carrier at batchMaxSize casts, so a budget of B casts mints at most
-  // ceil(B / batchMaxSize) carriers at steady state; with no effective
-  // size cap every cast may flush alone.
-  [[nodiscard]] uint64_t carrierBudget(uint64_t casts) const;
-  // Allocates a batch-carrier id, enforcing the Rodrigues98 scope ceiling
-  // exactly at mint time: a pathological window-flush pattern that makes
-  // more carriers than carrierBudget() anticipated throws here instead of
-  // colliding with the consensus-scope band.
-  MsgId allocCarrierId();
   // Issue a cast NOW, from inside a workload arrival event: the message id
   // is allocated unconditionally (so schedules stay stable under crashes),
   // but a crashed sender casts nothing — the semantics the legacy per-cast
@@ -275,10 +259,6 @@ class Experiment {
   // dispatched cast owes one A-Deliver. Touched only on the driver thread
   // (dispatchCast runs there); the sim backend ignores it.
   uint64_t expectedDeliveries_ = 0;
-  // Message ids promised to installed workloads but not yet allocated;
-  // counted by checkMsgIdCeiling so lazily-issued ids cannot sneak past
-  // the Rodrigues98 scope ceiling.
-  uint64_t reservedWorkloadIds_ = 0;
   bool started_ = false;
 };
 

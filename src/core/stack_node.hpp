@@ -25,23 +25,21 @@
 namespace wanmc::core {
 
 // How a protocol stack should be parameterized. One StackConfig is shared by
-// every node of a run.
+// every node of a run. Consensus is always the early-deciding service
+// (consensus/consensus.hpp), and reliable multicast always relays
+// intra-group (rmcast/rmcast.hpp).
 struct StackConfig {
   fd::FdKind fdKind = fd::FdKind::kOracle;
   SimTime fdOracleDelay = 50 * kMs;
+  // Own-group heartbeat lane; remote-group lanes (FailureDetector::
+  // addRemoteGroup) always run HeartbeatFd::remoteDefaults().
   fd::HeartbeatFd::Params fdHeartbeat{};
-  // Remote-group heartbeat lanes (stacks that widen the FD scope across
-  // groups, see FailureDetector::addRemoteGroup) tick/time out under
-  // WAN-sized parameters.
-  fd::HeartbeatFd::Params fdHeartbeatRemote = fd::HeartbeatFd::remoteDefaults();
-  consensus::ConsensusKind consensusKind = consensus::ConsensusKind::kEarly;
   // Per-round consensus progress timer (0 = off, the crash-stop default).
   // REQUIRED for liveness in crash-RECOVERY runs: an amnesiac rejoin can
   // be a round coordinator that is alive (never suspected) yet silent
   // forever, and only a timeout moves the round on. ScenarioRunner arms
   // this automatically for scenarios with a recovery schedule.
   SimTime consensusRoundTimeout = 0;
-  rmcast::RelayPolicy rmRelay = rmcast::RelayPolicy::kIntraOnly;
   rmcast::Uniformity rmUniformity = rmcast::Uniformity::kNonUniform;
   // Batching plane (src/core/batcher.hpp): casts sharing a (sender,
   // destination-set) key are accumulated for up to batchWindow and ordered
@@ -81,10 +79,9 @@ class StackNode : public exec::Process {
     // runs and the only place suspicion matters for the core algorithms.
     // (Stacks that run consensus across groups widen the scope themselves.)
     fd_ = fd::makeFd(cfg.fdKind, rt, pid, rt.topology().members(gid()),
-                     cfg.fdOracleDelay, cfg.fdHeartbeat,
-                     cfg.fdHeartbeatRemote);
-    rm_ = std::make_unique<rmcast::ReliableMulticast>(
-        rt, pid, cfg.rmRelay, cfg.rmUniformity);
+                     cfg.fdOracleDelay, cfg.fdHeartbeat);
+    rm_ = std::make_unique<rmcast::ReliableMulticast>(rt, pid,
+                                                      cfg.rmUniformity);
   }
 
   void onStart() override {
@@ -134,9 +131,9 @@ class StackNode : public exec::Process {
   // Creates a consensus service over `members` under scope id `scope`.
   consensus::ConsensusService& addConsensus(uint64_t scope,
                                             std::vector<ProcessId> members) {
-    auto svc = consensus::makeConsensus(cfg_.consensusKind, runtime(), pid(),
-                                        std::move(members), fd_.get(), scope,
-                                        cfg_.consensusRoundTimeout);
+    auto svc = std::make_unique<consensus::ConsensusService>(
+        runtime(), pid(), std::move(members), fd_.get(), scope,
+        cfg_.consensusRoundTimeout);
     auto* raw = svc.get();
     consensusByScope_[scope] = raw;
     ownedConsensus_.push_back(std::move(svc));

@@ -328,8 +328,8 @@ class Context {
   // since: the paper's "correct process" means NEVER crashed.
   [[nodiscard]] virtual bool everCrashed(ProcessId pid) const = 0;
   // Per-process "took part in the protocol" flags for the genuineness
-  // checker (layer kFailureDetector excluded: the paper's accounting treats
-  // the failure detector as an oracle).
+  // checker; only isAlgorithmic layers count (the paper's accounting
+  // treats the failure detector as an oracle).
   [[nodiscard]] virtual bool everSentAlgorithmic(ProcessId pid) const = 0;
   [[nodiscard]] virtual bool everReceivedAlgorithmic(ProcessId pid) const = 0;
 

@@ -120,9 +120,7 @@ void ThreadedRuntime::deliverEnvelope(ProcessId to, Envelope& e) {
   // max(LC, ts(send(m))). Relaxed: only this thread writes its clock.
   const uint64_t lc = me.lamport.load(std::memory_order_relaxed);
   me.lamport.store(std::max(lc, e.sendTs), std::memory_order_relaxed);
-  const Layer layer = e.payload->layer();
-  if (layer != Layer::kFailureDetector && layer != Layer::kBootstrap)
-    me.recvAlgo = true;
+  if (isAlgorithmic(e.payload->layer())) me.recvAlgo = true;
   me.node->onMessage(e.from, e.payload);
 }
 
@@ -175,8 +173,7 @@ void ThreadedRuntime::multicast(ProcessId from,
       me.lamport.load(std::memory_order_relaxed) + (anyInter ? 1 : 0);
   me.lamport.store(sendTs, std::memory_order_relaxed);
 
-  if (layer != Layer::kFailureDetector && layer != Layer::kBootstrap)
-    bumpAlgoSend(from, monoUs());
+  if (isAlgorithmic(layer)) bumpAlgoSend(from, monoUs());
 
   auto& counter = me.traffic.at(layer);
   for (ProcessId to : tos) {

@@ -190,12 +190,11 @@ class HeartbeatFd final : public FailureDetector {
 
   // `scope` is the set of processes this detector monitors (and
   // heartbeats) on its own-group lane; addRemoteGroup() adds one lane per
-  // remote group, parameterized by `remoteParams`.
+  // remote group, parameterized by remoteDefaults().
   HeartbeatFd(exec::Context& rt, ProcessId self, std::vector<ProcessId> scope,
-              Params params, Params remoteParams = remoteDefaults())
+              Params params)
       : rt_(rt),
         self_(self),
-        remoteParams_(remoteParams),
         lastHeard_(static_cast<size_t>(rt.topology().numProcesses()), 0),
         lastInc_(static_cast<size_t>(rt.topology().numProcesses()), 0),
         suspected_(static_cast<size_t>(rt.topology().numProcesses()), 0) {
@@ -210,7 +209,7 @@ class HeartbeatFd final : public FailureDetector {
 
   void addRemoteGroup(GroupId g,
                       const std::vector<ProcessId>& members) override {
-    addLane(g, members, remoteParams_);
+    addLane(g, members, remoteDefaults());
   }
 
   void start() override {
@@ -297,7 +296,6 @@ class HeartbeatFd final : public FailureDetector {
 
   exec::Context& rt_;
   ProcessId self_;
-  Params remoteParams_;
   bool started_ = false;
   std::vector<Lane> lanes_;
   std::vector<SimTime> lastHeard_;  // dense, indexed by pid
@@ -311,7 +309,6 @@ enum class FdKind { kOracle, kHeartbeat };
 std::unique_ptr<FailureDetector> makeFd(
     FdKind kind, exec::Context& rt, ProcessId self,
     std::vector<ProcessId> scope, SimTime oracleDelay = 0,
-    HeartbeatFd::Params hb = {},
-    HeartbeatFd::Params hbRemote = HeartbeatFd::remoteDefaults());
+    HeartbeatFd::Params hb = {});
 
 }  // namespace wanmc::fd

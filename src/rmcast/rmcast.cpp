@@ -72,9 +72,9 @@ void ReliableMulticast::relay(Seen& s, std::vector<ProcessId> dests,
   auto payload = std::make_shared<const RmPayload>(
       s.msg, /*relay=*/true,
       explicitScope ? dests : std::vector<ProcessId>{});
+  // Relay to the rest of our own group only (see the header).
   std::erase_if(dests, [&](ProcessId q) {
-    return q == self_ ||
-           (relay_ != RelayPolicy::kEager && topo.group(q) != myGroup);
+    return q == self_ || topo.group(q) != myGroup;
   });
   rt_.multicast(self_, dests, payload);
 }

@@ -2,34 +2,29 @@
 //
 // Non-uniform reliable multicast is the substrate A1 and A2 are built on.
 // The paper's accounting (Figure 1) charges the [6]-style oracle-based
-// primitive d(k-1) inter-group messages and latency degree 1; our default
-// configuration matches both numbers: the sender sends m directly to every
+// primitive d(k-1) inter-group messages and latency degree 1; this
+// implementation matches both numbers: the sender sends m directly to every
 // process in m.dest (d(k-1) inter-group packets when the sender's group is
 // one of the k destinations) and receivers relay intra-group on first sight.
 //
-// Relay policies:
-//  * kIntraOnly (default) — first sight triggers an intra-group relay only.
-//    This guarantees agreement among correct processes *within* each group.
-//    Cross-group agreement when the sender crashes mid-send is deliberately
-//    left to the layer above: the paper's footnote 4 points out that A1's
-//    (TS, m) messages "also serve the purpose of propagating m", and A2
-//    only ever R-MCasts within the sender's own group.
-//  * kEager — first sight triggers a relay to every process in m.dest.
-//    Textbook reliable multicast: full agreement under any single-process
-//    crash, at O((kd)^2) messages. Used by tests that isolate the primitive
-//    and by the uniform variant below.
+// Relay: first sight triggers an intra-group relay only. This guarantees
+// agreement among correct processes *within* each group. Cross-group
+// agreement when the sender crashes mid-send is deliberately left to the
+// layer above: the paper's footnote 4 points out that A1's (TS, m)
+// messages "also serve the purpose of propagating m", and A2 only ever
+// R-MCasts within the sender's own group.
 //
 // Uniformity:
 //  * kNonUniform (default) — R-Deliver on first sight (latency degree 1).
 //  * kUniform — R-Deliver only once copies from a majority of the process's
 //    own group have been seen (own relay counts). Delivery still happens at
-//    latency degree 1 because the extra hops are intra-group. Used by the
-//    Fritzke-et-al. baseline, which the paper contrasts with A1's
-//    non-uniform choice.
+//    latency degree 1 because the extra hops are intra-group ([6]'s
+//    domain-based scheme). Used by the Fritzke-et-al. baseline, which the
+//    paper contrasts with A1's non-uniform choice.
 //
 // Per message, a process keeps one Seen entry. Destinations are resolved
 // (and the relay sent) on first sight only; every later copy is a single
-// table lookup, plus a copy count under kUniform, the one policy that
+// table lookup, plus a copy count under kUniform, the one mode that
 // reads it.
 #pragma once
 
@@ -66,7 +61,6 @@ struct RmPayload final : Payload {
   }
 };
 
-enum class RelayPolicy { kIntraOnly, kEager };
 enum class Uniformity { kNonUniform, kUniform };
 
 class ReliableMulticast {
@@ -74,9 +68,8 @@ class ReliableMulticast {
   using DeliverCb = std::function<void(const AppMsgPtr&)>;
 
   ReliableMulticast(exec::Context& rt, ProcessId self,
-                    RelayPolicy relay = RelayPolicy::kIntraOnly,
                     Uniformity uniformity = Uniformity::kNonUniform)
-      : rt_(rt), self_(self), relay_(relay), uniformity_(uniformity) {}
+      : rt_(rt), self_(self), uniformity_(uniformity) {}
 
   void onDeliver(DeliverCb cb) { deliverCbs_.push_back(std::move(cb)); }
 
@@ -128,7 +121,6 @@ class ReliableMulticast {
 
   exec::Context& rt_;
   ProcessId self_;
-  RelayPolicy relay_;
   Uniformity uniformity_;
   std::vector<DeliverCb> deliverCbs_;
   std::map<MsgId, Seen> seen_;

@@ -53,10 +53,10 @@ WANMC_HOT void Runtime::multicast(ProcessId from,
   senderClock = sendTs;
 
   if (layer != Layer::kFailureDetector) {
-    // Bootstrap state transfer is substrate control traffic, like the FD
-    // and the channel plane's ACK/NACK: it neither counts as algorithmic
+    // Bootstrap state transfer is substrate, like the FD and the channel
+    // plane's ACK/NACK (isAlgorithmic): it neither counts as algorithmic
     // activity (genuineness) nor resets the quiescence clock.
-    if (layer != Layer::kBootstrap) {
+    if (isAlgorithmic(layer)) {
       lastAlgoSend_ = sched_.now();
       sentAlgo_[static_cast<size_t>(from)] = 1;
     }
@@ -139,9 +139,7 @@ WANMC_HOT void Runtime::channelSend(ProcessId from, ProcessId to,
   // counts as algorithmic activity nor resets the quiescence clock. DATA
   // (re)transmissions are accounted under their inner layer and do —
   // except bootstrap DATA, which is substrate all the way down.
-  if (accountLayer != Layer::kFailureDetector &&
-      accountLayer != Layer::kChannel &&
-      accountLayer != Layer::kBootstrap) {
+  if (isAlgorithmic(accountLayer)) {
     lastAlgoSend_ = sched_.now();
     sentAlgo_[static_cast<size_t>(from)] = 1;
   }
@@ -166,9 +164,7 @@ void Runtime::deliverFromChannel(ProcessId from, ProcessId to,
   // retransmissions it took, the Lamport cost model sees one send event.
   uint64_t& recvClock = lamport_[static_cast<size_t>(to)];
   recvClock = std::max(recvClock, sendTs);
-  if (payload->layer() != Layer::kFailureDetector &&
-      payload->layer() != Layer::kBootstrap)
-    recvAlgo_[static_cast<size_t>(to)] = 1;
+  if (isAlgorithmic(payload->layer())) recvAlgo_[static_cast<size_t>(to)] = 1;
   nodes_[static_cast<size_t>(to)]->onMessage(from, payload);
 }
 
@@ -178,8 +174,7 @@ WANMC_HOT void Runtime::deliverCopy(Fanout& f, ProcessId to) {
     // max(LC, ts(send(m))).
     uint64_t& recvClock = lamport_[static_cast<size_t>(to)];
     recvClock = std::max(recvClock, f.sendTs);
-    if (f.layer != Layer::kFailureDetector && f.layer != Layer::kBootstrap)
-      recvAlgo_[static_cast<size_t>(to)] = 1;
+    if (isAlgorithmic(f.layer)) recvAlgo_[static_cast<size_t>(to)] = 1;
     nodes_[static_cast<size_t>(to)]->onMessage(f.from, f.payload);
   }
   if (--f.pending == 0) releaseFanout(&f);

@@ -210,26 +210,6 @@ TEST(A1, Footnote4TsMessagesPropagateTheMessage) {
   EXPECT_TRUE(v.empty()) << v[0];
 }
 
-TEST(A1, CtConsensusYieldsSameDeliveryOrder) {
-  // The protocol's order must not depend on which consensus implementation
-  // runs underneath (both are uniform consensus).
-  auto orderWith = [](consensus::ConsensusKind kind) {
-    auto c = cfg(3, 2, 4);
-    c.stack.consensusKind = kind;
-    Experiment ex(c);
-    ex.castAt(kMs, 0, GroupSet::of({0, 1}), "a");
-    ex.castAt(kMs + 1, 2, GroupSet::of({0, 1}), "b");
-    ex.castAt(kMs + 2, 1, GroupSet::of({0, 1}), "c");
-    auto r = ex.run(600 * kSec);
-    EXPECT_TRUE(r.checkAtomicSuite().empty());
-    return r.trace.sequences()[0];
-  };
-  // Both runs must be internally consistent; the orders may differ between
-  // implementations (both are admissible), but each must deliver all three.
-  EXPECT_EQ(orderWith(consensus::ConsensusKind::kEarly).size(), 3u);
-  EXPECT_EQ(orderWith(consensus::ConsensusKind::kCt).size(), 3u);
-}
-
 class A1Sweep : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 
 TEST_P(A1Sweep, SafetyAcrossTopologiesAndSeeds) {

@@ -3,8 +3,14 @@
 // Aguilera-Strom DetMerge00 [1].
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <vector>
+
 #include "abcast/sequencer_node.hpp"
+#include "amcast/rodrigues_node.hpp"
 #include "core/experiment.hpp"
+#include "sim/runtime.hpp"
 #include "testing/scenario.hpp"
 
 namespace wanmc {
@@ -145,6 +151,44 @@ TEST(Rodrigues98, GenuineOnlyAddresseesParticipate) {
   auto r = ex.run();
   auto v = verify::checkGenuineness(r.checkContext(), r.genuineness);
   EXPECT_TRUE(v.empty()) << v[0];
+}
+
+TEST(Rodrigues98, IdsAcrossTheScopeBandDeliverInOneOrder) {
+  // Each message's consensus runs under scope kScopeBase + id (kScopeBase
+  // = 2^20), so ids at, past and far past 2^20 must order like small
+  // ones. Hand-made messages on a bare runtime: no Experiment allocates
+  // the ids.
+  sim::Runtime rt(Topology(2, 3),
+                  sim::LatencyModel{kMs, 2 * kMs, 95 * kMs, 110 * kMs}, 1);
+  const core::StackConfig stack;
+  std::vector<amcast::RodriguesNode*> nodes;
+  for (ProcessId p = 0; p < 6; ++p) {
+    auto n = std::make_unique<amcast::RodriguesNode>(rt, p, stack);
+    nodes.push_back(n.get());
+    rt.attach(p, std::move(n));
+  }
+  rt.start();
+  const std::vector<MsgId> ids = {1, MsgId{1} << 20, (MsgId{1} << 20) + 1,
+                                  MsgId{1} << 40, 5};
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const auto sender = static_cast<ProcessId>(i % nodes.size());
+    nodes[i % nodes.size()]->xcast(
+        makeAppMessage(ids[i], sender, GroupSet::of({0, 1})));
+  }
+  rt.run();
+  auto orderAt = [](const amcast::RodriguesNode* n) {
+    std::vector<MsgId> order;
+    for (const AppMsgPtr& m : n->delivered()) order.push_back(m->id);
+    return order;
+  };
+  const std::vector<MsgId> first = orderAt(nodes[0]);
+  std::vector<MsgId> sorted = first;
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<MsgId> want = ids;
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(sorted, want);
+  for (size_t p = 1; p < nodes.size(); ++p)
+    EXPECT_EQ(orderAt(nodes[p]), first) << "p" << p;
 }
 
 TEST(ViaBcast, LatencyDegreeOneWhenWarmButNotGenuine) {

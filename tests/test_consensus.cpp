@@ -1,5 +1,5 @@
-// Unit tests for the per-group uniform consensus implementations
-// (EarlyConsensus and CtConsensus), including crash and suspicion cases.
+// Unit tests for the early-deciding uniform consensus service
+// (consensus::ConsensusService), including crash and suspicion cases.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -39,16 +39,13 @@ class ConsensusHost final : public core::StackNode {
 };
 
 struct Fixture {
-  explicit Fixture(int procs, ConsensusKind kind, uint64_t seed = 1,
-                   fd::FdKind fdKind = fd::FdKind::kOracle)
-      : Fixture(1, procs, kind, seed, fdKind) {}
-  Fixture(int groups, int procsPerGroup, ConsensusKind kind,
-          uint64_t seed = 1, fd::FdKind fdKind = fd::FdKind::kOracle)
+  explicit Fixture(int procs) : Fixture(1, procs) {}
+  Fixture(int groups, int procsPerGroup, uint64_t seed = 1,
+          fd::FdKind fdKind = fd::FdKind::kOracle)
       : rt(Topology(groups, procsPerGroup),
            sim::LatencyModel::fixed(kMs, 100 * kMs), seed) {
     const int procs = groups * procsPerGroup;
     core::StackConfig cfg;
-    cfg.consensusKind = kind;
     cfg.fdKind = fdKind;
     cfg.fdOracleDelay = 10 * kMs;
     for (ProcessId p = 0; p < procs; ++p) {
@@ -65,10 +62,12 @@ struct Fixture {
 
 ConsensusValue num(uint64_t v) { return ConsensusValue{v}; }
 
+// Instantiated once per ConsensusKind; kEarly is the only kind, so every
+// case runs the one service and is named "<case>/Early".
 class ConsensusParamTest : public ::testing::TestWithParam<ConsensusKind> {};
 
 TEST_P(ConsensusParamTest, SingleProcessDecidesOwnValue) {
-  Fixture f(1, GetParam());
+  Fixture f(1);
   f.hosts[0]->svc->propose(1, num(42));
   f.rt.run();
   ASSERT_TRUE(f.hosts[0]->decisions.count(1));
@@ -76,7 +75,7 @@ TEST_P(ConsensusParamTest, SingleProcessDecidesOwnValue) {
 }
 
 TEST_P(ConsensusParamTest, AllDecideSameValue) {
-  Fixture f(3, GetParam());
+  Fixture f(3);
   for (int p = 0; p < 3; ++p)
     f.hosts[p]->svc->propose(1, num(100 + static_cast<uint64_t>(p)));
   f.rt.run();
@@ -88,7 +87,7 @@ TEST_P(ConsensusParamTest, AllDecideSameValue) {
 }
 
 TEST_P(ConsensusParamTest, UniformIntegrityDecidedWasProposed) {
-  Fixture f(5, GetParam());
+  Fixture f(5);
   for (int p = 0; p < 5; ++p)
     f.hosts[p]->svc->propose(1, num(static_cast<uint64_t>(p)));
   f.rt.run();
@@ -97,7 +96,7 @@ TEST_P(ConsensusParamTest, UniformIntegrityDecidedWasProposed) {
 }
 
 TEST_P(ConsensusParamTest, IndependentInstances) {
-  Fixture f(3, GetParam());
+  Fixture f(3);
   for (int p = 0; p < 3; ++p) {
     f.hosts[p]->svc->propose(7, num(70));
     f.hosts[p]->svc->propose(9, num(90));
@@ -110,7 +109,7 @@ TEST_P(ConsensusParamTest, IndependentInstances) {
 }
 
 TEST_P(ConsensusParamTest, LatecomerProposerStillDecides) {
-  Fixture f(3, GetParam());
+  Fixture f(3);
   f.hosts[0]->svc->propose(1, num(5));
   f.hosts[1]->svc->propose(1, num(6));
   f.rt.run();  // majority may already decide
@@ -124,7 +123,7 @@ TEST_P(ConsensusParamTest, LatecomerProposerStillDecides) {
 }
 
 TEST_P(ConsensusParamTest, ToleratesMinorityCrashBeforePropose) {
-  Fixture f(3, GetParam());
+  Fixture f(3);
   f.rt.crash(2);
   f.hosts[0]->svc->propose(1, num(11));
   f.hosts[1]->svc->propose(1, num(12));
@@ -136,7 +135,7 @@ TEST_P(ConsensusParamTest, ToleratesMinorityCrashBeforePropose) {
 }
 
 TEST_P(ConsensusParamTest, ToleratesCoordinatorCrashMidInstance) {
-  Fixture f(5, GetParam());
+  Fixture f(5);
   // The round-1 coordinator of instance 1 is members[(1 + 0) % 5] = p1.
   // Crash it shortly after proposals go out.
   for (int p = 0; p < 5; ++p)
@@ -154,7 +153,7 @@ TEST_P(ConsensusParamTest, ToleratesCoordinatorCrashMidInstance) {
 }
 
 TEST_P(ConsensusParamTest, ManySequentialInstances) {
-  Fixture f(3, GetParam());
+  Fixture f(3);
   for (Instance k = 1; k <= 20; ++k)
     for (int p = 0; p < 3; ++p) f.hosts[p]->svc->propose(k, num(k * 10));
   f.rt.run();
@@ -165,7 +164,7 @@ TEST_P(ConsensusParamTest, ManySequentialInstances) {
 
 TEST_P(ConsensusParamTest, SparseInstanceNumbers) {
   // A1 numbers instances by the (jumping) group clock.
-  Fixture f(3, GetParam());
+  Fixture f(3);
   for (Instance k : {5u, 17u, 1000000u})
     for (int p = 0; p < 3; ++p) f.hosts[p]->svc->propose(k, num(k));
   f.rt.run();
@@ -175,7 +174,7 @@ TEST_P(ConsensusParamTest, SparseInstanceNumbers) {
 }
 
 TEST_P(ConsensusParamTest, SecondProposalPerInstanceIgnored) {
-  Fixture f(3, GetParam());
+  Fixture f(3);
   for (int p = 0; p < 3; ++p) f.hosts[p]->svc->propose(1, num(1));
   f.rt.run();
   const auto before = f.hosts[0]->decisions[1];
@@ -185,7 +184,7 @@ TEST_P(ConsensusParamTest, SecondProposalPerInstanceIgnored) {
 }
 
 TEST_P(ConsensusParamTest, WorksWithHeartbeatFd) {
-  Fixture f(3, GetParam(), /*seed=*/3, fd::FdKind::kHeartbeat);
+  Fixture f(1, 3, /*seed=*/3, fd::FdKind::kHeartbeat);
   for (int p = 0; p < 3; ++p) f.hosts[p]->svc->propose(1, num(8));
   f.rt.run(5 * kSec);  // heartbeats never stop; bound the run
   for (int p = 0; p < 3; ++p)
@@ -193,7 +192,7 @@ TEST_P(ConsensusParamTest, WorksWithHeartbeatFd) {
 }
 
 TEST_P(ConsensusParamTest, CrashWithHeartbeatFdStillLive) {
-  Fixture f(3, GetParam(), /*seed=*/4, fd::FdKind::kHeartbeat);
+  Fixture f(1, 3, /*seed=*/4, fd::FdKind::kHeartbeat);
   for (int p = 0; p < 3; ++p)
     f.hosts[p]->svc->propose(1, num(static_cast<uint64_t>(p)));
   f.rt.scheduleCrash(1, kMs);
@@ -205,7 +204,7 @@ TEST_P(ConsensusParamTest, CrashWithHeartbeatFdStillLive) {
 }
 
 TEST_P(ConsensusParamTest, BundleValuesRoundTrip) {
-  Fixture f(3, GetParam());
+  Fixture f(3);
   MsgBundle b{makeAppMessage(3, 0, GroupSet::of({0})),
               makeAppMessage(1, 1, GroupSet::of({0}))};
   canonicalize(b);
@@ -232,27 +231,22 @@ TEST_P(ConsensusParamTest, BundleValuesRoundTrip) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, ConsensusParamTest,
-                         ::testing::Values(ConsensusKind::kEarly,
-                                           ConsensusKind::kCt),
-                         [](const auto& info) {
-                           return info.param == ConsensusKind::kEarly
-                                      ? "Early"
-                                      : "ChandraToueg";
-                         });
+                         ::testing::Values(ConsensusKind::kEarly),
+                         [](const auto&) { return "Early"; });
 
 TEST(EarlyConsensus, DecidesInTwoIntraDelaysFailureFree) {
   // The early-deciding fast path: propose -> PROPOSE broadcast -> ACK
   // broadcast -> decide. With 1ms intra links that is ~2-3ms, well under
   // one WAN delay — the basis of the paper's "consensus costs no
   // inter-group delay" accounting.
-  Fixture f(3, ConsensusKind::kEarly);
+  Fixture f(3);
   for (int p = 0; p < 3; ++p) f.hosts[p]->svc->propose(1, num(1));
   f.rt.run(5 * kMs);
   for (int p = 0; p < 3; ++p) EXPECT_TRUE(f.hosts[p]->decisions.count(1));
 }
 
 TEST(Consensus, NoInterGroupTrafficForGroupScopedInstances) {
-  Fixture f(3, ConsensusKind::kEarly);
+  Fixture f(3);
   for (int p = 0; p < 3; ++p) f.hosts[p]->svc->propose(1, num(1));
   f.rt.run();
   EXPECT_EQ(f.rt.traffic().at(Layer::kConsensus).inter, 0u);
@@ -264,7 +258,7 @@ TEST(EarlyConsensus, AcrossGroupsCostsTwoDelaysAndQuadraticMessages) {
   // at modified-Lamport degree 2 (every clock starts at 0), and the
   // instance sends at most 2kd(kd-1) inter-group messages.
   for (auto [k, d] : {std::pair{2, 2}, {2, 3}, {3, 2}, {3, 3}}) {
-    Fixture f(k, d, ConsensusKind::kEarly);
+    Fixture f(k, d);
     const int n = k * d;
     for (int p = 0; p < n; ++p) f.hosts[p]->svc->propose(1, num(42));
     f.rt.run();

@@ -115,8 +115,7 @@ class ScopedFdHost final : public sim::Node {
       : sim::Node(rt, pid) {
     det = fd::makeFd(kind, rt, pid, rt.topology().members(gid()),
                      /*oracleDelay=*/0,
-                     fd::HeartbeatFd::Params{20 * kMs, 80 * kMs},
-                     fd::HeartbeatFd::Params{60 * kMs, 400 * kMs});
+                     fd::HeartbeatFd::Params{20 * kMs, 80 * kMs});
     for (GroupId g = 0; g < rt.topology().numGroups(); ++g)
       if (g != gid()) det->addRemoteGroup(g, rt.topology().members(g));
     det->onSuspicion([this](ProcessId p) { suspicions.push_back(p); });

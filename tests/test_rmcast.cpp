@@ -9,16 +9,14 @@
 namespace wanmc {
 namespace {
 
-using rmcast::RelayPolicy;
 using rmcast::ReliableMulticast;
 using rmcast::RmPayload;
 using rmcast::Uniformity;
 
 class RmHost final : public sim::Node {
  public:
-  RmHost(sim::Runtime& rt, ProcessId pid, RelayPolicy relay,
-         Uniformity uniformity)
-      : sim::Node(rt, pid), rm(rt, pid, relay, uniformity) {
+  RmHost(sim::Runtime& rt, ProcessId pid, Uniformity uniformity)
+      : sim::Node(rt, pid), rm(rt, pid, uniformity) {
     rm.onDeliver([this](const AppMsgPtr& m) { delivered.push_back(m->id); });
   }
   void onMessage(ProcessId from, const PayloadPtr& p) override {
@@ -29,13 +27,12 @@ class RmHost final : public sim::Node {
 };
 
 struct Fixture {
-  Fixture(int groups, int procs,
-          RelayPolicy relay = RelayPolicy::kIntraOnly,
-          Uniformity uni = Uniformity::kNonUniform, uint64_t seed = 1)
+  Fixture(int groups, int procs, Uniformity uni = Uniformity::kNonUniform,
+          uint64_t seed = 1)
       : rt(Topology(groups, procs),
            sim::LatencyModel::fixed(kMs, 100 * kMs), seed) {
     for (ProcessId p = 0; p < groups * procs; ++p) {
-      auto n = std::make_unique<RmHost>(rt, p, relay, uni);
+      auto n = std::make_unique<RmHost>(rt, p, uni);
       hosts.push_back(n.get());
       rt.attach(p, std::move(n));
     }
@@ -124,24 +121,8 @@ TEST(RMcastNonUniform, IntraGroupAgreementUnderOmission) {
   EXPECT_EQ(f.hosts[4]->delivered, std::vector<MsgId>{1});
 }
 
-TEST(RMcastEager, CrossGroupAgreementWhenWholeGroupMissed) {
-  // Drop every direct packet to group 1; with eager relay, group 0's
-  // processes re-send to group 1, so agreement holds across groups.
-  Fixture f(2, 2, RelayPolicy::kEager);
-  f.rt.setDropFilter([&f](ProcessId from, ProcessId to, const Payload& p) {
-    const auto* rm = dynamic_cast<const RmPayload*>(&p);
-    return rm != nullptr && !rm->isRelay && from == 0 &&
-           f.rt.topology().group(to) == 1;
-  });
-  auto m = makeAppMessage(1, 0, GroupSet::of({0, 1}));
-  f.hosts[0]->rm.rmcast(m);
-  f.rt.run();
-  EXPECT_EQ(f.hosts[2]->delivered, std::vector<MsgId>{1});
-  EXPECT_EQ(f.hosts[3]->delivered, std::vector<MsgId>{1});
-}
-
 TEST(RMcastUniform, DeliversAfterMajorityCopies) {
-  Fixture f(2, 3, RelayPolicy::kEager, Uniformity::kUniform);
+  Fixture f(2, 3, Uniformity::kUniform);
   auto m = makeAppMessage(1, 0, GroupSet::of({0, 1}));
   f.hosts[0]->rm.rmcast(m);
   f.rt.run();
@@ -152,9 +133,9 @@ TEST(RMcastUniform, DeliversAfterMajorityCopies) {
 TEST(RMcastUniform, StillLatencyDegreeOne) {
   // The majority copies are intra-group: uniformity does not add an
   // inter-group delay (matches the paper's degree-1 accounting for [6]).
-  // Note: eager relays keep flying after the last delivery, so we check
+  // Note: relays keep flying after the last delivery, so we check
   // delivery times, not when the event queue drains.
-  Fixture f(2, 3, RelayPolicy::kEager, Uniformity::kUniform);
+  Fixture f(2, 3, Uniformity::kUniform);
   std::vector<SimTime> deliveredAt(6, -1);
   for (ProcessId p = 0; p < 6; ++p)
     f.hosts[p]->rm.onDeliver([&, p](const AppMsgPtr&) {
@@ -170,7 +151,7 @@ TEST(RMcastUniform, StillLatencyDegreeOne) {
 }
 
 TEST(RMcastUniform, SingleProcessGroups) {
-  Fixture f(3, 1, RelayPolicy::kEager, Uniformity::kUniform);
+  Fixture f(3, 1, Uniformity::kUniform);
   auto m = makeAppMessage(1, 0, GroupSet::of({0, 1, 2}));
   f.hosts[0]->rm.rmcast(m);
   f.rt.run();

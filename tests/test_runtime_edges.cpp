@@ -97,10 +97,9 @@ class ConsHost final : public core::StackNode {
 };
 
 struct ConsFixture {
-  ConsFixture(int procs, consensus::ConsensusKind kind)
+  explicit ConsFixture(int procs)
       : rt(Topology(1, procs), sim::LatencyModel::fixed(kMs, 100 * kMs), 1) {
     core::StackConfig cfg;
-    cfg.consensusKind = kind;
     for (ProcessId p = 0; p < procs; ++p) {
       auto n = std::make_unique<ConsHost>(rt, p, cfg);
       hosts.push_back(n.get());
@@ -115,7 +114,7 @@ struct ConsFixture {
 TEST(ConsensusEdge, NonProposerStillLearnsViaDecideRelay) {
   // p2 never proposes; uniform agreement must still reach it (DECIDE
   // relay / ack broadcasts).
-  ConsFixture f(3, consensus::ConsensusKind::kEarly);
+  ConsFixture f(3);
   f.hosts[0]->svc->propose(1, uint64_t{7});
   f.hosts[1]->svc->propose(1, uint64_t{8});
   f.rt.run();
@@ -127,7 +126,7 @@ TEST(ConsensusEdge, NonProposerStillLearnsViaDecideRelay) {
 TEST(ConsensusEdge, TwoProcessGroupNeedsBoth) {
   // Majority of 2 is 2: with one process silent, no decision; once it
   // proposes, both decide.
-  ConsFixture f(2, consensus::ConsensusKind::kEarly);
+  ConsFixture f(2);
   f.hosts[0]->svc->propose(1, uint64_t{1});
   f.rt.run(kSec);
   EXPECT_FALSE(f.hosts[0]->decisions.count(1));
@@ -138,7 +137,7 @@ TEST(ConsensusEdge, TwoProcessGroupNeedsBoth) {
 }
 
 TEST(ConsensusEdge, InterleavedInstancesDecideIndependently) {
-  ConsFixture f(3, consensus::ConsensusKind::kCt);
+  ConsFixture f(3);
   // Propose instances out of order and interleaved across processes.
   f.hosts[0]->svc->propose(2, uint64_t{20});
   f.hosts[1]->svc->propose(1, uint64_t{10});
@@ -158,7 +157,7 @@ TEST(ConsensusEdge, InterleavedInstancesDecideIndependently) {
 TEST(ConsensusEdge, DecisionSurvivesLateCrashOfEveryoneButOne) {
   // After the decision is reached, crash all but one process: the decision
   // set must already be consistent (uniformity: what was decided stays).
-  ConsFixture f(3, consensus::ConsensusKind::kEarly);
+  ConsFixture f(3);
   for (int p = 0; p < 3; ++p)
     f.hosts[p]->svc->propose(1, uint64_t{static_cast<uint64_t>(p)});
   f.rt.run();
@@ -170,7 +169,7 @@ TEST(ConsensusEdge, DecisionSurvivesLateCrashOfEveryoneButOne) {
 }
 
 TEST(ConsensusEdge, A1EntryValuesRoundTrip) {
-  ConsFixture f(3, consensus::ConsensusKind::kEarly);
+  ConsFixture f(3);
   A1EntrySet set;
   set.push_back(A1Entry{makeAppMessage(5, 0, GroupSet::of({0})),
                         Stage::s0, 0});
