@@ -125,7 +125,7 @@ void A1Node::handleDecided(consensus::Instance k, const A1EntrySet& entries) {
     } else if (m->dest.size() > 1) {
       // lines 21-24: define this group's proposal (= k) and exchange it.
       tsProposals_[m->id][gid()] = k;
-      sendToMany(topology().membersOf(m->dest.without(gid())),
+      sendToMany(tsDests_.of(m->dest.without(gid())),
                  std::make_shared<const TsPayload>(m, k, gid()));  // line 24
       newlyS1.push_back(m->id);
     } else if (opts_.stageSkipping) {
@@ -232,7 +232,8 @@ std::shared_ptr<bootstrap::ProtocolState> A1Node::snapshotProtocolState()
   s->K = K_;
   s->propK = propK_;
   s->pending = pending_;
-  s->adelivered = adelivered_;
+  // wanmc-lint: allow(D2): insert into an ordered container
+  s->adelivered.insert(adelivered_.begin(), adelivered_.end());
   s->tsProposals = tsProposals_;
   s->decisionBuffer = decisionBuffer_;
   return s;

@@ -28,14 +28,19 @@
 // minimum instead of scanning, and the ids of the s0/s2 entries, in id
 // order, which is exactly the canonical proposal a new instance takes.
 // Decisions arrive as shared values (common/consensus_value.hpp); the
-// decision buffer holds them without copying.
+// decision buffer holds them without copying. The A-Delivered ids, which
+// every R-Deliver, decided entry and (TS, m) copy checks and which grow
+// for the whole run, are a hash set; the snapshot orders them. The (TS, m)
+// fan-out reuses one member list per destination set (MemberLists).
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <set>
 #include <string>
+#include <unordered_set>
 #include <utility>
+#include <vector>
 
 #include "common/consensus_value.hpp"
 #include "core/stack_node.hpp"
@@ -83,6 +88,9 @@ class A1Node final : public core::XcastNode {
   // Messages with timestamp proposals on record; empty once every pending
   // message is A-Delivered.
   [[nodiscard]] size_t stampTableSize() const { return tsProposals_.size(); }
+  [[nodiscard]] const consensus::ConsensusService& groupConsensus() const {
+    return *groupConsensus_;
+  }
 
  protected:
   void onProtocolMessage(ProcessId from, const PayloadPtr& p) override;
@@ -139,12 +147,14 @@ class A1Node final : public core::XcastNode {
   std::map<MsgId, Pend> pending_;
   std::set<std::pair<uint64_t, MsgId>> pendingByTs_;  // every entry
   std::set<MsgId> proposable_;                        // s0/s2 entries
-  std::set<MsgId> adelivered_;
+  std::unordered_set<MsgId> adelivered_;
   // Remote (and own) timestamp proposals per pending message, per group.
   std::map<MsgId, std::map<GroupId, uint64_t>> tsProposals_;
   // Decisions that arrived before our clock reached their instance.
   std::map<consensus::Instance, ConsensusValue> decisionBuffer_;
   uint64_t instancesDecided_ = 0;
+  // The (TS, m) fan-out lists: the members of m.dest minus our group.
+  MemberLists tsDests_{topology()};
 };
 
 }  // namespace wanmc::amcast

@@ -49,28 +49,40 @@ ConsensusService::ConsensusService(exec::Context& rt, ProcessId self,
     fd_->onSuspicion([this](ProcessId p) { onSuspicion(p); });
 }
 
-bool ConsensusService::maybeRetransmitDecision(ProcessId from, Instance k) {
-  if (roundTimeout_ == 0) return false;
-  auto it = decided_.find(k);
-  if (it == decided_.end()) return false;
-  rt_.send(self_, from,
-           makePayload(scope_, k, 0, ConsensusPayload::Type::kDecide,
-                       it->second));
-  return true;
+ConsensusService::RoundState& ConsensusService::InstanceState::roundState(
+    uint32_t r) {
+  for (RoundState& rs : rounds)
+    if (rs.number == r) return rs;
+  RoundState& rs = rounds.emplace_back();
+  rs.number = r;
+  return rs;
+}
+
+std::map<Instance, ConsensusValue> ConsensusService::decisions() const {
+  std::map<Instance, ConsensusValue> out;
+  // wanmc-lint: allow(D2): insert into an ordered container
+  for (const auto& [k, d] : decided_) out.emplace(k, d.value);
+  return out;
+}
+
+void ConsensusService::installDecisions(
+    const std::map<Instance, ConsensusValue>& ds) {
+  for (const auto& [k, v] : ds) decided_.emplace(k, Decision{v, false});
 }
 
 void ConsensusService::propose(Instance k, ConsensusValue v) {
-  auto& st = state(k);
-  if (st.joined || st.decidedFlag) return;  // one proposal per instance
+  if (auto d = decided_.find(k); d != decided_.end() && d->second.here)
+    return;
+  auto& st = instances_[k];
+  if (st.joined) return;  // one proposal per instance
   st.joined = true;
   st.estimate = std::move(v);
   st.estRound = 0;
-  enterRound(k, st.round);
+  enterRound(k, st, st.round);
 }
 
-void ConsensusService::enterRound(Instance k, uint32_t r) {
-  auto& st = state(k);
-  if (st.decidedFlag || !st.joined) return;
+void ConsensusService::enterRound(Instance k, InstanceState& st, uint32_t r) {
+  if (!st.joined) return;
   // Bound the fast-forward: after a full rotation we are our own coordinator
   // and never suspect ourselves, so this loop always terminates.
   for (uint32_t round = r;; ++round) {
@@ -81,17 +93,20 @@ void ConsensusService::enterRound(Instance k, uint32_t r) {
       // Early decision: the first-round coordinator broadcasts its own
       // proposal without collecting estimates. No lock can exist yet, so
       // this is safe, and it is what buys the two-delay fast path.
-      if (c == self_ && !st.rounds[1].proposalSent) {
-        st.rounds[1].proposalSent = true;
-        broadcast(makePayload(scope_, k, 1, ConsensusPayload::Type::kPropose,
-                              st.estimate, st.estRound));
+      if (c == self_) {
+        RoundState& rs = st.roundState(1);
+        if (!rs.proposalSent) {
+          rs.proposalSent = true;
+          broadcast(makePayload(scope_, k, 1, ConsensusPayload::Type::kPropose,
+                                st.estimate, st.estRound));
+        }
       }
     } else {
       sendToCoord(k, round,
                   makePayload(scope_, k, round,
                               ConsensusPayload::Type::kEstimate, st.estimate,
                               st.estRound));
-      coordinatorMaybePropose(k, round);  // self-coordinated rounds
+      coordinatorMaybePropose(k, st, round);  // self-coordinated rounds
     }
     break;
   }
@@ -108,28 +123,26 @@ void ConsensusService::armRoundTimer(Instance k, uint32_t r) {
   // runs: every pre-v2 schedule is preserved exactly.
   if (roundTimeout_ == 0) return;
   rt_.timer(self_, roundTimeout_, [this, k, r]() {
-    auto& st = state(k);
-    if (st.decidedFlag || !st.joined || st.round != r) return;  // stale
-    enterRound(k, r + 1);
+    auto it = instances_.find(k);
+    if (it == instances_.end()) return;  // decided since
+    InstanceState& st = it->second;
+    if (!st.joined || st.round != r) return;  // stale
+    enterRound(k, st, r + 1);
   });
 }
 
-void ConsensusService::coordinatorMaybePropose(Instance k, uint32_t r) {
+void ConsensusService::coordinatorMaybePropose(Instance k, InstanceState& st,
+                                               uint32_t r) {
   if (r <= 1) return;  // round 1 never collects estimates
-  auto& st = state(k);
-  if (st.decidedFlag) return;
   if (coordinator(k, r) != self_) return;
-  auto& rs = st.rounds[r];
+  RoundState& rs = st.roundState(r);
   if (rs.proposalSent || rs.estimates.size() < majority()) return;
   // Pick the most recently locked estimate (indulgent locking rule).
   const Estimate* best = nullptr;
-  ProcessId bestPid = kNoProcess;
-  for (const auto& [pid, est] : rs.estimates) {
+  for (const Estimate& est : rs.estimates) {
     if (best == nullptr || est.estRound > best->estRound ||
-        (est.estRound == best->estRound && pid < bestPid)) {
+        (est.estRound == best->estRound && est.from < best->from))
       best = &est;
-      bestPid = pid;
-    }
   }
   assert(best != nullptr);
   rs.proposalSent = true;
@@ -137,63 +150,69 @@ void ConsensusService::coordinatorMaybePropose(Instance k, uint32_t r) {
                         best->value, r));
 }
 
-void ConsensusService::maybeDecideOnAcks(Instance k, uint32_t r) {
-  auto& st = state(k);
-  if (st.decidedFlag) return;
-  const auto& rs = st.rounds[r];
-  if (rs.acks.size() < majority()) return;
-  decide(k, r, rs.ackedValue);
-}
-
 void ConsensusService::decide(Instance k, uint32_t r, ConsensusValue v) {
-  auto& st = state(k);
-  st.decidedFlag = true;
-  // No round state is read once the instance is decided: release it, and
-  // copies that arrive later write nothing (they cannot change the
-  // outcome). `v` is held by value because it may live in a released round.
-  st.rounds.clear();
-  st.estimate = {};
+  // No round state is read once the instance is decided: release it.
+  instances_.erase(k);
+  auto [it, fresh] = decided_.try_emplace(k, Decision{v, true});
+  it->second.here = true;  // an installed decision is now ours too
   // Decide BEFORE relaying: the decide event must not inherit the Lamport
   // tick of the (possibly inter-group) relay broadcast.
-  if (decided_.emplace(k, v).second)
+  if (fresh)
     for (const auto& cb : decideCbs_) cb(k, v);
   broadcast(makePayload(scope_, k, r, ConsensusPayload::Type::kDecide,
                         std::move(v)));
 }
 
 void ConsensusService::onMessage(ProcessId from, const ConsensusPayload& p) {
-  auto& st = state(p.instance);
+  if (auto d = decided_.find(p.instance); d != decided_.end()) {
+    // Decision retransmission (armed with the round timeout): an estimate
+    // for an instance we decided means the sender is stuck in a round the
+    // rest of us finished long ago — an amnesiac rejoin catching up.
+    // Reply with the decision. Gated on roundTimeout_ so runs without
+    // recovery keep their exact pre-v2 message traffic.
+    if (p.type == ConsensusPayload::Type::kEstimate && roundTimeout_ != 0) {
+      rt_.send(self_, from,
+               makePayload(scope_, p.instance, 0,
+                           ConsensusPayload::Type::kDecide, d->second.value));
+      return;
+    }
+    // Any other copy for an instance decided here cannot change the
+    // outcome: it writes nothing and recreates no working state.
+    if (d->second.here) return;
+  }
+  auto& st = instances_[p.instance];
   switch (p.type) {
     case ConsensusPayload::Type::kEstimate: {
-      // A straggler still campaigning in an instance we decided is an
-      // amnesiac rejoin catching up: hand it the decision (recovery runs
-      // only — see maybeRetransmitDecision).
-      if (maybeRetransmitDecision(from, p.instance) || st.decidedFlag) break;
-      auto& rs = st.rounds[p.round];
-      rs.estimates[from] = Estimate{p.value, p.estRound};
+      auto& ests = st.roundState(p.round).estimates;
+      auto e = std::find_if(ests.begin(), ests.end(),
+                            [&](const Estimate& x) { return x.from == from; });
+      if (e == ests.end())
+        ests.push_back(Estimate{from, p.value, p.estRound});
+      else
+        *e = Estimate{from, p.value, p.estRound};
       // Amnesiac join (recovery runs): an estimate for an instance we
       // hold no state for means our dead incarnation took part and the
       // quorum may INCLUDE us (it does when every member is needed).
       // Adopt the estimate — value and lock tag travel together, so the
       // locking rule stays intact — and enter the round so the
       // coordinator can count us toward its majority.
-      if (roundTimeout_ != 0 && !st.joined && !st.decidedFlag) {
+      if (roundTimeout_ != 0 && !st.joined) {
         st.joined = true;
         st.estimate = p.value;
         st.estRound = p.estRound;
-        enterRound(p.instance, std::max(st.round, p.round));
+        enterRound(p.instance, st, std::max(st.round, p.round));
       }
-      coordinatorMaybePropose(p.instance, p.round);
+      coordinatorMaybePropose(p.instance, st, p.round);
       break;
     }
     case ConsensusPayload::Type::kPropose: {
-      if (st.decidedFlag || p.round < st.round) {
+      if (p.round < st.round) {
         // Timeout-driven round advances (recovery runs) can leave cohorts
         // permanently one round apart: the ahead side silently rejects
         // every lower-round proposal and no round ever collects a
         // majority. Tell the stale proposer which round we are in; it
         // catches up (kNack handler) and the rounds re-synchronize.
-        if (roundTimeout_ != 0 && !st.decidedFlag && p.round < st.round)
+        if (roundTimeout_ != 0)
           rt_.send(self_, from,
                    makePayload(scope_, p.instance, st.round,
                                ConsensusPayload::Type::kNack));
@@ -203,7 +222,7 @@ void ConsensusService::onMessage(ProcessId from, const ConsensusPayload& p) {
       st.joined = true;  // adopting a proposal joins the instance
       st.estimate = p.value;
       st.estRound = p.round;
-      auto& rs = st.rounds[p.round];
+      RoundState& rs = st.roundState(p.round);
       if (!rs.ackSent) {
         rs.ackSent = true;
         // Lock-broadcast: every process tells every process it locked v, so
@@ -217,11 +236,11 @@ void ConsensusService::onMessage(ProcessId from, const ConsensusPayload& p) {
       break;
     }
     case ConsensusPayload::Type::kAck: {
-      if (st.decidedFlag) break;
-      auto& rs = st.rounds[p.round];
-      rs.acks.insert(from);
-      rs.ackedValue = p.value;
-      maybeDecideOnAcks(p.instance, p.round);
+      RoundState& rs = st.roundState(p.round);
+      if (std::find(rs.acks.begin(), rs.acks.end(), from) == rs.acks.end())
+        rs.acks.push_back(from);
+      // The ACK that completes the majority gives the decided value.
+      if (rs.acks.size() >= majority()) decide(p.instance, p.round, p.value);
       break;
     }
     case ConsensusPayload::Type::kNack:
@@ -229,12 +248,11 @@ void ConsensusService::onMessage(ProcessId from, const ConsensusPayload& p) {
       // because it is already in a higher round — join that round instead
       // of discovering it one timeout at a time. Round jumps are always
       // safe; only the locking rule guards agreement.
-      if (roundTimeout_ != 0 && st.joined && !st.decidedFlag &&
-          p.round > st.round)
-        enterRound(p.instance, p.round);
+      if (roundTimeout_ != 0 && st.joined && p.round > st.round)
+        enterRound(p.instance, st, p.round);
       break;
     case ConsensusPayload::Type::kDecide:
-      if (!st.decidedFlag) decide(p.instance, p.round, p.value);
+      decide(p.instance, p.round, p.value);
       break;
   }
 }
@@ -243,10 +261,16 @@ void ConsensusService::onSuspicion(ProcessId p) {
   // Any undecided instance whose current coordinator just got suspected
   // moves on to the next round (whether or not we already acked: if the
   // coordinator crashed mid-broadcast only a minority may have acked, and
-  // everyone must regroup under the next coordinator).
-  for (auto& [k, st] : instances_) {
-    if (st.decidedFlag || !st.joined) continue;
-    if (coordinator(k, st.round) == p) enterRound(k, st.round + 1);
+  // everyone must regroup under the next coordinator). Rounds are entered
+  // in instance order.
+  std::vector<Instance> moving;
+  // wanmc-lint: allow(D2): collect then sort
+  for (const auto& [k, st] : instances_)
+    if (st.joined && coordinator(k, st.round) == p) moving.push_back(k);
+  std::sort(moving.begin(), moving.end());
+  for (Instance k : moving) {
+    InstanceState& st = instances_.at(k);
+    enterRound(k, st, st.round + 1);
   }
 }
 

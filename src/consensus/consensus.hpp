@@ -14,9 +14,17 @@
 //
 // Values are shared, never copied (common/consensus_value.hpp): the value a
 // process proposes is the one object every payload, estimate, acked value
-// and decision refers to. An instance's per-round state (estimates, acks,
-// its own estimate) is released as soon as the instance decides; copies
-// that arrive afterwards are dropped before they write anything.
+// and decision refers to.
+//
+// A process keeps two hash tables of instances. The working table holds
+// the instances it has not decided: its own estimate and, per round, the
+// estimates and ACKs it collected, in plain vectors searched linearly
+// (a round holds at most one entry per group member). The decided table
+// holds every decision. Deciding erases the instance from the working
+// table, and its round state with it, so that
+// table stays as small as the number of instances in flight however long
+// the run; copies that arrive afterwards stop at the decided table and
+// write nothing.
 //
 // The service runs over whatever member set it is given. The atomic
 // multicast / broadcast algorithms instantiate it per group (intra-group
@@ -29,8 +37,8 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/consensus_value.hpp"
@@ -81,35 +89,49 @@ class ConsensusService final {
   // Bootstrap plane (src/bootstrap/): the decided-instance table is part of
   // a donor's snapshot, and a rejoining incarnation installs it SILENTLY —
   // no decide callbacks fire, because the donated protocol state already
-  // reflects every decision's effect. The install also arms
-  // maybeRetransmitDecision: the rejoiner can answer stragglers stuck in
-  // instances it never personally ran.
-  [[nodiscard]] const std::map<Instance, ConsensusValue>& decisions() const {
-    return decided_;
-  }
-  void installDecisions(const std::map<Instance, ConsensusValue>& ds) {
-    for (const auto& [k, v] : ds) decided_.emplace(k, v);
-  }
+  // reflects every decision's effect. An installed decision is not one this
+  // incarnation reached: a copy of such an instance still runs it (ACKs a
+  // PROPOSE, relays a DECIDE) without firing a callback. The install also
+  // arms the decision retransmission (onMessage): the rejoiner can answer
+  // stragglers stuck in instances it never personally ran.
+  // decisions() builds the instance-ordered table on demand, for the
+  // snapshot; nothing on the ordering path calls it.
+  [[nodiscard]] std::map<Instance, ConsensusValue> decisions() const;
+  void installDecisions(const std::map<Instance, ConsensusValue>& ds);
+
+  // Instances in the working table: those this process has joined or heard
+  // of but not decided. 0 once every instance it took part in is decided.
+  [[nodiscard]] size_t activeInstances() const { return instances_.size(); }
 
  private:
   struct Estimate {
+    ProcessId from = kNoProcess;
     ConsensusValue value;
     uint32_t estRound = 0;
   };
   struct RoundState {
-    std::map<ProcessId, Estimate> estimates;  // collected by the coordinator
-    std::set<ProcessId> acks;
-    ConsensusValue ackedValue;  // the value the round's ACKs carry
+    uint32_t number = 0;
+    // Collected by the coordinator of a round > 1; round 1 collects none.
+    std::vector<Estimate> estimates;  // one per sender
+    std::vector<ProcessId> acks;      // distinct senders
     bool proposalSent = false;
     bool ackSent = false;
   };
   struct InstanceState {
     bool joined = false;     // proposed locally or adopted a proposal
-    bool decidedFlag = false;
     ConsensusValue estimate;
     uint32_t estRound = 0;
     uint32_t round = 1;      // current round as a participant
-    std::map<uint32_t, RoundState> rounds;  // emptied at decision
+    std::vector<RoundState> rounds;
+    // Round r's state, created on first use. Valid until the next round
+    // is created.
+    RoundState& roundState(uint32_t r);
+  };
+  struct Decision {
+    ConsensusValue value;
+    // Decided by this incarnation. false: only installed from a snapshot,
+    // so copies of the instance are still handled as if undecided.
+    bool here = false;
   };
 
   [[nodiscard]] size_t majority() const { return members_.size() / 2 + 1; }
@@ -123,21 +145,14 @@ class ConsensusService final {
                    const std::shared_ptr<const ConsensusPayload>& p) {
     rt_.send(self_, coordinator(k, r), p);
   }
-  InstanceState& state(Instance k) { return instances_[k]; }
 
-  void enterRound(Instance k, uint32_t r);
-  void coordinatorMaybePropose(Instance k, uint32_t r);
-  void maybeDecideOnAcks(Instance k, uint32_t r);
-  // Decides k with v, releases its round state and relays the decision.
+  void enterRound(Instance k, InstanceState& st, uint32_t r);
+  void coordinatorMaybePropose(Instance k, InstanceState& st, uint32_t r);
+  // Decides k with v: moves k from the working table to the decided one,
+  // fires the callbacks unless the decision was installed, and relays it.
   void decide(Instance k, uint32_t r, ConsensusValue v);
   void onSuspicion(ProcessId p);
   void armRoundTimer(Instance k, uint32_t r);
-  // Decision retransmission (armed with the round timeout): an estimate
-  // for an instance we already decided means the sender is stuck in a
-  // round the rest of us finished long ago — an amnesiac rejoin catching
-  // up. Reply with the decision. Gated on roundTimeout_ so runs without
-  // recovery keep their exact pre-v2 message traffic.
-  bool maybeRetransmitDecision(ProcessId from, Instance k);
 
   exec::Context& rt_;
   ProcessId self_;
@@ -145,8 +160,8 @@ class ConsensusService final {
   fd::FailureDetector* fd_;
   uint64_t scope_;
   SimTime roundTimeout_ = 0;
-  std::map<Instance, InstanceState> instances_;
-  std::map<Instance, ConsensusValue> decided_;
+  std::unordered_map<Instance, InstanceState> instances_;  // undecided here
+  std::unordered_map<Instance, Decision> decided_;
   std::vector<DecideCb> decideCbs_;
 };
 

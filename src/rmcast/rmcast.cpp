@@ -17,41 +17,40 @@ std::vector<ProcessId> allBut(const std::vector<ProcessId>& v,
 
 }  // namespace
 
+ReliableMulticast::ReliableMulticast(exec::Context& rt, ProcessId self,
+                                     Uniformity uniformity)
+    : rt_(rt),
+      self_(self),
+      uniformity_(uniformity),
+      castDests_(rt.topology(), self),
+      peers_(allBut(rt.topology().members(rt.topology().group(self)), self)) {}
+
 void ReliableMulticast::rmcast(const AppMsgPtr& m) {
-  auto dests = rt_.topology().membersOf(m->dest);
   auto payload = std::make_shared<const RmPayload>(m, /*relay=*/false);
-  rt_.multicast(self_, allBut(dests, self_), payload);
+  rt_.multicast(self_, castDests_.of(m->dest), payload);
   // The sender itself sees the message immediately (and R-Delivers it at
   // once if it is an addressee).
-  sight(m, self_, /*explicitScope=*/false, [&] { return std::move(dests); });
+  sight(m, self_, nullptr);
 }
 
 void ReliableMulticast::rmcastTo(const AppMsgPtr& m,
                                  const std::vector<ProcessId>& dests) {
   auto payload = std::make_shared<const RmPayload>(m, /*relay=*/false, dests);
   rt_.multicast(self_, allBut(dests, self_), payload);
-  sight(m, self_, /*explicitScope=*/true, [&] { return dests; });
+  sight(m, self_, &dests);
 }
 
 void ReliableMulticast::onMessage(ProcessId from, const RmPayload& p) {
-  if (p.explicitDests.empty()) {
-    sight(p.msg, from, /*explicitScope=*/false,
-          [&] { return rt_.topology().membersOf(p.msg->dest); });
-  } else {
-    sight(p.msg, from, /*explicitScope=*/true,
-          [&] { return p.explicitDests; });
-  }
+  sight(p.msg, from, p.explicitDests.empty() ? nullptr : &p.explicitDests);
 }
 
-template <class ResolveDests>
 void ReliableMulticast::sight(const AppMsgPtr& m, ProcessId copyFrom,
-                              bool explicitScope,
-                              ResolveDests&& resolveDests) {
+                              const std::vector<ProcessId>* explicitDests) {
   auto [it, fresh] = seen_.try_emplace(m->id);
   Seen& s = it->second;
   if (fresh) {
     s.msg = m;
-    relay(s, resolveDests(), explicitScope);
+    relay(s, explicitDests);
   }
   if (uniformity_ == Uniformity::kUniform &&
       rt_.topology().sameGroup(copyFrom, self_))
@@ -59,24 +58,30 @@ void ReliableMulticast::sight(const AppMsgPtr& m, ProcessId copyFrom,
   maybeDeliver(s);
 }
 
-void ReliableMulticast::relay(Seen& s, std::vector<ProcessId> dests,
-                              bool explicitScope) {
+void ReliableMulticast::relay(Seen& s,
+                              const std::vector<ProcessId>* explicitDests) {
+  // Relay to the rest of our own group only (see the header). Uniform
+  // integrity: only addressees R-Deliver. (Non-addressees can still see
+  // the message, e.g. a sender that multicasts outside its own group.)
+  if (explicitDests == nullptr) {
+    // Our group is a destination exactly when we are an addressee, and
+    // then all of it is.
+    s.addressee = s.msg->dest.contains(rt_.topology().group(self_));
+    if (s.addressee)
+      rt_.multicast(self_, peers_,
+                    std::make_shared<const RmPayload>(s.msg, /*relay=*/true));
+    return;
+  }
+  const std::vector<ProcessId>& dests = *explicitDests;
+  s.addressee = std::find(dests.begin(), dests.end(), self_) != dests.end();
   const Topology& topo = rt_.topology();
-  const GroupId myGroup = topo.group(self_);
-  // Uniform integrity: only addressees R-Deliver. (Non-addressees can still
-  // see the message, e.g. a sender that multicasts outside its own group.)
-  s.addressee = explicitScope
-                    ? std::find(dests.begin(), dests.end(), self_) !=
-                          dests.end()
-                    : s.msg->dest.contains(myGroup);
-  auto payload = std::make_shared<const RmPayload>(
-      s.msg, /*relay=*/true,
-      explicitScope ? dests : std::vector<ProcessId>{});
-  // Relay to the rest of our own group only (see the header).
-  std::erase_if(dests, [&](ProcessId q) {
-    return q == self_ || topo.group(q) != myGroup;
-  });
-  rt_.multicast(self_, dests, payload);
+  std::vector<ProcessId> peers;
+  peers.reserve(dests.size());
+  for (ProcessId q : dests)
+    if (q != self_ && topo.sameGroup(q, self_)) peers.push_back(q);
+  rt_.multicast(self_, peers,
+                std::make_shared<const RmPayload>(s.msg, /*relay=*/true,
+                                                  dests));
 }
 
 void ReliableMulticast::maybeDeliver(Seen& s) {

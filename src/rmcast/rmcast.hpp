@@ -22,18 +22,22 @@
 //    domain-based scheme). Used by the Fritzke-et-al. baseline, which the
 //    paper contrasts with A1's non-uniform choice.
 //
-// Per message, a process keeps one Seen entry. Destinations are resolved
-// (and the relay sent) on first sight only; every later copy is a single
-// table lookup, plus a copy count under kUniform, the one mode that
-// reads it.
+// Per message, a process keeps one Seen entry, in a hash table keyed by
+// message id. rmcast sends to an addressee list built once per destination
+// set (MemberLists). The relay is sent on first sight only, to the
+// own-group peer list built once at construction (or, for rmcastTo, to the
+// explicit list cut down to the own group); every later copy is a single
+// hash lookup, plus a copy count under kUniform, the one mode that reads
+// it.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -68,8 +72,7 @@ class ReliableMulticast {
   using DeliverCb = std::function<void(const AppMsgPtr&)>;
 
   ReliableMulticast(exec::Context& rt, ProcessId self,
-                    Uniformity uniformity = Uniformity::kNonUniform)
-      : rt_(rt), self_(self), uniformity_(uniformity) {}
+                    Uniformity uniformity = Uniformity::kNonUniform);
 
   void onDeliver(DeliverCb cb) { deliverCbs_.push_back(std::move(cb)); }
 
@@ -87,11 +90,16 @@ class ReliableMulticast {
   // and already-relayed, SILENTLY (no deliver callbacks — the protocol
   // state travels separately in the snapshot). Stale wire copies of old
   // messages then dedupe here instead of re-entering the rejoined protocol
-  // as fresh R-Delivers.
+  // as fresh R-Delivers. The export is in message-id order.
   [[nodiscard]] std::vector<AppMsgPtr> snapshotDelivered() const {
     std::vector<AppMsgPtr> out;
+    // wanmc-lint: allow(D2): collect then sort
     for (const auto& [id, s] : seen_)
       if (s.delivered) out.push_back(s.msg);
+    std::sort(out.begin(), out.end(),
+              [](const AppMsgPtr& a, const AppMsgPtr& b) {
+                return a->id < b->id;
+              });
     return out;
   }
   // An installed entry counts as seen, so it is never relayed again.
@@ -111,19 +119,20 @@ class ReliableMulticast {
     bool delivered = false;
   };
 
-  // One copy of m from `copyFrom`. On first sight, `resolveDests()` yields
-  // m's destination list and m is relayed; later copies never resolve it.
-  template <class ResolveDests>
-  void sight(const AppMsgPtr& m, ProcessId copyFrom, bool explicitScope,
-             ResolveDests&& resolveDests);
-  void relay(Seen& s, std::vector<ProcessId> dests, bool explicitScope);
+  // One copy of m from `copyFrom`; `explicitDests` is the rmcastTo list,
+  // null for a cast to m->dest. The first sight relays m.
+  void sight(const AppMsgPtr& m, ProcessId copyFrom,
+             const std::vector<ProcessId>* explicitDests);
+  void relay(Seen& s, const std::vector<ProcessId>* explicitDests);
   void maybeDeliver(Seen& s);
 
   exec::Context& rt_;
   ProcessId self_;
   Uniformity uniformity_;
+  MemberLists castDests_;         // rmcast's addressees, minus self
+  std::vector<ProcessId> peers_;  // own group minus self, ascending pid
   std::vector<DeliverCb> deliverCbs_;
-  std::map<MsgId, Seen> seen_;
+  std::unordered_map<MsgId, Seen> seen_;
 };
 
 }  // namespace wanmc::rmcast

@@ -8,6 +8,8 @@
 #pragma once
 
 #include <cassert>
+#include <cstdint>
+#include <map>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -105,6 +107,32 @@ class Topology {
  private:
   std::vector<GroupId> groupOf_;
   std::vector<std::vector<ProcessId>> members_;  // members_[g], ascending
+};
+
+// Topology::membersOf, built once per destination set and then kept:
+// of(gs) is membersOf(gs) without `except` (a sender passes its own pid).
+// Each node or checker owns its own, so the threaded backend needs no
+// lock; the topology must outlive it. A run names few destination sets,
+// so an ordered map is the cheap lookup.
+class MemberLists {
+ public:
+  explicit MemberLists(const Topology& topo, ProcessId except = kNoProcess)
+      : topo_(&topo), except_(except) {}
+
+  // Valid as long as this object.
+  [[nodiscard]] const std::vector<ProcessId>& of(GroupSet gs) {
+    auto [it, fresh] = lists_.try_emplace(gs.bits());
+    if (fresh) {
+      it->second = topo_->membersOf(gs);
+      std::erase(it->second, except_);
+    }
+    return it->second;
+  }
+
+ private:
+  const Topology* topo_;
+  ProcessId except_;
+  std::map<uint64_t, std::vector<ProcessId>> lists_;  // by GroupSet::bits()
 };
 
 }  // namespace wanmc

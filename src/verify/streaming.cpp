@@ -5,7 +5,7 @@
 namespace wanmc::verify {
 
 StreamingOrderChecker::StreamingOrderChecker(const Topology& topo)
-    : topo_(&topo), n_(topo.numProcesses()) {
+    : topo_(&topo), n_(topo.numProcesses()), members_(topo) {
   const auto n = static_cast<size_t>(n_);
   pairs_.resize(n * (n - 1) / 2);
   excluded_.assign(n, 0);
@@ -20,8 +20,7 @@ void StreamingOrderChecker::onCast(const CastEvent& ev) {
   destBits_[idx] = ev.dest.bits();
   // Materialize the addressee list once per distinct destination set, off
   // the delivery path.
-  auto [it, inserted] = memberCache_.try_emplace(ev.dest.bits());
-  if (inserted) it->second = topo_->membersOf(ev.dest);
+  (void)members_.of(ev.dest);
 }
 
 void StreamingOrderChecker::advance(PairState& st, ProcessId p, ProcessId q,
@@ -56,7 +55,7 @@ void StreamingOrderChecker::onDeliver(const DeliveryEvent& ev) {
   const uint64_t bits = idx < destBits_.size() ? destBits_[idx] : 0;
   if (bits == 0) return;  // never cast: integrity's problem, not order's
   if (((bits >> topo_->group(p)) & 1u) == 0) return;  // p not an addressee
-  const std::vector<ProcessId>& members = memberCache_.find(bits)->second;
+  const std::vector<ProcessId>& members = members_.of(GroupSet(bits));
   for (ProcessId q : members) {
     if (q == p || excluded_[static_cast<size_t>(q)] != 0) continue;
     const ProcessId lo = p < q ? p : q;

@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <set>
 #include <vector>
 
@@ -96,7 +95,7 @@ class StreamingOrderChecker final : public sim::RunObserver {
   std::vector<uint64_t> destBits_;
   // Addressee process lists per distinct destination set, cached so the
   // delivery path never materializes group member vectors.
-  std::map<uint64_t, std::vector<ProcessId>> memberCache_;
+  MemberLists members_;
 };
 
 }  // namespace wanmc::verify

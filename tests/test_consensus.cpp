@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/runtime.hpp"
@@ -271,6 +272,89 @@ TEST(EarlyConsensus, AcrossGroupsCostsTwoDelaysAndQuadraticMessages) {
     EXPECT_LE(f.rt.traffic().at(Layer::kConsensus).inter,
               static_cast<uint64_t>(2 * n * (n - 1)))
         << k << "x" << d;
+  }
+}
+
+// One ConsensusService (p0) among two processes that only record the
+// consensus copies they receive (p1, p2). Copies reach p0 by direct
+// onMessage calls, so each case controls exactly what p0 sees.
+struct ServiceUnderTest {
+  using Type = consensus::ConsensusPayload::Type;
+  using Copies = std::vector<std::pair<Type, Instance>>;
+
+  class Recorder final : public exec::Process {
+   public:
+    using exec::Process::Process;
+    void onMessage(ProcessId, const PayloadPtr& p) override {
+      if (p->layer() != Layer::kConsensus) return;
+      const auto& cp = static_cast<const consensus::ConsensusPayload&>(*p);
+      got.emplace_back(cp.type, cp.instance);
+    }
+    Copies got;
+  };
+
+  ServiceUnderTest()
+      : rt(Topology(1, 3), sim::LatencyModel::fixed(kMs, 100 * kMs), 1) {
+    core::StackConfig cfg;
+    cfg.fdKind = fd::FdKind::kOracle;
+    auto h = std::make_unique<ConsensusHost>(rt, 0, cfg);
+    host = h.get();
+    rt.attach(0, std::move(h));
+    for (ProcessId p : {1, 2}) {
+      auto r = std::make_unique<Recorder>(rt, p);
+      peers.push_back(r.get());
+      rt.attach(p, std::move(r));
+    }
+    rt.start();
+  }
+
+  // Hands p0 one copy of (type, k, round 1) from `from`, then lets every
+  // resulting send arrive.
+  void deliver(ProcessId from, Type type, Instance k) {
+    consensus::ConsensusPayload p;
+    p.instance = k;
+    p.round = 1;
+    p.type = type;
+    p.value = num(50);
+    host->svc->onMessage(from, p);
+    rt.run();
+  }
+
+  sim::Runtime rt;
+  ConsensusHost* host = nullptr;
+  std::vector<Recorder*> peers;  // p1, p2
+};
+
+TEST(Consensus, InstalledDecisionRunsOnLocalDecisionIgnoresLateCopies) {
+  using Type = ServiceUnderTest::Type;
+  const ServiceUnderTest::Copies ackThenDecide{{Type::kAck, 5},
+                                               {Type::kDecide, 5}};
+  {
+    // A decision installed from a snapshot is not one this incarnation
+    // reached: the service still takes part in the instance (it ACKs the
+    // PROPOSE and relays the DECIDE), and no decide callback fires,
+    // because the donated state already reflects the decision.
+    ServiceUnderTest t;
+    t.host->svc->installDecisions({{5, num(50)}});
+    // p2 coordinates round 1 of instance 5: members[(5 + 1 - 1) % 3].
+    t.deliver(2, Type::kPropose, 5);
+    t.deliver(2, Type::kDecide, 5);
+    for (const auto* peer : t.peers) EXPECT_EQ(peer->got, ackThenDecide);
+    EXPECT_TRUE(t.host->decisions.empty());
+  }
+  {
+    // Once the service decided the instance itself, a late ACK, DECIDE
+    // or PROPOSE makes it send nothing and fire nothing.
+    ServiceUnderTest t;
+    t.deliver(2, Type::kPropose, 5);  // p0 ACKs, and counts its own ACK
+    t.deliver(1, Type::kAck, 5);      // majority: p0 decides and relays
+    ASSERT_EQ(t.host->decisionOrder, std::vector<Instance>{5});
+    for (const auto* peer : t.peers) ASSERT_EQ(peer->got, ackThenDecide);
+    t.deliver(2, Type::kAck, 5);
+    t.deliver(2, Type::kDecide, 5);
+    t.deliver(2, Type::kPropose, 5);
+    for (const auto* peer : t.peers) EXPECT_EQ(peer->got, ackThenDecide);
+    EXPECT_EQ(t.host->decisionOrder, std::vector<Instance>{5});
   }
 }
 
