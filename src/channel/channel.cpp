@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 
+#include "common/arena.hpp"
 #include "common/hot.hpp"
 
 namespace wanmc::channel {
@@ -18,20 +20,41 @@ std::string DataPacket::debugString() const {
 std::string AckPacket::debugString() const {
   std::ostringstream os;
   os << "chan-ack{cum=" << cumAck;
-  if (nackTo > nackFrom) os << " nack=[" << nackFrom << "," << nackTo << ")";
+  if (numHoles > 0) {
+    os << " holes=";
+    for (uint32_t h = 0; h < numHoles; ++h)
+      os << "[" << holes[h].from << "," << holes[h].to << ")";
+    os << " sack=" << sackTo;
+  }
   os << " inc=" << receiverInc << " ep=" << epoch << "}";
   return os.str();
 }
 
 Plane::Plane(exec::Context& rt, Config cfg)
     : rt_(rt), cfg_(cfg), n_(rt.topology().numProcesses()) {
+  if (cfg_.holdbackCap == 0)
+    throw std::invalid_argument("channel::Config::holdbackCap must be >= 1");
   const auto& lm = rt_.latencyModel();
-  // One worst-case DATA + ACK round trip over the slowest link class, plus
-  // slack for the receiver's turnaround. Deterministic in the model.
-  const SimTime oneWay = std::max(lm.interMax, lm.intraMax);
-  rto_ = cfg_.rto > 0 ? cfg_.rto : 2 * oneWay + 2 * lm.intraMax + 1 * kMs;
+  // Deterministic in the model. Intra-group: one worst-case DATA + ACK
+  // round trip plus 1 ms of slack. Inter-group: a worst-case round trip
+  // over the slowest link class plus the receiver's turnaround and slack.
+  intraRto_ = 2 * lm.intraMax + 1 * kMs;
+  interRto_ =
+      2 * std::max(lm.interMax, lm.intraMax) + 2 * lm.intraMax + 1 * kMs;
+  // A repeated request is ignored until the copies the first resend raced
+  // against have had time to land.
+  intraWindow_ = std::max(lm.intraMax - lm.intraMin, intraRto_);
+  interWindow_ = std::max(lm.interMax - lm.interMin, intraRto_);
+  maxRto_ = interRto_ * 16;
   out_.resize(static_cast<size_t>(n_) * static_cast<size_t>(n_));
   in_.resize(static_cast<size_t>(n_) * static_cast<size_t>(n_));
+}
+
+SimTime Plane::timeout(ProcessId from, ProcessId to,
+                       const OutLink& ol) const {
+  const SimTime base =
+      rt_.topology().sameGroup(from, to) ? intraRto_ : interRto_;
+  return std::min(base << ol.backoff, maxRto_);
 }
 
 WANMC_HOT void Plane::onSend(ProcessId from, const std::vector<ProcessId>& tos,
@@ -39,74 +62,97 @@ WANMC_HOT void Plane::onSend(ProcessId from, const std::vector<ProcessId>& tos,
   const Layer layer = payload->layer();
   for (ProcessId to : tos) {
     OutLink& ol = out(from, to);
-    const uint64_t seq = ol.nextSeq++;
     ol.window.push_back(Unacked{payload, layer, sendTs});
-    ++stats_.dataSent;
-    transmit(from, to, ol, seq, ol.window.back());
-    armTimer(from, to, ol);
+    // Past the send window the packet waits for the base to slide.
+    if (ol.window.size() <= cfg_.holdbackCap)
+      sendFirst(from, to, ol, ol.window.size() - 1);
   }
 }
 
-WANMC_HOT void Plane::transmit(ProcessId from, ProcessId to, const OutLink& ol,
-                               uint64_t seq, const Unacked& u) {
-  // wanmc-lint: allow(D5): one DataPacket envelope per wire copy; pooling
-  // it through the payload arena is the ROADMAP's channel follow-through
-  auto pkt = std::make_shared<DataPacket>();
+WANMC_HOT void Plane::transmit(ProcessId from, ProcessId to, OutLink& ol,
+                               size_t i) {
+  Unacked& u = ol.window[i];
+  u.lastTx = rt_.now();
+  auto pkt = std::allocate_shared<DataPacket>(
+      PoolAllocator<DataPacket>(&rt_.payloadArena()));
   pkt->inner = u.inner;
   pkt->innerLayer = u.innerLayer;
-  pkt->seq = seq;
+  pkt->seq = ol.base + i;
   pkt->sendTs = u.sendTs;
   pkt->senderInc = rt_.incarnation(from);
   pkt->epoch = ol.epoch;
   rt_.channelSend(from, to, std::move(pkt), u.innerLayer);
 }
 
-void Plane::armTimer(ProcessId from, ProcessId to, OutLink& ol) {
-  if (ol.timerArmed) return;
-  ol.timerArmed = true;
-  const uint64_t gen = ++ol.timerGen;
-  const SimTime delay =
-      rto_ << std::min(ol.backoff, cfg_.maxBackoffExp);
-  // Runtime::timer is incarnation-guarded: if `from` crashes (or crashes
-  // and recovers) before this fires, the dead incarnation's timer is
-  // suppressed; the generation check voids timers the plane disarmed.
-  rt_.timer(from, delay, [this, from, to, gen]() { onRto(from, to, gen); });
+WANMC_HOT void Plane::sendFirst(ProcessId from, ProcessId to, OutLink& ol,
+                                size_t i) {
+  ++stats_.dataSent;
+  transmit(from, to, ol, i);
+  armTimer(from, to, ol, rt_.now() + timeout(from, to, ol));
 }
 
-void Plane::onRto(ProcessId from, ProcessId to, uint64_t gen) {
+void Plane::resend(ProcessId from, ProcessId to, OutLink& ol, size_t i) {
+  ++stats_.retransmits;
+  ol.window[i].resent = true;
+  transmit(from, to, ol, i);
+}
+
+void Plane::armTimer(ProcessId from, ProcessId to, OutLink& ol, SimTime at) {
+  if (ol.timerAt <= at) return;  // an earlier fire re-arms for this one
+  if (ol.timerAt != kTimeNever) rt_.cancelTimer(ol.timer);
+  ol.timerAt = at;
+  // Runtime::timer is incarnation-guarded: if `from` crashes (or crashes
+  // and recovers) before this fires, the dead incarnation's timer is
+  // suppressed.
+  ol.timer = rt_.timer(from, at - rt_.now(),
+                       [this, from, to]() { onRto(from, to); });
+}
+
+void Plane::disarmTimer(OutLink& ol) {
+  if (ol.timerAt == kTimeNever) return;
+  rt_.cancelTimer(ol.timer);
+  ol.timerAt = kTimeNever;
+}
+
+void Plane::onRto(ProcessId from, ProcessId to) {
   OutLink& ol = out(from, to);
-  if (!ol.timerArmed || gen != ol.timerGen) return;
-  ol.timerArmed = false;
-  if (ol.window.empty()) return;
-  // Go-back-N: re-offer the whole unacked window. Windows are small (one
-  // fan-out's worth per destination at steady state), and the cumulative
-  // ACK immediately re-trims whatever did get through.
-  uint64_t seq = ol.base;
-  for (const Unacked& u : ol.window) {
-    ++stats_.retransmits;
-    transmit(from, to, ol, seq++, u);
+  ol.timerAt = kTimeNever;
+  // Resend only what is overdue; SACKed packets are held by the receiver.
+  const SimTime now = rt_.now();
+  const SimTime rto = timeout(from, to, ol);
+  bool resent = false;
+  SimTime oldest = kTimeNever;
+  for (size_t i = 0, n = inFlight(ol); i < n; ++i) {
+    const Unacked& u = ol.window[i];
+    if (u.sacked) continue;
+    if (u.lastTx + rto <= now) {
+      resend(from, to, ol, i);
+      resent = true;
+    }
+    oldest = std::min(oldest, u.lastTx);
   }
-  ol.backoff = std::min(ol.backoff + 1, cfg_.maxBackoffExp);
-  armTimer(from, to, ol);
+  if (resent && rto < maxRto_) ++ol.backoff;
+  if (oldest != kTimeNever)
+    armTimer(from, to, ol, oldest + timeout(from, to, ol));
 }
 
 void Plane::rekey(ProcessId from, ProcessId to, OutLink& ol) {
-  // The peer reincarnated: everything it ever acked died with it. Open a
-  // fresh epoch whose sequence space starts at 0 and re-offer the unacked
-  // backlog as its prefix; in-flight packets and ACKs of older epochs are
-  // dropped as stale on arrival.
+  // The peer reincarnated: everything it ever acked or held died with it.
+  // Open a fresh epoch whose sequence space starts at 0 and re-offer the
+  // in-flight backlog as its prefix; in-flight packets and ACKs of older
+  // epochs are dropped as stale on arrival.
   ++ol.epoch;
   ol.base = 0;
-  ol.nextSeq = ol.window.size();
   ol.backoff = 0;
-  ol.timerArmed = false;
-  ++ol.timerGen;
-  uint64_t seq = 0;
-  for (const Unacked& u : ol.window) {
+  disarmTimer(ol);
+  for (size_t i = 0, n = inFlight(ol); i < n; ++i) {
+    ol.window[i].resent = false;
+    ol.window[i].sacked = false;
     ++stats_.retransmits;
-    transmit(from, to, ol, seq++, u);
+    transmit(from, to, ol, i);
   }
-  if (!ol.window.empty()) armTimer(from, to, ol);
+  if (!ol.window.empty())
+    armTimer(from, to, ol, rt_.now() + timeout(from, to, ol));
 }
 
 void Plane::onWireArrive(ProcessId from, ProcessId to,
@@ -144,7 +190,7 @@ WANMC_HOT void Plane::handleData(ProcessId sender, ProcessId self,
       il.epoch = d.epoch;
     } else {
       ++stats_.staleDropped;
-      sendAck(self, sender, il, 0, 0);  // re-sync the sender to our epoch
+      sendAck(self, sender, il, false);  // re-sync the sender to our epoch
       return;
     }
   }
@@ -152,7 +198,7 @@ WANMC_HOT void Plane::handleData(ProcessId sender, ProcessId self,
   if (d.seq < il.nextExpected) {
     // Already delivered (the ACK must have been lost): suppress, re-ack.
     ++stats_.duplicatesDropped;
-    sendAck(self, sender, il, 0, 0);
+    sendAck(self, sender, il, false);
     return;
   }
   if (d.seq == il.nextExpected) {
@@ -168,44 +214,41 @@ WANMC_HOT void Plane::handleData(ProcessId sender, ProcessId self,
       ++il.nextExpected;
     }
     if (il.nackCeiling < il.nextExpected) il.nackCeiling = il.nextExpected;
-    sendAck(self, sender, il, 0, 0);
+    sendAck(self, sender, il, false);
     return;
   }
 
-  // Gap: hold if there is room (drop-newest past the cap — the sender's
-  // retransmit timer re-offers it once the window drains).
-  if (il.holdback.count(d.seq) != 0) {
+  // Gap. The sender's window bounds the seq, so there is always room.
+  if (!il.holdback.try_emplace(d.seq, Held{d.inner, d.sendTs}).second) {
     ++stats_.duplicatesDropped;
-    sendAck(self, sender, il, 0, 0);
+    sendAck(self, sender, il, false);
     return;
   }
-  if (il.holdback.size() >= cfg_.holdbackCap) {
-    ++stats_.holdbackOverflow;
-    sendAck(self, sender, il, 0, 0);
-    return;
-  }
-  il.holdback.emplace(d.seq, Held{d.inner, d.sendTs});
-  uint64_t nackFrom = 0;
-  uint64_t nackTo = 0;
-  if (d.seq > il.nackCeiling) {
-    // This arrival WIDENED the gap: request the missing prefix once.
-    nackFrom = il.nextExpected;
-    nackTo = d.seq;
+  // An arrival that WIDENS the gap requests every current hole at once.
+  const bool request = d.seq > il.nackCeiling;
+  if (request) {
     il.nackCeiling = d.seq;
     ++stats_.nacksSent;
   }
-  sendAck(self, sender, il, nackFrom, nackTo);
+  sendAck(self, sender, il, request);
 }
 
 WANMC_HOT void Plane::sendAck(ProcessId self, ProcessId sender,
-                              const InLink& il, uint64_t nackFrom,
-                              uint64_t nackTo) {
-  // wanmc-lint: allow(D5): one AckPacket per DATA arrival; pooled ACKs
-  // ride with the DataPacket arena item above
-  auto ack = std::make_shared<AckPacket>();
+                              const InLink& il, bool request) {
+  auto ack = std::allocate_shared<AckPacket>(
+      PoolAllocator<AckPacket>(&rt_.payloadArena()));
   ack->cumAck = il.nextExpected;
-  ack->nackFrom = nackFrom;
-  ack->nackTo = nackTo;
+  uint64_t next = il.nextExpected;  // first seq not yet described
+  if (request) {
+    for (const auto& entry : il.holdback) {
+      if (entry.first != next) {
+        if (ack->numHoles == AckPacket::kMaxHoles) break;
+        ack->holes[ack->numHoles++] = Hole{next, entry.first};
+      }
+      next = entry.first + 1;
+    }
+  }
+  ack->sackTo = next;
   ack->receiverInc = rt_.incarnation(self);
   ack->epoch = il.epoch;
   ++stats_.acksSent;
@@ -221,7 +264,7 @@ WANMC_HOT void Plane::handleAck(ProcessId acker, ProcessId self,
   OutLink& ol = out(self, acker);
   if (ol.peerKnown && a.receiverInc != ol.peerInc) {
     // The receiver reincarnated since we last heard from it: re-key the
-    // link. This ACK's cumAck/NACK describe a dead sequence space.
+    // link. This ACK describes a dead sequence space.
     ol.peerInc = a.receiverInc;
     rekey(self, acker, ol);
     return;
@@ -232,33 +275,55 @@ WANMC_HOT void Plane::handleAck(ProcessId acker, ProcessId self,
     ++stats_.staleDropped;  // pre-rekey ACK still in flight
     return;
   }
-  const uint64_t oldBase = ol.base;
-  while (ol.base < a.cumAck && !ol.window.empty()) {
-    ol.window.pop_front();
-    ++ol.base;
-  }
-  if (ol.window.empty()) {
-    ol.timerArmed = false;
-    ++ol.timerGen;
+  if (a.cumAck > ol.base) {
+    // Forward progress: the link is alive again. The timer stays armed; it
+    // re-arms for the oldest remaining deadline when it fires.
+    const size_t wasInFlight = inFlight(ol);
+    const auto acked = static_cast<size_t>(
+        std::min<uint64_t>(a.cumAck - ol.base, ol.window.size()));
+    ol.window.erase(ol.window.begin(),
+                    ol.window.begin() + static_cast<std::ptrdiff_t>(acked));
+    ol.base += acked;
     ol.backoff = 0;
-  } else if (ol.base != oldBase) {
-    ol.backoff = 0;  // forward progress: the link is alive again
+    if (ol.window.empty()) {
+      disarmTimer(ol);
+      return;
+    }
+    // The send window slid: transmit the packets it now admits.
+    for (size_t i = wasInFlight - acked, n = inFlight(ol); i < n; ++i)
+      sendFirst(self, acker, ol, i);
   }
-  if (a.nackTo > a.nackFrom) {
-    const uint64_t lo = std::max(a.nackFrom, ol.base);
-    const uint64_t hi = std::min(a.nackTo, ol.nextSeq);
-    for (uint64_t s = lo; s < hi; ++s) {
-      ++stats_.retransmits;
-      transmit(self, acker, ol, s, ol.window[s - ol.base]);
+  if (a.numHoles > 0) handleRequest(acker, self, ol, a);
+}
+
+void Plane::handleRequest(ProcessId acker, ProcessId self, OutLink& ol,
+                          const AckPacket& a) {
+  const SimTime now = rt_.now();
+  const SimTime window =
+      rt_.topology().sameGroup(self, acker) ? intraWindow_ : interWindow_;
+  const uint64_t sackEnd = std::min(a.sackTo, ol.base + inFlight(ol));
+  uint64_t s = std::max(a.cumAck, ol.base);
+  for (uint32_t h = 0; h < a.numHoles; ++h) {
+    const uint64_t holeFrom = std::min(a.holes[h].from, sackEnd);
+    const uint64_t holeTo = std::min(a.holes[h].to, sackEnd);
+    for (; s < holeFrom; ++s) ol.window[s - ol.base].sacked = true;
+    for (; s < holeTo; ++s) {
+      const Unacked& u = ol.window[s - ol.base];
+      // A stale request may name a packet a later ACK reported held; a
+      // resent packet is asked for again only after one request window.
+      if (u.sacked || (u.resent && now - u.lastTx < window)) continue;
+      resend(self, acker, ol, s - ol.base);
     }
   }
+  for (; s < sackEnd; ++s) ol.window[s - ol.base].sacked = true;
 }
 
 void Plane::onReset(ProcessId pid) {
   // `pid` recovered as a fresh incarnation: both endpoints of every link it
-  // touches forget the dead incarnation's state. Its fresh sends open new
-  // sequence spaces (peers adopt them on the incarnation change); peers'
-  // links TO it re-key lazily when its fresh ACKs reveal the incarnation.
+  // touches forget the dead incarnation's state (its timers died with it).
+  // Its fresh sends open new sequence spaces (peers adopt them on the
+  // incarnation change); peers' links TO it re-key lazily when its fresh
+  // ACKs reveal the incarnation.
   for (ProcessId peer = 0; peer < n_; ++peer) {
     out(pid, peer) = OutLink{};
     in(pid, peer) = InLink{};

@@ -6,39 +6,60 @@
 // messages for good — which is why partition-heal and lossy matrix cells
 // were checked for safety only. This plane restores the channel contract
 // BELOW the stacks, the way a deployment would (Dolev et al.'s stabilizing
-// data-link over unreliable non-FIFO channels is the theory anchor):
+// data-link over unreliable non-FIFO channels is the theory anchor). It is
+// a selective-repeat ARQ: only the copies the receiver is missing are sent
+// again.
 //
 //   * per directed link, DATA packets carry a sequence number, the sender's
 //     incarnation, a link epoch, and the ORIGINAL modified-Lamport stamp;
-//   * the receiver delivers strictly in order, holding out-of-order copies
-//     in a BOUNDED holdback buffer (drop-newest past the cap — the sender's
-//     retransmit timer re-offers them later);
-//   * every DATA arrival is answered with a cumulative ACK; an arrival that
-//     OPENS a gap additionally carries a NACK range for fast resend,
-//     suppressed while the same gap is already outstanding;
-//   * unacked packets are re-sent on a deterministic capped-exponential
-//     retransmit timer, incarnation-guarded through Runtime::timer so a
-//     dead sender's timers die with it;
+//   * send window: a packet is transmitted only while its seq is below the
+//     link's cumulative-ACK base + Config::holdbackCap; later packets wait
+//     and go out as ACKs slide the base. The receiver delivers strictly in
+//     order and so never holds more than holdbackCap - 1 out-of-order
+//     copies;
+//   * every DATA arrival is answered with a cumulative ACK. An arrival that
+//     WIDENS the gap (a seq above every seq requested so far) makes it a
+//     request: the ACK names up to AckPacket::kMaxHoles missing ranges,
+//     lowest first, and a SACK bound below which every seq outside those
+//     holes is held;
+//   * the sender marks SACKed packets and never resends them. The first
+//     request for a hole resends it at once; further requests for it are
+//     ignored for one request window after its last resend (the larger of
+//     the link class's one-way latency spread and the intra-group
+//     timeout), so reordering and repeated requests cost one copy each;
+//   * each unacked packet keeps its own deadline, its last transmit time
+//     plus the link's timeout: 2 worst-case one-way delays + 1 ms on an
+//     intra-group link, a worst-case DATA + ACK round trip over the slowest
+//     link class + 1 ms between groups. One timer per link fires at the
+//     oldest deadline and resends only the packets whose deadline passed
+//     (never go-back-N). A fire that resends doubles the link's timeout up
+//     to an absolute ceiling of 16 inter-group timeouts, and forward
+//     progress resets it, so a dead peer costs a bounded trickle. Timers go
+//     through Runtime::timer, so a dead sender's timers die with it;
 //   * duplicates are suppressed by (sender incarnation, seq); packets from
 //     a process's DEAD incarnation are stale and dropped outright;
 //   * recovery re-keys the link: a fresh sender incarnation opens a new
 //     sequence space, and a sender that learns its peer reincarnated bumps
-//     the link epoch and re-offers the whole unacked backlog as the new
-//     epoch's prefix (the amnesiac receiver lost everything it had acked).
+//     the link epoch and re-offers the first holdbackCap unacked packets
+//     as the new epoch's prefix (the amnesiac receiver lost everything it
+//     had acked or held).
 //
 // Cost-model fidelity: the plane never touches the Lamport clocks. The
 // original multicast ticks the sender's clock once per fan-out; every
 // (re)transmission carries that stamp, and the receive-side jump happens at
 // the final in-order handoff (Runtime::deliverFromChannel). DATA is
 // accounted under its inner layer (so retransmissions honestly inflate the
-// algorithm's message counts); ACK/NACK control traffic is accounted under
+// algorithm's message counts); ACK control traffic is accounted under
 // Layer::kChannel, which — like the FD substrate — is excluded from the
-// genuineness/quiescence bookkeeping.
+// genuineness/quiescence bookkeeping. DATA and ACK envelopes are drawn from
+// the runtime's payload arena.
 //
 // Everything is deterministic: no RNG, timers through the scheduler, dense
 // link tables iterated in pid order.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -53,16 +74,9 @@
 
 namespace wanmc::channel {
 
-// Tuning knobs, all deterministic. The defaults are derived from the
-// runtime's latency model at Plane construction where marked.
 struct Config {
-  // Retransmit timeout for the oldest unacked packet. 0 = derive from the
-  // latency model: one worst-case DATA + ACK round trip plus slack.
-  SimTime rto = 0;
-  // Consecutive barren timeouts double the timer up to rto << maxBackoffExp
-  // (so a permanently dead peer costs a bounded, geometric trickle).
-  int maxBackoffExp = 4;
-  // Out-of-order copies held per incoming link; beyond it, drop-newest.
+  // Send window per link, and so the most out-of-order copies a receiver
+  // ever holds (holdbackCap - 1). Must be at least 1.
   size_t holdbackCap = 1024;
 };
 
@@ -81,12 +95,23 @@ struct DataPacket final : Payload {
   [[nodiscard]] std::string debugString() const override;
 };
 
-// ACK/NACK control packet: cumulative ack plus an optional gap request
-// [nackFrom, nackTo) (empty when nackFrom == nackTo).
+// A run of missing seqs [from, to).
+struct Hole {
+  uint64_t from = 0;
+  uint64_t to = 0;
+};
+
+// ACK control packet: a cumulative ack, plus — on a request — the missing
+// ranges the receiver wants resent and the SACK bound of what it holds.
 struct AckPacket final : Payload {
+  static constexpr size_t kMaxHoles = 4;
+
   uint64_t cumAck = 0;  // every seq < cumAck was delivered in order
-  uint64_t nackFrom = 0;
-  uint64_t nackTo = 0;
+  // Every seq in [cumAck, sackTo) outside holes[0, numHoles) is held. With
+  // more holes than fit, sackTo is the first seq the ACK does not describe.
+  uint64_t sackTo = 0;
+  std::array<Hole, kMaxHoles> holes{};  // lowest first
+  uint32_t numHoles = 0;                // 0 = plain ACK, no request
   uint32_t receiverInc = 0;
   uint32_t epoch = 0;
 
@@ -97,7 +122,11 @@ struct AckPacket final : Payload {
 class Plane final : public exec::ChannelHook {
  public:
   // Does NOT install itself: the owner calls rt.setChannelHook(&plane).
+  // Throws std::invalid_argument when cfg.holdbackCap is 0.
   Plane(exec::Context& rt, Config cfg);
+  // Armed retransmit timers hold `this`.
+  Plane(const Plane&) = delete;
+  Plane& operator=(const Plane&) = delete;
 
   void onSend(ProcessId from, const std::vector<ProcessId>& tos,
               const PayloadPtr& payload, uint64_t sendTs) override;
@@ -106,25 +135,28 @@ class Plane final : public exec::ChannelHook {
   void onReset(ProcessId pid) override;
 
   [[nodiscard]] const ChannelStats& stats() const { return stats_; }
-  [[nodiscard]] SimTime rto() const { return rto_; }
 
  private:
   struct Unacked {
     PayloadPtr inner;
     Layer innerLayer = Layer::kProtocol;
     uint64_t sendTs = 0;
+    SimTime lastTx = 0;   // last (re)transmission; deadline = lastTx + rto
+    bool resent = false;  // a resend opened the request window
+    bool sacked = false;  // the receiver holds it: never resent
   };
   // Sender endpoint of the directed link local -> peer.
   struct OutLink {
-    std::deque<Unacked> window;  // unacked, seqs [base, base+window.size())
+    // Unacked seqs [base, base + window.size()): the first holdbackCap are
+    // in flight, the rest wait for the base to slide.
+    std::deque<Unacked> window;
     uint64_t base = 0;
-    uint64_t nextSeq = 0;
-    uint64_t timerGen = 0;  // bumping it voids the armed timer
+    exec::EventId timer = exec::kNoEvent;
+    SimTime timerAt = kTimeNever;  // kTimeNever = disarmed
     uint32_t epoch = 0;
     uint32_t peerInc = 0;   // receiver incarnation last seen in an ACK
     bool peerKnown = false;
-    bool timerArmed = false;
-    int backoff = 0;
+    int backoff = 0;  // the timeout is the link class's, doubled this often
   };
   struct Held {
     PayloadPtr inner;
@@ -134,7 +166,7 @@ class Plane final : public exec::ChannelHook {
   struct InLink {
     std::map<uint64_t, Held> holdback;
     uint64_t nextExpected = 0;
-    uint64_t nackCeiling = 0;  // highest seq a NACK was already issued for
+    uint64_t nackCeiling = 0;  // highest seq a request was already issued for
     uint32_t peerInc = 0;      // sender incarnation this space belongs to
     uint32_t epoch = 0;
     bool known = false;  // adopted a (peerInc, epoch) space yet?
@@ -148,21 +180,36 @@ class Plane final : public exec::ChannelHook {
     return in_[static_cast<size_t>(local) * static_cast<size_t>(n_) +
                static_cast<size_t>(peer)];
   }
+  [[nodiscard]] size_t inFlight(const OutLink& ol) const {
+    return std::min(ol.window.size(), cfg_.holdbackCap);
+  }
+  [[nodiscard]] SimTime timeout(ProcessId from, ProcessId to,
+                                const OutLink& ol) const;
 
-  void transmit(ProcessId from, ProcessId to, const OutLink& ol, uint64_t seq,
-                const Unacked& u);
-  void armTimer(ProcessId from, ProcessId to, OutLink& ol);
-  void onRto(ProcessId from, ProcessId to, uint64_t gen);
+  void transmit(ProcessId from, ProcessId to, OutLink& ol, size_t i);
+  void sendFirst(ProcessId from, ProcessId to, OutLink& ol, size_t i);
+  void resend(ProcessId from, ProcessId to, OutLink& ol, size_t i);
+  void armTimer(ProcessId from, ProcessId to, OutLink& ol, SimTime at);
+  void disarmTimer(OutLink& ol);
+  void onRto(ProcessId from, ProcessId to);
   void rekey(ProcessId from, ProcessId to, OutLink& ol);
   void handleData(ProcessId sender, ProcessId self, const DataPacket& d);
   void handleAck(ProcessId acker, ProcessId self, const AckPacket& a);
+  void handleRequest(ProcessId acker, ProcessId self, OutLink& ol,
+                     const AckPacket& a);
   void sendAck(ProcessId self, ProcessId sender, const InLink& il,
-               uint64_t nackFrom, uint64_t nackTo);
+               bool request);
 
   exec::Context& rt_;
   Config cfg_;
-  SimTime rto_ = 0;
   int n_ = 0;
+  // Per link class (intra-group, inter-group): the base retransmit timeout
+  // and the request window; one absolute ceiling for backed-off timeouts.
+  SimTime intraRto_ = 0;
+  SimTime interRto_ = 0;
+  SimTime intraWindow_ = 0;
+  SimTime interWindow_ = 0;
+  SimTime maxRto_ = 0;
   std::vector<OutLink> out_;  // n*n, indexed local*n + peer
   std::vector<InLink> in_;
   ChannelStats stats_;

@@ -175,12 +175,14 @@ struct FaultStats {
 // are off.
 struct ChannelStats {
   uint64_t dataSent = 0;           // first transmissions of protocol packets
-  uint64_t retransmits = 0;        // timer- or NACK-triggered resends
+  uint64_t retransmits = 0;        // timer/request resends, re-key re-offers
   uint64_t acksSent = 0;           // cumulative ACK control packets
   uint64_t nacksSent = 0;          // ACKs that carried a gap request
   uint64_t duplicatesDropped = 0;  // (sender incarnation, seq) already seen
   uint64_t staleDropped = 0;       // wrong incarnation/epoch packets
-  uint64_t holdbackOverflow = 0;   // out-of-order copies past the buffer cap
+  // Out-of-order copies past the holdback cap: always 0, since the send
+  // window bounds what a receiver holds. Kept for report readers.
+  uint64_t holdbackOverflow = 0;
   uint64_t delivered = 0;          // in-order handoffs to the stacks
   friend bool operator==(const ChannelStats&, const ChannelStats&) = default;
 };

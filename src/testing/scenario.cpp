@@ -840,8 +840,9 @@ std::vector<Scenario> standardFaultMatrix(core::ProtocolKind kind,
   }
   // iid per-copy wire loss at 1%, 5%, and 10%: the classic lossy-WAN
   // regime. Without channels these rates would void liveness (a lost copy
-  // is gone for good); with them the go-back-N/NACK machinery must recover
-  // every gap, so the full suite applies at every rate.
+  // is gone for good); with them the selective-repeat hole requests and
+  // retransmit deadlines must recover every gap, so the full suite applies
+  // at every rate.
   for (double lossP : {0.01, 0.05, 0.10}) {
     std::string tag = "chan-loss-p";  // append: GCC 12 -Wrestrict
     tag += std::to_string(static_cast<int>(lossP * 100 + 0.5));

@@ -1,8 +1,9 @@
 // Unit tests for the reliable retransmitting channel substrate
 // (src/channel/): per-link sequencing and FIFO delivery under reorder,
-// loss recovery via RTO retransmit and NACK fast resend, duplicate and
-// stale-incarnation suppression, the bounded holdback buffer, and the
-// loss model underneath it all.
+// selective-repeat loss recovery (hole requests, per-packet deadlines on
+// per-link-class timeouts, capped backoff), duplicate and
+// stale-incarnation suppression, the send window, and the loss model
+// underneath it all.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "channel/channel.hpp"
+#include "core/experiment.hpp"
 #include "sim/runtime.hpp"
 
 namespace wanmc {
@@ -128,31 +130,127 @@ TEST(Channel, LossIsRecoveredExactlyOnceInOrder) {
   EXPECT_GT(s.duplicatesDropped, 0u);
 }
 
-TEST(Channel, BoundedHoldbackOverflowStillConvergesViaRetransmit) {
-  // Drop the first transmission of seq 0 only: seqs 1..4 arrive in order
-  // behind the gap, the 2-slot holdback keeps {1,2} and sheds {3,4}
-  // (drop-newest), and the NACK + RTO machinery re-offers everything.
-  channel::Config cfg;
-  cfg.holdbackCap = 2;
-  ChanFixture f(1, 2, sim::LatencyModel::fixed(kMs, 100 * kMs), cfg);
-  int dropped = 0;
-  f.rt.setDropFilter([&dropped](ProcessId, ProcessId, const Payload& p) {
+// Drops the first `copies` transmissions of seq 0 on any link.
+auto dropSeq0(int& dropped, int copies) {
+  return [&dropped, copies](ProcessId, ProcessId, const Payload& p) {
     const auto* d = dynamic_cast<const channel::DataPacket*>(&p);
-    if (d != nullptr && d->seq == 0 && dropped == 0) {
+    if (d != nullptr && d->seq == 0 && dropped < copies) {
       ++dropped;
       return true;
     }
     return false;
-  });
+  };
+}
+
+TEST(Channel, BoundedHoldbackOverflowStillConvergesViaRetransmit) {
+  // Drop the first transmission of seq 0 only, with a 2-packet send
+  // window: seqs 0 and 1 go out, 2..4 wait for the base to slide. The
+  // receiver holds seq 1 behind the gap and never more (the window bounds
+  // it), the hole request resends seq 0, and the sliding window releases
+  // the rest in order.
+  channel::Config cfg;
+  cfg.holdbackCap = 2;
+  ChanFixture f(1, 2, sim::LatencyModel::fixed(kMs, 100 * kMs), cfg);
+  int dropped = 0;
+  f.rt.setDropFilter(dropSeq0(dropped, 1));
   for (int i = 0; i < 5; ++i)
     f.rt.send(0, 1, std::make_shared<TestMsg>(i));
   f.rt.run(30 * kSec);
   EXPECT_EQ(f.idsAt(1), iota(5));
   const auto& s = f.plane.stats();
-  EXPECT_EQ(s.holdbackOverflow, 2u);  // seqs 3 and 4 found the buffer full
-  EXPECT_GT(s.nacksSent, 0u);         // the gap was NACKed...
+  EXPECT_EQ(s.holdbackOverflow, 0u);  // the send window keeps it in bounds
+  EXPECT_GT(s.nacksSent, 0u);         // the gap was requested...
   EXPECT_GT(s.retransmits, 0u);       // ...and re-offered
   EXPECT_EQ(s.delivered, 5u);
+}
+
+TEST(Channel, ZeroSendWindowIsRejected) {
+  // A link that may never have a packet in flight would stall silently.
+  sim::Runtime rt(Topology(1, 2), sim::LatencyModel::fixed(kMs, 100 * kMs),
+                  1);
+  channel::Config cfg;
+  cfg.holdbackCap = 0;
+  EXPECT_THROW(channel::Plane(rt, cfg), std::invalid_argument);
+}
+
+TEST(Channel, HeldCopiesAreNeverResent) {
+  // 40 packets queue up behind one lost packet. Every arrival widens the
+  // gap and requests it again, but each request names only the hole: the
+  // 39 held copies are SACKed, and the hole itself is resent once.
+  ChanFixture f(1, 2, sim::LatencyModel::fixed(kMs, 100 * kMs));
+  int dropped = 0;
+  f.rt.setDropFilter(dropSeq0(dropped, 1));
+  for (int i = 0; i < 40; ++i)
+    f.rt.send(0, 1, std::make_shared<TestMsg>(i));
+  f.rt.run(30 * kSec);
+  EXPECT_EQ(f.idsAt(1), iota(40));
+  const auto& s = f.plane.stats();
+  EXPECT_EQ(s.retransmits, 1u);
+  EXPECT_EQ(s.duplicatesDropped, 0u);
+}
+
+TEST(Channel, IntraGroupLossRecoversOnTheIntraTimeout) {
+  // A lone lost copy on a 1 ms intra-group link, with nothing sent behind
+  // it to trigger a request: the link's own timeout (2 x 1 ms + 1 ms), not
+  // the 203 ms inter-group one, recovers it.
+  ChanFixture f(2, 2, sim::LatencyModel::fixed(kMs, 100 * kMs));
+  int dropped = 0;
+  f.rt.setDropFilter(dropSeq0(dropped, 1));
+  f.rt.send(0, 1, std::make_shared<TestMsg>(7));
+  f.rt.run(5 * kMs);
+  EXPECT_EQ(dropped, 1);
+  EXPECT_EQ(f.idsAt(1), std::vector<int>{7});
+}
+
+TEST(Channel, LostRetransmissionIsRecovered) {
+  // The original AND the requested resend of seq 0 are lost; the resend is
+  // not requested again inside its request window, so the per-packet
+  // deadline recovers it.
+  ChanFixture f(1, 2, sim::LatencyModel::fixed(kMs, 100 * kMs));
+  int dropped = 0;
+  f.rt.setDropFilter(dropSeq0(dropped, 2));
+  for (int i = 0; i < 5; ++i)
+    f.rt.send(0, 1, std::make_shared<TestMsg>(i));
+  f.rt.run(30 * kSec);
+  EXPECT_EQ(dropped, 2);
+  EXPECT_EQ(f.idsAt(1), iota(5));
+  EXPECT_LE(f.plane.stats().retransmits, 3u);
+}
+
+TEST(Channel, ZeroLossFifoRunRetransmitsNothing) {
+  // A full A1 stack on jitter-free links: copies arrive in order, every ACK
+  // beats its packet's deadline, so no copy is ever sent twice.
+  core::RunConfig c;
+  c.groups = 3;
+  c.procsPerGroup = 3;
+  c.seed = 3;
+  c.protocol = core::ProtocolKind::kA1;
+  c.latency = sim::LatencyModel::fixed(kMs, 100 * kMs);
+  c.stack.reliableChannels = true;
+  core::Experiment ex(c);
+  ex.addWorkload(workload::Spec::openLoopPoisson(300, 3 * kMs, 2));
+  auto r = ex.run();
+  ASSERT_TRUE(r.checkAtomicSuite().empty()) << r.checkAtomicSuite()[0];
+  const auto& s = r.metrics.channels;
+  EXPECT_GT(s.dataSent, 0u);
+  EXPECT_EQ(s.retransmits, 0u);
+  EXPECT_EQ(s.duplicatesDropped, 0u);
+}
+
+TEST(Channel, DeadPeerIsProbedAtACappedRate) {
+  // p1 is down for the whole run. The 3 ms intra-group timeout doubles on
+  // every barren fire up to the absolute ceiling of 16 inter-group
+  // timeouts (16 x 203 ms), so 10 unacked packets cost a bounded trickle.
+  ChanFixture f(1, 2, sim::LatencyModel::fixed(kMs, 100 * kMs));
+  f.rt.scheduleCrash(1, 0);
+  f.rt.scheduler().at(kMs, [&f]() {
+    for (int i = 0; i < 10; ++i)
+      f.rt.send(0, 1, std::make_shared<TestMsg>(i));
+  });
+  f.rt.run(60 * kSec);
+  const auto& s = f.plane.stats();
+  EXPECT_GT(s.retransmits, 0u);
+  EXPECT_LE(s.retransmits, 300u);
 }
 
 // ---------------------------------------------------------------------------
