@@ -115,7 +115,7 @@ void writeJson(const std::vector<CalPoint>& points, const std::string& config,
 int run(const Options& o) {
   // The shared knob set: the serialized line goes verbatim into the CSV
   // header and the JSON, so the exact configuration is recorded with the
-  // artifact and can be rebuilt with RunOptions::parse.
+  // artifact.
   core::RunOptions ro;
   ro.protocol = core::ProtocolKind::kA1;
   ro.groups = 2;

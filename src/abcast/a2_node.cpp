@@ -5,9 +5,8 @@
 
 namespace wanmc::abcast {
 
-A2Node::A2Node(exec::Context& rt, ProcessId pid, const core::StackConfig& cfg,
-               A2Options opts)
-    : core::XcastNode(rt, pid, cfg), opts_(opts) {
+A2Node::A2Node(exec::Context& rt, ProcessId pid, const core::StackConfig& cfg)
+    : core::XcastNode(rt, pid, cfg) {
   groupConsensus_ = &addGroupConsensus();
   groupConsensus_->onDecide(
       [this](consensus::Instance k, const ConsensusValue& v) {
@@ -18,35 +17,8 @@ A2Node::A2Node(exec::Context& rt, ProcessId pid, const core::StackConfig& cfg,
     if (adelivered_.count(m->id)) return;
     rdelivered_.insert(m->id);
     rdeliveredMsgs_[m->id] = m;
-    noteArrival();
     tryPropose();
   });
-}
-
-void A2Node::noteArrival() {
-  const SimTime now_ = now();
-  if (lastArrival_ >= 0) {
-    const auto interval = static_cast<double>(now_ - lastArrival_);
-    ewmaIntervalUs_ = ewmaIntervalUs_ == 0
-                          ? interval
-                          : 0.75 * ewmaIntervalUs_ + 0.25 * interval;
-  }
-  lastArrival_ = now_;
-}
-
-bool A2Node::predictMoreTraffic() {
-  switch (opts_.predictor) {
-    case A2Options::Predictor::kRoundEmpty:
-      return false;  // the paper's default: one empty round => stop
-    case A2Options::Predictor::kLinger:
-      return consecutiveEmpty_ < static_cast<uint64_t>(opts_.lingerRounds);
-    case A2Options::Predictor::kRateAdaptive: {
-      if (ewmaIntervalUs_ == 0 || lastArrival_ < 0) return false;
-      const auto sinceLast = static_cast<double>(now() - lastArrival_);
-      return sinceLast < opts_.rateMultiplier * ewmaIntervalUs_;
-    }
-  }
-  return false;
 }
 
 void A2Node::xcast(const AppMsgPtr& m) {
@@ -89,10 +61,7 @@ void A2Node::handleDecided(uint64_t k, const MsgBundle& bundle) {
   // line 15: ship our group's bundle to every process of every other group
   // (one send event).
   auto payload = std::make_shared<const BundlePayload>(k, bundle, gid());
-  std::vector<ProcessId> others;
-  for (ProcessId q : topology().allProcesses())
-    if (topology().group(q) != gid()) others.push_back(q);
-  sendToMany(others, payload);
+  sendToMany(otherGroups_.of(topology().allGroups().without(gid())), payload);
   // line 17.
   msgs_[k][gid()] = bundle;
   awaitingBundles_ = true;
@@ -144,13 +113,7 @@ void A2Node::tryCompleteRound() {
   awaitingBundles_ = false;
   if (!toDeliver.empty()) {
     ++usefulRounds_;
-    consecutiveEmpty_ = 0;
     barrier_ = std::max(barrier_, K_);  // lines 22-23
-  } else {
-    ++consecutiveEmpty_;
-    // §5.3 extension: a prediction strategy may keep rounds running past
-    // the paper's stop-on-first-empty-round default.
-    if (predictMoreTraffic()) barrier_ = std::max(barrier_, K_);
   }
 
   tryPropose();

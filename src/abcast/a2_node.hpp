@@ -15,7 +15,9 @@
 // or K <= Barrier. Prediction mistakes are tolerated: a bundle received for
 // round x raises Barrier to x, which restarts rounds on groups that had
 // stopped — those runs pay latency degree 2 (Theorem 5.2), matching the
-// quiescence lower bound.
+// quiescence lower bound. A process stops after the first round that
+// delivers nothing, the paper's rule; §5.3's remark that other prediction
+// strategies "could be used" is not implemented.
 #pragma once
 
 #include <cstdint>
@@ -43,34 +45,9 @@ struct BundlePayload final : Payload {
   }
 };
 
-// Quiescence prediction strategy (§5.3): when does a process decide that no
-// further messages will be broadcast and stop executing rounds?
-//
-// The paper's algorithm stops after the first round that delivers nothing
-// (kRoundEmpty) and §5.3 closes with: "In case the broadcast frequency is
-// too low or not constant, to prevent processes from stopping prematurely,
-// more elaborate prediction strategies based on application behavior could
-// be used." The two extra predictors implement that suggestion:
-//   kLinger        — tolerate `lingerRounds` consecutive empty rounds before
-//                    stopping (a fixed hysteresis);
-//   kRateAdaptive  — estimate the message inter-arrival time (EWMA over
-//                    R-Deliver and bundle arrivals) and keep rounds running
-//                    while another message is plausibly imminent.
-// All predictors only affect WHEN rounds stop, never safety: a wrong
-// prediction costs either latency (stopped too early: Theorem 5.2's extra
-// WAN delay on restart) or bandwidth (stopped too late: empty rounds).
-struct A2Options {
-  enum class Predictor { kRoundEmpty, kLinger, kRateAdaptive };
-  Predictor predictor = Predictor::kRoundEmpty;
-  int lingerRounds = 2;          // kLinger: empty rounds tolerated
-  double rateMultiplier = 4.0;   // kRateAdaptive: linger while
-                                 // now - lastArrival < mult * ewma
-};
-
 class A2Node : public core::XcastNode {
  public:
-  A2Node(exec::Context& rt, ProcessId pid, const core::StackConfig& cfg,
-         A2Options opts = {});
+  A2Node(exec::Context& rt, ProcessId pid, const core::StackConfig& cfg);
 
   // A-BCast m (Task 1, lines 4-5): R-MCast m to the sender's own group.
   void xcast(const AppMsgPtr& m) override;
@@ -120,10 +97,6 @@ class A2Node : public core::XcastNode {
 
   // Task 4 guard (line 11).
   void tryPropose();
-  // Predictor hook: called at the end of an EMPTY round; returns true if
-  // the process should nevertheless keep executing rounds.
-  [[nodiscard]] bool predictMoreTraffic();
-  void noteArrival();
   void onDecided(consensus::Instance k, const ConsensusValue& v);
   void drainDecisions();
   // Lines 15-23, entered when the decision for round K_ is available.
@@ -143,14 +116,10 @@ class A2Node : public core::XcastNode {
   std::map<uint64_t, std::map<GroupId, MsgBundle>> msgs_;
   std::map<consensus::Instance, ConsensusValue> decisionBuffer_;
   bool awaitingBundles_ = false;  // decided round K_, waiting for line 16
+  MemberLists otherGroups_{topology()};  // line 15's addressees
 
   uint64_t roundsExecuted_ = 0;
   uint64_t usefulRounds_ = 0;
-
-  A2Options opts_;
-  uint64_t consecutiveEmpty_ = 0;
-  SimTime lastArrival_ = -1;
-  double ewmaIntervalUs_ = 0;  // 0 = no estimate yet
 };
 
 }  // namespace wanmc::abcast

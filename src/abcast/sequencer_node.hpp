@@ -87,11 +87,8 @@ class SequencerNode final : public core::XcastNode {
   };
 
   [[nodiscard]] ProcessId currentSequencer() const;
-  [[nodiscard]] std::vector<ProcessId> everyoneElse() const {
-    std::vector<ProcessId> out;
-    for (ProcessId q : topology().allProcesses())
-      if (q != pid()) out.push_back(q);
-    return out;
+  [[nodiscard]] const std::vector<ProcessId>& everyoneElse() {
+    return peers_.of(topology().allGroups());
   }
   void noteData(const AppMsgPtr& m, ProcessId holder);
   void maybeSequence();
@@ -106,6 +103,7 @@ class SequencerNode final : public core::XcastNode {
   uint64_t nextSn_ = 0;                  // sequencer-local
   uint64_t nextDeliver_ = 0;
   std::vector<MsgId> optimistic_;
+  MemberLists peers_{topology(), pid()};
 };
 
 }  // namespace wanmc::abcast

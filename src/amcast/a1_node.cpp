@@ -11,8 +11,12 @@ bool proposable(Stage s) { return s == Stage::s0 || s == Stage::s2; }
 }  // namespace
 
 A1Node::A1Node(exec::Context& rt, ProcessId pid, const core::StackConfig& cfg,
-               A1Options opts)
-    : core::XcastNode(rt, pid, cfg), opts_(opts) {
+               A1Variant variant)
+    : core::XcastNode(rt, pid, cfg,
+                      variant == A1Variant::kFritzke98
+                          ? rmcast::Uniformity::kUniform
+                          : rmcast::Uniformity::kNonUniform),
+      stageSkipping_(variant == A1Variant::kA1) {
   groupConsensus_ = &addGroupConsensus();
   groupConsensus_->onDecide(
       [this](consensus::Instance k, const ConsensusValue& v) {
@@ -128,7 +132,7 @@ void A1Node::handleDecided(consensus::Instance k, const A1EntrySet& entries) {
       sendToMany(tsDests_.of(m->dest.without(gid())),
                  std::make_shared<const TsPayload>(m, k, gid()));  // line 24
       newlyS1.push_back(m->id);
-    } else if (opts_.stageSkipping) {
+    } else if (stageSkipping_) {
       // lines 28-29: single destination group. With the skip optimization m
       // jumps straight to s3; without it ([5]) m still walks through s1/s2,
       // which for one group degenerates to an extra consensus instance.
@@ -183,7 +187,7 @@ void A1Node::checkStage1(MsgId id) {
   for (const auto& [g, ts] : proposals) max = std::max(max, ts);
   max = std::max(max, p.ts);
 
-  if (opts_.stageSkipping && p.ts >= max) {
+  if (stageSkipping_ && p.ts >= max) {
     // line 35-36: our group proposed the final timestamp; its clock is
     // already beyond it (line 31 ran when the proposal was decided).
     setPending(id, p.msg, Stage::s3, p.ts);

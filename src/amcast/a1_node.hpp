@@ -14,10 +14,9 @@
 //   * a message addressed to a single group jumps s0 -> s3 (one consensus);
 //   * a group whose proposal equals the final timestamp skips s2 (its clock
 //     is already past the final timestamp after line 31).
-// Both skips hang off one flag, A1Options::stageSkipping, so that the [5]
-// baseline is the same code with the flag off — which makes A1 vs [5] an
-// apples-to-apples comparison of consensus instances and intra-group
-// traffic, the exact savings §4.1/§6 claim.
+// [5] is the same code without the skips (A1Variant::kFritzke98), which
+// makes A1 vs [5] an apples-to-apples comparison of consensus instances and
+// intra-group traffic, the exact savings §4.1/§6 claim.
 //
 // Latency degree: 2 for messages multicast to >= 2 groups (Theorem 4.1,
 // optimal by Prop. 3.1/3.2); 0/1 for single-group messages depending on
@@ -64,17 +63,22 @@ struct TsPayload final : Payload {
   }
 };
 
-struct A1Options {
-  // A1's stage skipping: single-group messages jump s0 -> s3, and a group
-  // whose own proposal is the maximum skips s2 (line 35). false
-  // reproduces Fritzke et al. [5].
-  bool stageSkipping = true;
-};
+// The two stacks this class runs. They differ in two ways that only ever
+// change together:
+//   kA1        stage skipping (single-group messages jump s0 -> s3, and a
+//              group whose own proposal is the maximum skips s2, line 35)
+//              over non-uniform reliable multicast;
+//   kFritzke98 [5]: no stage skipping, over uniform reliable multicast.
+//              Uniformity comes from majority-of-own-group copies via
+//              INTRA-group relays ([6]'s domain-based scheme), which keeps
+//              the primitive at latency degree 1 and hence [5] at degree 2,
+//              exactly as Figure 1a accounts it.
+enum class A1Variant { kA1, kFritzke98 };
 
 class A1Node final : public core::XcastNode {
  public:
   A1Node(exec::Context& rt, ProcessId pid, const core::StackConfig& cfg,
-         A1Options opts = {});
+         A1Variant variant);
 
   // A-MCast m to the groups in m->dest (Task 1, lines 8-9).
   void xcast(const AppMsgPtr& m) override;
@@ -139,7 +143,7 @@ class A1Node final : public core::XcastNode {
   // Lines 3-7.
   void adeliveryTest();
 
-  A1Options opts_;
+  bool stageSkipping_;  // kA1
   consensus::ConsensusService* groupConsensus_ = nullptr;
 
   uint64_t K_ = 1;      // this group's clock == next consensus instance

@@ -85,9 +85,6 @@ class RingNode final : public core::XcastNode {
   [[nodiscard]] static GroupId firstGroup(const AppMessage& m) {
     return m.dest.groups().front();
   }
-  [[nodiscard]] static GroupId lastGroup(const AppMessage& m) {
-    return m.dest.groups().back();
-  }
   // Group after `g` on m's ring, or kNoGroup when g == gk.
   [[nodiscard]] static GroupId nextGroup(const AppMessage& m, GroupId g);
 

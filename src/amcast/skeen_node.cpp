@@ -14,10 +14,7 @@ void SkeenNode::xcast(const AppMsgPtr& m) {
   recordXcast(m);
   auto data = std::make_shared<const SkeenPayload>(SkeenPayload::Kind::kData,
                                                    m, 0);
-  std::vector<ProcessId> tos;
-  for (ProcessId q : topology().membersOf(m->dest))
-    if (q != pid()) tos.push_back(q);
-  sendToMany(tos, data);
+  sendToMany(peers_.of(m->dest), data);
   if (m->dest.contains(gid())) noteMessage(m);
 }
 
@@ -47,18 +44,16 @@ void SkeenNode::noteMessage(const AppMsgPtr& m) {
   // through the sender.
   auto vote = std::make_shared<const SkeenPayload>(SkeenPayload::Kind::kVote,
                                                    m, p.myVote);
-  std::vector<ProcessId> tos;
-  for (ProcessId q : topology().membersOf(m->dest))
-    if (q != pid()) tos.push_back(q);
-  sendToMany(tos, vote);
+  sendToMany(peers_.of(m->dest), vote);
   maybeDecide(m->id);
 }
 
 void SkeenNode::maybeDecide(MsgId id) {
   Pend& p = pending_.at(id);
   // Failure-free model: wait for the vote of EVERY destination process.
-  const auto dests = topology().membersOf(p.msg->dest);
-  for (ProcessId q : dests)
+  // Every pending entry already holds this process's own vote (noteMessage
+  // casts it, installProtocolState adopts it), so the peers are the rest.
+  for (ProcessId q : peers_.of(p.msg->dest))
     if (p.votes.count(q) == 0) return;
   uint64_t max = 0;
   for (const auto& [q, v] : p.votes) max = std::max(max, v);

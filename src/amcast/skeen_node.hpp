@@ -88,6 +88,7 @@ class SkeenNode final : public core::XcastNode {
   uint64_t clock_ = 1;
   std::map<MsgId, Pend> pending_;
   std::set<MsgId> delivered_;
+  MemberLists peers_{topology(), pid()};  // m's addressees minus this process
 };
 
 }  // namespace wanmc::amcast

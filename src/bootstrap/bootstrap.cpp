@@ -6,6 +6,17 @@
 
 namespace wanmc::bootstrap {
 
+namespace {
+// Re-issue the snapshot request against the next candidate donor if no
+// offer arrived within this budget (donor crashed, reply partitioned
+// away...). Must exceed one WAN round trip.
+constexpr SimTime kRetry = 400 * kMs;
+// Settle slack added on top of interMax + intraMax before the first
+// request: covers scheduler same-instant ordering and the donor-side
+// processing of late copies.
+constexpr SimTime kSettleSlack = 50 * kMs;
+}  // namespace
+
 std::string BootstrapPayload::debugString() const {
   const char* k = kind == Kind::kAnnounce ? "announce"
                   : kind == Kind::kRequest ? "request"
@@ -14,14 +25,13 @@ std::string BootstrapPayload::debugString() const {
   return std::string("boot-") + k + "(s" + std::to_string(session) + ")";
 }
 
-Plane::Plane(exec::Context& rt, Config cfg)
+Plane::Plane(exec::Context& rt)
     : rt_(rt),
-      cfg_(cfg),
       // One settle window covers every copy that was in flight toward a
       // live donor when the rejoiner came back: inter + intra bounds the
       // worst chain still converging on the donor's tables.
       settle_(rt.latencyModel().interMax + rt.latencyModel().intraMax +
-              cfg.settleSlack),
+              kSettleSlack),
       eps_(static_cast<size_t>(rt.topology().numProcesses())) {}
 
 void Plane::bind(ProcessId pid, Participant* node, fd::FailureDetector& fd) {
@@ -104,7 +114,7 @@ void Plane::sendRequest(ProcessId pid) {
   // invalidate it.
   const uint32_t session = e.session;
   const uint64_t attempt = e.attempt;
-  rt_.timer(pid, cfg_.retry, [this, pid, session, attempt] {
+  rt_.timer(pid, kRetry, [this, pid, session, attempt] {
     Endpoint& e2 = ep(pid);
     if (!e2.joining || e2.session != session || e2.attempt != attempt)
       return;

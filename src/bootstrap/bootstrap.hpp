@@ -56,14 +56,6 @@ struct Config {
   // Off (default): the plane is never constructed; every pre-existing run
   // is byte-identical. On: recovered processes run the rejoin handshake.
   bool armed = false;
-  // Re-issue the snapshot request against the next candidate donor if no
-  // offer arrived within this budget (donor crashed, reply partitioned
-  // away...). Must exceed one WAN round trip.
-  SimTime retry = 400 * kMs;
-  // Settle slack added on top of interMax + intraMax before the first
-  // request: covers scheduler same-instant ordering and the donor-side
-  // processing of late copies.
-  SimTime settleSlack = 50 * kMs;
 };
 
 struct BootstrapPayload final : Payload {
@@ -90,7 +82,7 @@ struct Rejoin {
 
 class Plane {
  public:
-  Plane(exec::Context& rt, Config cfg);
+  explicit Plane(exec::Context& rt);
 
   Plane(const Plane&) = delete;
   Plane& operator=(const Plane&) = delete;
@@ -111,7 +103,6 @@ class Plane {
   [[nodiscard]] const std::vector<Rejoin>& rejoins() const {
     return rejoins_;
   }
-  [[nodiscard]] SimTime settle() const { return settle_; }
   [[nodiscard]] bool joining(ProcessId pid) const {
     return eps_[static_cast<size_t>(pid)].joining;
   }
@@ -134,7 +125,6 @@ class Plane {
   }
 
   exec::Context& rt_;
-  Config cfg_;
   SimTime settle_ = 0;
   std::vector<Endpoint> eps_;
   BootstrapStats stats_;

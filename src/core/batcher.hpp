@@ -50,11 +50,6 @@ class BatchPlane {
   // guarantees the sender is alive right now.
   void enqueue(ProcessId sender, const AppMsgPtr& m);
 
-  // Open (not yet flushed) batches, for tests and introspection.
-  [[nodiscard]] int openBatches() const {
-    return static_cast<int>(open_.size());
-  }
-
  private:
   using Key = std::pair<ProcessId, uint64_t>;  // (sender, dest.bits())
 

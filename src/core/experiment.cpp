@@ -51,19 +51,14 @@ namespace {
 
 std::unique_ptr<XcastNode> makeNode(ProtocolKind kind, exec::Context& rt,
                                     ProcessId pid, const RunConfig& cfg) {
-  StackConfig stack = cfg.stack;
+  const StackConfig& stack = cfg.stack;
   switch (kind) {
     case ProtocolKind::kA1:
-      return std::make_unique<amcast::A1Node>(
-          rt, pid, stack, amcast::A1Options{.stageSkipping = true});
+      return std::make_unique<amcast::A1Node>(rt, pid, stack,
+                                              amcast::A1Variant::kA1);
     case ProtocolKind::kFritzke98:
-      // [5]: no stage skipping, uniform reliable multicast. Uniformity comes
-      // from majority-of-own-group copies via INTRA-group relays ([6]'s
-      // domain-based scheme), which keeps the primitive at latency degree 1
-      // and hence [5] at degree 2, exactly as Figure 1a accounts it.
-      stack.rmUniformity = rmcast::Uniformity::kUniform;
-      return std::make_unique<amcast::A1Node>(
-          rt, pid, stack, amcast::A1Options{.stageSkipping = false});
+      return std::make_unique<amcast::A1Node>(rt, pid, stack,
+                                              amcast::A1Variant::kFritzke98);
     case ProtocolKind::kDelporte00:
       return std::make_unique<amcast::RingNode>(rt, pid, stack);
     case ProtocolKind::kRodrigues98:
@@ -71,9 +66,9 @@ std::unique_ptr<XcastNode> makeNode(ProtocolKind kind, exec::Context& rt,
     case ProtocolKind::kSkeen87:
       return std::make_unique<amcast::SkeenNode>(rt, pid, stack);
     case ProtocolKind::kViaBcast:
-      return std::make_unique<amcast::ViaBcastNode>(rt, pid, stack, cfg.a2);
+      return std::make_unique<amcast::ViaBcastNode>(rt, pid, stack);
     case ProtocolKind::kA2:
-      return std::make_unique<abcast::A2Node>(rt, pid, stack, cfg.a2);
+      return std::make_unique<abcast::A2Node>(rt, pid, stack);
     case ProtocolKind::kSousa02:
       return std::make_unique<abcast::SequencerNode>(
           rt, pid, stack, abcast::SequencerMode::kOptimisticNonUniform);
@@ -143,8 +138,7 @@ Experiment::Experiment(RunConfig cfg) : cfg_(cfg) {
   // The bootstrap plane outlives every node incarnation and must exist
   // before the first XcastNode constructor runs (nodes bind to it there).
   if (cfg_.stack.bootstrap.armed) {
-    bootstrap_ = std::make_unique<bootstrap::Plane>(*ctx_,
-                                                    cfg_.stack.bootstrap);
+    bootstrap_ = std::make_unique<bootstrap::Plane>(*ctx_);
     cfg_.stack.bootstrapPlane = bootstrap_.get();
   }
   for (ProcessId p = 0; p < topo.numProcesses(); ++p) {
@@ -167,7 +161,7 @@ Experiment::Experiment(RunConfig cfg) : cfg_(cfg) {
     });
   }
   if (cfg_.stack.reliableChannels) {
-    channel_ = std::make_unique<channel::Plane>(*ctx_, cfg_.stack.channel);
+    channel_ = std::make_unique<channel::Plane>(*ctx_, channel::Config{});
     ctx_->setChannelHook(channel_.get());
   }
   if (cfg_.lossRate != 0) rt_->setLossRate(cfg_.lossRate);  // validates
@@ -370,8 +364,6 @@ RunResult Experiment::run(SimTime until) {
   }
   return harvest();
 }
-
-RunResult Experiment::runMore(SimTime until) { return run(until); }
 
 RunResult Experiment::harvest() const {
   const exec::Context& ctx = *ctx_;

@@ -17,8 +17,8 @@
 #include <string>
 #include <vector>
 
-#include "abcast/a2_node.hpp"
 #include "abcast/merge_node.hpp"
+#include "channel/channel.hpp"
 #include "common/ids.hpp"
 #include "common/message.hpp"
 #include "common/trace.hpp"
@@ -77,7 +77,6 @@ struct RunConfig {
   uint64_t seed = 1;
   ProtocolKind protocol = ProtocolKind::kA1;
   StackConfig stack{};
-  abcast::A2Options a2{};        // kA2 / kViaBcast only
   abcast::MergeOptions merge{};  // kDetMerge00 only
   // Iid per-wire-copy drop probability in [0, 1) (sim LossModel axis),
   // drawn from a dedicated RNG stream forked from `seed` so arming loss
@@ -200,10 +199,9 @@ class Experiment {
                                         SimTime until = kTimeNever);
 
   // Run the simulation until `until` (or exhaustion) and harvest results.
+  // A later call continues the same run (cast more, run again); results
+  // are cumulative.
   RunResult run(SimTime until = 300 * kSec);
-
-  // Continue a run (e.g. cast more, run again) — results are cumulative.
-  RunResult runMore(SimTime until);
 
  private:
   friend class workload::Generator;

@@ -150,67 +150,6 @@ std::string RunOptions::serialize() const {
   return os.str();
 }
 
-std::optional<RunOptions> RunOptions::parse(const std::string& text) {
-  RunOptions out;
-  std::istringstream is(text);
-  std::string tok;
-  auto range = [](const std::string& v, SimTime& lo, SimTime& hi) {
-    const auto colon = v.find(':');
-    if (colon == std::string::npos) return false;
-    try {
-      lo = std::stoll(v.substr(0, colon));
-      hi = std::stoll(v.substr(colon + 1));
-    } catch (const std::exception&) {
-      return false;
-    }
-    return true;
-  };
-  while (is >> tok) {
-    const auto eq = tok.find('=');
-    if (eq == std::string::npos) return std::nullopt;
-    const std::string k = tok.substr(0, eq);
-    const std::string v = tok.substr(eq + 1);
-    try {
-      if (k == "backend") {
-        const auto b = backendFromName(v);
-        if (!b) return std::nullopt;
-        out.backend = *b;
-      } else if (k == "protocol") {
-        const auto p = protocolFromName(v);
-        if (!p) return std::nullopt;
-        out.protocol = *p;
-      } else if (k == "groups") {
-        out.groups = std::stoi(v);
-      } else if (k == "procs") {
-        out.procsPerGroup = std::stoi(v);
-      } else if (k == "seed") {
-        out.seed = std::stoull(v);
-      } else if (k == "intra") {
-        if (!range(v, out.latency.intraMin, out.latency.intraMax))
-          return std::nullopt;
-      } else if (k == "inter") {
-        if (!range(v, out.latency.interMin, out.latency.interMax))
-          return std::nullopt;
-      } else if (k == "batch-window") {
-        out.batchWindow = std::stoll(v);
-      } else if (k == "batch-max") {
-        out.batchMaxSize = std::stoi(v);
-      } else if (k == "loss") {
-        out.lossRate = std::stod(v);
-      } else if (k == "channels") {
-        out.reliableChannels = std::stoi(v) != 0;
-      } else if (k == "dest-groups") {
-        out.destGroups = std::stoi(v);
-      } else {
-        return std::nullopt;
-      }
-    } catch (const std::exception&) {
-      return std::nullopt;
-    }
-  }
-  return out;
-}
-
 RunConfig RunOptions::toRunConfig() const {
   validate();
   RunConfig cfg;

@@ -16,9 +16,9 @@
 //     message no matter which entry point the knob came through.
 //     (Backend-capability rejections live in Experiment::validateBackend,
 //     which sees the full RunConfig.)
-//   * serialize()/parse() round-trip the options as one "k=v ..." line, so
-//     a bench or CSV header can record the exact configuration and a test
-//     can rebuild it.
+//   * serialize() writes the options as one "k=v ..." line, so a bench can
+//     record the exact configuration with its artifact (bench_calibration
+//     puts it in its CSV header and JSON).
 //   * toRunConfig() produces the core::RunConfig everything downstream
 //     (Experiment, ScenarioRunner, the sweep API) consumes.
 #pragma once
@@ -64,12 +64,8 @@ struct RunOptions {
   // The one shape check: throws std::invalid_argument naming the knob.
   void validate() const;
 
-  // One-line "k=v" serialization (stable key order), and its inverse.
-  // parse() accepts exactly the keys serialize() emits, in any order, and
-  // returns nullopt on an unknown key or malformed value.
+  // One-line "k=v" serialization, in a stable key order.
   [[nodiscard]] std::string serialize() const;
-  [[nodiscard]] static std::optional<RunOptions> parse(
-      const std::string& text);
 
   // Validates, then builds the RunConfig downstream consumers take.
   [[nodiscard]] RunConfig toRunConfig() const;

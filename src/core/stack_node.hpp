@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "bootstrap/bootstrap.hpp"
-#include "channel/channel.hpp"
 #include "common/batch.hpp"
 #include "common/message.hpp"
 #include "consensus/consensus.hpp"
@@ -27,7 +26,8 @@ namespace wanmc::core {
 // How a protocol stack should be parameterized. One StackConfig is shared by
 // every node of a run. Consensus is always the early-deciding service
 // (consensus/consensus.hpp), and reliable multicast always relays
-// intra-group (rmcast/rmcast.hpp).
+// intra-group (rmcast/rmcast.hpp); each stack passes its uniformity to the
+// StackNode constructor.
 struct StackConfig {
   fd::FdKind fdKind = fd::FdKind::kOracle;
   SimTime fdOracleDelay = 50 * kMs;
@@ -40,7 +40,6 @@ struct StackConfig {
   // forever, and only a timeout moves the round on. ScenarioRunner arms
   // this automatically for scenarios with a recovery schedule.
   SimTime consensusRoundTimeout = 0;
-  rmcast::Uniformity rmUniformity = rmcast::Uniformity::kNonUniform;
   // Batching plane (src/core/batcher.hpp): casts sharing a (sender,
   // destination-set) key are accumulated for up to batchWindow and ordered
   // as ONE protocol instance per batch. batchWindow == 0 disables batching
@@ -56,9 +55,8 @@ struct StackConfig {
   // proved against — delivery obligations then bind through healed
   // partitions and probabilistic loss (RunConfig::lossRate). Off =
   // byte-identical to the direct send path (pinned by every pre-existing
-  // golden fingerprint).
+  // golden fingerprint). The plane runs channel::Config's defaults.
   bool reliableChannels = false;
-  channel::Config channel{};
   // Bootstrap plane (src/bootstrap/): when armed, a recovered process runs
   // a rejoin handshake — it requests an order-state snapshot plus delivery
   // suffix from a live donor, installs it, and resumes as a full protocol
@@ -73,15 +71,15 @@ struct StackConfig {
 
 class StackNode : public exec::Process {
  public:
-  StackNode(exec::Context& rt, ProcessId pid, const StackConfig& cfg)
+  StackNode(exec::Context& rt, ProcessId pid, const StackConfig& cfg,
+            rmcast::Uniformity uniformity = rmcast::Uniformity::kNonUniform)
       : exec::Process(rt, pid), cfg_(cfg) {
     // The failure detector's scope is the own group: that is where consensus
     // runs and the only place suspicion matters for the core algorithms.
     // (Stacks that run consensus across groups widen the scope themselves.)
     fd_ = fd::makeFd(cfg.fdKind, rt, pid, rt.topology().members(gid()),
                      cfg.fdOracleDelay, cfg.fdHeartbeat);
-    rm_ = std::make_unique<rmcast::ReliableMulticast>(rt, pid,
-                                                      cfg.rmUniformity);
+    rm_ = std::make_unique<rmcast::ReliableMulticast>(rt, pid, uniformity);
   }
 
   void onStart() override {
@@ -192,8 +190,9 @@ class XcastNode : public StackNode, public bootstrap::Participant {
  public:
   using DeliverCb = std::function<void(const AppMsgPtr&)>;
 
-  XcastNode(exec::Context& rt, ProcessId pid, const StackConfig& cfg)
-      : StackNode(rt, pid, cfg) {
+  XcastNode(exec::Context& rt, ProcessId pid, const StackConfig& cfg,
+            rmcast::Uniformity uniformity = rmcast::Uniformity::kNonUniform)
+      : StackNode(rt, pid, cfg, uniformity) {
     if (cfg.bootstrapPlane != nullptr)
       cfg.bootstrapPlane->bind(pid, this, fd());
   }

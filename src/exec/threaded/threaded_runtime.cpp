@@ -54,8 +54,10 @@ SimTime ThreadedRuntime::now() const { return monoUs(); }
 
 void ThreadedRuntime::start() {
   assert(!running_.load(std::memory_order_relaxed));
-  for (const PerThread& p : per_)
-    assert(p.node != nullptr && "every process must have an attached node");
+  for (size_t p = 0; p < per_.size(); ++p)
+    if (per_[p].node == nullptr)
+      throw std::logic_error("ThreadedRuntime::start: process " +
+                             std::to_string(p) + " has no attached node");
   t0_ = std::chrono::steady_clock::now();
   running_.store(true, std::memory_order_release);
   for (size_t p = 0; p < per_.size(); ++p)

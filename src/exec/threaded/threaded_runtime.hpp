@@ -59,7 +59,9 @@ class ThreadedRuntime final : public Context {
   // ---- lifecycle (driver thread) ------------------------------------------
 
   // Launches one thread per process; each runs its node's onStart() and
-  // enters the poll loop. The caller becomes the driver.
+  // enters the poll loop. The caller becomes the driver. Throws
+  // std::logic_error, before any thread starts, if a process has no
+  // attached node.
   void start();
 
   // Drives the harness wheel until `done()` holds or `wallBudgetUs` of real

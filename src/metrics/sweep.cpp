@@ -82,27 +82,6 @@ std::vector<SweepPoint> runLatencyThroughputSweep(const SweepOptions& opt) {
   return out;
 }
 
-std::vector<BatchLadderEntry> runBatchLadderSweep(
-    const SweepOptions& opt, const std::vector<int>& batchSizes,
-    SimTime batchWindow) {
-  std::vector<BatchLadderEntry> out;
-  out.reserve(batchSizes.size());
-  for (const int size : batchSizes) {
-    SweepOptions rung = opt;
-    rung.base.stack.batchMaxSize = size;
-    rung.base.stack.batchWindow = size == 0 ? 0 : batchWindow;
-
-    BatchLadderEntry e;
-    e.batchMaxSize = size;
-    e.batchWindow = rung.base.stack.batchWindow;
-    e.curve = runLatencyThroughputSweep(rung);
-    for (const SweepPoint& p : e.curve)
-      e.peakGoodputPerSec = std::max(e.peakGoodputPerSec, p.goodputPerSec);
-    out.push_back(std::move(e));
-  }
-  return out;
-}
-
 void writeSweepCsv(const std::vector<SweepPoint>& points, std::ostream& os) {
   os << "interval_us,offered_per_sec,goodput_per_sec,p50_us,p90_us,p99_us,"
         "max_us,mean_us,casts,deliveries,seeds\n";
@@ -111,22 +90,6 @@ void writeSweepCsv(const std::vector<SweepPoint>& points, std::ostream& os) {
        << ',' << p.latency.p50 << ',' << p.latency.p90 << ','
        << p.latency.p99 << ',' << p.latency.max << ',' << p.latency.mean
        << ',' << p.casts << ',' << p.deliveries << ',' << p.seeds << '\n';
-  }
-}
-
-void writeBatchLadderCsv(const std::vector<BatchLadderEntry>& rungs,
-                         std::ostream& os) {
-  os << "batch_max,batch_window_us,interval_us,offered_per_sec,"
-        "goodput_per_sec,p50_us,p90_us,p99_us,max_us,mean_us,casts,"
-        "deliveries,seeds\n";
-  for (const BatchLadderEntry& e : rungs) {
-    for (const SweepPoint& p : e.curve) {
-      os << e.batchMaxSize << ',' << e.batchWindow << ',' << p.interval << ','
-         << p.offeredPerSec << ',' << p.goodputPerSec << ',' << p.latency.p50
-         << ',' << p.latency.p90 << ',' << p.latency.p99 << ','
-         << p.latency.max << ',' << p.latency.mean << ',' << p.casts << ','
-         << p.deliveries << ',' << p.seeds << '\n';
-    }
   }
 }
 

@@ -79,27 +79,4 @@ struct SweepPoint {
 // max_us,mean_us,casts,deliveries,seeds — one row per point, ladder order.
 void writeSweepCsv(const std::vector<SweepPoint>& points, std::ostream& os);
 
-// One rung of the batch-size ladder: the full load curve measured at one
-// batching configuration (PR 6). batchMaxSize 0 is the unbatched control
-// rung — its window is forced to 0 so it runs the byte-identical
-// pre-batching path.
-struct BatchLadderEntry {
-  int batchMaxSize = 0;
-  SimTime batchWindow = 0;
-  std::vector<SweepPoint> curve;
-  double peakGoodputPerSec = 0;  // max goodput across the curve
-};
-
-// Re-runs the load ladder once per batch size, same seeds and workload
-// per rung, so the rungs differ ONLY in the batching knobs. `batchWindow`
-// applies to every non-zero rung.
-[[nodiscard]] std::vector<BatchLadderEntry> runBatchLadderSweep(
-    const SweepOptions& opt, const std::vector<int>& batchSizes,
-    SimTime batchWindow);
-
-// The sweep CSV columns prefixed with batch_max,batch_window_us — one row
-// per (rung, load point), rung-major.
-void writeBatchLadderCsv(const std::vector<BatchLadderEntry>& rungs,
-                         std::ostream& os);
-
 }  // namespace wanmc::metrics

@@ -15,11 +15,12 @@ void Runtime::attach(ProcessId pid, std::unique_ptr<Node> node) {
 }
 
 void Runtime::start() {
-  for (ProcessId p = 0; p < topo_.numProcesses(); ++p) {
-    Node* node = nodes_[static_cast<size_t>(p)];
-    assert(node != nullptr && "every process must have an attached node");
-    if (!crashed(p)) node->onStart();
-  }
+  for (ProcessId p = 0; p < topo_.numProcesses(); ++p)
+    if (nodes_[static_cast<size_t>(p)] == nullptr)
+      throw std::logic_error("Runtime::start: process " + std::to_string(p) +
+                             " has no attached node");
+  for (ProcessId p = 0; p < topo_.numProcesses(); ++p)
+    if (!crashed(p)) nodes_[static_cast<size_t>(p)]->onStart();
 }
 
 uint64_t Runtime::run(SimTime until, uint64_t maxEvents) {
@@ -299,32 +300,8 @@ void Runtime::adjustGroupCuts(const GroupSet& side, int delta) {
   }
 }
 
-void Runtime::cutLink(ProcessId a, ProcessId b, SimTime from, SimTime until) {
-  auto bad = [](const char* what) {
-    std::ostringstream os;
-    os << "Runtime::cutLink: " << what;
-    throw std::invalid_argument(os.str());
-  };
-  if (a < 0 || a >= topo_.numProcesses() || b < 0 ||
-      b >= topo_.numProcesses())
-    bad("pid out of range");
-  if (a == b) bad("a process has no link to itself");
-  if (until <= from) bad("empty window");
-  linkWindows_.push_back(LinkWindow{a, b, from, until});
-  anyLinkState_ = true;
-}
-
 bool Runtime::linkUp(ProcessId from, ProcessId to) const {
-  if (!anyLinkState_) return true;
-  if (!groupCut_.empty() && groupLinkCut(topo_.group(from), topo_.group(to)))
-    return false;
-  const SimTime now = sched_.now();
-  for (const LinkWindow& w : linkWindows_) {
-    if (((w.a == from && w.b == to) || (w.a == to && w.b == from)) &&
-        now >= w.from && now < w.until)
-      return false;
-  }
-  return true;
+  return !anyLinkState_ || !groupLinkCut(topo_.group(from), topo_.group(to));
 }
 
 int Runtime::aliveInGroup(GroupId g) const {

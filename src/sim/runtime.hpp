@@ -81,11 +81,11 @@ class Runtime final : public exec::Context {
 
   // ---- simulation control --------------------------------------------------
 
-  // Calls Node::onStart on every attached node (at the current sim time) and
-  // runs until quiescence or `until`.
+  // Calls Node::onStart on every live process (at the current sim time).
+  // Throws std::logic_error, before any node starts, if a process has no
+  // attached node.
   void start();
   uint64_t run(SimTime until = kTimeNever, uint64_t maxEvents = UINT64_MAX);
-  bool stepOne() { return sched_.step(); }
 
   [[nodiscard]] SimTime now() const override { return sched_.now(); }
   [[nodiscard]] Scheduler& scheduler() { return sched_; }
@@ -214,14 +214,8 @@ class Runtime final : public exec::Context {
   void heal(PartitionId id);
   // Heals every active or scheduled partition now.
   void healAll();
-  // One symmetric process-pair link down during [from, until).
-  void cutLink(ProcessId a, ProcessId b, SimTime from, SimTime until);
   // Is the (directed) link from->to up right now?
   [[nodiscard]] bool linkUp(ProcessId from, ProcessId to) const;
-
-  [[nodiscard]] FaultStats faultStats() const {
-    return faultStatsOf(trace_);
-  }
 
   // ---- instrumentation -----------------------------------------------------
 
@@ -400,14 +394,6 @@ class Runtime final : public exec::Context {
                      static_cast<size_t>(b)] != 0;
   }
 
-  // One per-link down window (symmetric), evaluated by time.
-  struct LinkWindow {
-    ProcessId a = kNoProcess;
-    ProcessId b = kNoProcess;
-    SimTime from = 0;
-    SimTime until = kTimeNever;
-  };
-
   std::vector<uint64_t> lamport_;
   std::vector<uint8_t> crashed_;
   std::vector<uint8_t> everCrashed_;
@@ -417,11 +403,10 @@ class Runtime final : public exec::Context {
   NodeFactory nodeFactory_;
 
   // Dynamic link state. `anyLinkState_` gates the per-copy check so runs
-  // without partitions/cut links pay nothing on the send hot path.
+  // without partitions pay nothing on the send hot path.
   bool anyLinkState_ = false;
   std::vector<Partition> partitions_;
   std::vector<uint16_t> groupCut_;  // numGroups^2 cut counts
-  std::vector<LinkWindow> linkWindows_;
 
   DropFilter drop_;
   ChannelHook* channelHook_ = nullptr;

@@ -95,7 +95,7 @@ TEST(A2, RestartAfterQuiescenceStaysLive) {
   auto r1 = ex.run(10 * kSec);
   EXPECT_EQ(r1.trace.deliveries.size(), 4u);
   ex.castAllAt(20 * kSec, 3, "y");
-  auto r2 = ex.runMore(60 * kSec);
+  auto r2 = ex.run(60 * kSec);
   EXPECT_TRUE(r2.checkAtomicSuite().empty()) << r2.checkAtomicSuite()[0];
   EXPECT_EQ(r2.trace.deliveries.size(), 8u);
 }

@@ -4,13 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <sstream>
 #include <stdexcept>
 #include <vector>
 
 #include "common/batch.hpp"
 #include "core/experiment.hpp"
-#include "metrics/sweep.hpp"
 #include "testing/scenario.hpp"
 #include "verify/properties.hpp"
 
@@ -223,35 +221,6 @@ TEST(Batching, ReducesOrderingTrafficForTheSameWorkload) {
   const uint64_t costB = batched.traffic.at(Layer::kProtocol).total() +
                          batched.traffic.at(Layer::kConsensus).total();
   EXPECT_LT(costB, costU);
-}
-
-TEST(BatchLadder, RungsDifferOnlyInBatchKnobs) {
-  metrics::SweepOptions opt;
-  opt.base.groups = 3;
-  opt.base.procsPerGroup = 2;
-  opt.base.protocol = ProtocolKind::kA1;
-  opt.base.latency = sim::LatencyModel::fixed(kMs, 50 * kMs);
-  opt.casts = 20;
-  opt.seedsPerPoint = 1;
-  opt.intervals = {20 * kMs, 5 * kMs};
-  const auto rungs =
-      metrics::runBatchLadderSweep(opt, {0, 4}, /*batchWindow=*/30 * kMs);
-  ASSERT_EQ(rungs.size(), 2u);
-  EXPECT_EQ(rungs[0].batchMaxSize, 0);
-  EXPECT_EQ(rungs[0].batchWindow, 0);  // the unbatched control rung
-  EXPECT_EQ(rungs[1].batchMaxSize, 4);
-  EXPECT_EQ(rungs[1].batchWindow, 30 * kMs);
-  for (const auto& e : rungs) {
-    ASSERT_EQ(e.curve.size(), 2u);
-    EXPECT_GT(e.peakGoodputPerSec, 0.0);
-    for (const auto& p : e.curve) EXPECT_EQ(p.casts, 20u);
-  }
-  std::ostringstream os;
-  metrics::writeBatchLadderCsv(rungs, os);
-  const std::string csv = os.str();
-  EXPECT_NE(csv.find("batch_max,batch_window_us,interval_us"),
-            std::string::npos);
-  EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 5);
 }
 
 // ---------------------------------------------------------------------------

@@ -164,7 +164,7 @@ TEST(ExperimentApi, RunMoreAccumulates) {
   auto r1 = ex.run(5 * kSec);
   EXPECT_EQ(r1.trace.casts.size(), 1u);
   ex.castAllAt(6 * kSec, 1, "b");
-  auto r2 = ex.runMore(20 * kSec);
+  auto r2 = ex.run(20 * kSec);
   EXPECT_EQ(r2.trace.casts.size(), 2u);
   EXPECT_EQ(r2.trace.deliveries.size(), 8u);
 }

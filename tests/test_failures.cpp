@@ -107,7 +107,7 @@ TEST(A2Failures, CrashWhileQuiescentThenRestart) {
   ex.run(10 * kSec);
   ex.crashAt(3, 11 * kSec);  // crash during the quiescent phase
   ex.castAllAt(15 * kSec, 1, "y");
-  auto r = ex.runMore(60 * kSec);
+  auto r = ex.run(60 * kSec);
   expectSafe(r, "A2 quiescent crash");
   auto seqs = r.trace.sequences();
   for (ProcessId p : r.correct) EXPECT_EQ(seqs[p].size(), 2u) << "p" << p;

@@ -157,25 +157,6 @@ TEST(Partition, HealBeforeActivationCancelsTheCut) {
   EXPECT_TRUE(net.rt.trace().partitions.empty());  // never cut, never healed
 }
 
-TEST(CutLink, DropsOnlyThatPairWithinWindow) {
-  Net net(1, 3);
-  net.rt.cutLink(0, 1, 0, 50 * kMs);
-  net.probes[0]->emit(1, 1);  // cut (0<->1 down)
-  net.probes[1]->emit(0, 2);  // cut (symmetric)
-  net.probes[0]->emit(2, 3);  // unaffected pair
-  net.rt.scheduler().at(60 * kMs, [&] { net.probes[0]->emit(1, 4); });
-  net.rt.run();
-  ASSERT_EQ(net.probes[1]->got.size(), 1u);
-  EXPECT_EQ(net.probes[1]->got[0].second, 4);
-  EXPECT_TRUE(net.probes[0]->got.empty());
-  EXPECT_EQ(net.probes[2]->got.size(), 1u);
-  EXPECT_EQ(net.rt.trace().linkDrops, 2u);
-
-  EXPECT_THROW(net.rt.cutLink(0, 0, 0, kMs), std::invalid_argument);
-  EXPECT_THROW(net.rt.cutLink(0, 7, 0, kMs), std::invalid_argument);
-  EXPECT_THROW(net.rt.cutLink(0, 1, kMs, kMs), std::invalid_argument);
-}
-
 TEST(Partition, LocalTimersSurviveTheCut) {
   Net net(2, 1);
   net.rt.partition(GroupSet::single(0), 0, kTimeNever);

@@ -1,12 +1,16 @@
 // Edge-case tests for the runtime's batch-send semantics (the paper's
-// one-event-per-multicast clock rule) and for consensus corner cases that
-// the protocol-level tests exercise only indirectly.
+// one-event-per-multicast clock rule), for starting a runtime that lacks a
+// node (both backends), and for consensus corner cases that the
+// protocol-level tests exercise only indirectly.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
+#include <stdexcept>
 
 #include "consensus/consensus.hpp"
 #include "core/stack_node.hpp"
+#include "exec/threaded/threaded_runtime.hpp"
 #include "sim/runtime.hpp"
 
 namespace wanmc {
@@ -76,6 +80,42 @@ TEST(Multicast, EmptyDestinationListIsANoop) {
   rt.multicast(0, {}, std::make_shared<const TagPayload>(1));
   EXPECT_EQ(rt.lamport(0), 0u);
   EXPECT_EQ(rt.traffic().at(Layer::kProtocol).total(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// start() with a process that has no node: every slot is checked before
+// any node starts, in every build type (an assert would vanish under
+// NDEBUG and leave start() to call through a null node).
+// ---------------------------------------------------------------------------
+
+class StartCounter final : public exec::Process {
+ public:
+  StartCounter(exec::Context& ctx, ProcessId pid, std::atomic<int>& started)
+      : exec::Process(ctx, pid), started_(started) {}
+  void onStart() override { ++started_; }
+  void onMessage(ProcessId, const PayloadPtr&) override {}
+
+ private:
+  std::atomic<int>& started_;
+};
+
+TEST(RuntimeStart, SimRejectsAMissingNodeBeforeStartingAny) {
+  std::atomic<int> started{0};
+  sim::Runtime rt = makeRt(1, 3);
+  rt.attach(0, std::make_unique<StartCounter>(rt, 0, started));
+  rt.attach(2, std::make_unique<StartCounter>(rt, 2, started));
+  EXPECT_THROW(rt.start(), std::logic_error);
+  EXPECT_EQ(started.load(), 0);
+}
+
+TEST(RuntimeStart, ThreadedRejectsAMissingNodeBeforeLaunchingAnyThread) {
+  std::atomic<int> started{0};
+  exec::ThreadedRuntime rt(Topology(1, 3),
+                           sim::LatencyModel::fixed(kMs, 100 * kMs), 1);
+  rt.attach(0, std::make_unique<StartCounter>(rt, 0, started));
+  rt.attach(2, std::make_unique<StartCounter>(rt, 2, started));
+  EXPECT_THROW(rt.start(), std::logic_error);
+  EXPECT_EQ(started.load(), 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,10 +1,9 @@
 // Stack-variant matrix tests: the core algorithms must be correct over
 // EVERY substrate combination — the early-deciding consensus under both
 // failure detectors (oracle and heartbeat), on regular and ragged
-// topologies, and with every A2 quiescence predictor.
+// topologies.
 #include <gtest/gtest.h>
 
-#include "abcast/a2_node.hpp"
 #include "core/experiment.hpp"
 
 namespace wanmc {
@@ -141,93 +140,6 @@ TEST(RaggedTopology, CrashInSingletonGroupBlocksOnlyLiveness) {
   for (auto&& e : verify::checkUniformIntegrity(ctx)) ADD_FAILURE() << e;
   for (auto&& e : verify::checkValidity(ctx)) ADD_FAILURE() << e;
   EXPECT_EQ(r.trace.deliveries.size(), 4u);
-}
-
-// ---------------------------------------------------------------------------
-// A2 quiescence predictors (§5.3 extension).
-// ---------------------------------------------------------------------------
-
-RunConfig a2Cfg(abcast::A2Options::Predictor pred, uint64_t seed = 1) {
-  RunConfig c;
-  c.groups = 2;
-  c.procsPerGroup = 2;
-  c.seed = seed;
-  c.protocol = ProtocolKind::kA2;
-  c.latency = sim::LatencyModel::fixed(kMs / 10, 100 * kMs);
-  c.a2.predictor = pred;
-  return c;
-}
-
-TEST(A2Predictors, LingerKeepsRoundsAliveThroughShortGaps) {
-  // Two messages separated by a gap longer than a round but shorter than
-  // the linger horizon: with the default predictor the second pays the
-  // Theorem-5.2 cold start (~2 WAN delays of wall latency); with linger it
-  // rides a still-running round and commits ~one WAN delay sooner. (The
-  // lingering rounds keep ticking the Lamport clocks, so the benefit shows
-  // in wall latency, not in the Lamport span.)
-  auto runWith = [](abcast::A2Options::Predictor pred) {
-    auto c = a2Cfg(pred);
-    c.a2.lingerRounds = 8;
-    Experiment ex(c);
-    ex.castAllAt(kMs, 0, "a");
-    auto id = ex.castAllAt(900 * kMs, 2, "b");
-    auto r = ex.run(600 * kSec);
-    EXPECT_TRUE(r.checkAtomicSuite().empty());
-    return std::pair(*r.trace.latencyDegree(id),
-                     *r.trace.wallLatency(id));
-  };
-  auto [coldDeg, coldWall] = runWith(abcast::A2Options::Predictor::kRoundEmpty);
-  auto [lingerDeg, lingerWall] = runWith(abcast::A2Options::Predictor::kLinger);
-  EXPECT_EQ(coldDeg, 2);
-  EXPECT_GE(coldWall, 200 * kMs);        // restart: two WAN delays
-  EXPECT_LT(lingerWall, 180 * kMs);      // warm round: roughly one
-  (void)lingerDeg;
-}
-
-TEST(A2Predictors, LingerEventuallyStops) {
-  auto c = a2Cfg(abcast::A2Options::Predictor::kLinger);
-  c.a2.lingerRounds = 3;
-  Experiment ex(c);
-  ex.castAllAt(kMs, 0, "a");
-  auto r = ex.run(600 * kSec);
-  // Quiescence still holds — just later (3 extra empty rounds ~ 3 WAN
-  // round trips).
-  auto v = verify::checkQuiescence(r.checkContext(), r.lastAlgoSend,
-                                   5 * kSec);
-  EXPECT_TRUE(v.empty()) << v[0];
-  auto& n0 = dynamic_cast<abcast::A2Node&>(ex.node(0));
-  EXPECT_GE(n0.roundsExecuted(), 3u);
-}
-
-TEST(A2Predictors, RateAdaptiveStopsAfterStreamEnds) {
-  auto c = a2Cfg(abcast::A2Options::Predictor::kRateAdaptive);
-  c.a2.rateMultiplier = 3.0;
-  Experiment ex(c);
-  for (int i = 0; i < 10; ++i)
-    ex.castAllAt(kMs + i * 50 * kMs, static_cast<ProcessId>(i % 4), "x");
-  auto r = ex.run(600 * kSec);
-  EXPECT_TRUE(r.checkAtomicSuite().empty());
-  // With ~50ms inter-arrivals and multiplier 3, rounds stop within ~150ms
-  // plus one round after the last arrival: comfortably under 5s.
-  auto v = verify::checkQuiescence(r.checkContext(), r.lastAlgoSend,
-                                   5 * kSec);
-  EXPECT_TRUE(v.empty()) << v[0];
-}
-
-TEST(A2Predictors, AllPredictorsPreserveSafety) {
-  for (auto pred : {abcast::A2Options::Predictor::kRoundEmpty,
-                    abcast::A2Options::Predictor::kLinger,
-                    abcast::A2Options::Predictor::kRateAdaptive}) {
-    auto c = a2Cfg(pred, 9);
-    c.latency = sim::LatencyModel{kMs, 2 * kMs, 95 * kMs, 110 * kMs};
-    Experiment ex(c);
-    // Gaps straddle the round time.
-    ex.addWorkload(workload::Spec::closedLoop(12, 120 * kMs));
-    auto r = ex.run(600 * kSec);
-    auto v = r.checkAtomicSuite();
-    EXPECT_TRUE(v.empty()) << v[0];
-    EXPECT_EQ(r.trace.deliveries.size(), 12u * 4u);
-  }
 }
 
 }  // namespace

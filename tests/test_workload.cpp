@@ -344,7 +344,7 @@ TEST(Bursty, MidRunInstallNeverRewindsTheClock) {
   spec.offDuration = 300 * kMs;
   spec.burstGap = 10 * kMs;
   ex.addWorkload(spec);  // start = 10ms, long gone
-  auto r = ex.runMore(600 * kSec);
+  auto r = ex.run(600 * kSec);
   ASSERT_EQ(r.trace.casts.size(), 6u);
   SimTime prev = 5 * kSec;
   for (const auto& c : r.trace.casts) {
