@@ -65,9 +65,15 @@ void SequencerNode::onProtocolMessage(ProcessId from, const PayloadPtr& p) {
         unsequenced_.erase(sp->msgId);
         nextSn_ = std::max(nextSn_, sp->sn + 1);
       }
-      // The SEQ broadcast doubles as the sequencer's echo.
+      // The SEQ broadcast doubles as the sequencer's echo. In [12] it also
+      // carries m, as A1's (TS, m) does (paper footnote 4): a data copy
+      // lost with its crashed sender cannot stall delivery.
       echoes_[sp->msgId].insert(from);
-      tryFinalDeliver();
+      if (sp->msg != nullptr) {
+        noteData(sp->msg, from);
+      } else {
+        tryFinalDeliver();
+      }
       break;
     }
     case SeqPayload::Kind::kEcho: {
@@ -94,8 +100,10 @@ void SequencerNode::maybeSequence() {
     const uint64_t sn = nextSn_++;
     snOf_[id] = sn;
     assigned_[sn] = id;
-    auto seq = std::make_shared<const SeqPayload>(SeqPayload::Kind::kSeq,
-                                                  nullptr, id, sn);
+    auto seq = std::make_shared<const SeqPayload>(
+        SeqPayload::Kind::kSeq,
+        mode_ == SequencerMode::kOptimisticNonUniform ? data_.at(id) : nullptr,
+        id, sn);
     sendToMany(everyoneElse(), seq);
   }
   tryFinalDeliver();

@@ -5,7 +5,9 @@
 //    sender broadcasts m to everyone (optimistic delivery on receipt, one
 //    inter-group delay); a sequencer broadcasts sequence numbers; the FINAL
 //    delivery — the one Figure 1b accounts — happens on receipt of the
-//    sequence number: latency degree 2, O(n) messages per message.
+//    sequence number: latency degree 2, O(n) messages per message. Each
+//    SEQ also carries m, so a data copy lost together with its sender
+//    (the sender's retransmissions die with it) cannot stall delivery.
 //
 //  * Vicente & Rodrigues, "An indulgent uniform total order algorithm with
 //    optimistic delivery" (SRDS 2002) — reference [13]. Uniform: in
@@ -30,7 +32,7 @@ namespace wanmc::abcast {
 struct SeqPayload final : Payload {
   enum class Kind : uint8_t { kData, kSeq, kEcho };
   Kind kind = Kind::kData;
-  AppMsgPtr msg;    // kData / kEcho
+  AppMsgPtr msg;    // kData / kEcho, and kSeq in [12]
   MsgId msgId = 0;  // kSeq / kEcho
   uint64_t sn = 0;  // kSeq
 

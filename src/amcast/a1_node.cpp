@@ -1,6 +1,7 @@
 #include "amcast/a1_node.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 namespace wanmc::amcast {
@@ -16,7 +17,11 @@ A1Node::A1Node(exec::Context& rt, ProcessId pid, const core::StackConfig& cfg,
                       variant == A1Variant::kFritzke98
                           ? rmcast::Uniformity::kUniform
                           : rmcast::Uniformity::kNonUniform),
-      stageSkipping_(variant == A1Variant::kA1) {
+      stageSkipping_(variant == A1Variant::kA1),
+      missing_(static_cast<size_t>(topology().numGroups())) {
+  const bool first = rt.incarnation(pid) == 0;
+  nextSeq_.assign(missing_.size(), first ? 1 : 0);
+  if (first) streams_.resize(static_cast<size_t>(topology().numProcesses()));
   groupConsensus_ = &addGroupConsensus();
   groupConsensus_->onDecide(
       [this](consensus::Instance k, const ConsensusValue& v) {
@@ -45,12 +50,10 @@ void A1Node::setPending(MsgId id, const AppMsgPtr& m, Stage stage,
                         uint64_t ts) {
   auto [it, fresh] = pending_.try_emplace(id);
   Pend& p = it->second;
-  if (fresh) {
-    pendingByTs_.emplace(ts, id);
-  } else if (p.ts != ts) {
-    auto node = pendingByTs_.extract({p.ts, id});  // re-keyed in place
-    node.value().first = ts;
-    pendingByTs_.insert(std::move(node));
+  Index::node_type node;  // re-keyed and moved across, never reallocated
+  if (!fresh) {
+    auto [index, key] = slotOf(p, id);
+    node = index->extract(key);
   }
   const bool was = !fresh && proposable(p.stage);
   if (proposable(stage) && !was) {
@@ -58,15 +61,39 @@ void A1Node::setPending(MsgId id, const AppMsgPtr& m, Stage stage,
   } else if (!proposable(stage) && was) {
     proposable_.erase(id);
   }
-  p = Pend{m, stage, ts};
+  p = Pend{m, stage, ts,
+           stage == Stage::s1 ? firstMissing(id, m->dest) : kNoGroup};
+  auto [index, key] = slotOf(p, id);
+  if (node.empty()) {
+    index->insert(key);
+  } else {
+    node.value() = key;
+    index->insert(std::move(node));
+  }
 }
 
 void A1Node::erasePending(MsgId id) {
   auto it = pending_.find(id);
   if (it == pending_.end()) return;
-  pendingByTs_.erase({it->second.ts, id});
+  auto [index, key] = slotOf(it->second, id);
+  index->erase(key);
   if (proposable(it->second.stage)) proposable_.erase(id);
   pending_.erase(it);
+}
+
+std::pair<A1Node::Index*, A1Node::Key> A1Node::slotOf(const Pend& p,
+                                                      MsgId id) {
+  if (p.filed == kNoGroup) return {&pendingByTs_, {p.ts, id}};
+  Missing& w = missing_[static_cast<size_t>(p.filed)];
+  if (p.ts <= w.floor) return {&w.under, {0, id}};
+  return {&w.above, {p.ts, id}};
+}
+
+GroupId A1Node::firstMissing(MsgId id, GroupSet dest) const {
+  auto it = tsProposals_.find(id);
+  for (GroupId g : dest.without(gid()))
+    if (it == tsProposals_.end() || it->second.count(g) == 0) return g;
+  return kNoGroup;
 }
 
 void A1Node::tryPropose() {
@@ -129,8 +156,7 @@ void A1Node::handleDecided(consensus::Instance k, const A1EntrySet& entries) {
     } else if (m->dest.size() > 1) {
       // lines 21-24: define this group's proposal (= k) and exchange it.
       tsProposals_[m->id][gid()] = k;
-      sendToMany(tsDests_.of(m->dest.without(gid())),
-                 std::make_shared<const TsPayload>(m, k, gid()));  // line 24
+      sendToMany(tsDests_.of(m->dest.without(gid())), stamp(m, k));  // line 24
       newlyS1.push_back(m->id);
     } else if (stageSkipping_) {
       // lines 28-29: single destination group. With the skip optimization m
@@ -157,7 +183,19 @@ void A1Node::handleDecided(consensus::Instance k, const A1EntrySet& entries) {
   drainDecisions();
 }
 
-void A1Node::onProtocolMessage(ProcessId /*from*/, const PayloadPtr& p) {
+PayloadPtr A1Node::stamp(const AppMsgPtr& m, uint64_t k) {
+  TsPayload::Seq seq{};
+  size_t i = 0;
+  for (GroupId h : m->dest.without(gid())) {
+    uint32_t& next = nextSeq_[static_cast<size_t>(h)];
+    if (i >= seq.size()) next = 0;  // no slot for h: stop numbering for good
+    if (next != 0) seq[i] = next++;
+    ++i;
+  }
+  return std::make_shared<const TsPayload>(m, k, gid(), seq);
+}
+
+void A1Node::onProtocolMessage(ProcessId from, const PayloadPtr& p) {
   const auto* ts = dynamic_cast<const TsPayload*>(p.get());
   assert(ts != nullptr && "A1 protocol layer speaks TsPayload only");
   const MsgId id = ts->msg->id;
@@ -169,7 +207,36 @@ void A1Node::onProtocolMessage(ProcessId /*from*/, const PayloadPtr& p) {
     proposal = std::max(proposal, ts->ts);
     checkStage1(id);
   }
+  noteCopy(from, *ts);
+  adeliveryTest();  // a floor may have risen, or m moved to a later group
   tryPropose();
+}
+
+void A1Node::noteCopy(ProcessId from, const TsPayload& ts) {
+  if (streams_.empty()) return;  // rejoined: see the header
+  const uint64_t below = (uint64_t{1} << gid()) - 1;  // groups before ours
+  const auto i = static_cast<size_t>(
+      std::popcount(ts.msg->dest.without(ts.fromGroup).bits() & below));
+  const uint32_t n = i < ts.seq.size() ? ts.seq[i] : 0;
+  Stream& s = streams_[static_cast<size_t>(from)];
+  if (n == 0 || !s.open || n < s.next) return;
+  if (n - s.next >= kReorderWindow) {  // the hole outlived the window
+    s = Stream{.open = false};
+    return;
+  }
+  s.held[n % kReorderWindow] = ts.ts;
+  uint64_t last = 0;  // proposals never fall along a stream
+  while (s.held[s.next % kReorderWindow] != 0)
+    last = std::exchange(s.held[s.next++ % kReorderWindow], 0);
+
+  Missing& w = missing_[static_cast<size_t>(ts.fromGroup)];
+  if (last <= w.floor) return;
+  w.floor = last;
+  while (!w.above.empty() && w.above.begin()->first <= last) {
+    auto node = w.above.extract(w.above.begin());
+    node.value().first = 0;
+    w.under.insert(std::move(node));
+  }
 }
 
 void A1Node::checkStage1(MsgId id) {
@@ -178,35 +245,46 @@ void A1Node::checkStage1(MsgId id) {
   const Pend& p = it->second;
   if (p.stage != Stage::s1) return;
 
-  // line 33: one proposal from every remote destination group.
-  const auto& proposals = tsProposals_[id];
-  for (GroupId g : p.msg->dest.without(gid()))
-    if (proposals.count(g) == 0) return;
+  // line 33: one proposal from every remote destination group. Until then
+  // m waits filed under the first group it lacks.
+  const GroupId missing = firstMissing(id, p.msg->dest);
+  if (missing != kNoGroup) {
+    if (missing != p.filed) setPending(id, p.msg, Stage::s1, p.ts);
+    return;
+  }
 
   uint64_t max = 0;  // line 34: TSset includes our own proposal (p.ts)
-  for (const auto& [g, ts] : proposals) max = std::max(max, ts);
+  for (const auto& [g, ts] : tsProposals_[id]) max = std::max(max, ts);
   max = std::max(max, p.ts);
 
   if (stageSkipping_ && p.ts >= max) {
     // line 35-36: our group proposed the final timestamp; its clock is
     // already beyond it (line 31 ran when the proposal was decided).
     setPending(id, p.msg, Stage::s3, p.ts);
-    adeliveryTest();
   } else {
     // lines 39-40: adopt the final timestamp; a second consensus will push
     // the group clock past it.
     setPending(id, p.msg, Stage::s2, max);
     tryPropose();
   }
+  adeliveryTest();  // m's bound rose to its final timestamp
+}
+
+bool A1Node::Missing::blocks(const Key& k) const {
+  if (!under.empty()) return Key{floor, under.begin()->second} < k;
+  return !above.empty() && *above.begin() < k;
 }
 
 void A1Node::adeliveryTest() {
   // lines 3-7: deliver every s3 message whose (ts, id) is minimal among ALL
-  // pending messages (any stage).
+  // pending messages (any stage); s1 entries count by their lower bound.
   while (!pendingByTs_.empty()) {
-    const MsgId id = pendingByTs_.begin()->second;
+    const Key key = *pendingByTs_.begin();
+    const MsgId id = key.second;
     const Pend& best = pending_.at(id);
     if (best.stage != Stage::s3) return;
+    for (const Missing& w : missing_)
+      if (w.blocks(key)) return;
 
     AppMsgPtr m = best.msg;
     adelivered_.insert(id);

@@ -22,10 +22,28 @@
 // optimal by Prop. 3.1/3.2); 0/1 for single-group messages depending on
 // whether the sender belongs to the destination group.
 //
-// The pending table carries two indexes, kept in step by setPending and
-// erasePending: every entry by (ts, id), so ADeliveryTest reads the
-// minimum instead of scanning, and the ids of the s0/s2 entries, in id
-// order, which is exactly the canonical proposal a new instance takes.
+// ADeliveryTest bounds each pending entry's final (ts, id) from below:
+// s0/s2/s3 entries by their key, as in the paper, and an s1 entry still
+// lacking group g's proposal by (max(own proposal, F_g), id). F_g is the
+// largest proposal that ends a gap-free prefix of some member q's (TS, ·)
+// copies to this group, which q numbers per destination group. It holds
+// because q applies g's decisions in instance order and sends (TS, m) as
+// it applies the first one holding m (line 24): an m with no copy from q
+// yet gets a g-proposal >= F_g, equal only for a later entry of the same
+// decision. A hole raises no floor (the paper's rule); a stream whose hole
+// outlives kReorderWindow later copies is abandoned. Only first
+// incarnations take part: a rejoined sender installs decisions without
+// sending their (TS, m), so it numbers nothing, and a rejoined receiver
+// cannot know which copies its dead incarnation got, so it keeps no
+// stream.
+//
+// The pending table carries indexes kept in step by setPending and
+// erasePending: the ids of the s0/s2 entries, in id order (the canonical
+// proposal of a new instance), and every entry by (ts, id), each s1 entry
+// under the first group it lacks (Missing), so ADeliveryTest reads one
+// minimum per group instead of scanning. An s1 entry with every proposal
+// in waits in the main index from handleDecided's setPending to its
+// checkStage1.
 // Decisions arrive as shared values (common/consensus_value.hpp); the
 // decision buffer holds them without copying. The A-Delivered ids, which
 // every R-Deliver, decided entry and (TS, m) copy checks and which grow
@@ -33,6 +51,7 @@
 // fan-out reuses one member list per destination set (MemberLists).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <set>
@@ -48,14 +67,19 @@ namespace wanmc::amcast {
 
 // (TS, m) message of line 24: the sending group's timestamp proposal. It
 // also propagates m itself (paper footnote 4): a process that never
-// R-Delivered m learns it from the first (TS, m) it receives.
+// R-Delivered m learns it from the first (TS, m) it receives. seq[i]
+// numbers the copy, from 1, among the sender's copies to the i-th group
+// of msg->dest.without(fromGroup); 0 is unnumbered. A sender that cannot
+// number a copy to a group numbers none to it afterwards.
 struct TsPayload final : Payload {
+  using Seq = std::array<uint32_t, 4>;
   AppMsgPtr msg;
   uint64_t ts = 0;
   GroupId fromGroup = kNoGroup;
+  Seq seq{};
 
-  TsPayload(AppMsgPtr m, uint64_t t, GroupId g)
-      : msg(std::move(m)), ts(t), fromGroup(g) {}
+  TsPayload(AppMsgPtr m, uint64_t t, GroupId g, Seq n)
+      : msg(std::move(m)), ts(t), fromGroup(g), seq(n) {}
   [[nodiscard]] Layer layer() const override { return Layer::kProtocol; }
   [[nodiscard]] std::string debugString() const override {
     return "TS(m" + std::to_string(msg->id) + "," + std::to_string(ts) +
@@ -95,6 +119,19 @@ class A1Node final : public core::XcastNode {
   [[nodiscard]] const consensus::ConsensusService& groupConsensus() const {
     return *groupConsensus_;
   }
+  // F_g; 0 until a stream from g has a gap-free prefix.
+  [[nodiscard]] uint64_t floorOf(GroupId g) const {
+    return missing_.at(static_cast<size_t>(g)).floor;
+  }
+  // Copies held behind a hole, over every stream.
+  [[nodiscard]] size_t heldCopies() const {
+    size_t n = 0;
+    for (const Stream& s : streams_)
+      for (uint64_t k : s.held) n += k != 0 ? 1 : 0;
+    return n;
+  }
+
+  static constexpr uint32_t kReorderWindow = 32;
 
  protected:
   void onProtocolMessage(ProcessId from, const PayloadPtr& p) override;
@@ -111,6 +148,26 @@ class A1Node final : public core::XcastNode {
     AppMsgPtr msg;
     Stage stage = Stage::s0;
     uint64_t ts = 0;
+    GroupId filed = kNoGroup;  // s1: the first group it lacks, if any
+  };
+
+  using Key = std::pair<uint64_t, MsgId>;  // (ts, id)
+  using Index = std::set<Key>;
+
+  // The s1 entries filed under group g. One whose own proposal is at most
+  // F_g counts as (F_g, id), so `under` keys it (0, id).
+  struct Missing {
+    uint64_t floor = 0;  // F_g
+    Index above;         // (own proposal, id), own proposal > floor
+    Index under;
+    [[nodiscard]] bool blocks(const Key& k) const;
+  };
+
+  // One remote sender's numbered copies to this group.
+  struct Stream {
+    uint32_t next = 1;  // lowest number not received yet
+    bool open = true;   // false once a hole outlived the window
+    std::array<uint64_t, kReorderWindow> held{};  // proposals; 0 = absent
   };
 
   // Donor and rejoiner are the same class, so the blob round-trips as a
@@ -126,9 +183,18 @@ class A1Node final : public core::XcastNode {
   };
 
   // Adds or updates a pending entry; the only writers of pending_, so
-  // the two indexes never drift from it.
+  // the indexes never drift from it.
   void setPending(MsgId id, const AppMsgPtr& m, Stage stage, uint64_t ts);
   void erasePending(MsgId id);
+  // The index an entry sits in, and its key there.
+  [[nodiscard]] std::pair<Index*, Key> slotOf(const Pend& p, MsgId id);
+  // The lowest remote destination group with no proposal for m yet.
+  [[nodiscard]] GroupId firstMissing(MsgId id, GroupSet dest) const;
+
+  // Line 24's payload, numbered for each remote destination group.
+  [[nodiscard]] PayloadPtr stamp(const AppMsgPtr& m, uint64_t k);
+  // Extends the sender's gap-free prefix and raises its group's floor.
+  void noteCopy(ProcessId from, const TsPayload& ts);
 
   // Lines 10-13: first sight of m via R-Deliver or (TS, m).
   void noteMessage(const AppMsgPtr& m);
@@ -149,8 +215,11 @@ class A1Node final : public core::XcastNode {
   uint64_t K_ = 1;      // this group's clock == next consensus instance
   uint64_t propK_ = 1;  // lowest instance we may still propose to
   std::map<MsgId, Pend> pending_;
-  std::set<std::pair<uint64_t, MsgId>> pendingByTs_;  // every entry
-  std::set<MsgId> proposable_;                        // s0/s2 entries
+  Index pendingByTs_;                   // every entry not filed under a group
+  std::set<MsgId> proposable_;          // s0/s2 entries
+  std::vector<Missing> missing_;        // by group
+  std::vector<uint32_t> nextSeq_;       // by group; 0 = numbers none
+  std::vector<Stream> streams_;         // by sender; empty once rejoined
   std::unordered_set<MsgId> adelivered_;
   // Remote (and own) timestamp proposals per pending message, per group.
   std::map<MsgId, std::map<GroupId, uint64_t>> tsProposals_;

@@ -1,6 +1,10 @@
 // Tests for Algorithm A1 (genuine atomic multicast, paper §4).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <vector>
+
 #include "amcast/a1_node.hpp"
 #include "core/experiment.hpp"
 #include "testing/scenario.hpp"
@@ -212,6 +216,176 @@ TEST(A1, Footnote4TsMessagesPropagateTheMessage) {
     EXPECT_EQ(seqs[p], std::vector<MsgId>{id}) << "p" << p;
   auto v = r.checkAtomicSuite();
   EXPECT_TRUE(v.empty()) << v[0];
+}
+
+TEST(A1, EntryLeavingStageOneWakesTheDeliveryTest) {
+  // g1's clock runs ahead, so m's final timestamp is g1's proposal and g0
+  // needs a second consensus for m. x, decided in g0 after m, waits behind
+  // m's own proposal; once g1's (TS, m) lifts m's key past x's, x is
+  // ready at once and must not wait for m's second consensus.
+  Experiment ex(fixedCfg(2, 2));
+  ex.castAt(kMs, 2, GroupSet::of({1}), "a");
+  ex.castAt(3 * kMs, 2, GroupSet::of({1}), "b");
+  const MsgId m = ex.castAt(5 * kMs, 0, GroupSet::of({0, 1}), "m");
+  const MsgId x = ex.castAt(10 * kMs, 0, GroupSet::of({0}), "x");
+  SimTime firstRemoteStamp = kTimeNever;  // g1's first (TS, m) to p0
+  ex.runtime().setDropFilter([&](ProcessId from, ProcessId to,
+                                 const Payload& p) {
+    const auto* ts = dynamic_cast<const amcast::TsPayload*>(&p);
+    if (ts != nullptr && ts->msg->id == m && from >= 2 && to == 0)
+      firstRemoteStamp = std::min(firstRemoteStamp, ex.runtime().now());
+    return false;
+  });
+  auto r = ex.run();
+  ASSERT_TRUE(r.checkAtomicSuite().empty()) << r.checkAtomicSuite()[0];
+  SimTime xAt = 0, mAt = 0;
+  for (const DeliveryEvent& d : r.trace.deliveries) {
+    if (d.process != 0) continue;
+    if (d.msg == x) xAt = d.when;
+    if (d.msg == m) mAt = d.when;
+  }
+  ASSERT_NE(firstRemoteStamp, kTimeNever);
+  EXPECT_EQ(xAt, firstRemoteStamp + 100 * kMs);
+  EXPECT_LT(xAt, mAt);
+}
+
+TEST(A1, EntryLeavingStageOneInItsOwnDecisionWakesTheDeliveryTest) {
+  // The same wake-up on the decision path. g0 learns m from g1's (TS, m)
+  // alone, so g1's proposal is in before g0 decides m, and m and x share
+  // g0's decision. Line 32 finds x behind m's own proposal; checkStage1
+  // then raises m to s2, and x is ready.
+  RunConfig c = cfg(2, 2);
+  c.latency = sim::LatencyModel::fixed(kMs, 100 * kMs);
+  Experiment ex(c);
+  ex.runtime().setDropFilter([](ProcessId from, ProcessId to,
+                                const Payload& p) {
+    return p.layer() == Layer::kReliableMulticast && from >= 2 && to < 2;
+  });
+  ex.castAt(kMs, 2, GroupSet::of({1}), "a");
+  ex.castAt(10 * kMs, 2, GroupSet::of({1}), "b");
+  const MsgId m = ex.castAt(19 * kMs, 2, GroupSet::of({0, 1}), "m");
+  ex.castAt(121 * kMs, 1, GroupSet::of({0}), "y");  // g0's instance 1
+  const MsgId x = ex.castAt(121 * kMs + 500, 0, GroupSet::of({0}), "x");
+  auto r = ex.run();
+  ASSERT_TRUE(r.checkAtomicSuite().empty()) << r.checkAtomicSuite()[0];
+  SimTime xAt = 0, mAt = 0;
+  for (const DeliveryEvent& d : r.trace.deliveries) {
+    if (d.process != 0) continue;
+    if (d.msg == x) xAt = d.when;
+    if (d.msg == m) mAt = d.when;
+  }
+  EXPECT_LT(xAt, mAt);
+}
+
+// ---------------------------------------------------------------------------
+// The floor read off the (TS, ·) streams (see a1_node.hpp).
+// ---------------------------------------------------------------------------
+
+// Per cast: the last addressee's delivery time minus the cast time.
+std::vector<SimTime> messageLatencies(const core::RunResult& r) {
+  std::map<MsgId, SimTime> last;
+  for (const DeliveryEvent& d : r.trace.deliveries)
+    last[d.msg] = std::max(last[d.msg], d.when);
+  std::vector<SimTime> out;
+  for (const CastEvent& c : r.trace.casts) out.push_back(last[c.msg] - c.when);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(A1StreamFloor, LoadedCastsToTwoGroupsStayBelowTwoAndAHalfDelta) {
+  // The setting of the CI sweep's 8 ms point: 2 x 2, fixed 1 ms / 100 ms
+  // links, every cast to both groups. Without the floor an own-group
+  // message waiting for the remote (TS, m) holds back the later ones, and
+  // the p50 reads 3 delta.
+  RunConfig c = cfg(2, 2);
+  c.latency = sim::LatencyModel::fixed(kMs, 100 * kMs);
+  Experiment ex(c);
+  ex.addWorkload(workload::Spec::closedLoop(600, 8 * kMs, 2));
+  auto r = ex.run();
+  ASSERT_TRUE(r.checkAtomicSuite().empty()) << r.checkAtomicSuite()[0];
+  const auto lat = messageLatencies(r);
+  ASSERT_EQ(lat.size(), 600u);
+  EXPECT_LT(lat[lat.size() / 2], 250 * kMs);
+}
+
+TEST(A1StreamFloor, OutOfOrderCopiesHoldTheFloorUntilTheHoleFills) {
+  Experiment ex(fixedCfg(2, 2));
+  auto& node = dynamic_cast<amcast::A1Node&>(ex.node(2));  // in g1
+  auto copy = [&](MsgId id, uint64_t proposal, uint32_t n) {
+    node.onMessage(0, std::make_shared<const amcast::TsPayload>(
+                          makeAppMessage(id, 0, GroupSet::of({0, 1})),
+                          proposal, 0, amcast::TsPayload::Seq{n}));
+  };
+  copy(100, 5, 2);  // p0's second copy overtakes its first
+  EXPECT_EQ(node.floorOf(0), 0u);
+  EXPECT_EQ(node.heldCopies(), 1u);
+  copy(101, 3, 1);
+  EXPECT_EQ(node.floorOf(0), 5u);
+  EXPECT_EQ(node.heldCopies(), 0u);
+  copy(102, 7, 0);  // unnumbered: raises nothing
+  EXPECT_EQ(node.floorOf(0), 5u);
+}
+
+TEST(A1StreamFloor, RejoinedIncarnationsNeitherNumberNorTrackCopies) {
+  // p0 (g0, a sender) and p3 (g1, a receiver) crash and rejoin.
+  RunConfig c = cfg(2, 3);
+  c.stack.bootstrap.armed = true;
+  c.stack.consensusRoundTimeout = 500 * kMs;
+  Experiment ex(c);
+  ex.crashAt(0, 300 * kMs);
+  ex.crashAt(3, 300 * kMs);
+  ex.recoverAt(0, 800 * kMs);
+  ex.recoverAt(3, 800 * kMs);
+  for (int i = 0; i < 20; ++i)
+    ex.castAt(10 * kMs + i * 100 * kMs, i % 2 == 0 ? 1 : 4,
+              GroupSet::of({0, 1}));
+  uint32_t numberedBefore = 0, numberedAfter = 0, after = 0;
+  ex.runtime().setDropFilter([&](ProcessId from, ProcessId, const Payload& p) {
+    const auto* ts = dynamic_cast<const amcast::TsPayload*>(&p);
+    if (ts == nullptr || from != 0) return false;
+    const bool rejoined = ex.runtime().incarnation(0) > 0;
+    after += rejoined ? 1 : 0;
+    (rejoined ? numberedAfter : numberedBefore) += ts->seq[0] != 0 ? 1 : 0;
+    return false;
+  });
+  auto r = ex.run(120 * kSec);
+  ASSERT_TRUE(r.checkAtomicSuite().empty()) << r.checkAtomicSuite()[0];
+  EXPECT_GT(numberedBefore, 0u);
+  EXPECT_GT(after, 0u);
+  EXPECT_EQ(numberedAfter, 0u);
+  const auto& rejoined = dynamic_cast<amcast::A1Node&>(ex.node(3));
+  const auto& first = dynamic_cast<amcast::A1Node&>(ex.node(4));
+  EXPECT_EQ(rejoined.floorOf(0), 0u);
+  EXPECT_EQ(rejoined.heldCopies(), 0u);
+  EXPECT_GT(first.floorOf(0), 0u);
+}
+
+TEST(A1StreamFloor, CopyLostForGoodLeavesStateWithinTheWindow) {
+  // No channels: p0's first (TS, ·) copy to p2 is lost for good. p2 holds
+  // p0's later copies until the hole outlives the window, then abandons
+  // p0's stream; p1's stream still raises g0's floor, and p1's copies
+  // still give p2 every g0 proposal.
+  Experiment ex(fixedCfg(2, 2));
+  bool lost = false;
+  ex.runtime().setDropFilter([&](ProcessId from, ProcessId to,
+                                 const Payload& p) {
+    if (lost || from != 0 || to != 2 ||
+        dynamic_cast<const amcast::TsPayload*>(&p) == nullptr)
+      return false;
+    return lost = true;
+  });
+  const int casts = 2 * static_cast<int>(amcast::A1Node::kReorderWindow);
+  for (int i = 0; i < casts; ++i)
+    ex.castAt(kMs + i * 20 * kMs, i % 4, GroupSet::of({0, 1}));
+  const auto& node = dynamic_cast<amcast::A1Node&>(ex.node(2));
+  ex.run(500 * kMs);  // about 20 of p0's copies are in
+  ASSERT_TRUE(lost);
+  EXPECT_GT(node.heldCopies(), 0u);
+  EXPECT_LT(node.heldCopies(), amcast::A1Node::kReorderWindow);
+  auto r = ex.run();
+  ASSERT_TRUE(r.checkAtomicSuite().empty()) << r.checkAtomicSuite()[0];
+  EXPECT_EQ(node.heldCopies(), 0u);  // p0's stream is abandoned
+  EXPECT_GT(node.floorOf(0), 0u);
 }
 
 class A1Sweep : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
