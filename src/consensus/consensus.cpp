@@ -45,8 +45,11 @@ ConsensusService::ConsensusService(exec::Context& rt, ProcessId self,
       fd_(fd),
       scope_(scope),
       roundTimeout_(roundTimeout) {
-  if (fd_ != nullptr)
-    fd_->onSuspicion([this](ProcessId p) { onSuspicion(p); });
+  if (fd_ == nullptr) return;
+  fd_->onSuspicion([this](ProcessId p) { leaveRoundsOf(p, UINT32_MAX); });
+  fd_->onRetraction([this](ProcessId p, bool fresh) {
+    if (fresh) onRejoin(p);
+  });
 }
 
 ConsensusService::RoundState& ConsensusService::InstanceState::roundState(
@@ -88,7 +91,7 @@ void ConsensusService::enterRound(Instance k, InstanceState& st, uint32_t r) {
   for (uint32_t round = r;; ++round) {
     st.round = round;
     const ProcessId c = coordinator(k, round);
-    if (fd_ != nullptr && c != self_ && fd_->suspects(c)) continue;
+    if (passOver(c, round)) continue;
     if (round == 1) {
       // Early decision: the first-round coordinator broadcasts its own
       // proposal without collecting estimates. No lock can exist yet, so
@@ -116,11 +119,13 @@ void ConsensusService::enterRound(Instance k, InstanceState& st, uint32_t r) {
 void ConsensusService::armRoundTimer(Instance k, uint32_t r) {
   // Progress under crash-recovery: a round's coordinator can be alive —
   // so the detector never suspects it — yet an amnesiac rejoin that knows
-  // nothing of this instance and proposes nothing, ever. Round changes
-  // are always safe in an indulgent protocol (the locking rule protects
-  // agreement), so after `roundTimeout_` of no decision we move on as if
-  // the coordinator had been suspected. Unarmed (0) outside recovery
-  // runs: every pre-v2 schedule is preserved exactly.
+  // nothing of this instance and proposes nothing, ever. The rejoin skip
+  // (onRejoin) spares most such waits; this timer covers the rest (see
+  // the constructor's comment). Round changes are always safe in an
+  // indulgent protocol (the locking rule protects agreement), so after
+  // `roundTimeout_` of no decision we move on as if the coordinator had
+  // been suspected. Unarmed (0) outside recovery runs: every pre-v2
+  // schedule is preserved exactly.
   if (roundTimeout_ == 0) return;
   rt_.timer(self_, roundTimeout_, [this, k, r]() {
     auto it = instances_.find(k);
@@ -206,6 +211,9 @@ void ConsensusService::onMessage(ProcessId from, const ConsensusPayload& p) {
       break;
     }
     case ConsensusPayload::Type::kPropose: {
+      // A round-1 PROPOSE for an instance still open here shows that a
+      // rejoined member coordinates again.
+      if (p.round == 1) std::erase(rejoined_, from);
       if (p.round < st.round) {
         // Timeout-driven round advances (recovery runs) can leave cohorts
         // permanently one round apart: the ahead side silently rejects
@@ -257,16 +265,32 @@ void ConsensusService::onMessage(ProcessId from, const ConsensusPayload& p) {
   }
 }
 
-void ConsensusService::onSuspicion(ProcessId p) {
-  // Any undecided instance whose current coordinator just got suspected
-  // moves on to the next round (whether or not we already acked: if the
-  // coordinator crashed mid-broadcast only a minority may have acked, and
-  // everyone must regroup under the next coordinator). Rounds are entered
-  // in instance order.
+bool ConsensusService::passOver(ProcessId c, uint32_t round) const {
+  if (c == self_) return false;
+  if (fd_ != nullptr && fd_->suspects(c)) return true;
+  return round == 1 && std::find(rejoined_.begin(), rejoined_.end(), c) !=
+                           rejoined_.end();
+}
+
+void ConsensusService::onRejoin(ProcessId p) {
+  if (std::find(members_.begin(), members_.end(), p) == members_.end())
+    return;
+  if (std::find(rejoined_.begin(), rejoined_.end(), p) == rejoined_.end())
+    rejoined_.push_back(p);
+  leaveRoundsOf(p, 1);
+}
+
+void ConsensusService::leaveRoundsOf(ProcessId p, uint32_t lastRound) {
+  // Any undecided instance whose current round, if at most lastRound, is
+  // coordinated by p moves on to the next round (whether or not we already
+  // acked: if the coordinator crashed mid-broadcast only a minority may
+  // have acked, and everyone must regroup under the next coordinator).
+  // Rounds are entered in instance order.
   std::vector<Instance> moving;
   // wanmc-lint: allow(D2): collect then sort
   for (const auto& [k, st] : instances_)
-    if (st.joined && coordinator(k, st.round) == p) moving.push_back(k);
+    if (st.joined && st.round <= lastRound && coordinator(k, st.round) == p)
+      moving.push_back(k);
   std::sort(moving.begin(), moving.end());
   for (Instance k : moving) {
     InstanceState& st = instances_.at(k);

@@ -12,6 +12,18 @@
 // locking), so uniform agreement holds under f < n/2 crashes and
 // arbitrary suspicion noise.
 //
+// Crash-recovery: a member that comes back is a fresh, amnesiac
+// incarnation. As a round-1 coordinator it would stay silent, alive and
+// unsuspected, about every instance its dead incarnation knew. When the
+// failure detector reports a fresh incarnation (onRetraction with
+// freshIncarnation), the service marks that member: instances waiting in
+// a round 1 it coordinates move to round 2 at once, and enterRound passes
+// over such a round 1 as it passes over a suspected coordinator. This is
+// safe because abandoning a round always is: round 2's coordinator adopts
+// the most recently locked estimate, so a value the dead incarnation may
+// have decided survives. The mark ends at the member's first round-1
+// PROPOSE, which shows that it coordinates again.
+//
 // Values are shared, never copied (common/consensus_value.hpp): the value a
 // process proposes is the one object every payload, estimate, acked value
 // and decision refers to.
@@ -72,8 +84,12 @@ class ConsensusService final {
   // `roundTimeout` > 0 arms a per-round progress timer (armRoundTimer):
   // required for liveness under crash-RECOVERY, where a round's
   // coordinator can be alive (so never suspected) yet amnesiac about the
-  // instance and silent forever. 0 (the default) relies purely on
-  // failure-detector suspicion, the pre-v2 behavior.
+  // instance and silent forever. The rejoin skip above covers round 1
+  // whenever the detector reports the new incarnation; the timer covers
+  // the rest: rounds >= 2, a rejoin that one member's heartbeats reveal a
+  // beat before another's, and a two-member group, whose majority needs
+  // the rejoiner. 0 (the default) relies purely on failure-detector
+  // suspicion, the pre-v2 behavior.
   ConsensusService(exec::Context& rt, ProcessId self,
                    std::vector<ProcessId> members, fd::FailureDetector* fd,
                    uint64_t scope, SimTime roundTimeout = 0);
@@ -151,7 +167,14 @@ class ConsensusService final {
   // Decides k with v: moves k from the working table to the decided one,
   // fires the callbacks unless the decision was installed, and relays it.
   void decide(Instance k, uint32_t r, ConsensusValue v);
-  void onSuspicion(ProcessId p);
+  // Whether enterRound passes over `round`, coordinated by c: a suspected
+  // coordinator, and in round 1 a rejoined one.
+  [[nodiscard]] bool passOver(ProcessId c, uint32_t round) const;
+  // A fresh incarnation of member p (FailureDetector::onRetraction).
+  void onRejoin(ProcessId p);
+  // Moves every joined instance whose current round is at most lastRound
+  // and coordinated by p on to the next round, in instance order.
+  void leaveRoundsOf(ProcessId p, uint32_t lastRound);
   void armRoundTimer(Instance k, uint32_t r);
 
   exec::Context& rt_;
@@ -163,6 +186,8 @@ class ConsensusService final {
   std::unordered_map<Instance, InstanceState> instances_;  // undecided here
   std::unordered_map<Instance, Decision> decided_;
   std::vector<DecideCb> decideCbs_;
+  // Members whose fresh incarnation has not yet sent a round-1 PROPOSE.
+  std::vector<ProcessId> rejoined_;
 };
 
 // The service has one kind. The tag and the factory remain for

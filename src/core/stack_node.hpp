@@ -37,8 +37,11 @@ struct StackConfig {
   // Per-round consensus progress timer (0 = off, the crash-stop default).
   // REQUIRED for liveness in crash-RECOVERY runs: an amnesiac rejoin can
   // be a round coordinator that is alive (never suspected) yet silent
-  // forever, and only a timeout moves the round on. ScenarioRunner arms
-  // this automatically for scenarios with a recovery schedule.
+  // forever. Consensus passes over its round 1 once the detector reports
+  // the new incarnation; only this timeout moves on the rounds the skip
+  // cannot see (rounds >= 2, a two-member group whose majority needs the
+  // rejoiner, heartbeat views that disagree for a beat). ScenarioRunner
+  // arms this automatically for scenarios with a recovery schedule.
   SimTime consensusRoundTimeout = 0;
   // Batching plane (src/core/batcher.hpp): casts sharing a (sender,
   // destination-set) key are accumulated for up to batchWindow and ordered

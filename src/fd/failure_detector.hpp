@@ -60,9 +60,10 @@ class FailureDetector {
 
   // Fired when a process becomes suspected.
   void onSuspicion(SuspicionCb cb) { callbacks_.push_back(std::move(cb)); }
-  // Fired when a suspicion is RETRACTED (the process recovered, a healed
-  // partition let its heartbeats through again, or a premature timeout was
-  // corrected). Layers that only ever read suspects() live need no hook.
+  // Fired when a suspicion is RETRACTED (a healed partition let its
+  // heartbeats through again, or a premature timeout was corrected), and
+  // whenever a process is seen to recover, suspected or not. Layers that
+  // only ever read suspects() live need no hook.
   void onRetraction(RetractionCb cb) {
     retractions_.push_back(std::move(cb));
   }
@@ -111,12 +112,11 @@ class OracleFd final : public FailureDetector {
     });
     rt_.addRecoveryListener(self_, [this](ProcessId p) {
       if (p == self_ || rt_.crashed(self_)) return;
-      if (suspected_[static_cast<size_t>(p)] != 0) {
-        suspected_[static_cast<size_t>(p)] = 0;
-        // The oracle only retracts on recovery, which is by definition a
-        // fresh incarnation.
-        notifyRetract(p, /*freshIncarnation=*/true);
-      }
+      // Every recovery is a fresh incarnation, and is signalled even when
+      // it beat the detection delay and no suspicion stood, as
+      // HeartbeatFd signals an incarnation advance it never timed out on.
+      suspected_[static_cast<size_t>(p)] = 0;
+      notifyRetract(p, /*freshIncarnation=*/true);
     });
     // A detector built mid-run (a recovered process's fresh stack) missed
     // earlier crash notifications: seed it with the processes that are

@@ -386,8 +386,9 @@ ScenarioResult ScenarioRunner::run() const {
   const Scenario& s = scenario_;
   core::RunConfig cfg = s.config;
   if (s.latency) cfg.latency = latencyModelFor(*s.latency);
-  // Recovery runs need the consensus round timeout armed (an amnesiac
-  // rejoin can be an alive-but-silent round coordinator; see StackConfig).
+  // Recovery runs need the consensus round timeout armed: an amnesiac
+  // rejoin can be an alive-but-silent coordinator of a round the rejoin
+  // skip does not pass over (see StackConfig).
   // 500ms is ~2 worst-case preset round trips — long enough that only a
   // real stall fires it, short enough that an amnesiac catching up on a
   // backlog of decided instances (one timeout per instance) finishes

@@ -33,7 +33,10 @@ RunConfig cfg(ProtocolKind kind, int groups, int procs, uint64_t seed = 1) {
   c.stack.fdOracleDelay = 30 * kMs;
   c.stack.bootstrap.armed = true;
   // Liveness under crash-recovery: an amnesiac rejoin can be a silent
-  // consensus coordinator; only a round timeout moves the round on.
+  // consensus coordinator. Consensus passes over its round 1 once the
+  // detector reports the new incarnation; a round timeout moves every
+  // other stalled round on (a two-member group, whose majority needs the
+  // rejoiner, and rounds >= 2).
   c.stack.consensusRoundTimeout = 500 * kMs;
   return c;
 }
@@ -199,11 +202,11 @@ TEST(BootstrapAdversity, JoiningDonorDeniesAndRejoinerAdvances) {
   // Both members of group 0 rejoin, staggered. Each one's first candidate
   // is its (still joining) groupmate, which must deny; the deny advances
   // the rejoiner to a cross-group donor immediately, without waiting out
-  // the retry timer. The oracle delay is pushed past the downtime so the
-  // crashed pair recovers before anyone suspected it: no retraction, no
-  // donor announcement — the candidate list alone picks the target.
+  // the retry timer. The heartbeat detector watches only its own group,
+  // so no cross-group member announces itself as a donor, and a joining
+  // groupmate never does: the candidate list alone picks the target.
   RunConfig c = cfg(ProtocolKind::kA1, 2, 2);
-  c.stack.fdOracleDelay = 10 * kSec;
+  c.stack.fdKind = fd::FdKind::kHeartbeat;
   Experiment ex(c);
   ex.castAt(100 * kMs, 2, GroupSet::of({0, 1}));
   ex.crashAt(0, 400 * kMs);

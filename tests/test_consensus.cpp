@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
 #include <utility>
@@ -273,6 +274,129 @@ TEST(EarlyConsensus, AcrossGroupsCostsTwoDelaysAndQuadraticMessages) {
               static_cast<uint64_t>(2 * n * (n - 1)))
         << k << "x" << d;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Rejoin skip: a member's fresh incarnation does not coordinate round 1
+// until it shows that it can.
+// ---------------------------------------------------------------------------
+
+// Three members on the oracle detector (50 ms detection delay) with the
+// 500 ms round timer of the recovery runs. A recovered process comes back
+// as a fresh, amnesiac ConsensusHost. Every consensus copy passes a filter
+// that counts the ESTIMATEs and drops what `drop` names.
+struct RejoinFixture {
+  using Type = consensus::ConsensusPayload::Type;
+
+  RejoinFixture()
+      : rt(Topology(1, 3), sim::LatencyModel::fixed(kMs, 100 * kMs), 1) {
+    cfg.consensusRoundTimeout = 500 * kMs;
+    for (ProcessId p = 0; p < 3; ++p) {
+      auto n = std::make_unique<ConsensusHost>(rt, p, cfg);
+      hosts.push_back(n.get());
+      rt.attach(p, std::move(n));
+    }
+    rt.setNodeFactory([this](ProcessId p) {
+      auto n = std::make_unique<ConsensusHost>(rt, p, cfg);
+      hosts[static_cast<size_t>(p)] = n.get();
+      return n;
+    });
+    rt.setDropFilter([this](ProcessId from, ProcessId to, const Payload& p) {
+      if (p.layer() != Layer::kConsensus) return false;
+      const auto& cp = static_cast<const consensus::ConsensusPayload&>(p);
+      if (cp.type == Type::kEstimate) ++estimates;
+      return drop && drop(from, to, cp);
+    });
+    rt.start();
+  }
+
+  core::StackConfig cfg;
+  sim::Runtime rt;
+  std::vector<ConsensusHost*> hosts;
+  uint64_t estimates = 0;
+  std::function<bool(ProcessId, ProcessId, const consensus::ConsensusPayload&)>
+      drop;
+};
+
+TEST(ConsensusRejoin, SurvivorsPassOverTheRejoinersRoundOne) {
+  // Instance 1's round-1 coordinator is p1 (members[(1 + 0) % 3]). p1
+  // crashes at 10 ms, is suspected at 60 ms and recovers at 200 ms as a
+  // fresh incarnation that knows nothing of instance 1. The survivors
+  // propose at 300 ms: they pass over round 1 and decide in round 2
+  // within a few 1 ms delays, instead of waiting out the 500 ms round
+  // timer for a PROPOSE that p1 would never send.
+  RejoinFixture f;
+  f.rt.scheduleCrash(1, 10 * kMs);
+  f.rt.scheduleRecover(1, 200 * kMs);
+  f.rt.run(300 * kMs);
+  f.hosts[0]->svc->propose(1, num(10));
+  f.hosts[2]->svc->propose(1, num(12));
+  f.rt.run(310 * kMs);
+  for (int p = 0; p < 3; ++p)
+    ASSERT_TRUE(f.hosts[p]->decisions.count(1)) << "p" << p;
+  EXPECT_TRUE(valueEquals(f.hosts[0]->decisions[1], f.hosts[2]->decisions[1]));
+  EXPECT_TRUE(valueEquals(f.hosts[1]->decisions[1], f.hosts[2]->decisions[1]));
+  EXPECT_GT(f.estimates, 0u);  // round 2 ran
+}
+
+TEST(ConsensusRejoin, AValueLockedInTheSkippedRoundIsDecided) {
+  // p1 coordinates round 1 of instance 1 and proposes 11 at 0 ms; p2
+  // proposes 12. Only p0 receives p1's PROPOSE: p0 locks 11 and ACKs, and
+  // p1 decides 11 on its own ACK and p0's. The filter keeps every other
+  // copy of p1's first incarnation from p0 and p2, so p2 waits in round 1
+  // with 12 unlocked. p1 crashes at 3 ms and recovers at 20 ms, inside the
+  // detection delay, so the recovery alone moves p0 and p2 past p1's
+  // round 1. Round 2's coordinator, p2, must pick the locked 11 over its
+  // own 12: every member, the new p1 included, decides what the dead
+  // incarnation decided.
+  RejoinFixture f;
+  f.drop = [&f](ProcessId from, ProcessId to,
+                const consensus::ConsensusPayload& cp) {
+    return from == 1 && f.rt.incarnation(1) == 0 && to != 1 &&
+           !(to == 0 && cp.type == RejoinFixture::Type::kPropose);
+  };
+  f.hosts[1]->svc->propose(1, num(11));
+  f.hosts[2]->svc->propose(1, num(12));
+  f.rt.run(3 * kMs);
+  ASSERT_TRUE(f.hosts[1]->decisions.count(1));
+  ASSERT_TRUE(valueEquals(f.hosts[1]->decisions[1], num(11)));
+  ASSERT_TRUE(f.hosts[0]->decisions.empty());
+  ASSERT_TRUE(f.hosts[2]->decisions.empty());
+  f.rt.crash(1);
+  f.rt.scheduleRecover(1, 20 * kMs);
+  f.rt.run(30 * kMs);
+  for (int p = 0; p < 3; ++p) {
+    ASSERT_TRUE(f.hosts[p]->decisions.count(1)) << "p" << p;
+    EXPECT_TRUE(valueEquals(f.hosts[p]->decisions[1], num(11))) << "p" << p;
+  }
+}
+
+TEST(ConsensusRejoin, TheSkipEndsWithTheRejoinersFirstRoundOnePropose) {
+  // p1 crashes at 10 ms and recovers at 200 ms; the survivors pass over
+  // its round 1 of instance 1. At 400 ms the new p1 proposes to instance
+  // 4, whose round 1 it coordinates (members[(4 + 0) % 3]), and decides
+  // it with both survivors: its round-1 PROPOSE shows that it coordinates
+  // again. Instance 7, the next one it coordinates, then runs round 1 at
+  // every member, with no ESTIMATE on the wire.
+  RejoinFixture f;
+  f.rt.scheduleCrash(1, 10 * kMs);
+  f.rt.scheduleRecover(1, 200 * kMs);
+  f.rt.run(300 * kMs);
+  for (int p : {0, 2}) f.hosts[p]->svc->propose(1, num(1));
+  f.rt.run(310 * kMs);
+  ASSERT_TRUE(f.hosts[0]->decisions.count(1));
+  ASSERT_GT(f.estimates, 0u);
+  f.rt.run(400 * kMs);
+  f.hosts[1]->svc->propose(4, num(4));
+  f.rt.run(410 * kMs);
+  for (int p = 0; p < 3; ++p)
+    ASSERT_TRUE(f.hosts[p]->decisions.count(4)) << "p" << p;
+  const uint64_t before = f.estimates;
+  for (int p = 0; p < 3; ++p) f.hosts[p]->svc->propose(7, num(7));
+  f.rt.run(420 * kMs);
+  for (int p = 0; p < 3; ++p)
+    EXPECT_TRUE(f.hosts[p]->decisions.count(7)) << "p" << p;
+  EXPECT_EQ(f.estimates, before);
 }
 
 // One ConsensusService (p0) among two processes that only record the

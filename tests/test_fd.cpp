@@ -111,10 +111,11 @@ TEST(HeartbeatFd, GeneratesPeriodicTraffic) {
 // (the widened scope a cross-group consensus stack like Rodrigues uses).
 class ScopedFdHost final : public sim::Node {
  public:
-  ScopedFdHost(sim::Runtime& rt, ProcessId pid, fd::FdKind kind)
+  ScopedFdHost(sim::Runtime& rt, ProcessId pid, fd::FdKind kind,
+               SimTime oracleDelay)
       : sim::Node(rt, pid) {
     det = fd::makeFd(kind, rt, pid, rt.topology().members(gid()),
-                     /*oracleDelay=*/0,
+                     oracleDelay,
                      fd::HeartbeatFd::Params{20 * kMs, 80 * kMs});
     for (GroupId g = 0; g < rt.topology().numGroups(); ++g)
       if (g != gid()) det->addRemoteGroup(g, rt.topology().members(g));
@@ -122,6 +123,7 @@ class ScopedFdHost final : public sim::Node {
     det->onRetraction([this](ProcessId p, bool fresh) {
       retractions.push_back(p);
       retractionFresh.push_back(fresh ? 1 : 0);
+      retractionAt.push_back(runtime().now());
     });
   }
   void onStart() override { det->start(); }
@@ -132,19 +134,21 @@ class ScopedFdHost final : public sim::Node {
   std::vector<ProcessId> suspicions;
   std::vector<ProcessId> retractions;
   std::vector<uint8_t> retractionFresh;  // parallel to retractions
+  std::vector<SimTime> retractionAt;     // parallel to retractions
 };
 
 struct ScopedFixture {
-  ScopedFixture(int groups, int procs, fd::FdKind kind)
+  ScopedFixture(int groups, int procs, fd::FdKind kind,
+                SimTime oracleDelay = 0)
       : rt(Topology(groups, procs),
            sim::LatencyModel::fixed(kMs, 100 * kMs), 1) {
     for (ProcessId p = 0; p < groups * procs; ++p) {
-      auto n = std::make_unique<ScopedFdHost>(rt, p, kind);
+      auto n = std::make_unique<ScopedFdHost>(rt, p, kind, oracleDelay);
       hosts.push_back(n.get());
       rt.attach(p, std::move(n));
     }
-    rt.setNodeFactory([this, kind](ProcessId p) {
-      auto n = std::make_unique<ScopedFdHost>(rt, p, kind);
+    rt.setNodeFactory([this, kind, oracleDelay](ProcessId p) {
+      auto n = std::make_unique<ScopedFdHost>(rt, p, kind, oracleDelay);
       hosts[static_cast<size_t>(p)] = n.get();
       return n;
     });
@@ -266,6 +270,28 @@ TEST(OracleFd, RetractsOnRecoveryAndSeedsLateDetectors) {
   g.rt.run(2 * kSec);
   EXPECT_TRUE(g.hosts[2]->det->suspects(0));
   EXPECT_FALSE(g.hosts[2]->det->suspects(1));
+}
+
+TEST(OracleFd, RecoveryInsideTheDetectionDelayRetractsFresh) {
+  // p2 crashes at 200 ms and recovers at 220 ms, inside the 50 ms
+  // detection delay, so nobody ever suspects it. Every live peer must
+  // still learn of the fresh incarnation, once and at the instant of the
+  // recovery, as HeartbeatFd reports an incarnation advance it never
+  // timed out on (next test). Without it, nobody would know that p2 lost
+  // its state: no bootstrap donor would announce itself, and consensus
+  // would wait for p2 to coordinate rounds it knows nothing of.
+  ScopedFixture f(2, 2, fd::FdKind::kOracle, /*oracleDelay=*/50 * kMs);
+  f.rt.scheduleCrash(2, 200 * kMs);
+  f.rt.scheduleRecover(2, 220 * kMs);
+  f.rt.run(kSec);
+  for (ProcessId p : {0, 1, 3}) {
+    const ScopedFdHost& h = *f.hosts[static_cast<size_t>(p)];
+    EXPECT_TRUE(h.suspicions.empty()) << "p" << p;
+    ASSERT_EQ(h.retractions, std::vector<ProcessId>{2}) << "p" << p;
+    EXPECT_EQ(h.retractionFresh[0], 1) << "p" << p;
+    EXPECT_EQ(h.retractionAt[0], 220 * kMs) << "p" << p;
+    EXPECT_FALSE(h.det->suspects(2)) << "p" << p;
+  }
 }
 
 TEST(HeartbeatFdScoped, FastRecoveryWhileUnsuspectedStillRetractsFresh) {

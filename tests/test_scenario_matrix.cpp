@@ -6,6 +6,13 @@
 // published guarantees (uniform vs non-uniform, crash-tolerant or not).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <ostream>
+#include <unordered_map>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "core/experiment.hpp"
 #include "testing/scenario.hpp"
 
@@ -82,6 +89,91 @@ INSTANTIATE_TEST_SUITE_P(
     [](const auto& info) {
       return wanmc::testing::protocolTestName(info.param);
     });
+
+// The fault path of the benchmark (its a1_churn_arq setting) as one
+// experiment: 3 x 3 with 1-2 ms / 95-110 ms links, 1% iid loss, reliable
+// channels, the bootstrap plane and a 500 ms consensus round timeout;
+// Poisson casts every 3 ms on average, each from one of the eight
+// processes other than p4, to two random groups (A2: to all). p4 crashes
+// at 2 s and comes back after `downtime`, a fresh incarnation that knows
+// nothing of the consensus instances in flight. A group that waits for it
+// to coordinate their round 1 sits out the 500 ms round timer, and the
+// p99 then reads about 694 ms (A1, either outage) and 658 ms (A2). The
+// 30 ms outage lies inside the oracle's 50 ms detection delay, so only an
+// oracle that reports every recovery tells p4's groupmates. A2 stalls
+// that way only at some seeds (at seed 1 its p99 reads 276 ms even so);
+// seed 2 shows the stall in all three cases.
+struct FaultPath {
+  const char* name;
+  ProtocolKind kind;
+  SimTime downtime;
+  SimTime p99Bound;
+};
+
+void PrintTo(const FaultPath& fp, std::ostream* os) { *os << fp.name; }
+
+class FaultPathTail : public ::testing::TestWithParam<FaultPath> {};
+
+// Nearest-rank p99 over every cast, from its due time to its last
+// A-Deliver at a never-crashed process (deliveries happen only at
+// addressees).
+SimTime p99Latency(const core::RunResult& r) {
+  std::unordered_map<MsgId, SimTime> last;
+  for (const DeliveryEvent& d : r.trace.deliveries)
+    if (r.correct.count(d.process) != 0)
+      last[d.msg] = std::max(last[d.msg], d.when);
+  std::vector<SimTime> lat;
+  for (const CastEvent& c : r.trace.casts) lat.push_back(last[c.msg] - c.when);
+  std::sort(lat.begin(), lat.end());
+  return lat[(lat.size() * 99 + 99) / 100 - 1];
+}
+
+TEST_P(FaultPathTail, RejoinDoesNotStallTheTail) {
+  const FaultPath& fp = GetParam();
+  core::RunConfig c;
+  c.protocol = fp.kind;
+  c.groups = 3;
+  c.procsPerGroup = 3;
+  c.seed = 2;
+  c.latency = sim::LatencyModel{kMs, 2 * kMs, 95 * kMs, 110 * kMs};
+  c.lossRate = 0.01;
+  c.stack.reliableChannels = true;
+  c.stack.bootstrap.armed = true;
+  c.stack.consensusRoundTimeout = 500 * kMs;
+  const std::vector<ProcessId> senders = {0, 1, 2, 3, 5, 6, 7, 8};
+  SplitMix64 rng(c.seed);
+  std::vector<workload::TraceCast> casts;
+  double due = 10 * kMs;
+  for (int i = 0; i < 3000; ++i) {
+    due += -std::log1p(-rng.uniform01()) * 3 * kMs;
+    workload::TraceCast cast;
+    cast.when = std::llround(due);
+    cast.sender = senders[rng.next() % senders.size()];
+    cast.dest = GroupSet::all(3);
+    if (!core::isBroadcastProtocol(fp.kind))
+      cast.dest.remove(static_cast<GroupId>(rng.next() % 3));
+    casts.push_back(cast);
+  }
+  core::Experiment ex(c);
+  ex.crashAt(4, 2 * kSec);
+  ex.recoverAt(4, 2 * kSec + fp.downtime);
+  ex.addWorkload(workload::Spec::traceReplay(std::move(casts)));
+  const auto r = ex.run(3600 * kSec);
+  const auto v = r.checkAtomicSuite();
+  EXPECT_TRUE(v.empty()) << v.size() << " violations, first: " << v[0];
+  ASSERT_EQ(r.trace.recoveries.size(), 1u);
+  EXPECT_LT(p99Latency(r), fp.p99Bound);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Rejoin, FaultPathTail,
+    ::testing::Values(FaultPath{"A1_DownOneSecond", ProtocolKind::kA1, kSec,
+                                450 * kMs},
+                      FaultPath{"A1_DownThirtyMs", ProtocolKind::kA1,
+                                30 * kMs, 450 * kMs},
+                      FaultPath{"A2_DownOneSecond", ProtocolKind::kA2, kSec,
+                                300 * kMs}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 }  // namespace
 }  // namespace wanmc
