@@ -55,13 +55,6 @@ class SpscRing {
     return true;
   }
 
-  // Consumer-side emptiness probe (used for idle detection; a false
-  // negative only costs one extra poll round).
-  [[nodiscard]] bool empty() const {
-    return head_.load(std::memory_order_relaxed) ==
-           tail_.load(std::memory_order_acquire);
-  }
-
  private:
   std::vector<T> slots_;
   size_t mask_ = 0;

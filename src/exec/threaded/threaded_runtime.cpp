@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <stdexcept>
 
+#ifdef __linux__
+#include <sys/prctl.h>
+#endif
+
 namespace wanmc::exec {
 
 namespace {
@@ -11,11 +15,44 @@ namespace {
 // run()). Identity, not data: used only for ownership asserts and for
 // routing recordCast to the right trace slice.
 thread_local int tlsSlot = -1;
+
+// Sets the calling thread's timer slack to 1 ns while in scope, so that a
+// sleep ends at its deadline instead of up to the default 50 µs later.
+// Slack is a per-thread attribute; the destructor restores the caller's.
+class PreciseSleeps {
+ public:
+  PreciseSleeps() {
+#ifdef __linux__
+    saved_ = prctl(PR_GET_TIMERSLACK, 0, 0, 0, 0);
+    prctl(PR_SET_TIMERSLACK, 1, 0, 0, 0);
+#endif
+  }
+  ~PreciseSleeps() {
+#ifdef __linux__
+    if (saved_ > 0) prctl(PR_SET_TIMERSLACK, saved_, 0, 0, 0);
+#endif
+  }
+  PreciseSleeps(const PreciseSleeps&) = delete;
+  PreciseSleeps& operator=(const PreciseSleeps&) = delete;
+
+ private:
+  [[maybe_unused]] long saved_ = 0;
+};
+
+// Min-heap order on the emulated-latency deadline.
+template <class E>
+bool dueLater(const E& a, const E& b) {
+  return a.dueUs > b.dueUs;
+}
 }  // namespace
 
 ThreadedRuntime::ThreadedRuntime(Topology topo, LatencyModel latency,
                                  uint64_t seed)
-    : topo_(std::move(topo)), latency_(latency), seed_(seed) {
+    : topo_(std::move(topo)),
+      latency_(latency),
+      seed_(seed),
+      sleepCapUs_(std::clamp<int64_t>(
+          std::min(latency_.intraMin, latency_.interMin), 20, 100)) {
   latency_.validate();
   const size_t n = static_cast<size_t>(topo_.numProcesses());
   per_ = std::vector<PerThread>(n);
@@ -65,20 +102,24 @@ void ThreadedRuntime::start() {
                              static_cast<ProcessId>(p));
 }
 
+void ThreadedRuntime::sleepUntil(int64_t wakeUs) const {
+  std::this_thread::sleep_until(t0_ + std::chrono::microseconds(wakeUs));
+}
+
 void ThreadedRuntime::threadMain(ProcessId pid) {
   tlsSlot = pid;
+  const PreciseSleeps precise;
   PerThread& me = per_[static_cast<size_t>(pid)];
   me.node->onStart();
   while (!stopFlag_.load(std::memory_order_acquire)) {
-    size_t work = 0;
-
-    drainRings(pid);
+    size_t work = drainRings(pid);
 
     // Deferred messages whose emulated-latency deadline has passed.
     const int64_t now = monoUs();
-    while (!me.inbox.empty() && me.inbox.begin()->first <= now) {
-      Envelope e = std::move(me.inbox.begin()->second);
-      me.inbox.erase(me.inbox.begin());
+    while (!me.inbox.empty() && me.inbox.front().dueUs <= now) {
+      std::pop_heap(me.inbox.begin(), me.inbox.end(), dueLater<Envelope>);
+      Envelope e = std::move(me.inbox.back());
+      me.inbox.pop_back();
       deliverEnvelope(pid, e);
       ++work;
     }
@@ -86,21 +127,23 @@ void ThreadedRuntime::threadMain(ProcessId pid) {
     work += me.wheel.fireDue(monoUs());
 
     if (work == 0) {
-      // Idle: nothing due, rings empty. A short real sleep keeps the poll
-      // loop from melting a core; 20us is far below the smallest emulated
-      // latency, so it does not distort the measurement.
-      std::this_thread::sleep_for(std::chrono::microseconds(20));
+      // Idle: sleep until the next deadline (see "Waiting" in the header).
+      int64_t wake = monoUs() + sleepCapUs_;
+      if (!me.inbox.empty()) wake = std::min(wake, me.inbox.front().dueUs);
+      sleepUntil(me.wheel.nextDue(wake));
     }
   }
 }
 
-void ThreadedRuntime::drainRings(ProcessId pid) {
+size_t ThreadedRuntime::drainRings(ProcessId pid) {
   PerThread& me = per_[static_cast<size_t>(pid)];
   auto& myRings = rings_[static_cast<size_t>(pid)];
   const int64_t now = monoUs();
+  size_t popped = 0;
   Envelope e;
   for (auto& ring : myRings) {
     while (ring->tryPop(e)) {
+      ++popped;
       if (e.payload == nullptr) {
         // Posted command from the driver: runs immediately on this thread.
         e.cmd();
@@ -109,11 +152,12 @@ void ThreadedRuntime::drainRings(ProcessId pid) {
       if (e.dueUs <= now) {
         deliverEnvelope(pid, e);
       } else {
-        const int64_t due = e.dueUs;
-        me.inbox.emplace(due, std::move(e));
+        me.inbox.push_back(std::move(e));
+        std::push_heap(me.inbox.begin(), me.inbox.end(), dueLater<Envelope>);
       }
     }
   }
+  return popped;
 }
 
 void ThreadedRuntime::deliverEnvelope(ProcessId to, Envelope& e) {
@@ -281,11 +325,13 @@ bool ThreadedRuntime::run(SimTime wallBudgetUs,
                           const std::function<bool()>& done) {
   assert(running_.load(std::memory_order_relaxed) && "start() first");
   tlsSlot = driverSlot();
+  const PreciseSleeps precise;
   for (;;) {
     driverWheel_.fireDue(monoUs());
     if (done()) return true;
-    if (monoUs() > wallBudgetUs) return false;
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
+    const int64_t now = monoUs();
+    if (now > wallBudgetUs) return false;
+    sleepUntil(driverWheel_.nextDue(now + sleepCapUs_));
   }
 }
 

@@ -25,7 +25,18 @@
 //     a process ONLY via post(), which crosses on a ring like any message.
 //   * Crossings: rings_[consumer][producer]. multicast() pushes one
 //     envelope per destination on the sender's own thread; the receiver
-//     defers it until its emulated-latency deadline, then delivers.
+//     defers it in a min-heap on its emulated-latency deadline, then
+//     delivers. Links are non-FIFO by contract, so ties go in any order.
+//   * Waiting: a thread that finds nothing to do sleeps until its next
+//     deadline: a process thread until its inbox head or its next timer
+//     is due, the driver until its next harness event. No sleep lasts
+//     longer than the cap, the smallest one-way link delay clamped to
+//     [20, 100] µs. A copy pushed while its receiver sleeps is due a link
+//     delay after the push, so on links of 20 µs or more it is never due
+//     before that sleep ends: no deferred copy waits for a wake-up. A
+//     posted command waits at most the cap. Each runtime thread sets its
+//     own timer slack to 1 ns (Linux), so the kernel ends a sleep at its
+//     deadline rather than up to 50 µs after it.
 //   * Shutdown: stop() raises a flag, joins every thread, then merges the
 //     per-thread trace slices into one RunTrace ordered by wall time.
 #pragma once
@@ -34,7 +45,6 @@
 #include <cassert>
 #include <chrono>
 #include <functional>
-#include <map>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -59,7 +69,7 @@ class ThreadedRuntime final : public Context {
   // ---- lifecycle (driver thread) ------------------------------------------
 
   // Launches one thread per process; each runs its node's onStart() and
-  // enters the poll loop. The caller becomes the driver. Throws
+  // enters its event loop. The caller becomes the driver. Throws
   // std::logic_error, before any thread starts, if a process has no
   // attached node.
   void start();
@@ -165,9 +175,9 @@ class ThreadedRuntime final : public Context {
   // shared cache line.
   struct alignas(64) PerThread {
     std::unique_ptr<Process> node;
-    TimerWheel wheel;                        // protocol timers
-    std::multimap<int64_t, Envelope> inbox;  // latency-deferred messages
-    SplitMix64 rng{0};                       // latency-emulation draws
+    TimerWheel wheel;             // protocol timers
+    std::vector<Envelope> inbox;  // latency-deferred messages, min-heap
+    SplitMix64 rng{0};            // latency-emulation draws
     // Modified Lamport clock. Atomic (relaxed) because recordCast for a
     // BATCHED cast runs on the driver thread and reads the sender's clock;
     // all writes stay on the owning thread.
@@ -183,10 +193,12 @@ class ThreadedRuntime final : public Context {
   };
 
   [[nodiscard]] int64_t monoUs() const;  // µs since start()
+  // Sleeps until monoUs() reaches `wakeUs`; returns at once if it has.
+  void sleepUntil(int64_t wakeUs) const;
   void threadMain(ProcessId pid);
   void pushBlocking(int consumer, int producer, Envelope e);
   void deliverEnvelope(ProcessId to, Envelope& e);
-  void drainRings(ProcessId pid);
+  size_t drainRings(ProcessId pid);  // returns the envelopes popped
   [[nodiscard]] SimTime drawLatency(bool interGroup, SplitMix64& rng) const;
   void mergeTraces();
   void bumpAlgoSend(ProcessId from, SimTime when);
@@ -202,6 +214,7 @@ class ThreadedRuntime final : public Context {
   Topology topo_;
   LatencyModel latency_;
   uint64_t seed_;
+  int64_t sleepCapUs_;  // longest idle sleep (see "Waiting" above)
   ArenaPool arena_{/*threadSafe=*/true};
 
   std::vector<PerThread> per_;

@@ -6,6 +6,7 @@
 // scheduler's two-level calendar — a near ring of ~1ms buckets covering the
 // next ~2s, and a far map for everything beyond — because the traffic is
 // the same (heartbeat cadences, consensus round timeouts, batch windows).
+// An idle owner asks nextDue() how long it may sleep.
 //
 // Cancellation is O(1): live timer ids sit in a hash set, cancel() removes
 // the id, and a fired or swept entry whose id is gone is skipped. Within a
@@ -53,8 +54,7 @@ class TimerWheel {
       // Current bucket: fire what is due, keep what is not. Indexed access
       // throughout — a fired callback may at() into this very bucket and
       // reallocate its vector.
-      const size_t b =
-          static_cast<size_t>(cursor_ / kBucketUs) % kBuckets;
+      const size_t b = bucketOf(cursor_);
       for (size_t i = 0; i < near_[b].size();) {
         if (near_[b][i].due > nowUs) {
           ++i;
@@ -84,6 +84,27 @@ class TimerWheel {
     return fired;
   }
 
+  // The earliest due among live entries if it lies below `bound`, else
+  // `bound`. A bucket holds only dues inside its own slot (the cursor's
+  // bucket also holds overdue ones), so the first bucket with a live entry
+  // holds the minimum: a horizon of a few hundred microseconds reads one
+  // or two buckets. Far entries all lie past the window.
+  [[nodiscard]] int64_t nextDue(int64_t bound) const {
+    const int64_t windowEnd = cursor_ + int64_t{kBuckets} * kBucketUs;
+    for (int64_t slot = cursor_; slot < bound && slot < windowEnd;
+         slot += kBucketUs) {
+      int64_t best = bound;
+      for (const Entry& e : near_[bucketOf(slot)])
+        if (e.due < best && live_.count(e.id) > 0) best = e.due;
+      if (best < bound) return best;
+    }
+    for (const auto& [due, e] : far_) {
+      if (due >= bound) break;
+      if (live_.count(e.id) > 0) return due;
+    }
+    return bound;
+  }
+
   // Live (registered, not yet fired, not cancelled) timer count.
   [[nodiscard]] size_t size() const { return liveCount_; }
 
@@ -94,6 +115,10 @@ class TimerWheel {
     SmallFn fn;
   };
 
+  static size_t bucketOf(int64_t slotTime) {
+    return static_cast<size_t>(slotTime / kBucketUs) % kBuckets;
+  }
+
   void place(Entry e) {
     const int64_t windowEnd = cursor_ + int64_t{kBuckets} * kBucketUs;
     if (e.due >= windowEnd) {
@@ -101,9 +126,7 @@ class TimerWheel {
       far_.emplace(due, std::move(e));
       return;
     }
-    const int64_t slotTime = e.due < cursor_ ? cursor_ : e.due;
-    near_[static_cast<size_t>(slotTime / kBucketUs) % kBuckets].push_back(
-        std::move(e));
+    near_[bucketOf(e.due < cursor_ ? cursor_ : e.due)].push_back(std::move(e));
   }
 
   std::array<std::vector<Entry>, kBuckets> near_;
