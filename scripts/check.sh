@@ -10,7 +10,8 @@
 #                                   + live tree) and clang-tidy, if installed
 #   scripts/check.sh tsan       ... TSan build; the threaded surface only:
 #                                   jobs=4 golden matrix, parallel-vs-serial
-#                                   sweep equality, 100-seed sweep
+#                                   sweep equality, 100-seed sweep, the
+#                                   threaded backend's tests
 #   scripts/check.sh loc        ... line totals of src/, tests/ and bench/
 #                                   (*.cpp + *.hpp, wc -l); no build
 set -euo pipefail
@@ -69,9 +70,10 @@ case "$TIER" in
     WANMC_JOBS=4 "$TSAN_DIR/test_golden_fingerprints"
     WANMC_JOBS=4 "$TSAN_DIR/test_seed_sweep"
     # The exec::ThreadedRuntime backend: one matrix cell per stack on both
-    # backends, same safety properties demanded of each (the CI
-    # threaded-smoke job).
+    # backends, same safety properties demanded of each, and timers armed
+    # and cancelled on a process thread (the CI threaded-smoke job).
     "$TSAN_DIR/test_exec_backends"
+    "$TSAN_DIR/test_runtime_edges"
     ;;
   loc)
     # The one line count: ROADMAP tracks the src/ total as a headline

@@ -151,7 +151,7 @@ class Plane final : public exec::ChannelHook {
     // in flight, the rest wait for the base to slide.
     std::deque<Unacked> window;
     uint64_t base = 0;
-    exec::EventId timer = exec::kNoEvent;
+    EventId timer = kNoEvent;
     SimTime timerAt = kTimeNever;  // kTimeNever = disarmed
     uint32_t epoch = 0;
     uint32_t peerInc = 0;   // receiver incarnation last seen in an ACK

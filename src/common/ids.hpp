@@ -21,6 +21,12 @@ using MsgId = uint64_t;
 inline constexpr ProcessId kNoProcess = -1;
 inline constexpr GroupId kNoGroup = -1;
 
+// Handle of a timer or harness event on either backend: the Scheduler's
+// generation-tagged slot id (src/sim/scheduler.hpp). Zero is never issued
+// and serves as "no event".
+using EventId = uint64_t;
+inline constexpr EventId kNoEvent = 0;
+
 // Destination set of a multicast message: a bitmask over group ids.
 // Supports up to 64 groups, far beyond the paper's WAN scenarios.
 class GroupSet {

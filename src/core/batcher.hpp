@@ -58,7 +58,7 @@ class BatchPlane {
     GroupSet dest;
     uint32_t inc = 0;     // sender incarnation that opened the batch
     uint64_t gen = 0;     // disambiguates the expiry timer across reuse
-    exec::EventId timer = exec::kNoEvent;
+    EventId timer = kNoEvent;
   };
 
   void onWindowExpiry(Key key, uint64_t gen);

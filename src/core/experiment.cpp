@@ -174,8 +174,8 @@ Experiment::Experiment(RunConfig cfg) : cfg_(cfg) {
           // two can never collide.
           const MsgId cid = nextMsgId_++;
           AppMsgPtr carrier = makeCarrier(cid, sender, dest, std::move(casts));
-          // The window expires on the harness side (sim scheduler / threaded
-          // driver wheel); the xcast itself must run where the sender's
+          // The window expires on the harness side (the sim scheduler / the
+          // threaded driver's); the xcast itself must run where the sender's
           // protocol state lives. post() is an immediate call on the sim
           // backend and a ring crossing on the threaded one.
           XcastNode* n = &node(sender);
@@ -324,7 +324,6 @@ void Experiment::checkPid(ProcessId pid, const char* what) const {
 
 void Experiment::crashAt(ProcessId pid, SimTime when) {
   checkPid(pid, "crashAt");
-  crashPlanned_.insert(pid);
   runtime().scheduleCrash(pid, when);
 }
 

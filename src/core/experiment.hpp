@@ -95,11 +95,6 @@ struct RunConfig {
   std::optional<workload::Spec> workload{};
 };
 
-struct CrashPlan {
-  ProcessId pid = kNoProcess;
-  SimTime when = 0;
-};
-
 struct RunResult {
   Topology topo;
   RunTrace trace;
@@ -251,7 +246,6 @@ class Experiment {
   std::vector<XcastNode*> nodes_;
   std::unique_ptr<BatchPlane> batcher_;  // nullptr: batching off
   std::vector<std::unique_ptr<workload::Generator>> workloads_;
-  std::set<ProcessId> crashPlanned_;
   MsgId nextMsgId_ = 1;
   // Threaded-backend termination ledger: every addressee of every
   // dispatched cast owes one A-Deliver. Touched only on the driver thread

@@ -12,8 +12,9 @@
 //                           byte-identical golden fingerprints;
 //   * exec::ThreadedRuntime real threads and a real steady clock
 //                           (src/exec/threaded/): one thread per process,
-//                           SPSC queues for message copies, per-thread
-//                           timer wheels — the calibration backend;
+//                           SPSC queues for message copies, a sim
+//                           Scheduler per thread for its timers — the
+//                           calibration backend;
 //
 // implement the same contract, so protocol code is compiled once and runs
 // unmodified on either. Backend-agnostic code must not name sim::Runtime
@@ -24,14 +25,14 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <new>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/arena.hpp"
 #include "common/ids.hpp"
+#include "common/inline_fn.hpp"
 #include "common/message.hpp"
+#include "common/rng.hpp"
 #include "common/time.hpp"
 #include "common/trace.hpp"
 #include "sim/topology.hpp"
@@ -46,12 +47,6 @@ enum class Backend { kSim, kThreaded };
 [[nodiscard]] inline const char* backendName(Backend b) {
   return b == Backend::kSim ? "sim" : "threaded";
 }
-
-// Backend-independent event handle for timers and harness events. The sim
-// scheduler's generation-tagged ids and the threaded wheel's slot ids share
-// the representation; zero is never issued and serves as "no event".
-using EventId = uint64_t;
-inline constexpr EventId kNoEvent = 0;
 
 // The link-latency model both backends apply: per-copy latency drawn
 // uniformly from [min, max], one range for intra-group and one (orders of
@@ -77,6 +72,36 @@ struct LatencyModel {
   void validate() const;
 };
 
+// Per-copy latency draws from a LatencyModel, as both backends make them:
+// uniform on [min, max] from the caller's stream. The spans are fixed per
+// run, so the modulo uses precomputed FastMod magic. Bit-identical to
+// SplitMix64::uniform(min, max), including the jitter-free case, which
+// consumes NO random draw.
+class LatencyDraw {
+ public:
+  explicit LatencyDraw(const LatencyModel& m)
+      : intra_(m.intraMin, m.intraMax), inter_(m.interMin, m.interMax) {}
+
+  SimTime operator()(bool interGroup, SplitMix64& rng) const {
+    const Range& r = interGroup ? inter_ : intra_;
+    if (r.span == 0) return r.min;
+    return r.min + static_cast<SimTime>(r.mod(rng.next()));
+  }
+
+ private:
+  struct Range {
+    SimTime min;
+    uint64_t span;  // 0: fixed latency, no draw
+    FastMod mod;
+    Range(SimTime lo, SimTime hi)
+        : min(lo),
+          span(lo < hi ? static_cast<uint64_t>(hi - lo) + 1 : 0),
+          mod(span > 0 ? FastMod(span) : FastMod()) {}
+  };
+  Range intra_;
+  Range inter_;
+};
+
 // Interception point for the reliable-channel substrate (src/channel/).
 // When installed, every non-FD multicast is handed to the hook INSTEAD of
 // being scheduled directly; the hook transmits wire copies through
@@ -100,88 +125,13 @@ class ChannelHook {
   virtual void onReset(ProcessId pid) = 0;
 };
 
-// Move-only type-erased callable crossing the Context timer boundary. The
-// inline buffer is sized so that the sim backend's incarnation guard
-// (pointer + pid + incarnation + SmallFn = 56 bytes) still fits the
-// scheduler's 56-byte inline event pool: routine protocol timers — which
-// capture `this` plus a few ids — stay allocation-free end to end.
-// Larger captures fall back to one heap allocation.
-class SmallFn {
- public:
-  static constexpr size_t kInlineSize = 32;
-
-  SmallFn() = default;
-
-  template <class F, class = std::enable_if_t<
-                         !std::is_same_v<std::decay_t<F>, SmallFn>>>
-  SmallFn(F&& f) {  // NOLINT(google-explicit-constructor)
-    using D = std::decay_t<F>;
-    if constexpr (sizeof(D) <= kInlineSize && alignof(D) <= alignof(void*) &&
-                  std::is_nothrow_move_constructible_v<D>) {
-      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
-      static constexpr VTable vt{
-          [](void* p) { (*static_cast<D*>(p))(); },
-          [](void* p) { static_cast<D*>(p)->~D(); },
-          [](void* src, void* dst) {
-            ::new (dst) D(std::move(*static_cast<D*>(src)));
-            static_cast<D*>(src)->~D();
-          }};
-      vt_ = &vt;
-    } else {
-      // Cold fallback for captures beyond the inline buffer; every routine
-      // protocol timer fits inline (static_asserted by the backends' own
-      // hot-path guards and cross-checked by the bench operator-new hook).
-      ::new (static_cast<void*>(buf_)) D*(new D(std::forward<F>(f)));
-      static constexpr VTable vt{
-          [](void* p) { (**static_cast<D**>(p))(); },
-          [](void* p) { delete *static_cast<D**>(p); },
-          [](void* src, void* dst) {
-            ::new (dst) D*(*static_cast<D**>(src));
-          }};
-      vt_ = &vt;
-    }
-  }
-
-  SmallFn(SmallFn&& o) noexcept { moveFrom(o); }
-  SmallFn& operator=(SmallFn&& o) noexcept {
-    if (this != &o) {
-      reset();
-      moveFrom(o);
-    }
-    return *this;
-  }
-  SmallFn(const SmallFn&) = delete;
-  SmallFn& operator=(const SmallFn&) = delete;
-  ~SmallFn() { reset(); }
-
-  explicit operator bool() const { return vt_ != nullptr; }
-  void operator()() { vt_->call(buf_); }
-
-  void reset() {
-    if (vt_ != nullptr) {
-      vt_->destroy(buf_);
-      vt_ = nullptr;
-    }
-  }
-
- private:
-  struct VTable {
-    void (*call)(void*);
-    void (*destroy)(void*);
-    void (*relocate)(void* src, void* dst);  // move into dst, destroy src
-  };
-
-  void moveFrom(SmallFn& o) {
-    vt_ = o.vt_;
-    if (vt_ != nullptr) {
-      vt_->relocate(o.buf_, buf_);
-      o.vt_ = nullptr;
-    }
-  }
-
-  alignas(void*) unsigned char buf_[kInlineSize];
-  const VTable* vt_ = nullptr;
-};
+// The callable crossing the Context timer boundary. The inline buffer is
+// sized so that the sim backend's incarnation guard (pointer + pid +
+// incarnation + SmallFn = 56 bytes) still fits the scheduler's 56-byte
+// inline event pool: routine protocol timers — which capture `this` plus a
+// few ids — stay allocation-free end to end. Larger captures fall back to
+// one heap allocation.
+using SmallFn = InlineFn<32, alignof(void*)>;
 static_assert(sizeof(SmallFn) == SmallFn::kInlineSize + sizeof(void*),
               "SmallFn layout drifted: the sim timer guard is sized to the "
               "scheduler's inline event pool");
@@ -276,7 +226,6 @@ class Context {
   // TIMING is the failure signal, and retransmitting it would blind the
   // detector.
   virtual void setChannelHook(ChannelHook* hook) = 0;
-  [[nodiscard]] virtual ChannelHook* channelHook() const = 0;
 
   // Raw single-copy transmission for the channel plane: traffic accounting
   // under `accountLayer` (DATA under its inner layer, ACK/NACK under
@@ -365,9 +314,6 @@ class Process {
   virtual void onStart() {}
   // Called for every delivered packet.
   virtual void onMessage(ProcessId from, const PayloadPtr& payload) = 0;
-  // Called when this process crashes (for bookkeeping only — a crashed
-  // process takes no further steps).
-  virtual void onCrash() {}
 
  protected:
   void send(ProcessId to, PayloadPtr payload) {

@@ -50,6 +50,7 @@ ThreadedRuntime::ThreadedRuntime(Topology topo, LatencyModel latency,
                                  uint64_t seed)
     : topo_(std::move(topo)),
       latency_(latency),
+      latencyDraw_(latency_),
       seed_(seed),
       sleepCapUs_(std::clamp<int64_t>(
           std::min(latency_.intraMin, latency_.interMin), 20, 100)) {
@@ -124,13 +125,13 @@ void ThreadedRuntime::threadMain(ProcessId pid) {
       ++work;
     }
 
-    work += me.wheel.fireDue(monoUs());
+    work += me.sched.run(monoUs());
 
     if (work == 0) {
       // Idle: sleep until the next deadline (see "Waiting" in the header).
-      int64_t wake = monoUs() + sleepCapUs_;
+      int64_t wake = std::min(monoUs() + sleepCapUs_, me.sched.nextDue());
       if (!me.inbox.empty()) wake = std::min(wake, me.inbox.front().dueUs);
-      sleepUntil(me.wheel.nextDue(wake));
+      sleepUntil(wake);
     }
   }
 }
@@ -182,14 +183,6 @@ void ThreadedRuntime::pushBlocking(int consumer, int producer, Envelope e) {
   }
 }
 
-SimTime ThreadedRuntime::drawLatency(bool interGroup, SplitMix64& rng) const {
-  const SimTime lo = interGroup ? latency_.interMin : latency_.intraMin;
-  const SimTime hi = interGroup ? latency_.interMax : latency_.intraMax;
-  if (lo == hi) return lo;
-  return static_cast<SimTime>(
-      rng.uniform(static_cast<uint64_t>(lo), static_cast<uint64_t>(hi)));
-}
-
 void ThreadedRuntime::bumpAlgoSend(ProcessId from, SimTime when) {
   per_[static_cast<size_t>(from)].sentAlgo = true;
   // Monotonic max; several sender threads race here, so CAS-max.
@@ -233,7 +226,7 @@ void ThreadedRuntime::multicast(ProcessId from,
     // in the envelope; the receiver defers delivery until the deadline.
     Envelope e;
     e.payload = payload;
-    e.dueUs = monoUs() + drawLatency(inter, me.rng);
+    e.dueUs = monoUs() + latencyDraw_(inter, me.rng);
     e.sendTs = sendTs;
     e.from = from;
     pushBlocking(to, tlsSlot >= 0 ? tlsSlot : from, std::move(e));
@@ -244,33 +237,29 @@ EventId ThreadedRuntime::scheduleTimer(ProcessId pid, SimTime delay,
                                        SmallFn fn) {
   assert((tlsSlot == pid || !running_.load(std::memory_order_relaxed)) &&
          "a process may only arm its own timers");
-  const uint64_t local =
-      per_[static_cast<size_t>(pid)].wheel.at(monoUs() + delay, std::move(fn));
-  return (static_cast<uint64_t>(pid) + 1) << kSlotShift | local;
+  return per_[static_cast<size_t>(pid)].sched.at(monoUs() + delay,
+                                                 std::move(fn));
 }
 
 void ThreadedRuntime::cancelTimer(EventId id) {
-  if (id == kNoEvent) return;
-  const int slot = static_cast<int>(id >> kSlotShift) - 1;
-  assert(slot >= 0 && slot < topo_.numProcesses());
-  assert((tlsSlot == slot || !running_.load(std::memory_order_relaxed)) &&
-         "a process may only cancel its own timers");
-  per_[static_cast<size_t>(slot)].wheel.cancel(id & kLocalMask);
+  // The id names no owner: the queue is the calling thread's own.
+  assert(tlsSlot >= 0 && tlsSlot < topo_.numProcesses() &&
+         "a process may only cancel its own timers, on its own thread");
+  per_[static_cast<size_t>(tlsSlot)].sched.cancel(id);
 }
 
 EventId ThreadedRuntime::harnessAt(SimTime when, SmallFn fn) {
   assert((tlsSlot == driverSlot() ||
           !running_.load(std::memory_order_relaxed)) &&
          "harness events belong to the driver thread");
-  const int64_t due = std::max<int64_t>(when, monoUs());
-  const uint64_t local = driverWheel_.at(due, std::move(fn));
-  return (static_cast<uint64_t>(driverSlot()) + 1) << kSlotShift | local;
+  return driverSched_.at(std::max<int64_t>(when, monoUs()), std::move(fn));
 }
 
 void ThreadedRuntime::harnessCancel(EventId id) {
-  if (id == kNoEvent) return;
-  assert(static_cast<int>(id >> kSlotShift) - 1 == driverSlot());
-  driverWheel_.cancel(id & kLocalMask);
+  assert((tlsSlot == driverSlot() ||
+          !running_.load(std::memory_order_relaxed)) &&
+         "harness events belong to the driver thread");
+  driverSched_.cancel(id);
 }
 
 void ThreadedRuntime::post(ProcessId pid, SmallFn fn) {
@@ -327,11 +316,11 @@ bool ThreadedRuntime::run(SimTime wallBudgetUs,
   tlsSlot = driverSlot();
   const PreciseSleeps precise;
   for (;;) {
-    driverWheel_.fireDue(monoUs());
+    driverSched_.run(monoUs());
     if (done()) return true;
     const int64_t now = monoUs();
     if (now > wallBudgetUs) return false;
-    sleepUntil(driverWheel_.nextDue(now + sleepCapUs_));
+    sleepUntil(std::min(now + sleepCapUs_, driverSched_.nextDue()));
   }
 }
 

@@ -1,13 +1,14 @@
 // ThreadedRuntime: the real-clock execution backend.
 //
 // One OS thread per process, real std::chrono::steady_clock time, lock-free
-// SPSC rings for everything that crosses threads, and a per-thread timer
-// wheel. Protocol stacks written against exec::Context run here unmodified;
-// what changes is the physics: time advances on its own, message "latency"
-// is the emulated WAN draw ON TOP of real scheduling/queueing overhead, and
-// nothing is deterministic. The sim backend remains the oracle; this
-// backend exists to measure — the calibration bench re-runs the A1
-// latency/throughput sweep here and plots sim vs. real.
+// SPSC rings for everything that crosses threads, and a per-thread
+// sim::Scheduler for timers. Protocol stacks written against exec::Context
+// run here unmodified; what changes is the physics: time advances on its
+// own, message "latency" is the emulated WAN draw ON TOP of real
+// scheduling/queueing overhead, and nothing is deterministic. The sim
+// backend remains the oracle; this backend exists to measure — the
+// calibration bench re-runs the A1 latency/throughput sweep here and plots
+// sim vs. real.
 //
 // Scope (v1): crash-free, loss-free, partition-free runs only. The
 // injection axes (crash/recover, partitions, LossModel, reliable channels,
@@ -18,15 +19,26 @@
 //
 // Threading model
 //   * N process threads, one per pid; thread i owns per_[i]: its node, its
-//     timer wheel, its deferred-message queue, its RNG, its Lamport clock,
+//     timer queue, its deferred-message queue, its RNG, its Lamport clock,
 //     and its slice of the trace. Only thread i touches them.
 //   * The driver (the thread that calls run(), slot N) owns the harness
-//     wheel: scripted casts, workload arrivals, batch windows. It reaches
+//     queue: scripted casts, workload arrivals, batch windows. It reaches
 //     a process ONLY via post(), which crosses on a ring like any message.
+//   * Timer queues are the sim's Scheduler, one per owning thread, fired
+//     with run(now) on the real clock, so a timer armed after a pass may
+//     land behind the window start (see the calendar notes in
+//     scheduler.hpp). An id carries no owner: cancelTimer cancels on the
+//     calling thread's own queue, the only one a process may touch. No
+//     incarnation guard wraps a timer, as nothing crashes here.
 //   * Crossings: rings_[consumer][producer]. multicast() pushes one
 //     envelope per destination on the sender's own thread; the receiver
 //     defers it in a min-heap on its emulated-latency deadline, then
 //     delivers. Links are non-FIFO by contract, so ties go in any order.
+//     Deferred copies stay in that heap rather than on the Scheduler: at
+//     a1_threaded_lan's 20k casts/s overload, queueing them there read
+//     peak RSS 58.5-61.4 MB against 47.5-48.3 MB (4 alternating 25 s
+//     pairs, shared 4-vCPU VM), since the calendar's 2,048 bucket vectors
+//     keep the capacity they grow to.
 //   * Waiting: a thread that finds nothing to do sleeps until its next
 //     deadline: a process thread until its inbox head or its next timer
 //     is due, the driver until its next harness event. No sleep lasts
@@ -53,7 +65,7 @@
 #include "common/rng.hpp"
 #include "exec/context.hpp"
 #include "exec/threaded/spsc.hpp"
-#include "exec/threaded/timer_wheel.hpp"
+#include "sim/scheduler.hpp"
 #include "sim/topology.hpp"
 
 namespace wanmc::exec {
@@ -74,9 +86,9 @@ class ThreadedRuntime final : public Context {
   // attached node.
   void start();
 
-  // Drives the harness wheel until `done()` holds or `wallBudgetUs` of real
-  // time elapses. `done` is evaluated between wheel ticks on the driver
-  // thread. Returns true iff the run ended by done().
+  // Fires harness events until `done()` holds or `wallBudgetUs` of real
+  // time elapses. `done` is evaluated between passes over the harness
+  // queue, on the driver thread. Returns true iff the run ended by done().
   bool run(SimTime wallBudgetUs, const std::function<bool()>& done);
 
   // Stops the process threads, joins them, and merges their trace slices.
@@ -88,9 +100,9 @@ class ThreadedRuntime final : public Context {
   [[nodiscard]] uint64_t deliveredCount() const {
     return delivered_.load(std::memory_order_acquire);
   }
-  // Harness events still pending on the driver wheel. Driver thread only.
+  // Harness events still pending on the driver. Driver thread only.
   [[nodiscard]] size_t pendingHarnessEvents() const {
-    return driverWheel_.size();
+    return driverSched_.pendingEvents();
   }
 
   // ---- exec::Context: node surface ----------------------------------------
@@ -128,7 +140,6 @@ class ThreadedRuntime final : public Context {
   }
   [[nodiscard]] ArenaPool& payloadArena() override { return arena_; }
   void setChannelHook(ChannelHook* hook) override;
-  [[nodiscard]] ChannelHook* channelHook() const override { return nullptr; }
   void channelSend(ProcessId from, ProcessId to, PayloadPtr payload,
                    Layer accountLayer) override;
   void deliverFromChannel(ProcessId from, ProcessId to,
@@ -175,7 +186,7 @@ class ThreadedRuntime final : public Context {
   // shared cache line.
   struct alignas(64) PerThread {
     std::unique_ptr<Process> node;
-    TimerWheel wheel;             // protocol timers
+    sim::Scheduler sched;         // protocol timers
     std::vector<Envelope> inbox;  // latency-deferred messages, min-heap
     SplitMix64 rng{0};            // latency-emulation draws
     // Modified Lamport clock. Atomic (relaxed) because recordCast for a
@@ -199,20 +210,15 @@ class ThreadedRuntime final : public Context {
   void pushBlocking(int consumer, int producer, Envelope e);
   void deliverEnvelope(ProcessId to, Envelope& e);
   size_t drainRings(ProcessId pid);  // returns the envelopes popped
-  [[nodiscard]] SimTime drawLatency(bool interGroup, SplitMix64& rng) const;
   void mergeTraces();
   void bumpAlgoSend(ProcessId from, SimTime when);
 
   // Driver-slot index (process slots are [0, N)).
   [[nodiscard]] int driverSlot() const { return topo_.numProcesses(); }
 
-  // EventId encoding: (owner slot + 1) in the high bits, the wheel-local id
-  // in the low 40. The +1 keeps kNoEvent (0) unambiguous.
-  static constexpr int kSlotShift = 40;
-  static constexpr uint64_t kLocalMask = (uint64_t{1} << kSlotShift) - 1;
-
   Topology topo_;
   LatencyModel latency_;
+  LatencyDraw latencyDraw_;  // each sender draws from its own stream
   uint64_t seed_;
   int64_t sleepCapUs_;  // longest idle sleep (see "Waiting" above)
   ArenaPool arena_{/*threadSafe=*/true};
@@ -222,7 +228,7 @@ class ThreadedRuntime final : public Context {
   // the driver (index N).
   std::vector<std::vector<std::unique_ptr<SpscRing<Envelope>>>> rings_;
 
-  TimerWheel driverWheel_;  // harness events; driver thread only
+  sim::Scheduler driverSched_;  // harness events; driver thread only
   // Driver-slice trace entries (recordCast of batched casts).
   std::vector<CastEvent> driverCasts_;
 

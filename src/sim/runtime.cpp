@@ -107,7 +107,7 @@ WANMC_HOT void Runtime::multicast(ProcessId from,
       continue;
     }
 
-    const SimTime delay = drawLatency(inter);
+    const SimTime delay = latencyDraw_(inter, rng_);
     ++f->pending;
     sched_.at(sched_.now() + delay, Delivery{this, f, to});
   }
@@ -153,7 +153,7 @@ WANMC_HOT void Runtime::channelSend(ProcessId from, ProcessId to,
     ++trace_.lossDrops;
     return;
   }
-  const SimTime delay = drawLatency(inter);
+  const SimTime delay = latencyDraw_(inter, rng_);
   sched_.at(sched_.now() + delay,
             ChanDelivery{this, from, to, std::move(payload)});
 }
@@ -186,8 +186,6 @@ void Runtime::crash(ProcessId pid) {
   crashed_[static_cast<size_t>(pid)] = 1;
   everCrashed_[static_cast<size_t>(pid)] = 1;
   trace_.crashes.push_back(CrashEvent{pid, sched_.now()});
-  if (nodes_[static_cast<size_t>(pid)] != nullptr)
-    nodes_[static_cast<size_t>(pid)]->onCrash();
   dispatchListeners(crashListeners_, pid);
 }
 

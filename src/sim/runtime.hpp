@@ -61,8 +61,7 @@ class Runtime final : public exec::Context {
         sentAlgo_(static_cast<size_t>(topo_.numProcesses()), 0),
         recvAlgo_(static_cast<size_t>(topo_.numProcesses()), 0),
         perProcOrder_(static_cast<size_t>(topo_.numProcesses()), 0),
-        intraDraw_(latency_.intraMin, latency_.intraMax),
-        interDraw_(latency_.interMin, latency_.interMax) {
+        latencyDraw_(latency_) {
     latency_.validate();
   }
 
@@ -122,9 +121,6 @@ class Runtime final : public exec::Context {
   // ---- reliable-channel substrate -----------------------------------------
 
   void setChannelHook(ChannelHook* hook) override { channelHook_ = hook; }
-  [[nodiscard]] ChannelHook* channelHook() const override {
-    return channelHook_;
-  }
   [[nodiscard]] const LatencyModel& latencyModel() const override {
     return latency_;
   }
@@ -426,26 +422,7 @@ class Runtime final : public exec::Context {
   std::vector<Fanout*> fanoutFree_;
   std::vector<uint8_t> interScratch_;  // per-destination flags, reused
 
-  // Latency spans are fixed per run, so the draw modulo uses precomputed
-  // FastMod magic. Bit-identical to SplitMix64::uniform(min, max),
-  // including the jitter-free case, which consumes NO random draw.
-  struct LatencyDraw {
-    SimTime min = 0;
-    uint64_t span = 0;  // 0: fixed latency, no draw
-    FastMod mod;
-    explicit LatencyDraw(SimTime lo = 0, SimTime hi = 0)
-        : min(lo),
-          span(lo < hi ? static_cast<uint64_t>(hi - lo) + 1 : 0),
-          mod(span > 0 ? FastMod(span) : FastMod()) {}
-  };
-  LatencyDraw intraDraw_{0, 0};
-  LatencyDraw interDraw_{0, 0};
-
-  SimTime drawLatency(bool interGroup) {
-    const LatencyDraw& d = interGroup ? interDraw_ : intraDraw_;
-    if (d.span == 0) return d.min;
-    return d.min + static_cast<SimTime>(d.mod(rng_.next()));
-  }
+  exec::LatencyDraw latencyDraw_;  // draws from rng_
 };
 
 }  // namespace wanmc::sim

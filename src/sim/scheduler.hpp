@@ -1,7 +1,11 @@
-// Deterministic discrete-event scheduler.
+// Discrete-event scheduler: the one timer queue of both backends.
 //
-// Events fire in (time, insertion-sequence) order, so a run is a pure
-// function of the seed and the initial configuration.
+// Events fire in (time, insertion-sequence) order, so a sim run is a pure
+// function of the seed and the initial configuration. The sim backend
+// (sim::Runtime) runs every event on one Scheduler; the threaded backend
+// (exec::ThreadedRuntime) gives each process thread and its driver their
+// own for protocol timers and harness events, fires them with run(now) on
+// the real clock and sleeps until nextDue().
 //
 // The hot path is allocation-free and built for the simulator's delay
 // profile (intra-group ~1-2ms, inter-group ~100ms, timers ~10-200ms):
@@ -23,119 +27,20 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <new>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/hot.hpp"
+#include "common/ids.hpp"
+#include "common/inline_fn.hpp"
 #include "common/time.hpp"
 
 namespace wanmc::sim {
 
-using EventFn = std::function<void()>;
-
-// Generation-tagged event handle: (generation << 32) | slot. The zero value
-// is never issued, so it can serve as a "no event" sentinel.
-using EventId = uint64_t;
-inline constexpr EventId kNoEvent = 0;
-
-// Move-only type-erased callable with inline storage. Anything up to
-// kInlineSize bytes (which covers the runtime's delivery records, timer
-// guards, and a std::function) is stored in place; larger callables fall
-// back to one heap allocation.
-class EventCallable {
- public:
-  static constexpr size_t kInlineSize = 56;
-
-  EventCallable() = default;
-
-  template <class F,
-            class = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, EventCallable>>>
-  EventCallable(F&& f) {  // NOLINT(google-explicit-constructor)
-    emplace(std::forward<F>(f));
-  }
-
-  EventCallable(EventCallable&& o) noexcept { moveFrom(o); }
-  EventCallable& operator=(EventCallable&& o) noexcept {
-    if (this != &o) {
-      reset();
-      moveFrom(o);
-    }
-    return *this;
-  }
-  EventCallable(const EventCallable&) = delete;
-  EventCallable& operator=(const EventCallable&) = delete;
-  ~EventCallable() { reset(); }
-
-  explicit operator bool() const { return vt_ != nullptr; }
-  void operator()() { vt_->call(buf_); }
-
-  void reset() {
-    if (vt_ != nullptr) {
-      // Routine events (delivery records, POD timer guards) are trivially
-      // destructible: skip the indirect destroy call for them.
-      if (!vt_->trivialDestroy) vt_->destroy(buf_);
-      vt_ = nullptr;
-    }
-  }
-
- private:
-  struct VTable {
-    void (*call)(void*);
-    void (*destroy)(void*);
-    void (*relocate)(void* src, void* dst);  // move into dst, destroy src
-    bool trivialDestroy;
-  };
-
-  template <class D>
-  static constexpr bool kFitsInline =
-      sizeof(D) <= kInlineSize && alignof(D) <= alignof(std::max_align_t) &&
-      std::is_nothrow_move_constructible_v<D>;
-
-  template <class F>
-  WANMC_HOT void emplace(F&& f) {
-    using D = std::decay_t<F>;
-    if constexpr (kFitsInline<D>) {
-      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
-      static constexpr VTable vt{
-          [](void* p) { (*static_cast<D*>(p))(); },
-          [](void* p) { static_cast<D*>(p)->~D(); },
-          [](void* src, void* dst) {
-            ::new (dst) D(std::move(*static_cast<D*>(src)));
-            static_cast<D*>(src)->~D();
-          },
-          std::is_trivially_destructible_v<D>};
-      vt_ = &vt;
-    } else {
-      // wanmc-lint: allow(D5): cold fallback for callables beyond the
-      // 56-byte inline buffer; every routine event type fits inline
-      ::new (static_cast<void*>(buf_)) D*(new D(std::forward<F>(f)));
-      static constexpr VTable vt{
-          [](void* p) { (**static_cast<D**>(p))(); },
-          [](void* p) { delete *static_cast<D**>(p); },
-          [](void* src, void* dst) {
-            ::new (dst) D*(*static_cast<D**>(src));
-          },
-          false};
-      vt_ = &vt;
-    }
-  }
-
-  void moveFrom(EventCallable& o) {
-    vt_ = o.vt_;
-    if (vt_ != nullptr) {
-      vt_->relocate(o.buf_, buf_);
-      o.vt_ = nullptr;
-    }
-  }
-
-  alignas(std::max_align_t) unsigned char buf_[kInlineSize];
-  const VTable* vt_ = nullptr;
-};
+// The scheduler's event callable. 56 bytes inline cover the runtime's
+// delivery records and timer guards (a guard wraps an exec::SmallFn).
+using EventCallable = InlineFn<56, alignof(std::max_align_t)>;
 
 class Scheduler {
  public:
@@ -166,32 +71,21 @@ class Scheduler {
   }
 
   [[nodiscard]] SimTime now() const { return now_; }
-  [[nodiscard]] bool empty() const { return live_ == 0; }
   // Scheduled-but-not-yet-fired events, cancellations excluded. Maintained
   // as a counter: it can neither underflow nor drift.
   [[nodiscard]] size_t pendingEvents() const { return live_; }
 
-  // Run a single event. Returns false if the queue is exhausted.
-  WANMC_HOT bool step() {
+  // The time of the earliest live event, kTimeNever if none: how long an
+  // idle thread may sleep. Cancelled entries at the top are discarded on
+  // the way, so the answer is never a dead entry's time.
+  [[nodiscard]] SimTime nextDue() {
     for (;;) {
       const Entry* top = peek();
-      if (top == nullptr) return false;
-      const Entry e = *top;
+      if (top == nullptr) return kTimeNever;
+      if (slot(top->slot).live) return top->when;
+      const uint32_t idx = top->slot;
       dropTop();
-      Slot& s = slot(e.slot);
-      if (!s.live) {
-        freeSlot(e.slot);
-        continue;
-      }
-      s.live = false;
-      --live_;
-      now_ = e.when;
-      // Fired IN PLACE: slot storage is chunked (stable across the growth
-      // the callable may cause) and the slot joins the free list only after
-      // the call, so a newly scheduled event cannot overwrite it.
-      s.fn();
-      freeSlot(e.slot);
-      return true;
+      freeSlot(idx);
     }
   }
 
@@ -215,7 +109,10 @@ class Scheduler {
       s.live = false;
       --live_;
       now_ = e.when;
-      s.fn();  // in place, see step()
+      // Fired IN PLACE: slot storage is chunked (stable across the growth
+      // the callable may cause) and the slot joins the free list only after
+      // the call, so a newly scheduled event cannot overwrite it.
+      s.fn();
       freeSlot(e.slot);
       ++fired;
     }
@@ -241,8 +138,10 @@ class Scheduler {
   // the global minimum is always the head of the first nonempty bucket.
   // Entries stamped beyond the window wait in a 4-ary heap and migrate as
   // the window advances; entries stamped at or before the window start
-  // (possible only for "fire immediately" events) clamp to the cursor
-  // bucket, where in-bucket ordering keeps them first.
+  // clamp to the cursor bucket, where in-bucket ordering keeps them first.
+  // In the sim only "fire immediately" events land there. On the real
+  // clock it is routine: run(now) and nextDue() park the cursor at the
+  // next pending event, and a timer armed afterwards is due before it.
 
   static constexpr SimTime kBucketWidth = 1000;  // 1ms, in SimTime units
   static constexpr size_t kNumBuckets = 2048;    // ~2s near window

@@ -1,12 +1,14 @@
 // Edge-case tests for the runtime's batch-send semantics (the paper's
 // one-event-per-multicast clock rule), for starting a runtime that lacks a
-// node (both backends), and for consensus corner cases that the
-// protocol-level tests exercise only indirectly.
+// node (both backends), for timer cancellation on the threaded backend,
+// and for consensus corner cases that the protocol-level tests exercise
+// only indirectly.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <memory>
 #include <stdexcept>
+#include <vector>
 
 #include "consensus/consensus.hpp"
 #include "core/stack_node.hpp"
@@ -116,6 +118,50 @@ TEST(RuntimeStart, ThreadedRejectsAMissingNodeBeforeLaunchingAnyThread) {
   rt.attach(2, std::make_unique<StartCounter>(rt, 2, started));
   EXPECT_THROW(rt.start(), std::logic_error);
   EXPECT_EQ(started.load(), 0);
+}
+
+// ---------------------------------------------------------------------------
+// Threaded timers: each process thread fires its own Scheduler, and
+// cancelTimer cancels on the calling thread's queue.
+// ---------------------------------------------------------------------------
+
+class TimerProbe final : public exec::Process {
+ public:
+  using exec::Process::Process;
+  std::vector<int> fired;  // ms tags in fire order; read after stop()
+  std::atomic<bool> done{false};
+
+  void onStart() override {
+    timer(1 * kMs, [this] {
+      fired.push_back(1);
+      runtime().cancelTimer(three_);
+    });
+    three_ = timer(3 * kMs, [this] { fired.push_back(3); });
+    timer(5 * kMs, [this] {
+      fired.push_back(5);
+      done.store(true, std::memory_order_release);
+    });
+  }
+  void onMessage(ProcessId, const PayloadPtr&) override {}
+
+ private:
+  EventId three_ = kNoEvent;
+};
+
+TEST(ThreadedTimers, ACallbackCancelsALaterTimerOnItsOwnThread) {
+  exec::ThreadedRuntime rt(Topology(1, 1),
+                           sim::LatencyModel::fixed(kMs, 100 * kMs), 1);
+  auto node = std::make_unique<TimerProbe>(rt, 0);
+  TimerProbe* probe = node.get();
+  rt.attach(0, std::move(node));
+  rt.start();
+  // Even a thread that wakes late fires all three in one pass, in due
+  // order, so the 1 ms callback always cancels the 3 ms timer first.
+  EXPECT_TRUE(rt.run(30 * kSec, [probe] {
+    return probe->done.load(std::memory_order_acquire);
+  }));
+  rt.stop();
+  EXPECT_EQ(probe->fired, (std::vector<int>{1, 5}));
 }
 
 // ---------------------------------------------------------------------------

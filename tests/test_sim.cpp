@@ -151,6 +151,47 @@ TEST(Scheduler, FarFutureEventsInterleaveCorrectly) {
   EXPECT_EQ(s.now(), 3600 * kSec);
 }
 
+// nextDue() tells an idle threaded-backend thread when to wake: the
+// earliest live event, whether it waits in the ring or the far heap.
+TEST(Scheduler, NextDueReportsTheEarliestLiveEvent) {
+  sim::Scheduler s;
+  EXPECT_EQ(s.nextDue(), kTimeNever);  // nothing armed
+
+  const EventId early = s.at(50, [] {});
+  s.at(70, [] {});
+  EXPECT_EQ(s.nextDue(), 50);
+  s.cancel(early);
+  EXPECT_EQ(s.nextDue(), 70);  // the cancelled head is skipped
+  EXPECT_EQ(s.run(80), 1u);
+  EXPECT_EQ(s.nextDue(), kTimeNever);
+
+  s.at(3600 * kSec, [] {});  // far beyond the ~2 s near window
+  EXPECT_EQ(s.nextDue(), 3600 * kSec);
+  s.at(100, [] {});  // overdue on arrival: the earliest of all
+  EXPECT_EQ(s.nextDue(), 100);
+  EXPECT_EQ(s.run(100), 1u);
+  EXPECT_EQ(s.nextDue(), 3600 * kSec);
+  EXPECT_EQ(s.pendingEvents(), 1u);
+}
+
+// On the real clock, run(now) parks the cursor at the next pending event,
+// which may lie far ahead; a timer armed afterwards is due before it and
+// lands behind the window start. It must fire on the next run(now), ahead
+// of the far event. The threaded backend does this on every idle pass.
+TEST(Scheduler, EventArmedBehindAParkedCursorFiresFirst) {
+  sim::Scheduler s;
+  std::vector<int> order;
+  s.at(5 * kSec, [&] { order.push_back(2); });
+  EXPECT_EQ(s.run(1 * kMs), 0u);  // the cursor parks at the 5 s bucket
+  s.at(2 * kMs, [&] { order.push_back(1); });
+  EXPECT_EQ(s.nextDue(), 2 * kMs);
+  EXPECT_EQ(s.run(1500), 0u);  // not yet due
+  EXPECT_EQ(s.run(3 * kMs), 1u);
+  EXPECT_EQ(order, (std::vector<int>{1}));
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
 TEST(Topology, RegularLayout) {
   Topology t(3, 4);
   EXPECT_EQ(t.numProcesses(), 12);
