@@ -12,6 +12,9 @@
 //   --protocol   a1|fritzke98|delporte00|rodrigues98|skeen87|viabcast|
 //                a2|sousa02|vicente02|detmerge00
 //   --workload   closed-loop|open-fixed|open-poisson|bursty (arrival model)
+//   --interval-ms <ms>
+//                the arrival spacing (closed loop) or mean gap (open loops),
+//                a decimal number of ms of at least 0.001 (0.02 = 20 us)
 //   --workload-spec "open-poisson count=50 mean=20000 szipf=1.2"
 //                full serialized workload::Spec, overrides the other
 //                workload flags (see src/workload/spec.hpp)
@@ -54,6 +57,7 @@
 // and --check-baseline FILE [--tolerance F]: compare this sweep's p50/p99
 // per load point against a baseline CSV and exit 1 on a >F regression
 // (default 0.25) — the CI percentile gate.
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -108,6 +112,29 @@ long long parseIntOrDie(const std::string& s, const char* what) {
     std::exit(2);
   }
   return v;
+}
+
+// Strict positive decimal milliseconds, to whole microseconds: "0.02" is
+// 20 us. A malformed value, or one that is not at least 1 us, exits.
+SimTime parseMsOrDie(const std::string& s, const char* what) {
+  size_t used = 0;
+  double ms = 0;
+  try {
+    ms = std::stod(s, &used);
+  } catch (const std::exception&) {
+    used = std::string::npos;
+  }
+  if (used != s.size() || s.empty()) {
+    std::fprintf(stderr, "%s: '%s' is not a number\n", what, s.c_str());
+    std::exit(2);
+  }
+  const double us = std::round(ms * static_cast<double>(kMs));
+  if (!(us >= 1 && us < 1e15)) {  // 1e15 us is 31 years; rejects nan, inf
+    std::fprintf(stderr, "%s: '%s' is not an interval of at least 0.001 ms\n",
+                 what, s.c_str());
+    std::exit(2);
+  }
+  return static_cast<SimTime>(us);
 }
 
 // "<pid>:<ms>" for --crash / --recover.
@@ -253,9 +280,9 @@ int sweepMain(int argc, char** argv) {
     else if (arg == "--seeds") opt.seedsPerPoint = std::atoi(next().c_str());
     else if (arg == "--jobs") opt.jobs = std::atoi(next().c_str());
     else if (arg == "--interval-max-ms")
-      slowest = std::atoi(next().c_str()) * kMs;
+      slowest = parseMsOrDie(next(), "--interval-max-ms");
     else if (arg == "--interval-min-ms")
-      fastest = std::atoi(next().c_str()) * kMs;
+      fastest = parseMsOrDie(next(), "--interval-min-ms");
     else if (arg == "--csv-out") {
       csvOut = next();
     } else if (arg == "--check-baseline") {
@@ -341,7 +368,7 @@ int main(int argc, char** argv) {
     if (ro.consumeFlag(arg, next)) continue;
     if (arg == "--msgs") spec.count = std::atoi(next().c_str());
     else if (arg == "--interval-ms") {
-      const SimTime v = std::atoi(next().c_str()) * kMs;
+      const SimTime v = parseMsOrDie(next(), "--interval-ms");
       spec.interval = spec.meanGap = v;  // one knob for either model family
     } else if (arg == "--workload") spec.model = parseModel(next());
     else if (arg == "--cap") spec.inFlightCap = std::atoi(next().c_str());

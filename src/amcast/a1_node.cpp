@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <span>
 
 namespace wanmc::amcast {
 
@@ -224,10 +225,21 @@ void A1Node::noteCopy(ProcessId from, const TsPayload& ts) {
     s = Stream{.open = false};
     return;
   }
-  s.held[n % kReorderWindow] = ts.ts;
+  std::span<uint64_t> ring(s.held);
+  if (!s.spill.empty()) {
+    ring = s.spill;
+  } else if (n - s.next >= ring.size()) {  // move the ring to the heap
+    s.spill.resize(std::bit_ceil(kReorderWindow));
+    const size_t wide = s.spill.size() - 1;
+    for (uint32_t k = s.next; k < s.next + ring.size(); ++k)
+      s.spill[k & wide] = std::exchange(ring[k & (ring.size() - 1)], 0);
+    ring = s.spill;
+  }
+  const size_t mask = ring.size() - 1;  // both ring sizes are powers of two
+  ring[n & mask] = ts.ts;
   uint64_t last = 0;  // proposals never fall along a stream
-  while (s.held[s.next % kReorderWindow] != 0)
-    last = std::exchange(s.held[s.next++ % kReorderWindow], 0);
+  while (ring[s.next & mask] != 0)
+    last = std::exchange(ring[s.next++ & mask], 0);
 
   Missing& w = missing_[static_cast<size_t>(ts.fromGroup)];
   if (last <= w.floor) return;

@@ -30,12 +30,18 @@
 // because q applies g's decisions in instance order and sends (TS, m) as
 // it applies the first one holding m (line 24): an m with no copy from q
 // yet gets a g-proposal >= F_g, equal only for a later entry of the same
-// decision. A hole raises no floor (the paper's rule); a stream whose hole
-// outlives kReorderWindow later copies is abandoned. Only first
-// incarnations take part: a rejoined sender installs decisions without
-// sending their (TS, m), so it numbers nothing, and a rejoined receiver
-// cannot know which copies its dead incarnation got, so it keeps no
-// stream.
+// decision. A hole raises no floor (the paper's rule). A stream holds the
+// proposals of the copies past its hole until the hole fills, and is
+// abandoned once the hole outlives kReorderWindow later copies. That bound
+// is the reliable channel's send window: the channel hands copies up as
+// they arrive, but sends nothing holdbackCap or more packets past an
+// unacked one, and q's copies to this process are a subsequence of one
+// link's packets, so a hole the channel refills is never abandoned.
+// Without channels a hole is a copy lost for good, and the bound only caps
+// what the stream holds. Only first incarnations take part: a rejoined
+// sender installs decisions without sending their (TS, m), so it numbers
+// nothing, and a rejoined receiver cannot know which copies its dead
+// incarnation got, so it keeps no stream.
 //
 // The pending table carries indexes kept in step by setPending and
 // erasePending: the ids of the s0/s2 entries, in id order (the canonical
@@ -60,6 +66,7 @@
 #include <utility>
 #include <vector>
 
+#include "channel/channel.hpp"
 #include "common/consensus_value.hpp"
 #include "core/stack_node.hpp"
 
@@ -126,12 +133,14 @@ class A1Node final : public core::XcastNode {
   // Copies held behind a hole, over every stream.
   [[nodiscard]] size_t heldCopies() const {
     size_t n = 0;
-    for (const Stream& s : streams_)
+    for (const Stream& s : streams_) {
       for (uint64_t k : s.held) n += k != 0 ? 1 : 0;
+      for (uint64_t k : s.spill) n += k != 0 ? 1 : 0;
+    }
     return n;
   }
 
-  static constexpr uint32_t kReorderWindow = 32;
+  static constexpr size_t kReorderWindow = channel::Config{}.holdbackCap;
 
  protected:
   void onProtocolMessage(ProcessId from, const PayloadPtr& p) override;
@@ -167,7 +176,13 @@ class A1Node final : public core::XcastNode {
   struct Stream {
     uint32_t next = 1;  // lowest number not received yet
     bool open = true;   // false once a hole outlived the window
-    std::array<uint64_t, kReorderWindow> held{};  // proposals; 0 = absent
+    // Proposals of the copies past the hole, at number % ring size; 0 =
+    // absent. The ring is `held` until a copy lands 32 or more past the
+    // hole, then `spill`, kReorderWindow rounded up to a power of two.
+    // Reordered links move only a few copies past each other, so only a
+    // lost copy allocates.
+    std::array<uint64_t, 32> held{};
+    std::vector<uint64_t> spill{};
   };
 
   // Donor and rejoiner are the same class, so the blob round-trips as a

@@ -12,8 +12,8 @@ namespace wanmc::channel {
 
 std::string DataPacket::debugString() const {
   std::ostringstream os;
-  os << "chan-data{seq=" << seq << " inc=" << senderInc << " ep=" << epoch
-     << " " << inner->debugString() << "}";
+  os << "chan-data{seq=" << seq << " inc=" << senderInc << " to="
+     << receiverInc << " " << inner->debugString() << "}";
   return os.str();
 }
 
@@ -26,7 +26,7 @@ std::string AckPacket::debugString() const {
       os << "[" << holes[h].from << "," << holes[h].to << ")";
     os << " sack=" << sackTo;
   }
-  os << " inc=" << receiverInc << " ep=" << epoch << "}";
+  os << " inc=" << receiverInc << " of=" << senderInc << "}";
   return os.str();
 }
 
@@ -80,7 +80,7 @@ WANMC_HOT void Plane::transmit(ProcessId from, ProcessId to, OutLink& ol,
   pkt->seq = ol.base + i;
   pkt->sendTs = u.sendTs;
   pkt->senderInc = rt_.incarnation(from);
-  pkt->epoch = ol.epoch;
+  pkt->receiverInc = ol.peerInc;
   rt_.channelSend(from, to, std::move(pkt), u.innerLayer);
 }
 
@@ -117,7 +117,7 @@ void Plane::disarmTimer(OutLink& ol) {
 void Plane::onRto(ProcessId from, ProcessId to) {
   OutLink& ol = out(from, to);
   ol.timerAt = kTimeNever;
-  // Resend only what is overdue; SACKed packets are held by the receiver.
+  // Resend only what is overdue; SACKed packets reached the receiver.
   const SimTime now = rt_.now();
   const SimTime rto = timeout(from, to, ol);
   bool resent = false;
@@ -137,11 +137,10 @@ void Plane::onRto(ProcessId from, ProcessId to) {
 }
 
 void Plane::rekey(ProcessId from, ProcessId to, OutLink& ol) {
-  // The peer reincarnated: everything it ever acked or held died with it.
-  // Open a fresh epoch whose sequence space starts at 0 and re-offer the
-  // in-flight backlog as its prefix; in-flight packets and ACKs of older
-  // epochs are dropped as stale on arrival.
-  ++ol.epoch;
+  // The peer reincarnated: everything it ever acked died with it. Address
+  // a fresh sequence space from 0 to the new incarnation and re-offer the
+  // in-flight backlog as its prefix; in-flight packets and ACKs of the old
+  // space are dropped as stale on arrival.
   ol.base = 0;
   ol.backoff = 0;
   disarmTimer(ol);
@@ -173,57 +172,40 @@ WANMC_HOT void Plane::handleData(ProcessId sender, ProcessId self,
     ++stats_.staleDropped;
     return;
   }
-  InLink& il = in(self, sender);
-  if (!il.known || d.senderInc != il.peerInc) {
-    // First contact, or the sender reincarnated: adopt its fresh space.
-    il = InLink{};
-    il.known = true;
-    il.peerInc = d.senderInc;
-    il.epoch = d.epoch;
-  } else if (d.epoch != il.epoch) {
-    if (d.epoch > il.epoch) {
-      // The sender re-keyed (it saw OUR fresh incarnation): the new epoch's
-      // prefix supersedes anything held from the old one.
-      il.holdback.clear();
-      il.nextExpected = 0;
-      il.nackCeiling = 0;
-      il.epoch = d.epoch;
-    } else {
-      ++stats_.staleDropped;
-      sendAck(self, sender, il, false);  // re-sync the sender to our epoch
-      return;
-    }
+  if (d.receiverInc != rt_.incarnation(self)) {
+    // Addressed to our dead predecessor: the sender re-offers what it still
+    // holds once it re-keys, so handing this up could hand it up twice. The
+    // ACK names our incarnation, which makes the sender re-key.
+    ++stats_.staleDropped;
+    sendAck(self, sender, InLink{.peerInc = d.senderInc}, false);
+    return;
   }
+  InLink& il = in(self, sender);
+  // The sender reincarnated: adopt its fresh space.
+  if (d.senderInc != il.peerInc) il = InLink{.peerInc = d.senderInc};
 
-  if (d.seq < il.nextExpected) {
-    // Already delivered (the ACK must have been lost): suppress, re-ack.
+  if (d.seq < il.nextExpected || il.holdback.contains(d.seq)) {
+    // Already handed up (the ACK must have been lost): suppress, re-ack.
     ++stats_.duplicatesDropped;
     sendAck(self, sender, il, false);
     return;
   }
+  rt_.deliverFromChannel(sender, self, d.inner, d.sendTs);
+  ++stats_.delivered;
   if (d.seq == il.nextExpected) {
-    rt_.deliverFromChannel(sender, self, d.inner, d.sendTs);
-    ++stats_.delivered;
     ++il.nextExpected;
     for (auto it = il.holdback.begin();
-         it != il.holdback.end() && it->first == il.nextExpected;
-         it = il.holdback.erase(it)) {
-      rt_.deliverFromChannel(sender, self, it->second.inner,
-                             it->second.sendTs);
-      ++stats_.delivered;
+         it != il.holdback.end() && *it == il.nextExpected;
+         it = il.holdback.erase(it))
       ++il.nextExpected;
-    }
     if (il.nackCeiling < il.nextExpected) il.nackCeiling = il.nextExpected;
     sendAck(self, sender, il, false);
     return;
   }
 
-  // Gap. The sender's window bounds the seq, so there is always room.
-  if (!il.holdback.try_emplace(d.seq, Held{d.inner, d.sendTs}).second) {
-    ++stats_.duplicatesDropped;
-    sendAck(self, sender, il, false);
-    return;
-  }
+  // Gap. The sender's window keeps the seq within holdbackCap of
+  // nextExpected, so the set stays small.
+  il.holdback.insert(d.seq);
   // An arrival that WIDENS the gap requests every current hole at once.
   const bool request = d.seq > il.nackCeiling;
   if (request) {
@@ -240,39 +222,34 @@ WANMC_HOT void Plane::sendAck(ProcessId self, ProcessId sender,
   ack->cumAck = il.nextExpected;
   uint64_t next = il.nextExpected;  // first seq not yet described
   if (request) {
-    for (const auto& entry : il.holdback) {
-      if (entry.first != next) {
+    for (uint64_t seq : il.holdback) {
+      if (seq != next) {
         if (ack->numHoles == AckPacket::kMaxHoles) break;
-        ack->holes[ack->numHoles++] = Hole{next, entry.first};
+        ack->holes[ack->numHoles++] = Hole{next, seq};
       }
-      next = entry.first + 1;
+      next = seq + 1;
     }
   }
   ack->sackTo = next;
   ack->receiverInc = rt_.incarnation(self);
-  ack->epoch = il.epoch;
+  ack->senderInc = il.peerInc;
   ++stats_.acksSent;
   rt_.channelSend(self, sender, std::move(ack), Layer::kChannel);
 }
 
 WANMC_HOT void Plane::handleAck(ProcessId acker, ProcessId self,
                                 const AckPacket& a) {
-  if (a.receiverInc != rt_.incarnation(acker)) {
-    ++stats_.staleDropped;  // an ACK from the acker's dead incarnation
+  if (a.receiverInc != rt_.incarnation(acker) ||
+      a.senderInc != rt_.incarnation(self)) {
+    ++stats_.staleDropped;  // from or to a dead incarnation
     return;
   }
   OutLink& ol = out(self, acker);
-  if (ol.peerKnown && a.receiverInc != ol.peerInc) {
-    // The receiver reincarnated since we last heard from it: re-key the
-    // link. This ACK describes a dead sequence space.
+  if (a.receiverInc != ol.peerInc) {
+    // The receiver reincarnated since the link's space was addressed to
+    // it: re-key the link. This ACK describes no packet of that space.
     ol.peerInc = a.receiverInc;
     rekey(self, acker, ol);
-    return;
-  }
-  ol.peerInc = a.receiverInc;
-  ol.peerKnown = true;
-  if (a.epoch != ol.epoch) {
-    ++stats_.staleDropped;  // pre-rekey ACK still in flight
     return;
   }
   if (a.cumAck > ol.base) {
@@ -309,7 +286,7 @@ void Plane::handleRequest(ProcessId acker, ProcessId self, OutLink& ol,
     for (; s < holeFrom; ++s) ol.window[s - ol.base].sacked = true;
     for (; s < holeTo; ++s) {
       const Unacked& u = ol.window[s - ol.base];
-      // A stale request may name a packet a later ACK reported held; a
+      // A stale request may name a packet a later ACK reported in; a
       // resent packet is asked for again only after one request window.
       if (u.sacked || (u.resent && now - u.lastTx < window)) continue;
       resend(self, acker, ol, s - ol.base);
@@ -322,8 +299,8 @@ void Plane::onReset(ProcessId pid) {
   // `pid` recovered as a fresh incarnation: both endpoints of every link it
   // touches forget the dead incarnation's state (its timers died with it).
   // Its fresh sends open new sequence spaces (peers adopt them on the
-  // incarnation change); peers' links TO it re-key lazily when its fresh
-  // ACKs reveal the incarnation.
+  // incarnation change); peers' links TO it re-key lazily, when it drops a
+  // copy addressed to its predecessor and its ACK reveals the incarnation.
   for (ProcessId peer = 0; peer < n_; ++peer) {
     out(pid, peer) = OutLink{};
     in(pid, peer) = InLink{};

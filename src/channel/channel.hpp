@@ -1,27 +1,31 @@
 // Reliable retransmitting channel substrate (the ROADMAP's
 // "liveness through partitions and loss" item).
 //
-// The paper's algorithms are proved over quasi-reliable FIFO channels, but
-// the fault plane (PR 5) makes partitions and drop filters lose protocol
-// messages for good — which is why partition-heal and lossy matrix cells
-// were checked for safety only. This plane restores the channel contract
-// BELOW the stacks, the way a deployment would (Dolev et al.'s stabilizing
-// data-link over unreliable non-FIFO channels is the theory anchor). It is
+// The fault plane's partitions and drop filters lose protocol messages for
+// good, which is why partition-heal and lossy matrix cells were checked
+// for safety only. This plane restores the stacks' channel contract BELOW
+// them, the way a deployment would: every packet sent to a process that
+// stays up reaches it exactly once, in no promised order. Both runtimes
+// give the stacks non-FIFO links anyway, and Dolev et al.'s stabilizing
+// data-link over unreliable non-FIFO channels is the theory anchor. It is
 // a selective-repeat ARQ: only the copies the receiver is missing are sent
 // again.
 //
 //   * per directed link, DATA packets carry a sequence number, the sender's
-//     incarnation, a link epoch, and the ORIGINAL modified-Lamport stamp;
+//     incarnation, the receiver incarnation they are addressed to, and the
+//     ORIGINAL modified-Lamport stamp;
+//   * the receiver hands each packet to the stack when it first arrives. It
+//     keeps only the seqs it got above the gap-free prefix, to suppress
+//     duplicates and to name the holes, never a payload;
 //   * send window: a packet is transmitted only while its seq is below the
 //     link's cumulative-ACK base + Config::holdbackCap; later packets wait
-//     and go out as ACKs slide the base. The receiver delivers strictly in
-//     order and so never holds more than holdbackCap - 1 out-of-order
-//     copies;
+//     and go out as ACKs slide the base. So no copy arrives holdbackCap or
+//     more seqs after a hole it got past;
 //   * every DATA arrival is answered with a cumulative ACK. An arrival that
 //     WIDENS the gap (a seq above every seq requested so far) makes it a
 //     request: the ACK names up to AckPacket::kMaxHoles missing ranges,
 //     lowest first, and a SACK bound below which every seq outside those
-//     holes is held;
+//     holes has arrived;
 //   * the sender marks SACKed packets and never resends them. The first
 //     request for a hole resends it at once; further requests for it are
 //     ignored for one request window after its last resend (the larger of
@@ -36,23 +40,26 @@
 //     to an absolute ceiling of 16 inter-group timeouts, and forward
 //     progress resets it, so a dead peer costs a bounded trickle. Timers go
 //     through Runtime::timer, so a dead sender's timers die with it;
-//   * duplicates are suppressed by (sender incarnation, seq); packets from
-//     a process's DEAD incarnation are stale and dropped outright;
+//   * a sequence space belongs to one (sender incarnation, receiver
+//     incarnation) pair, and duplicates are suppressed by seq within it.
+//     Packets from a process's DEAD incarnation are dropped outright;
 //   * recovery re-keys the link: a fresh sender incarnation opens a new
-//     sequence space, and a sender that learns its peer reincarnated bumps
-//     the link epoch and re-offers the first holdbackCap unacked packets
-//     as the new epoch's prefix (the amnesiac receiver lost everything it
-//     had acked or held).
+//     sequence space. A fresh receiver drops the copies addressed to its
+//     dead predecessor, since it might get them again after the re-key,
+//     and its ACK names its incarnation. The sender then addresses a new
+//     space to it and re-offers the first holdbackCap unacked packets as
+//     that space's prefix (the amnesiac receiver lost everything it had
+//     acked).
 //
 // Cost-model fidelity: the plane never touches the Lamport clocks. The
 // original multicast ticks the sender's clock once per fan-out; every
 // (re)transmission carries that stamp, and the receive-side jump happens at
-// the final in-order handoff (Runtime::deliverFromChannel). DATA is
-// accounted under its inner layer (so retransmissions honestly inflate the
-// algorithm's message counts); ACK control traffic is accounted under
-// Layer::kChannel, which — like the FD substrate — is excluded from the
-// genuineness/quiescence bookkeeping. DATA and ACK envelopes are drawn from
-// the runtime's payload arena.
+// the handoff (Runtime::deliverFromChannel). DATA is accounted under its
+// inner layer (so retransmissions honestly inflate the algorithm's message
+// counts); ACK control traffic is accounted under Layer::kChannel, which —
+// like the FD substrate — is excluded from the genuineness/quiescence
+// bookkeeping. DATA and ACK envelopes are drawn from the runtime's payload
+// arena.
 //
 // Everything is deterministic: no RNG, timers through the scheduler, dense
 // link tables iterated in pid order.
@@ -63,7 +70,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <map>
+#include <set>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -75,8 +82,9 @@
 namespace wanmc::channel {
 
 struct Config {
-  // Send window per link, and so the most out-of-order copies a receiver
-  // ever holds (holdbackCap - 1). Must be at least 1.
+  // Send window per link: no copy arrives holdbackCap or more seqs past a
+  // hole in its link, so a receiver tracks at most holdbackCap - 1 seqs
+  // above its gap-free prefix. Must be at least 1.
   size_t holdbackCap = 1024;
 };
 
@@ -89,7 +97,7 @@ struct DataPacket final : Payload {
   uint64_t seq = 0;
   uint64_t sendTs = 0;  // original multicast stamp (modified Lamport)
   uint32_t senderInc = 0;
-  uint32_t epoch = 0;
+  uint32_t receiverInc = 0;  // the receiver incarnation it is addressed to
 
   [[nodiscard]] Layer layer() const override { return innerLayer; }
   [[nodiscard]] std::string debugString() const override;
@@ -102,18 +110,18 @@ struct Hole {
 };
 
 // ACK control packet: a cumulative ack, plus — on a request — the missing
-// ranges the receiver wants resent and the SACK bound of what it holds.
+// ranges the receiver wants resent and the SACK bound of what it got.
 struct AckPacket final : Payload {
   static constexpr size_t kMaxHoles = 4;
 
-  uint64_t cumAck = 0;  // every seq < cumAck was delivered in order
-  // Every seq in [cumAck, sackTo) outside holes[0, numHoles) is held. With
+  uint64_t cumAck = 0;  // every seq < cumAck arrived
+  // Every seq in [cumAck, sackTo) outside holes[0, numHoles) arrived. With
   // more holes than fit, sackTo is the first seq the ACK does not describe.
   uint64_t sackTo = 0;
   std::array<Hole, kMaxHoles> holes{};  // lowest first
   uint32_t numHoles = 0;                // 0 = plain ACK, no request
-  uint32_t receiverInc = 0;
-  uint32_t epoch = 0;
+  uint32_t receiverInc = 0;             // the acker's incarnation
+  uint32_t senderInc = 0;  // the sender incarnation whose space it describes
 
   [[nodiscard]] Layer layer() const override { return Layer::kChannel; }
   [[nodiscard]] std::string debugString() const override;
@@ -143,7 +151,7 @@ class Plane final : public exec::ChannelHook {
     uint64_t sendTs = 0;
     SimTime lastTx = 0;   // last (re)transmission; deadline = lastTx + rto
     bool resent = false;  // a resend opened the request window
-    bool sacked = false;  // the receiver holds it: never resent
+    bool sacked = false;  // the receiver got it: never resent
   };
   // Sender endpoint of the directed link local -> peer.
   struct OutLink {
@@ -153,23 +161,17 @@ class Plane final : public exec::ChannelHook {
     uint64_t base = 0;
     EventId timer = kNoEvent;
     SimTime timerAt = kTimeNever;  // kTimeNever = disarmed
-    uint32_t epoch = 0;
-    uint32_t peerInc = 0;   // receiver incarnation last seen in an ACK
-    bool peerKnown = false;
+    // The receiver incarnation the space is addressed to: the first until
+    // an ACK names a later one.
+    uint32_t peerInc = 0;
     int backoff = 0;  // the timeout is the link class's, doubled this often
-  };
-  struct Held {
-    PayloadPtr inner;
-    uint64_t sendTs = 0;
   };
   // Receiver endpoint of the directed link peer -> local.
   struct InLink {
-    std::map<uint64_t, Held> holdback;
-    uint64_t nextExpected = 0;
+    std::set<uint64_t> holdback{};  // seqs handed up above nextExpected
+    uint64_t nextExpected = 0;    // every lower seq was handed up
     uint64_t nackCeiling = 0;  // highest seq a request was already issued for
     uint32_t peerInc = 0;      // sender incarnation this space belongs to
-    uint32_t epoch = 0;
-    bool known = false;  // adopted a (peerInc, epoch) space yet?
   };
 
   OutLink& out(ProcessId local, ProcessId peer) {

@@ -179,11 +179,11 @@ struct ChannelStats {
   uint64_t acksSent = 0;           // cumulative ACK control packets
   uint64_t nacksSent = 0;          // ACKs that carried a gap request
   uint64_t duplicatesDropped = 0;  // (sender incarnation, seq) already seen
-  uint64_t staleDropped = 0;       // wrong incarnation/epoch packets
-  // Out-of-order copies past the holdback cap: always 0, since the send
-  // window bounds what a receiver holds. Kept for report readers.
+  uint64_t staleDropped = 0;       // packets from or to a dead incarnation
+  // Seqs past the holdback cap: always 0, since the send window bounds
+  // what a receiver tracks. Kept for report readers.
   uint64_t holdbackOverflow = 0;
-  uint64_t delivered = 0;          // in-order handoffs to the stacks
+  uint64_t delivered = 0;          // handoffs to the stacks, one per packet
   friend bool operator==(const ChannelStats&, const ChannelStats&) = default;
 };
 

@@ -54,9 +54,10 @@ struct StackConfig {
   int batchMaxSize = 0;
   // Reliable-channel substrate (src/channel/): when armed, every non-FD
   // send/sendToMany is routed through a per-link retransmitting ARQ plane,
-  // restoring the quasi-reliable FIFO channel contract the algorithms were
-  // proved against — delivery obligations then bind through healed
-  // partitions and probabilistic loss (RunConfig::lossRate). Off =
+  // restoring the quasi-reliable channel contract the stacks are written
+  // against (every copy to a correct process arrives once, in no promised
+  // order) — delivery obligations then bind through healed partitions and
+  // probabilistic loss (RunConfig::lossRate). Off =
   // byte-identical to the direct send path (pinned by every pre-existing
   // golden fingerprint). The plane runs channel::Config's defaults.
   bool reliableChannels = false;

@@ -106,9 +106,9 @@ class LatencyDraw {
 // When installed, every non-FD multicast is handed to the hook INSTEAD of
 // being scheduled directly; the hook transmits wire copies through
 // Context::channelSend (which applies traffic accounting, link state, the
-// drop filter, the loss model, and the latency draw) and hands packets that
-// have reached their in-order point to Context::deliverFromChannel. With no
-// hook installed the send path is byte-identical to the direct scheme.
+// drop filter, the loss model, and the latency draw) and hands each packet,
+// on its first arrival, to Context::deliverFromChannel. With no hook
+// installed the send path is byte-identical to the direct scheme.
 class ChannelHook {
  public:
   virtual ~ChannelHook() = default;
@@ -237,7 +237,7 @@ class Context {
   virtual void channelSend(ProcessId from, ProcessId to, PayloadPtr payload,
                            Layer accountLayer) = 0;
 
-  // Final in-order handoff of a channel-carried packet to the hosting node:
+  // The one handoff of a channel-carried packet to the hosting node:
   // applies the receive-side Lamport jump to the ORIGINAL `sendTs` and the
   // genuineness accounting, exactly like a direct delivery would have.
   virtual void deliverFromChannel(ProcessId from, ProcessId to,

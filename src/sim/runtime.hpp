@@ -316,8 +316,8 @@ class Runtime final : public exec::Context {
   };
 
   // One channel wire copy in flight (channelSend). Arrival goes back to the
-  // hook, not to the node: the plane decides when the packet reaches its
-  // in-order point. Small enough to stay inline in the scheduler pool.
+  // hook, not to the node: the plane decides whether the copy is new to
+  // the node. Small enough to stay inline in the scheduler pool.
   struct ChanDelivery {
     Runtime* rt;
     ProcessId from;

@@ -856,9 +856,10 @@ std::vector<Scenario> standardFaultMatrix(core::ProtocolKind kind,
     out.push_back(std::move(s));
   }
   if (traits.toleratesCrashes) {
-    // Channels x crash-recovery: the incarnation/epoch machinery is what
-    // keeps a recovered endpoint from replaying its dead incarnation's
-    // sequence space. Same script as crash-recover, channels armed.
+    // Channels x crash-recovery: sequence spaces keyed by both endpoints'
+    // incarnations are what keep a recovered endpoint from replaying its
+    // dead incarnation's space. Same script as crash-recover, channels
+    // armed.
     Scenario s = makeBase("chan-crash-recover", LatencyPreset::kWan);
     s.config.stack.reliableChannels = true;
     s.crashes.push_back(CrashSpec{1, 200 * kMs});

@@ -137,6 +137,18 @@ bool parseF64(const std::string& v, double* out) {
   return end != nullptr && *end == '\0';
 }
 
+// Whether `model` reads `key`. The shared knobs apply to every model;
+// each other key belongs to the model family that reads it.
+bool reads(Model model, const std::string& key) {
+  if (key == "interval" || key == "cap") return model == Model::kClosedLoop;
+  if (key == "mean")
+    return model == Model::kOpenLoopFixed || model == Model::kOpenLoopPoisson;
+  if (key == "on" || key == "off" || key == "gap")
+    return model == Model::kBursty;
+  if (key == "cast") return model == Model::kTraceReplay;
+  return true;
+}
+
 // "when:sender:destbits" -> TraceCast.
 bool parseTraceCast(const std::string& v, TraceCast* out) {
   const size_t c1 = v.find(':');
@@ -170,6 +182,7 @@ std::optional<Spec> parse(const std::string& text) {
     if (eq == std::string::npos) return std::nullopt;
     const std::string key = tok.substr(0, eq);
     const std::string val = tok.substr(eq + 1);
+    if (!reads(s.model, key)) return std::nullopt;
     int64_t i = 0;
     uint64_t u = 0;
     double f = 0;

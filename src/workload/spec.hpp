@@ -130,8 +130,11 @@ struct Spec {
 
 // Compact single-line serialization: "model key=value key=value ...".
 // parse() accepts the keys in any order and defaults the rest; it returns
-// nullopt (never throws) on an unknown model, unknown key, or malformed
-// value. Round trip: parse(toString(s)) reproduces s exactly.
+// nullopt (never throws) on an unknown model, an unknown key, a key the
+// model does not read (interval= or cap= outside closed-loop, mean=
+// outside the open loops, on=/off=/gap= outside bursty, cast= outside
+// trace), or a malformed value. Round trip: parse(toString(s)) reproduces
+// s exactly.
 [[nodiscard]] std::string toString(const Spec& s);
 [[nodiscard]] std::optional<Spec> parse(const std::string& text);
 

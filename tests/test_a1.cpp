@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "amcast/a1_node.hpp"
+#include "channel/channel.hpp"
 #include "core/experiment.hpp"
 #include "testing/scenario.hpp"
 
@@ -364,7 +365,8 @@ TEST(A1StreamFloor, CopyLostForGoodLeavesStateWithinTheWindow) {
   // No channels: p0's first (TS, ·) copy to p2 is lost for good. p2 holds
   // p0's later copies until the hole outlives the window, then abandons
   // p0's stream; p1's stream still raises g0's floor, and p1's copies
-  // still give p2 every g0 proposal.
+  // still give p2 every g0 proposal. Each cast sends p2 one copy from p0,
+  // so a few casts more than the window abandon the stream.
   Experiment ex(fixedCfg(2, 2));
   bool lost = false;
   ex.runtime().setDropFilter([&](ProcessId from, ProcessId to,
@@ -374,11 +376,11 @@ TEST(A1StreamFloor, CopyLostForGoodLeavesStateWithinTheWindow) {
       return false;
     return lost = true;
   });
-  const int casts = 2 * static_cast<int>(amcast::A1Node::kReorderWindow);
+  const int casts = static_cast<int>(amcast::A1Node::kReorderWindow) + 16;
   for (int i = 0; i < casts; ++i)
-    ex.castAt(kMs + i * 20 * kMs, i % 4, GroupSet::of({0, 1}));
+    ex.castAt(kMs + i * 4 * kMs, i % 4, GroupSet::of({0, 1}));
   const auto& node = dynamic_cast<amcast::A1Node&>(ex.node(2));
-  ex.run(500 * kMs);  // about 20 of p0's copies are in
+  ex.run(2 * kSec);  // about 500 of p0's copies are in
   ASSERT_TRUE(lost);
   EXPECT_GT(node.heldCopies(), 0u);
   EXPECT_LT(node.heldCopies(), amcast::A1Node::kReorderWindow);
@@ -386,6 +388,37 @@ TEST(A1StreamFloor, CopyLostForGoodLeavesStateWithinTheWindow) {
   ASSERT_TRUE(r.checkAtomicSuite().empty()) << r.checkAtomicSuite()[0];
   EXPECT_EQ(node.heldCopies(), 0u);  // p0's stream is abandoned
   EXPECT_GT(node.floorOf(0), 0u);
+}
+
+TEST(A1StreamFloor, AHoleTheChannelRefillsKeepsTheStream) {
+  // Reliable channels hand copies up as they arrive. p0's first (TS, ·)
+  // copy to p2 is lost once, and the channel resends it a request round
+  // trip (2 delta) later. Meanwhile about 100 of p0's later copies reach
+  // p2, far more than a fixed 32-copy window would hold. The stream keeps
+  // them until the hole fills: its bound is the channel's send window.
+  RunConfig c = fixedCfg(2, 2);
+  c.stack.reliableChannels = true;
+  Experiment ex(c);
+  bool lost = false;
+  ex.runtime().setDropFilter([&](ProcessId from, ProcessId to,
+                                 const Payload& p) {
+    const auto* d = dynamic_cast<const channel::DataPacket*>(&p);
+    if (lost || from != 0 || to != 2 || d == nullptr ||
+        dynamic_cast<const amcast::TsPayload*>(d->inner.get()) == nullptr)
+      return false;
+    return lost = true;
+  });
+  for (int i = 0; i < 150; ++i)
+    ex.castAt(kMs + i * 2 * kMs, i % 4, GroupSet::of({0, 1}));
+  const auto& node = dynamic_cast<amcast::A1Node&>(ex.node(2));
+  ex.run(290 * kMs);  // the resend is still on its way
+  ASSERT_TRUE(lost);
+  EXPECT_GT(node.heldCopies(), 32u);
+  const uint64_t floorBehindTheHole = node.floorOf(0);
+  auto r = ex.run();
+  ASSERT_TRUE(r.checkAtomicSuite().empty()) << r.checkAtomicSuite()[0];
+  EXPECT_EQ(node.heldCopies(), 0u);  // the resend filled the hole
+  EXPECT_GT(node.floorOf(0), floorBehindTheHole);
 }
 
 class A1Sweep : public ::testing::TestWithParam<std::tuple<int, int, int>> {};

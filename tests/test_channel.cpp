@@ -1,11 +1,13 @@
 // Unit tests for the reliable retransmitting channel substrate
-// (src/channel/): per-link sequencing and FIFO delivery under reorder,
+// (src/channel/): every packet reaches a live receiver exactly once, handed
+// up when it first arrives, so a lost copy holds back no later one;
 // selective-repeat loss recovery (hole requests, per-packet deadlines on
-// per-link-class timeouts, capped backoff), duplicate and
-// stale-incarnation suppression, the send window, and the loss model
-// underneath it all.
+// per-link-class timeouts, capped backoff); duplicate and stale-incarnation
+// suppression, including across a re-key; the send window; and the loss
+// model underneath it all.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -32,10 +34,13 @@ class ChanHost final : public sim::Node {
  public:
   using sim::Node::Node;
   void onMessage(ProcessId from, const PayloadPtr& p) override {
-    if (const auto* m = dynamic_cast<const TestMsg*>(p.get()))
+    if (const auto* m = dynamic_cast<const TestMsg*>(p.get())) {
       got.push_back({from, m->id});
+      at.push_back(now());
+    }
   }
   std::vector<std::pair<ProcessId, int>> got;
+  std::vector<SimTime> at;  // arrival time of each entry of `got`
 };
 
 struct ChanFixture {
@@ -62,6 +67,12 @@ struct ChanFixture {
       out.push_back(id);
     return out;
   }
+  // The ids p got, sorted: iota(n) means each of ids 0..n-1 exactly once.
+  std::vector<int> sortedIdsAt(ProcessId p) const {
+    std::vector<int> out = idsAt(p);
+    std::sort(out.begin(), out.end());
+    return out;
+  }
 
   sim::Runtime rt;
   channel::Plane plane;
@@ -75,7 +86,7 @@ std::vector<int> iota(int n) {
 }
 
 // ---------------------------------------------------------------------------
-// FIFO and counters on a clean link.
+// Counters on a clean link; reordered copies.
 // ---------------------------------------------------------------------------
 
 TEST(Channel, CleanLinkDeliversInOrderWithMinimalTraffic) {
@@ -96,14 +107,15 @@ TEST(Channel, CleanLinkDeliversInOrderWithMinimalTraffic) {
   EXPECT_EQ(s.holdbackOverflow, 0u);
 }
 
-TEST(Channel, ReorderingJitterIsMaskedByTheHoldback) {
+TEST(Channel, ReorderedCopiesAreEachHandedUpOnce) {
   // Wide iid jitter: 30 copies drawn independently from [1ms, 50ms] arrive
-  // scrambled, but each link must hand them up strictly in send order.
+  // scrambled. The link hands each up once, as it arrives.
   ChanFixture f(1, 2, sim::LatencyModel{kMs, 50 * kMs, kMs, 50 * kMs});
   for (int i = 0; i < 30; ++i)
     f.rt.send(0, 1, std::make_shared<TestMsg>(i));
   f.rt.run(30 * kSec);
-  EXPECT_EQ(f.idsAt(1), iota(30));
+  EXPECT_EQ(f.sortedIdsAt(1), iota(30));
+  EXPECT_NE(f.idsAt(1), iota(30));  // not in send order: no holdback
   EXPECT_EQ(f.plane.stats().delivered, 30u);
   // The premise actually bit: at least one arrival opened a gap.
   EXPECT_GT(f.plane.stats().nacksSent, 0u)
@@ -115,13 +127,13 @@ TEST(Channel, ReorderingJitterIsMaskedByTheHoldback) {
 // Loss recovery.
 // ---------------------------------------------------------------------------
 
-TEST(Channel, LossIsRecoveredExactlyOnceInOrder) {
+TEST(Channel, LossIsRecoveredExactlyOnce) {
   ChanFixture f(2, 1, sim::LatencyModel::fixed(kMs, 100 * kMs));
   f.rt.setLossRate(0.3);
   for (int i = 0; i < 30; ++i)
     f.rt.send(0, 1, std::make_shared<TestMsg>(i));
   f.rt.run(120 * kSec);
-  EXPECT_EQ(f.idsAt(1), iota(30));  // every loss masked, no dup, no reorder
+  EXPECT_EQ(f.sortedIdsAt(1), iota(30));  // every loss masked, no dup
   const auto& s = f.plane.stats();
   EXPECT_GT(f.rt.trace().lossDrops, 0u);
   EXPECT_GT(s.retransmits, 0u);
@@ -142,12 +154,28 @@ auto dropSeq0(int& dropped, int copies) {
   };
 }
 
+TEST(Channel, ALostCopyDoesNotHoldBackLaterCopies) {
+  // Seq 0's first copy is lost on a 100 ms link. Seqs 1..4 reach the host
+  // as they arrive; seq 0 follows one request round trip later.
+  ChanFixture f(2, 1, sim::LatencyModel::fixed(kMs, 100 * kMs));
+  int dropped = 0;
+  f.rt.setDropFilter(dropSeq0(dropped, 1));
+  for (int i = 0; i < 5; ++i)
+    f.rt.send(0, 1, std::make_shared<TestMsg>(i));
+  f.rt.run(30 * kSec);
+  EXPECT_EQ(f.idsAt(1), (std::vector<int>{1, 2, 3, 4, 0}));
+  EXPECT_EQ(f.hosts[1]->at,
+            (std::vector<SimTime>{100 * kMs, 100 * kMs, 100 * kMs, 100 * kMs,
+                                  300 * kMs}));
+  EXPECT_EQ(f.plane.stats().retransmits, 1u);
+}
+
 TEST(Channel, BoundedHoldbackOverflowStillConvergesViaRetransmit) {
   // Drop the first transmission of seq 0 only, with a 2-packet send
   // window: seqs 0 and 1 go out, 2..4 wait for the base to slide. The
-  // receiver holds seq 1 behind the gap and never more (the window bounds
-  // it), the hole request resends seq 0, and the sliding window releases
-  // the rest in order.
+  // receiver hands seq 1 up and tracks it past the gap, never more than
+  // that (the window bounds it); the hole request resends seq 0, and the
+  // sliding window releases the rest.
   channel::Config cfg;
   cfg.holdbackCap = 2;
   ChanFixture f(1, 2, sim::LatencyModel::fixed(kMs, 100 * kMs), cfg);
@@ -156,7 +184,7 @@ TEST(Channel, BoundedHoldbackOverflowStillConvergesViaRetransmit) {
   for (int i = 0; i < 5; ++i)
     f.rt.send(0, 1, std::make_shared<TestMsg>(i));
   f.rt.run(30 * kSec);
-  EXPECT_EQ(f.idsAt(1), iota(5));
+  EXPECT_EQ(f.idsAt(1), (std::vector<int>{1, 0, 2, 3, 4}));
   const auto& s = f.plane.stats();
   EXPECT_EQ(s.holdbackOverflow, 0u);  // the send window keeps it in bounds
   EXPECT_GT(s.nacksSent, 0u);         // the gap was requested...
@@ -174,16 +202,18 @@ TEST(Channel, ZeroSendWindowIsRejected) {
 }
 
 TEST(Channel, HeldCopiesAreNeverResent) {
-  // 40 packets queue up behind one lost packet. Every arrival widens the
-  // gap and requests it again, but each request names only the hole: the
-  // 39 held copies are SACKed, and the hole itself is resent once.
+  // 40 packets arrive past one lost packet. Every arrival widens the gap
+  // and requests it again, but each request names only the hole: the 39
+  // copies that arrived are SACKed, and the hole itself is resent once.
   ChanFixture f(1, 2, sim::LatencyModel::fixed(kMs, 100 * kMs));
   int dropped = 0;
   f.rt.setDropFilter(dropSeq0(dropped, 1));
   for (int i = 0; i < 40; ++i)
     f.rt.send(0, 1, std::make_shared<TestMsg>(i));
   f.rt.run(30 * kSec);
-  EXPECT_EQ(f.idsAt(1), iota(40));
+  std::vector<int> expected = iota(40);
+  std::rotate(expected.begin(), expected.begin() + 1, expected.end());
+  EXPECT_EQ(f.idsAt(1), expected);  // 1..39, then the resent 0
   const auto& s = f.plane.stats();
   EXPECT_EQ(s.retransmits, 1u);
   EXPECT_EQ(s.duplicatesDropped, 0u);
@@ -213,7 +243,7 @@ TEST(Channel, LostRetransmissionIsRecovered) {
     f.rt.send(0, 1, std::make_shared<TestMsg>(i));
   f.rt.run(30 * kSec);
   EXPECT_EQ(dropped, 2);
-  EXPECT_EQ(f.idsAt(1), iota(5));
+  EXPECT_EQ(f.idsAt(1), (std::vector<int>{1, 2, 3, 4, 0}));
   EXPECT_LE(f.plane.stats().retransmits, 3u);
 }
 
@@ -278,9 +308,10 @@ TEST(Channel, StaleIncarnationCopiesAreDroppedNotDelivered) {
 
 TEST(Channel, ReceiverRecoveryRekeysTheLinkAndReoffersTheBacklog) {
   // p1 acks ids 0..1, crashes, and rejoins as an amnesiac while p0 still
-  // holds unacked ids 2..4. p1's fresh ACK reveals the new incarnation;
-  // p0 must re-key the link (new epoch, sequence space from 0) and
-  // re-offer the backlog, which the fresh p1 delivers in order.
+  // holds unacked ids 2..4. Their copies are addressed to the dead p1, so
+  // the fresh p1 drops them, and its ACK reveals the new incarnation. p0
+  // must re-key the link (a space addressed to the fresh p1, seqs from 0)
+  // and re-offer the backlog, which the fresh p1 gets exactly once.
   ChanFixture f(2, 1, sim::LatencyModel::fixed(kMs, 100 * kMs));
   for (int i = 0; i < 2; ++i)
     f.rt.send(0, 1, std::make_shared<TestMsg>(i));
@@ -292,10 +323,28 @@ TEST(Channel, ReceiverRecoveryRekeysTheLinkAndReoffersTheBacklog) {
   });
   f.rt.scheduleRecover(1, 390 * kMs);  // alive again before the copies land
   f.rt.run(60 * kSec);
-  // The fresh incarnation saw exactly the unacked backlog, in order
+  // The fresh incarnation saw exactly the unacked backlog, once each
   // (ids 0..1 died with the old incarnation's state — by design).
   EXPECT_EQ(f.idsAt(1), (std::vector<int>{2, 3, 4}));
   EXPECT_GT(f.plane.stats().retransmits, 0u);
+}
+
+TEST(Channel, ReKeyNeverHandsAnIncarnationTheSamePacketTwice) {
+  // Seq 0's first copy is lost, so id 0 is still unacked when p1 crashes
+  // and recovers; its resend lands on the fresh p1. Handed up, it would
+  // come again when p1's ACK makes p0 re-key and re-offer its window.
+  ChanFixture f(2, 1, sim::LatencyModel::fixed(kMs, 100 * kMs));
+  int dropped = 0;
+  f.rt.setDropFilter(dropSeq0(dropped, 1));
+  for (int i = 0; i < 2; ++i)
+    f.rt.send(0, 1, std::make_shared<TestMsg>(i));
+  // Seq 1 arrives at 100 ms and requests seq 0, resent at 200 ms.
+  f.rt.scheduleCrash(1, 250 * kMs);
+  f.rt.scheduleRecover(1, 260 * kMs);  // alive before the resend lands
+  f.rt.run(60 * kSec);
+  EXPECT_EQ(dropped, 1);
+  EXPECT_GT(f.plane.stats().staleDropped, 0u);  // the resend met the fresh p1
+  EXPECT_EQ(f.idsAt(1), (std::vector<int>{0, 1}));
 }
 
 // ---------------------------------------------------------------------------

@@ -267,6 +267,34 @@ TEST(Spec, ParseRejectsMalformedInput) {
   EXPECT_FALSE(workload::parse("trace cast=nonsense").has_value());
 }
 
+TEST(Spec, ParseRejectsKeysTheModelDoesNotRead) {
+  // Each model-specific key is accepted only by the model that reads it.
+  for (const char* text :
+       {"open-fixed count=5 interval=20000", "open-poisson interval=20000",
+        "open-poisson cap=2", "closed-loop mean=20000", "bursty mean=20000",
+        "closed-loop gap=5000", "open-fixed on=100000 off=100000",
+        "trace mean=20000", "closed-loop cast=1000:0:3"})
+    EXPECT_FALSE(workload::parse(text).has_value()) << text;
+  for (const char* text :
+       {"closed-loop interval=20000 cap=2", "open-fixed mean=5",
+        "open-poisson mean=20000", "bursty on=1 off=2 gap=3",
+        "trace cast=1000:0:3"})
+    EXPECT_TRUE(workload::parse(text).has_value()) << text;
+}
+
+TEST(Spec, DocumentedSpecStringsParse) {
+  // The --workload-spec examples in README, ROADMAP and wanmc_cli's usage,
+  // and the per-stack loss table's command.
+  for (const char* text :
+       {"open-poisson count=50 mean=20000",
+        "open-poisson count=50 mean=20000 szipf=1.2",
+        "open-poisson count=3000 mean=3000",
+        "open-poisson count=20000 dest=2 mean=3000",
+        "open-fixed count=100000 dest=2 mean=5",
+        "open-poisson count=600 dest=3 mean=10000"})
+    EXPECT_TRUE(workload::parse(text).has_value()) << text;
+}
+
 // ---------------------------------------------------------------------------
 // Validation: castAt arguments and scale ceilings.
 // ---------------------------------------------------------------------------
