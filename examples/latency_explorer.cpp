@@ -100,17 +100,10 @@ int main(int argc, char** argv) {
   std::printf("%-30s %8s %8s %12s %12s %6s %8s\n", "protocol", "minDeg",
               "maxDeg", "mean wall", "inter msgs", "safe", "genuine");
 
-  const core::ProtocolKind kinds[] = {
-      core::ProtocolKind::kA1,          core::ProtocolKind::kFritzke98,
-      core::ProtocolKind::kDelporte00,  core::ProtocolKind::kRodrigues98,
-      core::ProtocolKind::kSkeen87,     core::ProtocolKind::kViaBcast,
-      core::ProtocolKind::kA2,          core::ProtocolKind::kSousa02,
-      core::ProtocolKind::kVicente02,   core::ProtocolKind::kDetMerge00,
-  };
-  for (auto kind : kinds) {
-    auto r = runProtocol(kind, groups, procs, msgs);
+  for (const core::ProtocolInfo& p : core::kProtocols) {
+    auto r = runProtocol(p.kind, groups, procs, msgs);
     std::printf("%-30s %8lld %8lld %10.1fms %12llu %6s %8s\n",
-                core::protocolName(kind), static_cast<long long>(r.minDeg),
+                p.cited, static_cast<long long>(r.minDeg),
                 static_cast<long long>(r.maxDeg), r.meanWallMs,
                 static_cast<unsigned long long>(r.inter),
                 r.safe ? "yes" : "NO", r.genuine ? "yes" : "no");

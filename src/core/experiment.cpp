@@ -19,34 +19,6 @@
 
 namespace wanmc::core {
 
-const char* protocolName(ProtocolKind k) {
-  switch (k) {
-    case ProtocolKind::kA1: return "A1 (this paper)";
-    case ProtocolKind::kFritzke98: return "Fritzke et al. 98 [5]";
-    case ProtocolKind::kDelporte00: return "Delporte & Fauconnier 00 [4]";
-    case ProtocolKind::kRodrigues98: return "Rodrigues et al. 98 [10]";
-    case ProtocolKind::kViaBcast: return "non-genuine via A-BCast";
-    case ProtocolKind::kSkeen87: return "Skeen 87 [2] (failure-free)";
-    case ProtocolKind::kA2: return "A2 (this paper)";
-    case ProtocolKind::kSousa02: return "Sousa et al. 02 [12]";
-    case ProtocolKind::kVicente02: return "Vicente & Rodrigues 02 [13]";
-    case ProtocolKind::kDetMerge00: return "Aguilera & Strom 00 [1]";
-  }
-  return "?";
-}
-
-bool isBroadcastProtocol(ProtocolKind k) {
-  switch (k) {
-    case ProtocolKind::kA2:
-    case ProtocolKind::kSousa02:
-    case ProtocolKind::kVicente02:
-    case ProtocolKind::kDetMerge00:
-      return true;
-    default:
-      return false;
-  }
-}
-
 namespace {
 
 std::unique_ptr<XcastNode> makeNode(ProtocolKind kind, exec::Context& rt,

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cassert>
+#include <iterator>
 #include <stdexcept>
 #include <memory>
 #include <optional>
@@ -58,8 +59,97 @@ enum class ProtocolKind {
   kDetMerge00,     // [1]: deterministic merge — degree 1, strong model
 };
 
-[[nodiscard]] const char* protocolName(ProtocolKind k);
-[[nodiscard]] bool isBroadcastProtocol(ProtocolKind k);
+// Per-protocol capabilities, used to pick sound expectations and to skip
+// scenarios a protocol was never designed for (Skeen87 is failure-free).
+struct ProtocolTraits {
+  bool toleratesCrashes = true;
+  bool uniform = true;    // uniform agreement under crashes
+  bool genuine = true;    // only sender+addressees participate
+  // Does an amnesiac recovered process re-integrate far enough to deliver
+  // NEW messages (those cast after its recovery)? Protocols that gate
+  // delivery on state the dead incarnation held (sequencer epochs, merge
+  // frontiers, missed consensus instances) do not; set from observed
+  // behavior under the recover matrix cells. With the bootstrap plane
+  // armed (StackConfig::bootstrap) the state transfer closes exactly that
+  // gap, so EVERY stack rejoins — see testing::traitsOf.
+  bool recoveredRejoins = false;
+};
+
+// One roster row: a stack's names and the facts the harness derives its
+// fault-matrix cells and property expectations from.
+struct ProtocolInfo {
+  ProtocolKind kind;
+  const char* key;       // CLI and RunOptions::serialize() key
+  const char* testName;  // identifier-safe: gtest suffixes, golden keys
+  const char* cited;     // protocolName(): the paper's citation
+  bool broadcast;        // every cast addresses every group
+  ProtocolTraits traits;
+};
+
+// The roster, one row per stack, indexed by ProtocolKind. A new stack is
+// one row here plus its case in makeNode (experiment.cpp).
+inline constexpr ProtocolInfo kProtocols[] = {
+    // A1's stage-skip optimization is what blocks amnesiac rejoins: a
+    // message whose own group proposed the max timestamp goes s1 -> s3
+    // WITHOUT a second consensus, so its final order exists only in the TS
+    // exchange the recovered process missed — it sticks at s1 and blocks
+    // the delivery test behind it. Full re-integration needs TS-state
+    // transfer (ROADMAP).
+    {ProtocolKind::kA1, "a1", "A1", "A1 (this paper)", false, {}},
+    // Crash-tolerant, uniform, genuine — and amnesia-recoverable: Fritzke98
+    // never skips stages, so the whole ordering history is in the
+    // consensus-instance stream a rejoin replays (decision retransmission
+    // + round timeouts); Rodrigues re-collects votes after the retraction
+    // re-introduces pending messages. Verified by the crash-recover matrix
+    // cells, which cast past the recovery.
+    {ProtocolKind::kFritzke98, "fritzke98", "Fritzke98",
+     "Fritzke et al. 98 [5]", false, {.recoveredRejoins = true}},
+    // Ring-token state is lost with the incarnation.
+    {ProtocolKind::kDelporte00, "delporte00", "Ring",
+     "Delporte & Fauconnier 00 [4]", false, {}},
+    {ProtocolKind::kRodrigues98, "rodrigues98", "Rodrigues98",
+     "Rodrigues et al. 98 [10]", false, {.recoveredRejoins = true}},
+    // Broadcast-based: every process participates. Same replay gap as A1
+    // for the rejoin (observed in the crash-recover cells).
+    {ProtocolKind::kViaBcast, "viabcast", "ViaBcast",
+     "non-genuine via A-BCast", false, {.genuine = false}},
+    // [2] assumes a failure-free system.
+    {ProtocolKind::kSkeen87, "skeen87", "Skeen87",
+     "Skeen 87 [2] (failure-free)", false, {.toleratesCrashes = false}},
+    // Broadcast-based, with A1's replay gap (as ViaBcast).
+    {ProtocolKind::kA2, "a2", "A2", "A2 (this paper)", true,
+     {.genuine = false}},
+    // Optimistic, non-uniform by design [12]; sequencer-based, with the
+    // same recovery gap as Vicente02.
+    {ProtocolKind::kSousa02, "sousa02", "Sousa02", "Sousa et al. 02 [12]",
+     true, {.uniform = false, .genuine = false}},
+    // Sequencer-based: a recovered process misses the sequence numbers its
+    // dead incarnation consumed and can hold back later slots, so
+    // post-recovery delivery is not guaranteed (observed in the
+    // crash-recover-sweep cells).
+    {ProtocolKind::kVicente02, "vicente02", "Vicente02",
+     "Vicente & Rodrigues 02 [13]", true, {.genuine = false}},
+    // [1]'s merge needs every publisher's frontier to advance: a crashed
+    // publisher stalls delivery, so crash scenarios are out of scope.
+    {ProtocolKind::kDetMerge00, "detmerge00", "DetMerge00",
+     "Aguilera & Strom 00 [1]", true,
+     {.toleratesCrashes = false, .genuine = false}},
+};
+static_assert([] {
+  for (size_t i = 0; i < std::size(kProtocols); ++i)
+    if (static_cast<size_t>(kProtocols[i].kind) != i) return false;
+  return true;
+}(), "kProtocols rows must follow ProtocolKind order");
+
+[[nodiscard]] constexpr const ProtocolInfo& protocolInfo(ProtocolKind k) {
+  return kProtocols[static_cast<size_t>(k)];
+}
+[[nodiscard]] constexpr const char* protocolName(ProtocolKind k) {
+  return protocolInfo(k).cited;
+}
+[[nodiscard]] constexpr bool isBroadcastProtocol(ProtocolKind k) {
+  return protocolInfo(k).broadcast;
+}
 
 struct RunConfig {
   // Execution backend (exec/context.hpp): kSim runs on the deterministic

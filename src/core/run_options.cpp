@@ -8,16 +8,8 @@
 namespace wanmc::core {
 
 std::optional<ProtocolKind> protocolFromName(const std::string& name) {
-  if (name == "a1") return ProtocolKind::kA1;
-  if (name == "fritzke98") return ProtocolKind::kFritzke98;
-  if (name == "delporte00") return ProtocolKind::kDelporte00;
-  if (name == "rodrigues98") return ProtocolKind::kRodrigues98;
-  if (name == "skeen87") return ProtocolKind::kSkeen87;
-  if (name == "viabcast") return ProtocolKind::kViaBcast;
-  if (name == "a2") return ProtocolKind::kA2;
-  if (name == "sousa02") return ProtocolKind::kSousa02;
-  if (name == "vicente02") return ProtocolKind::kVicente02;
-  if (name == "detmerge00") return ProtocolKind::kDetMerge00;
+  for (const ProtocolInfo& p : kProtocols)
+    if (name == p.key) return p.kind;
   return std::nullopt;
 }
 
@@ -28,24 +20,6 @@ std::optional<exec::Backend> backendFromName(const std::string& name) {
 }
 
 namespace {
-
-// The identifier-safe protocol key serialize() emits (protocolName() has
-// spaces and citation brackets).
-const char* protocolKey(ProtocolKind k) {
-  switch (k) {
-    case ProtocolKind::kA1: return "a1";
-    case ProtocolKind::kFritzke98: return "fritzke98";
-    case ProtocolKind::kDelporte00: return "delporte00";
-    case ProtocolKind::kRodrigues98: return "rodrigues98";
-    case ProtocolKind::kSkeen87: return "skeen87";
-    case ProtocolKind::kViaBcast: return "viabcast";
-    case ProtocolKind::kA2: return "a2";
-    case ProtocolKind::kSousa02: return "sousa02";
-    case ProtocolKind::kVicente02: return "vicente02";
-    case ProtocolKind::kDetMerge00: return "detmerge00";
-  }
-  return "?";
-}
 
 long long intOrDie(const std::string& s, const char* flag) {
   size_t used = 0;
@@ -139,7 +113,7 @@ void RunOptions::validate() const {
 std::string RunOptions::serialize() const {
   std::ostringstream os;
   os << "backend=" << exec::backendName(backend)
-     << " protocol=" << protocolKey(protocol) << " groups=" << groups
+     << " protocol=" << protocolInfo(protocol).key << " groups=" << groups
      << " procs=" << procsPerGroup << " seed=" << seed
      << " intra=" << latency.intraMin << ":" << latency.intraMax
      << " inter=" << latency.interMin << ":" << latency.interMax

@@ -31,8 +31,8 @@
 
 namespace wanmc::core {
 
-// nullopt on an unknown name. The inverses are protocolName (experiment
-// .hpp) and exec::backendName.
+// nullopt on an unknown name. The inverses are protocolInfo(k).key (the
+// roster, experiment.hpp) and exec::backendName.
 [[nodiscard]] std::optional<ProtocolKind> protocolFromName(
     const std::string& name);
 [[nodiscard]] std::optional<exec::Backend> backendFromName(

@@ -113,7 +113,7 @@ void ThreadedRuntime::threadMain(ProcessId pid) {
   PerThread& me = per_[static_cast<size_t>(pid)];
   me.node->onStart();
   while (!stopFlag_.load(std::memory_order_acquire)) {
-    size_t work = drainRings(pid);
+    size_t work = drainRings(pid, /*waiting=*/false);
 
     // Deferred messages whose emulated-latency deadline has passed.
     const int64_t now = monoUs();
@@ -136,21 +136,23 @@ void ThreadedRuntime::threadMain(ProcessId pid) {
   }
 }
 
-size_t ThreadedRuntime::drainRings(ProcessId pid) {
+size_t ThreadedRuntime::drainRings(ProcessId pid, bool waiting) {
   PerThread& me = per_[static_cast<size_t>(pid)];
-  auto& myRings = rings_[static_cast<size_t>(pid)];
   const int64_t now = monoUs();
-  size_t popped = 0;
+  size_t handled = 0;
   Envelope e;
-  for (auto& ring : myRings) {
+  for (auto& ring : rings_[static_cast<size_t>(pid)]) {
     while (ring->tryPop(e)) {
-      ++popped;
+      ++handled;
       if (e.payload == nullptr) {
-        // Posted command from the driver: runs immediately on this thread.
-        e.cmd();
-        continue;
-      }
-      if (e.dueUs <= now) {
+        // Posted command from the driver: runs on this thread, after any
+        // that a waiting push set aside.
+        if (waiting || !me.posted.empty()) {
+          me.posted.push_back(std::move(e.cmd));
+        } else {
+          e.cmd();
+        }
+      } else if (!waiting && e.dueUs <= now) {
         deliverEnvelope(pid, e);
       } else {
         me.inbox.push_back(std::move(e));
@@ -158,7 +160,15 @@ size_t ThreadedRuntime::drainRings(ProcessId pid) {
       }
     }
   }
-  return popped;
+  // The set-aside commands, in post order; one may wait in turn and set
+  // more aside.
+  while (!waiting && !me.posted.empty()) {
+    SmallFn cmd = std::move(me.posted.front());
+    me.posted.pop_front();
+    cmd();
+    ++handled;
+  }
+  return handled;
 }
 
 void ThreadedRuntime::deliverEnvelope(ProcessId to, Envelope& e) {
@@ -175,10 +185,15 @@ void ThreadedRuntime::pushBlocking(int consumer, int producer, Envelope e) {
   SpscRing<Envelope>& ring =
       *rings_[static_cast<size_t>(consumer)][static_cast<size_t>(producer)];
   while (!ring.tryPush(e)) {
-    // Ring full: the consumer is behind. Backpressure by spinning; bail
+    // Ring full: the consumer is behind. Backpressure by retrying; bail
     // (dropping the envelope) only if the run is already tearing down,
     // otherwise a full ring at shutdown would deadlock the producer.
     if (stopFlag_.load(std::memory_order_acquire)) return;
+    // A process thread waits inside onStart or a handler, and the
+    // consumer may be waiting on one of its rings (see "Back-pressure"
+    // in the header).
+    if (producer == tlsSlot && producer < driverSlot())
+      drainRings(producer, /*waiting=*/true);
     std::this_thread::sleep_for(std::chrono::microseconds(5));
   }
 }

@@ -39,6 +39,15 @@
 //     peak RSS 58.5-61.4 MB against 47.5-48.3 MB (4 alternating 25 s
 //     pairs, shared 4-vCPU VM), since the calendar's 2,048 bucket vectors
 //     keep the capacity they grow to.
+//   * Back-pressure: a ring holds 4,096 envelopes, and a push that finds
+//     its ring full retries every 5 µs. A process thread that waits so is
+//     inside onStart or a handler, and the consumer it waits for may be
+//     waiting on one of its own rings. So while it waits, it moves every
+//     envelope in its own rings into its inbox heap and every posted
+//     command into a FIFO, running no handler; its loop runs those
+//     commands first, in post order. No process thread thus waits on one
+//     that waits on it. A push with room left is one ring write. The
+//     driver's push just waits: no process ever waits on the driver.
 //   * Waiting: a thread that finds nothing to do sleeps until its next
 //     deadline: a process thread until its inbox head or its next timer
 //     is due, the driver until its next harness event. No sleep lasts
@@ -56,6 +65,7 @@
 #include <atomic>
 #include <cassert>
 #include <chrono>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <thread>
@@ -188,6 +198,7 @@ class ThreadedRuntime final : public Context {
     std::unique_ptr<Process> node;
     sim::Scheduler sched;         // protocol timers
     std::vector<Envelope> inbox;  // latency-deferred messages, min-heap
+    std::deque<SmallFn> posted;   // commands set aside by a waiting push
     SplitMix64 rng{0};            // latency-emulation draws
     // Modified Lamport clock. Atomic (relaxed) because recordCast for a
     // BATCHED cast runs on the driver thread and reads the sender's clock;
@@ -209,7 +220,11 @@ class ThreadedRuntime final : public Context {
   void threadMain(ProcessId pid);
   void pushBlocking(int consumer, int producer, Envelope e);
   void deliverEnvelope(ProcessId to, Envelope& e);
-  size_t drainRings(ProcessId pid);  // returns the envelopes popped
+  // Empties `pid`'s rings on thread `pid`: delivers due copies, defers the
+  // rest and runs posted commands. While a push of `pid` is `waiting`, it
+  // runs nothing: copies go to the inbox heap and commands to `posted`.
+  // Returns the envelopes handled.
+  size_t drainRings(ProcessId pid, bool waiting);
   void mergeTraces();
   void bumpAlgoSend(ProcessId from, SimTime when);
 

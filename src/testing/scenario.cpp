@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <iterator>
 #include <sstream>
 #include <thread>
 
@@ -101,24 +102,6 @@ materializeChurn(const Topology& topo, const ChurnSpec& plan,
   return out;
 }
 
-std::vector<PartitionSpec> materializePartitions(const Topology& topo,
-                                                 const RandomPartitions& plan,
-                                                 uint64_t seed) {
-  std::vector<PartitionSpec> out;
-  if (topo.numGroups() < 2) return out;  // a lone group has no far side
-  SplitMix64 rng(SplitMix64(seed).fork(plan.salt).next());
-  for (int i = 0; i < plan.count; ++i) {
-    const auto g = static_cast<GroupId>(
-        rng.next() % static_cast<uint64_t>(topo.numGroups()));
-    const SimTime from =
-        rng.uniform(plan.earliest, std::max(plan.earliest, plan.latest));
-    const SimTime dur =
-        rng.uniform(plan.durMin, std::max(plan.durMin, plan.durMax));
-    out.push_back(PartitionSpec{GroupSet::single(g), from, from + dur});
-  }
-  return out;
-}
-
 namespace {
 
 // A deterministic per-rule coin: the k-th matching packet of a rule is
@@ -129,8 +112,9 @@ class DropEngine {
   DropEngine(std::vector<DropSpec> specs, const Topology& topo,
              uint64_t seed)
       : specs_(std::move(specs)), topo_(&topo) {
-    for (const auto& s : specs_)
-      coins_.emplace_back(SplitMix64(seed).fork(s.salt).next());
+    constexpr uint64_t kSalt = 0xd309;  // folded with the scenario seed
+    coins_.assign(specs_.size(),
+                  SplitMix64(SplitMix64(seed).fork(kSalt).next()));
   }
 
   bool operator()(ProcessId from, ProcessId to, const Payload& p,
@@ -139,10 +123,6 @@ class DropEngine {
     for (size_t i = 0; i < specs_.size(); ++i) {
       const DropSpec& s = specs_[i];
       if (s.layer && p.layer() != *s.layer) continue;
-      if (s.from != kNoProcess && from != s.from) continue;
-      if (s.to != kNoProcess && to != s.to) continue;
-      if (s.fromGroup != kNoGroup && topo_->group(from) != s.fromGroup)
-        continue;
       if (s.toGroup != kNoGroup && topo_->group(to) != s.toGroup) continue;
       if (s.interGroupOnly && topo_->sameGroup(from, to)) continue;
       if (now < s.activeFrom || now >= s.activeUntil) continue;
@@ -166,85 +146,32 @@ class DropEngine {
 // Protocol traits and expectations.
 // ---------------------------------------------------------------------------
 
-ProtocolTraits traitsOf(core::ProtocolKind kind, bool bootstrapArmed) {
-  using core::ProtocolKind;
-  ProtocolTraits t;
-  switch (kind) {
-    case ProtocolKind::kA1:
-      // A1's stage-skip optimization is what blocks amnesiac rejoins: a
-      // message whose own group proposed the max timestamp goes s1 -> s3
-      // WITHOUT a second consensus, so its final order exists only in
-      // the TS exchange the recovered process missed — it sticks at s1
-      // and blocks the delivery test behind it. Full re-integration
-      // needs TS-state transfer (ROADMAP).
-      break;
-    case ProtocolKind::kFritzke98:
-    case ProtocolKind::kRodrigues98:
-      // Crash-tolerant, uniform, genuine — and amnesia-recoverable:
-      // Fritzke98 never skips stages, so the whole ordering history is
-      // in the consensus-instance stream a rejoin replays (decision
-      // retransmission + round timeouts); Rodrigues re-collects votes
-      // after the retraction re-introduces pending messages. Verified by
-      // the crash-recover matrix cells, which cast past the recovery.
-      t.recoveredRejoins = true;
-      break;
-    case ProtocolKind::kDelporte00:
-      break;  // ring-token state is lost with the incarnation
-    case ProtocolKind::kSkeen87:
-      t.toleratesCrashes = false;  // [2] assumes a failure-free system
-      break;
-    case ProtocolKind::kViaBcast:
-    case ProtocolKind::kA2:
-      // Broadcast-based: every process participates. Same replay gap as
-      // A1 for the rejoin (observed in the crash-recover cells).
-      t.genuine = false;
-      break;
-    case ProtocolKind::kVicente02:
-      t.genuine = false;
-      // Sequencer-based: a recovered process misses the sequence numbers
-      // its dead incarnation consumed and can hold back later slots, so
-      // post-recovery delivery is not guaranteed (observed in the
-      // crash-recover-sweep cells).
-      break;
-    case ProtocolKind::kSousa02:
-      t.genuine = false;
-      t.uniform = false;  // optimistic, non-uniform by design [12]
-      break;  // sequencer-based: same recovery gap as Vicente02
-    case ProtocolKind::kDetMerge00:
-      // [1]'s merge needs every publisher's frontier to advance: a crashed
-      // publisher stalls delivery, so crash scenarios are out of scope.
-      t.toleratesCrashes = false;
-      t.genuine = false;
-      break;
-  }
-  // The bootstrap plane transfers exactly the state whose loss is recorded
-  // above (TS exchanges, ring tokens, sequencer counters, merge frontiers):
-  // with it armed, every stack's recovered processes rejoin (pinned by the
-  // RejoinSmoke suite in tests/test_bootstrap.cpp).
+core::ProtocolTraits traitsOf(core::ProtocolKind kind, bool bootstrapArmed) {
+  core::ProtocolTraits t = core::protocolInfo(kind).traits;
+  // The bootstrap plane transfers exactly the state whose loss the roster
+  // records (TS exchanges, ring tokens, sequencer counters, merge
+  // frontiers): with it armed, every stack's recovered processes rejoin
+  // (pinned by the RejoinSmoke suite in tests/test_bootstrap.cpp).
   if (bootstrapArmed) t.recoveredRejoins = true;
   return t;
 }
 
-const char* protocolTestName(core::ProtocolKind kind) {
-  using core::ProtocolKind;
-  switch (kind) {
-    case ProtocolKind::kA1: return "A1";
-    case ProtocolKind::kFritzke98: return "Fritzke98";
-    case ProtocolKind::kDelporte00: return "Ring";
-    case ProtocolKind::kRodrigues98: return "Rodrigues98";
-    case ProtocolKind::kViaBcast: return "ViaBcast";
-    case ProtocolKind::kSkeen87: return "Skeen87";
-    case ProtocolKind::kA2: return "A2";
-    case ProtocolKind::kSousa02: return "Sousa02";
-    case ProtocolKind::kVicente02: return "Vicente02";
-    case ProtocolKind::kDetMerge00: return "DetMerge00";
-  }
-  return "Unknown";
+std::vector<core::ProtocolKind> allProtocols() {
+  std::vector<core::ProtocolKind> out;
+  for (const core::ProtocolInfo& p : core::kProtocols) out.push_back(p.kind);
+  return out;
+}
+
+std::vector<core::ProtocolKind> crashTolerantProtocols() {
+  std::vector<core::ProtocolKind> out;
+  for (const core::ProtocolInfo& p : core::kProtocols)
+    if (p.traits.toleratesCrashes) out.push_back(p.kind);
+  return out;
 }
 
 PropertyExpectations defaultExpectations(core::ProtocolKind kind,
                                          bool anyCrashes, bool anyDrops) {
-  const ProtocolTraits t = traitsOf(kind);
+  const core::ProtocolTraits t = traitsOf(kind);
   PropertyExpectations e;
   e.uniform = t.uniform;
   // Arbitrary omission faults void the quasi-reliable-channel assumption:
@@ -280,8 +207,7 @@ Scenario& Scenario::withDefaultExpectations() {
     // assumption exactly like an omission fault: copies sent across the
     // cut are lost for good, so delivery obligations no longer bind
     // (safety still must).
-    anyDrops = !drops.empty() || !partitions.empty() ||
-               randomPartitions.has_value() || config.lossRate > 0;
+    anyDrops = !drops.empty() || !partitions.empty() || config.lossRate > 0;
   }
   expect = defaultExpectations(config.protocol, anyCrashes, anyDrops);
   // Recovered-delivery is a LIVENESS obligation: it only binds where the
@@ -318,9 +244,6 @@ verify::Violations checkExpectations(const core::RunResult& r,
     append(verify::checkRecoveredDelivery(ctx));
   if (exp.checkGenuineness)
     append(verify::checkGenuineness(ctx, r.genuineness));
-  if (exp.quiescenceBudget)
-    append(verify::checkQuiescence(ctx, r.lastAlgoSend,
-                                   *exp.quiescenceBudget));
   if (r.trace.deliveries.size() < exp.minDeliveries) {
     std::ostringstream os;
     os << "stall: only " << r.trace.deliveries.size() << " deliveries, "
@@ -437,16 +360,7 @@ ScenarioResult ScenarioRunner::run() const {
   for (const auto& rec : result.effectiveRecoveries)
     ex.recoverAt(rec.pid, rec.when);
 
-  // Partition windows: scripted verbatim + seed-derived healing cuts.
-  result.effectivePartitions = s.partitions;
-  if (s.randomPartitions) {
-    auto extra =
-        materializePartitions(topo, *s.randomPartitions, cfg.seed);
-    result.effectivePartitions.insert(result.effectivePartitions.end(),
-                                      extra.begin(), extra.end());
-  }
-  for (const auto& p : result.effectivePartitions)
-    ex.partitionAt(p.side, p.from, p.until);
+  for (const auto& p : s.partitions) ex.partitionAt(p.side, p.from, p.until);
 
   if (!s.drops.empty()) {
     // The engine lives in the filter closure; per-rule coin streams are
@@ -531,408 +445,329 @@ std::vector<ScenarioResult> ScenarioRunner::sweepSeeds(uint64_t firstSeed,
 }
 
 // ---------------------------------------------------------------------------
-// The standard fault matrix.
+// The standard fault matrix: one row per cell kind.
 // ---------------------------------------------------------------------------
 
-std::vector<Scenario> standardFaultMatrix(core::ProtocolKind kind,
-                                          const MatrixOptions& opt) {
-  const ProtocolTraits traits = traitsOf(kind);
-  const std::string base = core::protocolName(kind);
+namespace {
 
-  auto makeBase = [&](const char* tag, LatencyPreset latency) {
-    Scenario s;
-    s.name = base;  // built by append: avoids the GCC 12 -Wrestrict
-    s.name += "/";  // false positive on chained operator+
-    s.name += tag;
-    s.name += "/";
-    s.name += latencyPresetName(latency);
-    s.config.groups = opt.groups;
-    s.config.procsPerGroup = opt.procsPerGroup;
-    s.config.protocol = kind;
-    s.config.seed = opt.firstSeed;
-    s.latency = latency;
-    s.workload = workload::Spec::closedLoop(opt.casts, opt.castInterval,
-                                            std::min(2, opt.groups));
-    s.runUntil = 900 * kSec;
-    return s;
-  };
+// CellKind::flags.
+enum : unsigned {
+  // Latency presets: a row yields one cell per preset it sets, in this
+  // order (bit i selects kPresets[i]).
+  kLan = 1u << 0,
+  kWan = 1u << 1,
+  kMixed = 1u << 2,
+  // The gate: the row crashes processes, so it runs only for stacks whose
+  // traits tolerate crashes.
+  kCrashes = 1u << 3,
+  kMinority = 1u << 4,     // RandomCrashes{}: a seed-drawn minority per group
+  kDownAndBack = 1u << 5,  // p1 down at 200 ms, back at 500 ms (downAndBack)
+  kHeartbeat = 1u << 6,    // the heartbeat FD instead of the oracle
+  kChannels = 1u << 7,     // reliable channels armed
+  kBootstrap = 1u << 8,    // bootstrap plane armed
+  // Heartbeat-FD runs never quiesce — the detector ticks forever — so the
+  // fault-plane v2 cells bound the horizon explicitly: 30 simulated
+  // seconds is ~50 WAN round trips past the last arrival.
+  kLong = 1u << 9,
+  kFloor = 1u << 10,  // minDeliveries = 1: the run must not stall flat
+};
+constexpr LatencyPreset kPresets[] = {LatencyPreset::kLan, LatencyPreset::kWan,
+                                      LatencyPreset::kMixed};
 
-  std::vector<Scenario> out;
+// One cell kind: its tag, its flags, and the settings no flag covers,
+// applied to the base cell (closed-loop workload, 900 s horizon) before
+// the expectations are derived.
+struct CellKind {
+  const char* tag;
+  unsigned flags;
+  void (*setup)(Scenario&, const MatrixOptions&);
+};
 
-  // Failure-free cells: every latency preset.
-  for (LatencyPreset l :
-       {LatencyPreset::kLan, LatencyPreset::kWan, LatencyPreset::kMixed}) {
-    Scenario s = makeBase("ok", l);
-    s.withDefaultExpectations();
-    s.expect.minDeliveries = 1;
-    out.push_back(std::move(s));
-  }
+void poisson(Scenario& s, SimTime meanGap) {
+  s.workload->model = workload::Model::kOpenLoopPoisson;
+  s.workload->meanGap = meanGap;
+}
 
-  if (traits.toleratesCrashes) {
+// The batched Zipf workload: the batching plane accumulates casts per
+// (sender, destination-set) window and the stacks order ONE carrier per
+// batch. Arrivals are dense and Zipf-skewed so multi-cast batches actually
+// form — uniform draws spread the batch keys and degenerate to singleton
+// batches.
+void batched(Scenario& s, const MatrixOptions& opt, SimTime window,
+             int maxSize, int gapDivisor) {
+  s.config.stack.batchWindow = window;
+  s.config.stack.batchMaxSize = maxSize;
+  poisson(s, std::max<SimTime>(opt.castInterval / gapDivisor, kMs));
+  s.workload->senderZipf = 1.5;
+  s.workload->destZipf = 1.5;
+}
+
+// Drops copies that cross a group border with `probability`, in
+// [from, until).
+void interGroupDrops(Scenario& s, double probability, SimTime from = 0,
+                     SimTime until = kTimeNever) {
+  DropSpec d;
+  d.interGroupOnly = true;
+  d.activeFrom = from;
+  d.activeUntil = until;
+  d.probability = probability;
+  s.drops.push_back(d);
+}
+
+// The 300 ms cut: group g is cut off for three WAN round trips.
+void cut(Scenario& s, GroupId g) {
+  s.partitions.push_back(
+      PartitionSpec{GroupSet::single(g), 150 * kMs, 450 * kMs});
+}
+
+// The down-and-back script: p1 crashes at `down` and rejoins with reset
+// state at `up`. Arrivals keep coming well past the recovery instant: the
+// recovered-delivery obligation is vacuous unless messages are cast AFTER
+// the rejoin (the rotating senders include the recovered process itself —
+// alive again, it casts again).
+void downAndBack(Scenario& s, SimTime down, SimTime up, int extraCasts) {
+  s.crashes.push_back(CrashSpec{1, down});
+  s.recoveries.push_back(RecoverSpec{1, up});
+  s.workload->count += extraCasts;
+}
+
+// Long-horizon churn: seed-derived crash+recover cycles marching through
+// the membership while open-loop Poisson arrivals keep the protocol under
+// load — every victim must rejoin mid-traffic, cycle after cycle, under
+// the oracle and the heartbeat detector alike. Arrivals are stretched to
+// span the whole churn window (a cycle every 2.5s for ~15s), not
+// front-loaded like the closed-loop cells.
+void churnOpen(Scenario& s, const MatrixOptions&) {
+  s.churn = ChurnSpec{};
+  poisson(s, 600 * kMs);
+  s.workload->count += 20;
+}
+
+// New kinds are appended, so every earlier cell keeps its name and
+// fingerprint.
+constexpr CellKind kCellKinds[] = {
+    // Failure-free cells: every latency preset.
+    {"ok", kLan | kWan | kMixed | kFloor, nullptr},
     // Random minority crashes per group, WAN and mixed jitter.
-    for (LatencyPreset l : {LatencyPreset::kWan, LatencyPreset::kMixed}) {
-      Scenario s = makeBase("crash-minority", l);
-      s.randomCrashes = RandomCrashes{1, 50 * kMs, kSec, 0xc4a5};
-      s.withDefaultExpectations();
-      out.push_back(std::move(s));
-    }
+    {"crash-minority", kWan | kMixed | kCrashes | kMinority, nullptr},
     // Sender crashes right after its first cast (process 0 casts at t=1ms).
     // Broadcast protocols address all groups (empty dest = all).
-    {
-      Scenario s = makeBase("crash-sender", LatencyPreset::kWan);
-      s.workload.reset();
-      const GroupSet dest = core::isBroadcastProtocol(kind)
-                                ? GroupSet{}
-                                : GroupSet::of({0, 1});
-      s.casts.push_back(ScheduledCast{kMs, 0, dest, "x"});
-      for (int i = 1; i < opt.casts; ++i) {
-        std::string body = "w";  // append: GCC 12 -Wrestrict, see makeBase
-        body += std::to_string(i);
-        s.casts.push_back(ScheduledCast{kMs + i * opt.castInterval, 1, dest,
-                                        std::move(body)});
-      }
-      s.crashes.push_back(CrashSpec{0, kMs + 1});
-      s.withDefaultExpectations();
-      out.push_back(std::move(s));
-    }
-  }
-
-  // Omission cells: safety must survive any loss pattern. Liveness checks
-  // are off (defaultExpectations) — lost packets legitimately stall runs.
-  {
-    Scenario s = makeBase("drop-protocol-lossy", LatencyPreset::kWan);
-    DropSpec d;
-    d.layer = Layer::kProtocol;
-    d.interGroupOnly = true;
-    d.probability = 0.3;
-    s.drops.push_back(d);
-    s.withDefaultExpectations();
-    out.push_back(std::move(s));
-  }
-  {
-    Scenario s = makeBase("drop-window-blackout", LatencyPreset::kWan);
-    DropSpec d;  // total inter-group blackout for a WAN round-trip
-    d.interGroupOnly = true;
-    d.activeFrom = 150 * kMs;
-    d.activeUntil = 400 * kMs;
-    s.drops.push_back(d);
-    s.withDefaultExpectations();
-    out.push_back(std::move(s));
-  }
-  if (traits.toleratesCrashes) {
+    {"crash-sender", kWan | kCrashes,
+     [](Scenario& s, const MatrixOptions& opt) {
+       s.workload.reset();
+       const GroupSet dest = core::isBroadcastProtocol(s.config.protocol)
+                                 ? GroupSet{}
+                                 : GroupSet::of({0, 1});
+       s.casts.push_back(ScheduledCast{kMs, 0, dest, "x"});
+       for (int i = 1; i < opt.casts; ++i) {
+         std::string body = "w";  // append: GCC 12 -Wrestrict, see below
+         body += std::to_string(i);
+         s.casts.push_back(ScheduledCast{kMs + i * opt.castInterval, 1, dest,
+                                         std::move(body)});
+       }
+       s.crashes.push_back(CrashSpec{0, kMs + 1});
+     }},
+    // Omission cells: safety must survive any loss pattern. Liveness checks
+    // are off (defaultExpectations) — lost packets legitimately stall runs.
+    {"drop-protocol-lossy", kWan,
+     [](Scenario& s, const MatrixOptions&) {
+       interGroupDrops(s, 0.3);
+       s.drops.back().layer = Layer::kProtocol;
+     }},
+    // Total inter-group blackout for a WAN round-trip.
+    {"drop-window-blackout", kWan,
+     [](Scenario& s, const MatrixOptions&) {
+       interGroupDrops(s, 1.0, 150 * kMs, 400 * kMs);
+     }},
     // Crashes AND probabilistic loss together.
-    Scenario s = makeBase("crash-plus-drop", LatencyPreset::kMixed);
-    s.randomCrashes = RandomCrashes{1, 50 * kMs, kSec, 0xc4a5};
-    DropSpec d;
-    d.interGroupOnly = true;
-    d.probability = 0.15;
-    s.drops.push_back(d);
-    s.withDefaultExpectations();
-    out.push_back(std::move(s));
-  }
-
-  // Workload-realism cells (PR 3): open-loop arrivals and skewed load, the
-  // regimes the rotating-sender schedule could not express. Failure-free,
-  // so the full trait-derived property suite (incl. liveness) applies.
-  {
+    {"crash-plus-drop", kMixed | kCrashes | kMinority,
+     [](Scenario& s, const MatrixOptions&) { interGroupDrops(s, 0.15); }},
+    // Workload-realism cells: open-loop arrivals and skewed load, the
+    // regimes the rotating-sender schedule could not express. Failure-free,
+    // so the full trait-derived property suite (incl. liveness) applies.
     // Open-loop Poisson arrivals: bursts and quiet stretches at the same
     // mean rate as the closed-loop cells.
-    Scenario s = makeBase("open-poisson", LatencyPreset::kWan);
-    s.workload->model = workload::Model::kOpenLoopPoisson;
-    s.workload->meanGap = opt.castInterval;
-    s.withDefaultExpectations();
-    s.expect.minDeliveries = 1;
-    out.push_back(std::move(s));
-  }
-  {
+    {"open-poisson", kWan | kFloor,
+     [](Scenario& s, const MatrixOptions& opt) {
+       poisson(s, opt.castInterval);
+     }},
     // On/off phases: a burst of back-to-back casts, then silence longer
     // than a WAN round trip, repeated — exercises quiescence/restart paths.
-    Scenario s = makeBase("open-burst", LatencyPreset::kMixed);
-    s.workload->model = workload::Model::kBursty;
-    s.workload->onDuration = opt.castInterval;
-    s.workload->offDuration = 300 * kMs;
-    s.workload->burstGap = std::max<SimTime>(opt.castInterval / 4, kMs);
-    s.withDefaultExpectations();
-    s.expect.minDeliveries = 1;
-    out.push_back(std::move(s));
-  }
-  {
+    {"open-burst", kMixed | kFloor,
+     [](Scenario& s, const MatrixOptions& opt) {
+       s.workload->model = workload::Model::kBursty;
+       s.workload->onDuration = opt.castInterval;
+       s.workload->offDuration = 300 * kMs;
+       s.workload->burstGap = std::max<SimTime>(opt.castInterval / 4, kMs);
+     }},
     // Zipf-skewed hotspots: one hot sender, popular destination groups.
-    Scenario s = makeBase("skew-zipf", LatencyPreset::kWan);
-    s.workload->senderZipf = 1.2;
-    s.workload->destZipf = 0.8;
-    s.withDefaultExpectations();
-    s.expect.minDeliveries = 1;
-    out.push_back(std::move(s));
-  }
-  if (traits.toleratesCrashes) {
+    {"skew-zipf", kWan | kFloor,
+     [](Scenario& s, const MatrixOptions&) {
+       s.workload->senderZipf = 1.2;
+       s.workload->destZipf = 0.8;
+     }},
     // Open-loop load does not pause for fault handling: minority crashes
     // while Poisson arrivals keep coming.
-    Scenario s = makeBase("open-poisson-crash", LatencyPreset::kWan);
-    s.workload->model = workload::Model::kOpenLoopPoisson;
-    s.workload->meanGap = opt.castInterval;
-    s.randomCrashes = RandomCrashes{1, 50 * kMs, kSec, 0xc4a5};
-    s.withDefaultExpectations();
-    out.push_back(std::move(s));
-  }
-
-  // Fault-plane v2 cells (appended so every pre-v2 cell keeps its name and
-  // fingerprint). Heartbeat-FD runs never quiesce — the detector ticks
-  // forever — so these cells bound the horizon explicitly: 30 simulated
-  // seconds is ~50 WAN round trips past the last arrival.
-  const SimTime v2Horizon = 30 * kSec;
-
-  {
+    {"open-poisson-crash", kWan | kCrashes | kMinority,
+     [](Scenario& s, const MatrixOptions& opt) {
+       poisson(s, opt.castInterval);
+     }},
+    // Fault-plane v2 cells, all on the 30 s horizon (kLong).
     // The real detector instead of the oracle, failure-free: exercises
     // heartbeat traffic (and, for cross-group stacks, the remote lanes)
     // under WAN jitter with no suspicion ever justified.
-    Scenario s = makeBase("hb-ok", LatencyPreset::kWan);
-    s.config.stack.fdKind = fd::FdKind::kHeartbeat;
-    s.runUntil = v2Horizon;
-    s.withDefaultExpectations();
-    s.expect.minDeliveries = 1;
-    out.push_back(std::move(s));
-  }
-  if (traits.toleratesCrashes) {
+    {"hb-ok", kWan | kHeartbeat | kLong | kFloor, nullptr},
     // Minority crashes under the heartbeat detector: suspicion now comes
     // from timeouts, not the oracle — for Rodrigues-style cross-group
     // consensus this is the remote-lane path (a remote crash must be
     // suspected or the vote quorum hangs).
-    Scenario s = makeBase("hb-crash-minority", LatencyPreset::kWan);
-    s.config.stack.fdKind = fd::FdKind::kHeartbeat;
-    s.randomCrashes = RandomCrashes{1, 50 * kMs, kSec, 0xc4a5};
-    s.runUntil = v2Horizon;
-    s.withDefaultExpectations();
-    out.push_back(std::move(s));
-  }
-
-  // A partition that heals: group 0 is cut off for three WAN round trips.
-  // Copies crossing the cut are lost for good (no retransmission below
-  // the protocols), so like the blackout cells these check safety only.
-  for (bool hb : {false, true}) {
-    Scenario s = makeBase(hb ? "partition-heal-hb" : "partition-heal",
-                          LatencyPreset::kWan);
-    if (hb) s.config.stack.fdKind = fd::FdKind::kHeartbeat;
-    s.partitions.push_back(
-        PartitionSpec{GroupSet::single(0), 150 * kMs, 450 * kMs});
-    s.runUntil = v2Horizon;
-    s.withDefaultExpectations();
-    out.push_back(std::move(s));
-  }
-
-  if (traits.toleratesCrashes) {
+    {"hb-crash-minority", kWan | kCrashes | kMinority | kHeartbeat | kLong,
+     nullptr},
+    // A partition that heals: group 0 is cut off for three WAN round trips.
+    // Copies crossing the cut are lost for good (no retransmission below
+    // the protocols), so like the blackout cells these check safety only.
+    {"partition-heal", kWan | kLong,
+     [](Scenario& s, const MatrixOptions&) { cut(s, 0); }},
+    {"partition-heal-hb", kWan | kHeartbeat | kLong,
+     [](Scenario& s, const MatrixOptions&) { cut(s, 0); }},
     // Crash + recovery, scripted: one process of group 0 is down for two
     // WAN round trips, then rejoins with reset state. Integrity binds per
     // incarnation; uniform order skips the amnesiac; and when the
     // protocol re-integrates recovered processes, they must deliver the
     // post-recovery messages every correct addressee delivered.
-    for (bool hb : {false, true}) {
-      Scenario s = makeBase(hb ? "crash-recover-hb" : "crash-recover",
-                            LatencyPreset::kWan);
-      if (hb) s.config.stack.fdKind = fd::FdKind::kHeartbeat;
-      s.crashes.push_back(CrashSpec{1, 200 * kMs});
-      s.recoveries.push_back(RecoverSpec{1, 500 * kMs});
-      // Keep arrivals coming well past the recovery instant: the
-      // recovered-delivery obligation is vacuous unless messages are
-      // cast AFTER the rejoin (the rotating senders include the
-      // recovered process itself — alive again, it casts again).
-      s.workload->count = opt.casts + 4;
-      s.runUntil = v2Horizon;
-      s.withDefaultExpectations();
-      out.push_back(std::move(s));
-    }
-    {
-      // Seed-derived minority crashes, every victim recovering after a
-      // seed-derived delay, under adversarial jitter.
-      Scenario s = makeBase("crash-recover-sweep", LatencyPreset::kMixed);
-      s.randomCrashes = RandomCrashes{1, 50 * kMs, kSec, 0xc4a5};
-      s.randomRecoveries = RandomRecoveries{};
-      s.runUntil = v2Horizon;
-      s.withDefaultExpectations();
-      out.push_back(std::move(s));
-    }
-    {
-      // Partition + recovery combined: the healing cut and the amnesiac
-      // rejoin interact (suspicion from the partition must retract while
-      // the recovered process re-integrates). Safety-only, like every
-      // partition cell.
-      Scenario s = makeBase("partition-recover", LatencyPreset::kWan);
-      s.partitions.push_back(
-          PartitionSpec{GroupSet::single(1), 150 * kMs, 450 * kMs});
-      s.crashes.push_back(CrashSpec{1, 200 * kMs});
-      s.recoveries.push_back(RecoverSpec{1, 600 * kMs});
-      s.workload->count = opt.casts + 4;  // arrivals past the recovery
-      s.runUntil = v2Horizon;
-      s.withDefaultExpectations();
-      out.push_back(std::move(s));
-    }
-  }
-
-  // Batching cells (PR 6, appended so every earlier cell keeps its name
-  // and fingerprint): the batching plane accumulates casts per (sender,
-  // destination-set) window and the stacks order ONE carrier per batch.
-  // Arrivals are dense and Zipf-skewed so multi-cast batches actually
-  // form — uniform draws spread the batch keys and degenerate to
-  // singleton batches.
-  {
+    {"crash-recover", kWan | kCrashes | kDownAndBack | kLong, nullptr},
+    {"crash-recover-hb", kWan | kCrashes | kDownAndBack | kHeartbeat | kLong,
+     nullptr},
+    // Seed-derived minority crashes, every victim recovering after a
+    // seed-derived delay, under adversarial jitter.
+    {"crash-recover-sweep", kMixed | kCrashes | kMinority | kLong,
+     [](Scenario& s, const MatrixOptions&) {
+       s.randomRecoveries = RandomRecoveries{};
+     }},
+    // Partition + recovery combined: the healing cut and the amnesiac
+    // rejoin interact (suspicion from the partition must retract while
+    // the recovered process re-integrates). Safety-only, like every
+    // partition cell.
+    {"partition-recover", kWan | kCrashes | kLong,
+     [](Scenario& s, const MatrixOptions&) {
+       cut(s, 1);
+       downAndBack(s, 200 * kMs, 600 * kMs, 4);
+     }},
+    // Batching cells (see batched).
     // Batching under open-loop Poisson load, failure-free: the full
     // trait-derived suite (incl. liveness — every window flushes).
-    Scenario s = makeBase("batch-open-poisson", LatencyPreset::kWan);
-    s.config.stack.batchWindow = 50 * kMs;
-    s.config.stack.batchMaxSize = 4;
-    s.workload->model = workload::Model::kOpenLoopPoisson;
-    s.workload->meanGap = std::max<SimTime>(opt.castInterval / 8, kMs);
-    s.workload->senderZipf = 1.5;
-    s.workload->destZipf = 1.5;
-    s.withDefaultExpectations();
-    s.expect.minDeliveries = 1;
-    out.push_back(std::move(s));
-  }
-  if (traits.toleratesCrashes) {
+    {"batch-open-poisson", kWan | kFloor,
+     [](Scenario& s, const MatrixOptions& opt) {
+       batched(s, opt, 50 * kMs, 4, 8);
+     }},
     // Batching × crashes: windows open when senders die — dead-sender
     // batches must be dropped (their casts bind no obligations), and
     // correct senders' batches must still flush and deliver.
-    Scenario s = makeBase("batch-crash", LatencyPreset::kWan);
-    s.config.stack.batchWindow = 60 * kMs;
-    s.config.stack.batchMaxSize = 3;
-    s.workload->model = workload::Model::kOpenLoopPoisson;
-    s.workload->meanGap = std::max<SimTime>(opt.castInterval / 4, kMs);
-    s.workload->senderZipf = 1.5;
-    s.workload->destZipf = 1.5;
-    s.randomCrashes = RandomCrashes{1, 50 * kMs, kSec, 0xc4a5};
-    s.withDefaultExpectations();
-    out.push_back(std::move(s));
-  }
-  {
+    {"batch-crash", kWan | kCrashes | kMinority,
+     [](Scenario& s, const MatrixOptions& opt) {
+       batched(s, opt, 60 * kMs, 3, 4);
+     }},
     // Batching × healing partition: carriers crossing the cut are lost
     // for good like any packet, so safety-only (see partition-heal) —
     // but a lost carrier must lose its casts ATOMICALLY (prefix order
     // over constituents survives partial connectivity).
-    Scenario s = makeBase("batch-partition-heal", LatencyPreset::kWan);
-    s.config.stack.batchWindow = 60 * kMs;
-    s.config.stack.batchMaxSize = 4;
-    s.workload->model = workload::Model::kOpenLoopPoisson;
-    s.workload->meanGap = std::max<SimTime>(opt.castInterval / 8, kMs);
-    s.workload->senderZipf = 1.5;
-    s.workload->destZipf = 1.5;
-    s.partitions.push_back(
-        PartitionSpec{GroupSet::single(0), 150 * kMs, 450 * kMs});
-    s.runUntil = v2Horizon;
-    s.withDefaultExpectations();
-    out.push_back(std::move(s));
-  }
-
-  // Reliable-channel cells (PR 7, appended so every earlier cell keeps its
-  // name and fingerprint): the retransmitting substrate under the faults
-  // that void liveness for bare stacks. With channels armed these are the
-  // FULL property suites — transient loss and healing cuts must be masked,
-  // so validity/agreement bind again (see withDefaultExpectations).
-  {
+    {"batch-partition-heal", kWan | kLong,
+     [](Scenario& s, const MatrixOptions& opt) {
+       batched(s, opt, 60 * kMs, 4, 8);
+       cut(s, 0);
+     }},
+    // Reliable-channel cells: the retransmitting substrate under the faults
+    // that void liveness for bare stacks. With channels armed these are the
+    // FULL property suites — transient loss and healing cuts must be
+    // masked, so validity/agreement bind again (see
+    // withDefaultExpectations).
     // The partition-heal cell graduated to a liveness cell: retransmit
     // timers outlive the 300ms cut, so every copy lost across it is
     // re-sent after the heal and all obligations must be met.
-    Scenario s = makeBase("chan-partition-heal", LatencyPreset::kWan);
-    s.config.stack.reliableChannels = true;
-    s.partitions.push_back(
-        PartitionSpec{GroupSet::single(0), 150 * kMs, 450 * kMs});
-    s.runUntil = v2Horizon;
-    s.withDefaultExpectations();
-    out.push_back(std::move(s));
-  }
-  // iid per-copy wire loss at 1%, 5%, and 10%: the classic lossy-WAN
-  // regime. Without channels these rates would void liveness (a lost copy
-  // is gone for good); with them the selective-repeat hole requests and
-  // retransmit deadlines must recover every gap, so the full suite applies
-  // at every rate.
-  for (double lossP : {0.01, 0.05, 0.10}) {
-    std::string tag = "chan-loss-p";  // append: GCC 12 -Wrestrict
-    tag += std::to_string(static_cast<int>(lossP * 100 + 0.5));
-    Scenario s = makeBase(tag.c_str(), LatencyPreset::kWan);
-    s.config.stack.reliableChannels = true;
-    s.config.lossRate = lossP;
-    s.runUntil = v2Horizon;
-    s.withDefaultExpectations();
-    s.expect.minDeliveries = 1;
-    out.push_back(std::move(s));
-  }
-  if (traits.toleratesCrashes) {
+    {"chan-partition-heal", kWan | kChannels | kLong,
+     [](Scenario& s, const MatrixOptions&) { cut(s, 0); }},
+    // iid per-copy wire loss at 1%, 5%, and 10%: the classic lossy-WAN
+    // regime. Without channels these rates would void liveness (a lost copy
+    // is gone for good); with them the selective-repeat hole requests and
+    // retransmit deadlines must recover every gap, so the full suite applies
+    // at every rate.
+    {"chan-loss-p1", kWan | kChannels | kLong | kFloor,
+     [](Scenario& s, const MatrixOptions&) { s.config.lossRate = 0.01; }},
+    {"chan-loss-p5", kWan | kChannels | kLong | kFloor,
+     [](Scenario& s, const MatrixOptions&) { s.config.lossRate = 0.05; }},
+    {"chan-loss-p10", kWan | kChannels | kLong | kFloor,
+     [](Scenario& s, const MatrixOptions&) { s.config.lossRate = 0.10; }},
     // Channels x crash-recovery: sequence spaces keyed by both endpoints'
     // incarnations are what keep a recovered endpoint from replaying its
     // dead incarnation's space. Same script as crash-recover, channels
     // armed.
-    Scenario s = makeBase("chan-crash-recover", LatencyPreset::kWan);
-    s.config.stack.reliableChannels = true;
-    s.crashes.push_back(CrashSpec{1, 200 * kMs});
-    s.recoveries.push_back(RecoverSpec{1, 500 * kMs});
-    s.workload->count = opt.casts + 4;  // arrivals past the recovery
-    s.runUntil = v2Horizon;
-    s.withDefaultExpectations();
-    out.push_back(std::move(s));
-  }
+    {"chan-crash-recover", kWan | kCrashes | kDownAndBack | kChannels | kLong,
+     nullptr},
+    // Bootstrap cells: the state-transfer plane armed. Recovered processes
+    // now REJOIN — traitsOf(kind, armed) flips recoveredRejoins for every
+    // stack, so these are the cells where checkRecoveredDelivery binds
+    // across the whole protocol zoo, not just the two natural rejoiners.
+    // The crash-recover script with the plane armed: the rejoiner must
+    // deliver everything cast after its recovery.
+    {"boot-crash-recover", kWan | kCrashes | kDownAndBack | kBootstrap | kLong,
+     nullptr},
+    // Partition + recovery, with BOTH substrates armed: retransmission
+    // masks the healing cut (liveness binds again, unlike the bare
+    // partition-recover cell), then a crash+rejoin runs on the healed
+    // network, so the transferred state spans the partition era. The
+    // crash sits well past the heal: a victim that dies while its
+    // partition-dropped copies are still on the ARQ's backed-off retry
+    // schedule loses them forever (its channel state dies with it),
+    // which non-uniform stacks without a second data path — Sousa02 has
+    // no echo — legitimately cannot mask. The in-partition handshake
+    // path is covered by test_bootstrap.
+    {"boot-partition-recover", kWan | kCrashes | kBootstrap | kChannels | kLong,
+     [](Scenario& s, const MatrixOptions&) {
+       cut(s, 1);
+       downAndBack(s, 1500 * kMs, 1900 * kMs, 20);
+     }},
+    {"churn-open", kWan | kCrashes | kBootstrap | kLong | kFloor, churnOpen},
+    {"churn-open-hb",
+     kWan | kCrashes | kBootstrap | kHeartbeat | kLong | kFloor, churnOpen},
+};
 
-  // Bootstrap cells (PR 9, appended so every earlier cell keeps its name
-  // and fingerprint): the state-transfer plane armed. Recovered processes
-  // now REJOIN — traitsOf(kind, armed) flips recoveredRejoins for every
-  // stack, so these are the cells where checkRecoveredDelivery binds
-  // across the whole protocol zoo, not just the two natural rejoiners.
-  if (traits.toleratesCrashes) {
-    {
-      // The crash-recover script with the plane armed: the rejoiner must
-      // deliver everything cast after its recovery.
-      Scenario s = makeBase("boot-crash-recover", LatencyPreset::kWan);
-      s.config.stack.bootstrap.armed = true;
-      s.crashes.push_back(CrashSpec{1, 200 * kMs});
-      s.recoveries.push_back(RecoverSpec{1, 500 * kMs});
-      s.workload->count = opt.casts + 4;  // arrivals past the recovery
-      s.runUntil = v2Horizon;
+}  // namespace
+
+std::vector<Scenario> standardFaultMatrix(core::ProtocolKind kind,
+                                          const MatrixOptions& opt) {
+  const bool toleratesCrashes = traitsOf(kind).toleratesCrashes;
+  std::vector<Scenario> out;
+  for (const CellKind& k : kCellKinds) {
+    if ((k.flags & kCrashes) != 0 && !toleratesCrashes) continue;
+    for (size_t i = 0; i < std::size(kPresets); ++i) {
+      if ((k.flags & (1u << i)) == 0) continue;
+      Scenario s;
+      s.name = core::protocolName(kind);  // built by append: avoids the
+      s.name += "/";                      // GCC 12 -Wrestrict false
+      s.name += k.tag;                    // positive on chained operator+
+      s.name += "/";
+      s.name += latencyPresetName(kPresets[i]);
+      s.config.groups = opt.groups;
+      s.config.procsPerGroup = opt.procsPerGroup;
+      s.config.protocol = kind;
+      s.config.seed = opt.firstSeed;
+      if ((k.flags & kHeartbeat) != 0)
+        s.config.stack.fdKind = fd::FdKind::kHeartbeat;
+      s.config.stack.reliableChannels = (k.flags & kChannels) != 0;
+      s.config.stack.bootstrap.armed = (k.flags & kBootstrap) != 0;
+      s.latency = kPresets[i];
+      s.workload = workload::Spec::closedLoop(opt.casts, opt.castInterval,
+                                              std::min(2, opt.groups));
+      if ((k.flags & kMinority) != 0) s.randomCrashes = RandomCrashes{};
+      if ((k.flags & kDownAndBack) != 0)
+        downAndBack(s, 200 * kMs, 500 * kMs, 4);
+      s.runUntil = (k.flags & kLong) != 0 ? 30 * kSec : 900 * kSec;
+      if (k.setup != nullptr) k.setup(s, opt);
       s.withDefaultExpectations();
-      out.push_back(std::move(s));
-    }
-    {
-      // Partition + recovery, with BOTH substrates armed: retransmission
-      // masks the healing cut (liveness binds again, unlike the bare
-      // partition-recover cell), then a crash+rejoin runs on the healed
-      // network, so the transferred state spans the partition era. The
-      // crash sits well past the heal: a victim that dies while its
-      // partition-dropped copies are still on the ARQ's backed-off retry
-      // schedule loses them forever (its channel state dies with it),
-      // which non-uniform stacks without a second data path — Sousa02 has
-      // no echo — legitimately cannot mask. The in-partition handshake
-      // path is covered by test_bootstrap.
-      Scenario s = makeBase("boot-partition-recover", LatencyPreset::kWan);
-      s.config.stack.bootstrap.armed = true;
-      s.config.stack.reliableChannels = true;
-      s.partitions.push_back(
-          PartitionSpec{GroupSet::single(1), 150 * kMs, 450 * kMs});
-      s.crashes.push_back(CrashSpec{1, 1500 * kMs});
-      s.recoveries.push_back(RecoverSpec{1, 1900 * kMs});
-      s.workload->count = opt.casts + 20;  // arrivals past the recovery
-      s.runUntil = v2Horizon;
-      s.withDefaultExpectations();
-      out.push_back(std::move(s));
-    }
-    // Long-horizon churn: seed-derived crash+recover cycles marching
-    // through the membership while open-loop Poisson arrivals keep the
-    // protocol under load — every victim must rejoin mid-traffic, cycle
-    // after cycle, under the oracle and the heartbeat detector alike.
-    // Arrivals are stretched to span the whole churn window (a cycle
-    // every 2.5s for ~15s), not front-loaded like the closed-loop cells.
-    for (bool hb : {false, true}) {
-      Scenario s = makeBase(hb ? "churn-open-hb" : "churn-open",
-                            LatencyPreset::kWan);
-      if (hb) s.config.stack.fdKind = fd::FdKind::kHeartbeat;
-      s.config.stack.bootstrap.armed = true;
-      s.churn = ChurnSpec{};
-      s.workload->model = workload::Model::kOpenLoopPoisson;
-      s.workload->meanGap = 600 * kMs;
-      s.workload->count = opt.casts + 20;
-      s.runUntil = v2Horizon;
-      s.withDefaultExpectations();
-      s.expect.minDeliveries = 1;
+      if ((k.flags & kFloor) != 0) s.expect.minDeliveries = 1;
       out.push_back(std::move(s));
     }
   }
-
   return out;
 }
 

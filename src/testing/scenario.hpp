@@ -105,32 +105,17 @@ struct PartitionSpec {
   SimTime until = kTimeNever;
 };
 
-// Seed-derived partition plan: `count` healing partitions, each cutting
-// one random group for a duration in [durMin, durMax], starting within
-// [earliest, latest].
-struct RandomPartitions {
-  int count = 1;
-  SimTime earliest = 100 * kMs;
-  SimTime latest = 800 * kMs;
-  SimTime durMin = 150 * kMs;
-  SimTime durMax = 400 * kMs;
-  uint64_t salt = 0x9a27;  // folded with the scenario seed
-};
-
 // Declarative message-drop rule. A packet is dropped when EVERY restriction
-// matches and the (deterministic) coin comes up under `probability`.
-// Unset fields match anything.
+// matches and the (deterministic) coin comes up under `probability`; each
+// rule's coin stream is forked from the scenario seed. Unset fields match
+// anything.
 struct DropSpec {
   std::optional<Layer> layer;       // only packets of this layer
-  ProcessId from = kNoProcess;      // only packets sent by this process
-  ProcessId to = kNoProcess;        // only packets to this process
-  GroupId fromGroup = kNoGroup;     // only packets leaving this group
   GroupId toGroup = kNoGroup;       // only packets entering this group
   bool interGroupOnly = false;      // only packets crossing a group border
   SimTime activeFrom = 0;           // drop window start (inclusive)
   SimTime activeUntil = kTimeNever; // drop window end (exclusive)
   double probability = 1.0;         // drop chance per matching packet
-  uint64_t salt = 0xd309;           // folded with the scenario seed
 };
 
 // Materialize a random crash plan against a topology. Exposed so tests can
@@ -143,10 +128,6 @@ struct DropSpec {
 [[nodiscard]] std::vector<RecoverSpec> materializeRecoveries(
     const std::vector<CrashSpec>& crashes, const RandomRecoveries& plan,
     uint64_t seed);
-
-// Materialize a random partition plan against a topology.
-[[nodiscard]] std::vector<PartitionSpec> materializePartitions(
-    const Topology& topo, const RandomPartitions& plan, uint64_t seed);
 
 // Materialize a churn plan against a topology: paired crash and recovery
 // schedules of equal length, in cycle order. Exposed for determinism tests.
@@ -172,31 +153,24 @@ struct PropertyExpectations {
   // addressees all delivered (verify::checkRecoveredDelivery) — only
   // sound for protocols whose traits say recoveredRejoins.
   bool checkRecoveredDelivery = false;
-  std::optional<SimTime> quiescenceBudget;  // if set, check quiescence
   size_t minDeliveries = 0;     // sanity floor: the run must not stall flat
 };
 
-// Per-protocol capabilities, used to pick sound expectations and to skip
-// scenarios a protocol was never designed for (Skeen87 is failure-free).
-struct ProtocolTraits {
-  bool toleratesCrashes = true;
-  bool uniform = true;    // uniform agreement under crashes
-  bool genuine = true;    // only sender+addressees participate
-  // Does an amnesiac recovered process re-integrate far enough to deliver
-  // NEW messages (those cast after its recovery)? Protocols that gate
-  // delivery on state the dead incarnation held (sequencer epochs, merge
-  // frontiers, missed consensus instances) do not; set from observed
-  // behavior under the recover matrix cells. With the bootstrap plane
-  // armed (StackConfig::bootstrap) the state transfer closes exactly that
-  // gap, so EVERY stack rejoins — pass bootstrapArmed to traitsOf.
-  bool recoveredRejoins = false;
-};
-[[nodiscard]] ProtocolTraits traitsOf(core::ProtocolKind kind,
-                                      bool bootstrapArmed = false);
+// The roster's traits for `kind` (core::kProtocols). With the bootstrap
+// plane armed, recoveredRejoins holds for every stack.
+[[nodiscard]] core::ProtocolTraits traitsOf(core::ProtocolKind kind,
+                                            bool bootstrapArmed = false);
 
 // Short identifier-safe protocol name for parameterized gtest suites
 // (core::protocolName contains spaces/brackets, which gtest rejects).
-[[nodiscard]] const char* protocolTestName(core::ProtocolKind kind);
+[[nodiscard]] inline const char* protocolTestName(core::ProtocolKind kind) {
+  return core::protocolInfo(kind).testName;
+}
+
+// The roster's stacks in ProtocolKind order: all of them, or only those
+// whose traits tolerate crashes. For suites parameterized over stacks.
+[[nodiscard]] std::vector<core::ProtocolKind> allProtocols();
+[[nodiscard]] std::vector<core::ProtocolKind> crashTolerantProtocols();
 
 // Sound default expectations for `kind` in a run with/without crashes/drops.
 [[nodiscard]] PropertyExpectations defaultExpectations(
@@ -229,7 +203,6 @@ struct Scenario {
   std::optional<RandomRecoveries> randomRecoveries;  // + seed-derived
   std::optional<ChurnSpec> churn;           // + seed-derived churn cycles
   std::vector<PartitionSpec> partitions;    // scripted partition windows
-  std::optional<RandomPartitions> randomPartitions;  // + seed-derived
   std::vector<DropSpec> drops;
   SimTime runUntil = 600 * kSec;
   PropertyExpectations expect{};
@@ -245,7 +218,6 @@ struct ScenarioResult {
   core::RunResult run;
   std::vector<CrashSpec> effectiveCrashes;  // scripted + materialized
   std::vector<RecoverSpec> effectiveRecoveries;
-  std::vector<PartitionSpec> effectivePartitions;
   verify::Violations violations;
   std::string fingerprint;  // canonical trace serialization
 
@@ -304,11 +276,16 @@ struct MatrixOptions {
   uint64_t firstSeed = 1;
 };
 
-// Builds the standard scenario matrix for `kind`: failure-free LAN/WAN/
-// mixed runs, minority-crash runs, sender-crash runs, targeted and
-// probabilistic drop runs — each swept over seedsPerCell seeds, with
-// expectations derived from the protocol's traits. Scenarios a protocol
-// cannot meet (crashes for Skeen87) are omitted.
+// Builds the standard scenario matrix for `kind` from the cell-kind table
+// in scenario.cpp. Each row is one tag: the trait that gates it, its
+// latency presets and its axis settings (crash scripts, drops, partitions,
+// workload shape, heartbeat FD, batching, reliable channels, bootstrap,
+// churn). A row yields one scenario per preset, in table order, named
+// "<protocolName>/<tag>/<preset>", with expectations derived from the
+// stack's traits; rows that crash processes are skipped for stacks that do
+// not tolerate crashes (Skeen87, DetMerge00). A new cell kind is one row
+// appended at the end of the table, so every earlier cell keeps its name
+// and fingerprint. runStandardMatrix sweeps each over seedsPerCell seeds.
 [[nodiscard]] std::vector<Scenario> standardFaultMatrix(
     core::ProtocolKind kind, const MatrixOptions& opt = {});
 

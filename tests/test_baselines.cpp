@@ -88,12 +88,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(ProtocolKind::kFritzke98, ProtocolKind::kDelporte00,
                       ProtocolKind::kRodrigues98, ProtocolKind::kViaBcast),
     [](const auto& info) {
-      switch (info.param) {
-        case ProtocolKind::kFritzke98: return "Fritzke98";
-        case ProtocolKind::kDelporte00: return "Delporte00";
-        case ProtocolKind::kRodrigues98: return "Rodrigues98";
-        default: return "ViaBcast";
-      }
+      return wanmc::testing::protocolTestName(info.param);
     });
 
 // ---------------------------------------------------------------------------

@@ -108,11 +108,7 @@ TEST_P(RejoinSmoke, RecoveredProcessRejoins) {
 
 INSTANTIATE_TEST_SUITE_P(
     Protocols, RejoinSmoke,
-    ::testing::Values(ProtocolKind::kA1, ProtocolKind::kFritzke98,
-                      ProtocolKind::kDelporte00, ProtocolKind::kRodrigues98,
-                      ProtocolKind::kViaBcast, ProtocolKind::kSkeen87,
-                      ProtocolKind::kA2, ProtocolKind::kSousa02,
-                      ProtocolKind::kVicente02, ProtocolKind::kDetMerge00),
+    ::testing::ValuesIn(wanmc::testing::allProtocols()),
     [](const auto& info) {
       return wanmc::testing::protocolTestName(info.param);
     });

@@ -32,8 +32,7 @@ std::optional<testing::Scenario> failureFreeCell(ProtocolKind kind) {
     const bool faulty = !s.crashes.empty() || s.randomCrashes.has_value() ||
                         !s.recoveries.empty() ||
                         s.randomRecoveries.has_value() || s.churn.has_value() ||
-                        !s.partitions.empty() ||
-                        s.randomPartitions.has_value() || !s.drops.empty();
+                        !s.partitions.empty() || !s.drops.empty();
     if (!faulty) return std::move(s);
   }
   return std::nullopt;
@@ -74,11 +73,7 @@ TEST_P(ExecBackends, FailureFreeCellHoldsOnBothBackends) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllProtocols, ExecBackends,
-    ::testing::Values(ProtocolKind::kA1, ProtocolKind::kFritzke98,
-                      ProtocolKind::kDelporte00, ProtocolKind::kRodrigues98,
-                      ProtocolKind::kViaBcast, ProtocolKind::kSkeen87,
-                      ProtocolKind::kA2, ProtocolKind::kSousa02,
-                      ProtocolKind::kVicente02, ProtocolKind::kDetMerge00),
+    ::testing::ValuesIn(wanmc::testing::allProtocols()),
     [](const auto& info) {
       return wanmc::testing::protocolTestName(info.param);
     });

@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <set>
 #include <sstream>
 
 #include "core/experiment.hpp"
 #include "core/export.hpp"
+#include "core/run_options.hpp"
+#include "testing/scenario.hpp"
 
 namespace wanmc {
 namespace {
@@ -169,16 +172,28 @@ TEST(ExperimentApi, RunMoreAccumulates) {
   EXPECT_EQ(r2.trace.deliveries.size(), 8u);
 }
 
+// The protocol roster: every row sits at its kind's index, every CLI key
+// round-trips, and the keys, test names and cited names are each unique.
 TEST(ExperimentApi, ProtocolNamesAreUnique) {
-  std::set<std::string> names;
-  for (auto kind :
-       {ProtocolKind::kA1, ProtocolKind::kFritzke98,
-        ProtocolKind::kDelporte00, ProtocolKind::kRodrigues98,
-        ProtocolKind::kViaBcast, ProtocolKind::kSkeen87, ProtocolKind::kA2,
-        ProtocolKind::kSousa02, ProtocolKind::kVicente02,
-        ProtocolKind::kDetMerge00})
-    names.insert(core::protocolName(kind));
-  EXPECT_EQ(names.size(), 10u);
+  std::set<std::string> keys;
+  std::set<std::string> testNames;
+  std::set<std::string> cited;
+  for (size_t i = 0; i < std::size(core::kProtocols); ++i) {
+    const core::ProtocolInfo& p = core::kProtocols[i];
+    // Row i holds enumerator i, so protocolInfo's indexing is sound.
+    EXPECT_EQ(static_cast<size_t>(p.kind), i) << p.key;
+    EXPECT_EQ(&core::protocolInfo(p.kind), &p) << p.key;
+    EXPECT_EQ(core::protocolFromName(p.key), p.kind) << p.key;
+    keys.insert(p.key);
+    testNames.insert(p.testName);
+    cited.insert(p.cited);
+  }
+  EXPECT_EQ(keys.size(), std::size(core::kProtocols));
+  EXPECT_EQ(testNames.size(), std::size(core::kProtocols));
+  EXPECT_EQ(cited.size(), std::size(core::kProtocols));
+  // The name inside the golden fingerprint and paper-table keys.
+  EXPECT_STREQ(wanmc::testing::protocolTestName(ProtocolKind::kDelporte00),
+               "Ring");
 }
 
 TEST(ExperimentApi, CrashedSetReflectedInResult) {

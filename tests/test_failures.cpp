@@ -179,10 +179,7 @@ TEST_P(CrashSweep, RandomMinorityCrashesStaySafe) {
 
 INSTANTIATE_TEST_SUITE_P(
     Protocols, CrashSweep,
-    ::testing::Values(ProtocolKind::kA1, ProtocolKind::kA2,
-                      ProtocolKind::kFritzke98, ProtocolKind::kDelporte00,
-                      ProtocolKind::kRodrigues98, ProtocolKind::kViaBcast,
-                      ProtocolKind::kSousa02, ProtocolKind::kVicente02),
+    ::testing::ValuesIn(wanmc::testing::crashTolerantProtocols()),
     [](const auto& info) {
       return wanmc::testing::protocolTestName(info.param);
     });

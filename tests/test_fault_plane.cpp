@@ -368,7 +368,6 @@ TEST(RecoverySemantics, NoObligationAfterASecondCrash) {
 // ---------------------------------------------------------------------------
 
 TEST(ScenarioFaultPlane, MaterializersAreDeterministic) {
-  Topology topo(3, 3);
   std::vector<testing::CrashSpec> crashes{{1, 100 * kMs}, {4, 200 * kMs}};
   testing::RandomRecoveries rr;
   auto a = materializeRecoveries(crashes, rr, 7);
@@ -382,17 +381,6 @@ TEST(ScenarioFaultPlane, MaterializersAreDeterministic) {
     EXPECT_LE(a[i].when, crashes[i].when + rr.delayMax);
   }
   EXPECT_NE(materializeRecoveries(crashes, rr, 8)[0].when, a[0].when);
-
-  testing::RandomPartitions rp;
-  auto pa = materializePartitions(topo, rp, 7);
-  auto pb = materializePartitions(topo, rp, 7);
-  ASSERT_EQ(pa.size(), 1u);
-  EXPECT_EQ(pa[0].side.bits(), pb[0].side.bits());
-  EXPECT_EQ(pa[0].from, pb[0].from);
-  EXPECT_EQ(pa[0].until, pb[0].until);
-  EXPECT_GT(pa[0].until, pa[0].from);
-  // A single-group topology has no far side to cut.
-  EXPECT_TRUE(materializePartitions(Topology(1, 3), rp, 7).empty());
 }
 
 TEST(ScenarioFaultPlane, FingerprintPinsRecoveryAndPartitionEvents) {
@@ -417,7 +405,6 @@ TEST(ScenarioFaultPlane, FingerprintPinsRecoveryAndPartitionEvents) {
   EXPECT_NE(r1.fingerprint.find("P cut s2 t200000"), std::string::npos);
   EXPECT_NE(r1.fingerprint.find("P heal s2 t350000"), std::string::npos);
   EXPECT_EQ(r1.effectiveRecoveries.size(), 1u);
-  EXPECT_EQ(r1.effectivePartitions.size(), 1u);
 }
 
 }  // namespace

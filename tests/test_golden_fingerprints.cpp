@@ -21,26 +21,17 @@
 namespace wanmc {
 namespace {
 
-using core::ProtocolKind;
 using wanmc::testing::MatrixOptions;
 using wanmc::testing::ScenarioResult;
-
-constexpr ProtocolKind kAllProtocols[] = {
-    ProtocolKind::kA1,        ProtocolKind::kFritzke98,
-    ProtocolKind::kDelporte00, ProtocolKind::kRodrigues98,
-    ProtocolKind::kViaBcast,  ProtocolKind::kSkeen87,
-    ProtocolKind::kA2,        ProtocolKind::kSousa02,
-    ProtocolKind::kVicente02, ProtocolKind::kDetMerge00,
-};
 
 // name+seed -> fingerprint hash, over the full standard matrix.
 std::map<std::string, uint64_t> computeAll() {
   std::map<std::string, uint64_t> out;
-  for (ProtocolKind kind : kAllProtocols) {
+  for (const core::ProtocolInfo& p : core::kProtocols) {
     MatrixOptions opt;
-    for (const ScenarioResult& r : runStandardMatrix(kind, opt)) {
+    for (const ScenarioResult& r : runStandardMatrix(p.kind, opt)) {
       std::ostringstream key;
-      key << wanmc::testing::protocolTestName(kind) << "|" << r.name;
+      key << p.testName << "|" << r.name;
       out[key.str()] = wanmc::testing::fnv1a64(r.fingerprint);
     }
   }

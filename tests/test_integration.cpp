@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.hpp"
+#include "testing/scenario.hpp"
 #include "workload/generator.hpp"
 
 namespace wanmc {
@@ -53,25 +54,9 @@ TEST_P(AllProtocols, DeterministicAcrossReruns) {
 
 INSTANTIATE_TEST_SUITE_P(
     Kinds, AllProtocols,
-    ::testing::Values(ProtocolKind::kA1, ProtocolKind::kFritzke98,
-                      ProtocolKind::kDelporte00, ProtocolKind::kRodrigues98,
-                      ProtocolKind::kSkeen87, ProtocolKind::kViaBcast,
-                      ProtocolKind::kA2, ProtocolKind::kSousa02,
-                      ProtocolKind::kVicente02, ProtocolKind::kDetMerge00),
+    ::testing::ValuesIn(wanmc::testing::allProtocols()),
     [](const auto& info) {
-      switch (info.param) {
-        case ProtocolKind::kA1: return "A1";
-        case ProtocolKind::kFritzke98: return "Fritzke98";
-        case ProtocolKind::kDelporte00: return "Delporte00";
-        case ProtocolKind::kRodrigues98: return "Rodrigues98";
-        case ProtocolKind::kViaBcast: return "ViaBcast";
-        case ProtocolKind::kA2: return "A2";
-        case ProtocolKind::kSousa02: return "Sousa02";
-        case ProtocolKind::kVicente02: return "Vicente02";
-        case ProtocolKind::kDetMerge00: return "DetMerge00";
-        case ProtocolKind::kSkeen87: return "Skeen87";
-      }
-      return "Unknown";
+      return wanmc::testing::protocolTestName(info.param);
     });
 
 // ---------------------------------------------------------------------------

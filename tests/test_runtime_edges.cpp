@@ -1,8 +1,8 @@
 // Edge-case tests for the runtime's batch-send semantics (the paper's
 // one-event-per-multicast clock rule), for starting a runtime that lacks a
-// node (both backends), for timer cancellation on the threaded backend,
-// and for consensus corner cases that the protocol-level tests exercise
-// only indirectly.
+// node (both backends), for timer cancellation and back-pressure on the
+// threaded backend, and for consensus corner cases that the protocol-level
+// tests exercise only indirectly.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -162,6 +162,45 @@ TEST(ThreadedTimers, ACallbackCancelsALaterTimerOnItsOwnThread) {
   }));
   rt.stop();
   EXPECT_EQ(probe->fired, (std::vector<int>{1, 5}));
+}
+
+// ---------------------------------------------------------------------------
+// Threaded back-pressure: a process whose push finds the receiver's ring
+// full (4,096 slots) must keep draining its own rings while it waits, or
+// two processes that flood each other wait on each other for ever.
+// ---------------------------------------------------------------------------
+
+class Flooder final : public exec::Process {
+ public:
+  Flooder(exec::Context& ctx, ProcessId pid, int copies,
+          std::atomic<int>& received)
+      : exec::Process(ctx, pid), copies_(copies), received_(received) {}
+  void onStart() override {
+    const PayloadPtr p = std::make_shared<const TagPayload>(pid());
+    for (int i = 0; i < copies_; ++i) send(1 - pid(), p);
+  }
+  void onMessage(ProcessId, const PayloadPtr&) override {
+    received_.fetch_add(1, std::memory_order_relaxed);
+  }
+
+ private:
+  int copies_;
+  std::atomic<int>& received_;
+};
+
+TEST(ThreadedBackpressure, TwoProcessesFloodingEachOtherFromOnStartFinish) {
+  constexpr int kCopies = 20000;  // each way, about five rings' worth
+  std::atomic<int> received{0};
+  exec::ThreadedRuntime rt(Topology(1, 2),
+                           sim::LatencyModel::fixed(100, kMs), 1);
+  for (ProcessId p = 0; p < 2; ++p)
+    rt.attach(p, std::make_unique<Flooder>(rt, p, kCopies, received));
+  rt.start();
+  EXPECT_TRUE(rt.run(10 * kSec, [&received] {
+    return received.load(std::memory_order_relaxed) == 2 * kCopies;
+  }));
+  rt.stop();
+  EXPECT_EQ(received.load(), 2 * kCopies);
 }
 
 // ---------------------------------------------------------------------------

@@ -44,11 +44,7 @@ TEST_P(ScenarioMatrix, EveryCellIsReproducible) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllProtocols, ScenarioMatrix,
-    ::testing::Values(ProtocolKind::kA1, ProtocolKind::kFritzke98,
-                      ProtocolKind::kDelporte00, ProtocolKind::kRodrigues98,
-                      ProtocolKind::kViaBcast, ProtocolKind::kSkeen87,
-                      ProtocolKind::kA2, ProtocolKind::kSousa02,
-                      ProtocolKind::kVicente02, ProtocolKind::kDetMerge00),
+    ::testing::ValuesIn(wanmc::testing::allProtocols()),
     [](const auto& info) {
       return wanmc::testing::protocolTestName(info.param);
     });
@@ -82,10 +78,7 @@ TEST_P(LossPlusCrash, SenderCrashUnderLossKeepsTheSuite) {
 
 INSTANTIATE_TEST_SUITE_P(
     CrashTolerantStacks, LossPlusCrash,
-    ::testing::Values(ProtocolKind::kA1, ProtocolKind::kFritzke98,
-                      ProtocolKind::kDelporte00, ProtocolKind::kRodrigues98,
-                      ProtocolKind::kViaBcast, ProtocolKind::kA2,
-                      ProtocolKind::kSousa02, ProtocolKind::kVicente02),
+    ::testing::ValuesIn(wanmc::testing::crashTolerantProtocols()),
     [](const auto& info) {
       return wanmc::testing::protocolTestName(info.param);
     });

@@ -71,11 +71,7 @@ TEST(ParallelSweep, MatchesSerialSweepByteForByte) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllProtocols, SeedSweep,
-    ::testing::Values(ProtocolKind::kA1, ProtocolKind::kFritzke98,
-                      ProtocolKind::kDelporte00, ProtocolKind::kRodrigues98,
-                      ProtocolKind::kViaBcast, ProtocolKind::kSkeen87,
-                      ProtocolKind::kA2, ProtocolKind::kSousa02,
-                      ProtocolKind::kVicente02, ProtocolKind::kDetMerge00),
+    ::testing::ValuesIn(wanmc::testing::allProtocols()),
     [](const auto& info) {
       return wanmc::testing::protocolTestName(info.param);
     });

@@ -24,18 +24,9 @@
 namespace wanmc {
 namespace {
 
-using core::ProtocolKind;
 using testing::MatrixOptions;
 using testing::ScenarioResult;
 using verify::Violations;
-
-constexpr ProtocolKind kAllProtocols[] = {
-    ProtocolKind::kA1,        ProtocolKind::kFritzke98,
-    ProtocolKind::kDelporte00, ProtocolKind::kRodrigues98,
-    ProtocolKind::kViaBcast,  ProtocolKind::kSkeen87,
-    ProtocolKind::kA2,        ProtocolKind::kSousa02,
-    ProtocolKind::kVicente02, ProtocolKind::kDetMerge00,
-};
 
 // Every trace checker's verdict on `ctx` against its oracle, and the whole
 // suite (whose checks share one delivery table) against the oracles'
@@ -154,9 +145,9 @@ std::vector<Mutant> mutantsOf(const core::RunResult& r, uint64_t seed) {
 
 TEST(StreamingOrder, MatchesTraceCheckersOnFullStandardMatrix) {
   uint64_t cell = 0;
-  for (ProtocolKind kind : kAllProtocols) {
+  for (const core::ProtocolInfo& p : core::kProtocols) {
     for (const ScenarioResult& res :
-         runStandardMatrix(kind, MatrixOptions{})) {
+         runStandardMatrix(p.kind, MatrixOptions{})) {
       expectMatchesOracle(res.run.checkContext(), res.name);
       for (const Mutant& m : mutantsOf(res.run, ++cell))
         expectMatchesOracle(

@@ -48,6 +48,12 @@ Rules
                          the sim-only observer plane (src/metrics/,
                          src/verify/) and the harness (src/testing/,
                          tests/, examples/, bench/) are out of scope.
+  D7  one-roster         No `case ProtocolKind::` outside the protocol
+                         roster's files (src/core/experiment.*). A stack's
+                         names and traits are one row of core::kProtocols;
+                         code that needs them reads the row or iterates the
+                         roster. makeNode, next to the roster, is the one
+                         switch that names concrete node classes.
 
 Suppression
 -----------
@@ -95,13 +101,15 @@ RULES = {
            "heap allocation inside a WANMC_HOT region"),
     "D6": ("backend-agnostic",
            "concrete backend named outside backend/harness code"),
+    "D7": ("one-roster",
+           "switch over ProtocolKind outside the protocol roster"),
 }
 
 ALLOW_RE = re.compile(
-    r"//\s*wanmc-lint:\s*allow\(\s*(D[1-6])\s*\)\s*(:?\s*(.*))?$")
+    r"//\s*wanmc-lint:\s*allow\(\s*(D[1-7])\s*\)\s*(:?\s*(.*))?$")
 
 # `// expect: D1 D5` directives inside fixture files drive --self-test.
-EXPECT_RE = re.compile(r"//\s*expect:\s*((?:D[1-6]\s*)+)$", re.MULTILINE)
+EXPECT_RE = re.compile(r"//\s*expect:\s*((?:D[1-7]\s*)+)$", re.MULTILINE)
 
 
 @dataclass
@@ -528,6 +536,30 @@ def check_d6(sf: SourceFile) -> list[Finding]:
     return findings
 
 
+D7_CASE_RE = re.compile(r"\bcase\s+(?:\w+\s*::\s*)*ProtocolKind\s*::")
+
+
+def d7_in_scope(path: str) -> bool:
+    """D7 scope: everything but the roster's own files -- the roster
+    (core::kProtocols in experiment.hpp) and makeNode (experiment.cpp)."""
+    stem, _ext = os.path.splitext(path)
+    return stem != "src/core/experiment"
+
+
+def check_d7(sf: SourceFile) -> list[Finding]:
+    if not d7_in_scope(sf.path):
+        return []
+    findings = []
+    for lineno, line in enumerate(sf.code_lines, start=1):
+        if D7_CASE_RE.search(line):
+            findings.append(Finding(
+                sf.path, lineno, "D7",
+                "per-protocol switch outside the roster: a stack's names "
+                "and traits live in one core::kProtocols row; read "
+                "core::protocolInfo(kind) or iterate the roster instead"))
+    return findings
+
+
 # --------------------------------------------------------------------------
 # Driver.
 # --------------------------------------------------------------------------
@@ -584,6 +616,7 @@ def lint_file(path: str, display: str,
     findings += check_d4(sf)
     findings += check_d5(sf)
     findings += check_d6(sf)
+    findings += check_d7(sf)
     findings = apply_suppressions(sf, findings)
     findings.sort(key=lambda f: (f.line, f.rule))
     return findings
@@ -665,6 +698,7 @@ def run_self_test(root: str) -> int:
         findings += check_d4(sf)
         findings += check_d5(sf)
         findings += check_d6(sf)
+        findings += check_d7(sf)
         findings = apply_suppressions(sf, findings)
         got = {f.rule for f in findings}
         if got != expected:
