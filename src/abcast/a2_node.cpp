@@ -15,8 +15,7 @@ A2Node::A2Node(exec::Context& rt, ProcessId pid, const core::StackConfig& cfg)
   rm().onDeliver([this](const AppMsgPtr& m) {
     // Task 2 (lines 6-7).
     if (adelivered_.count(m->id)) return;
-    rdelivered_.insert(m->id);
-    rdeliveredMsgs_[m->id] = m;
+    rdelivered_[m->id] = m;
     tryPropose();
   });
 }
@@ -35,7 +34,7 @@ void A2Node::tryPropose() {
   if (rdelivered_.empty() && K_ > barrier_) return;
   MsgBundle proposal;
   proposal.reserve(rdelivered_.size());
-  for (MsgId id : rdelivered_) proposal.push_back(rdeliveredMsgs_.at(id));
+  for (const auto& [id, m] : rdelivered_) proposal.push_back(m);
   canonicalize(proposal);
   propK_ = K_ + 1;  // line 13
   groupConsensus_->propose(K_, std::move(proposal));
@@ -103,7 +102,6 @@ void A2Node::tryCompleteRound() {
   for (const AppMsgPtr& m : toDeliver) {
     adelivered_.insert(m->id);  // line 20
     rdelivered_.erase(m->id);
-    rdeliveredMsgs_.erase(m->id);
     if (shouldDeliver(*m)) adeliver(m);
   }
 
@@ -126,7 +124,7 @@ void A2Node::tryCompleteRound() {
 
 uint64_t A2Node::BootState::approxBytes() const {
   uint64_t b = 24;  // the three clocks
-  for (const auto& [id, m] : rdeliveredMsgs) b += 40 + m->body.size();
+  for (const auto& [id, m] : rdelivered) b += 40 + m->body.size();
   b += 8 * adelivered.size();
   for (const auto& [r, byGroup] : msgs)
     for (const auto& [g, bundle] : byGroup) b += 16 + 24 * bundle.size();
@@ -142,7 +140,6 @@ std::shared_ptr<bootstrap::ProtocolState> A2Node::snapshotProtocolState()
   s->propK = propK_;
   s->barrier = barrier_;
   s->rdelivered = rdelivered_;
-  s->rdeliveredMsgs = rdeliveredMsgs_;
   s->adelivered = adelivered_;
   s->msgs = msgs_;
   s->decisionBuffer = decisionBuffer_;
@@ -170,19 +167,13 @@ void A2Node::installProtocolState(const bootstrap::Snapshot& snap) {
     // group-consensus decisions and the proposal clock describe the
     // donor's OWN group — only a groupmate's apply here.
     propK_ = std::max(propK_, s->propK);
-    for (const auto& [id, m] : s->rdeliveredMsgs)
-      if (adelivered_.count(id) == 0) {
-        rdelivered_.insert(id);
-        rdeliveredMsgs_[id] = m;
-      }
+    for (const auto& [id, m] : s->rdelivered)
+      if (adelivered_.count(id) == 0) rdelivered_[id] = m;
     for (const auto& [k, v] : s->decisionBuffer) decisionBuffer_.emplace(k, v);
   }
   // Messages R-Delivered during the joining window that the donor already
   // A-Delivered leave the working set: the suffix replay delivers them.
-  for (MsgId id : s->adelivered) {
-    rdelivered_.erase(id);
-    rdeliveredMsgs_.erase(id);
-  }
+  for (MsgId id : s->adelivered) rdelivered_.erase(id);
   // awaitingBundles_ asserts "round K_'s own-group bundle is decided and
   // sits in msgs_[K_][gid()]". The donor's flag speaks about ITS group's
   // slot — adopting it from a cross-group donor would stall drainDecisions

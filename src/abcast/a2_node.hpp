@@ -86,8 +86,7 @@ class A2Node : public core::XcastNode {
     uint64_t K = 1;
     uint64_t propK = 1;
     uint64_t barrier = 0;
-    std::set<MsgId> rdelivered;
-    std::map<MsgId, AppMsgPtr> rdeliveredMsgs;
+    std::map<MsgId, AppMsgPtr> rdelivered;
     std::set<MsgId> adelivered;
     std::map<uint64_t, std::map<GroupId, MsgBundle>> msgs;
     std::map<consensus::Instance, ConsensusValue> decisionBuffer;
@@ -109,8 +108,7 @@ class A2Node : public core::XcastNode {
   uint64_t K_ = 1;
   uint64_t propK_ = 1;
   uint64_t barrier_ = 0;
-  std::set<MsgId> rdelivered_;     // RDELIVERED \ ADELIVERED
-  std::map<MsgId, AppMsgPtr> rdeliveredMsgs_;
+  std::map<MsgId, AppMsgPtr> rdelivered_;  // RDELIVERED \ ADELIVERED, by id
   std::set<MsgId> adelivered_;
   // Msgs: round -> group -> bundle.
   std::map<uint64_t, std::map<GroupId, MsgBundle>> msgs_;

@@ -219,6 +219,14 @@ struct TrafficStats {
     return true;
   }
 
+  TrafficStats& operator+=(const TrafficStats& o) {
+    for (int l = 0; l < kNumLayers; ++l) {
+      perLayer[l].intra += o.perLayer[l].intra;
+      perLayer[l].inter += o.perLayer[l].inter;
+    }
+    return *this;
+  }
+
   Counter& at(Layer l) { return perLayer[static_cast<int>(l)]; }
   [[nodiscard]] const Counter& at(Layer l) const {
     return perLayer[static_cast<int>(l)];

@@ -1,4 +1,5 @@
-// The execution-backend interface: the surface a protocol stack runs on.
+// The execution context a protocol stack runs on, and the host state both
+// backends keep for it.
 //
 // Every protocol node in this repo (the 10 stacks under src/abcast/,
 // src/amcast/, src/rmcast/, src/consensus/, src/fd/) and every plane that
@@ -16,11 +17,21 @@
 //                           Scheduler per thread for its timers — the
 //                           calibration backend;
 //
-// implement the same contract, so protocol code is compiled once and runs
-// unmodified on either. Backend-agnostic code must not name sim::Runtime
-// or the Scheduler directly (lint rule D6 enforces this).
+// derive from it, so protocol code is compiled once and runs unmodified on
+// either. Context is a base class, not a pure interface: it owns, once for
+// both backends, what a host keeps per process — the node, its
+// incarnation and crash flags, the paper's §2.3 modified Lamport clock,
+// the §2.2 participation flags, per-layer traffic counters and the
+// delivery order — plus the topology, the latency model, the payload
+// arena, the incarnation-owned crash/recovery listeners and the timer
+// guard. A backend supplies only what differs: the clock, the event
+// queues, the transport and trace storage. Backend-agnostic code must not
+// name sim::Runtime or the Scheduler directly (lint rule D6 enforces
+// this).
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <functional>
@@ -126,14 +137,14 @@ class ChannelHook {
 };
 
 // The callable crossing the Context timer boundary. The inline buffer is
-// sized so that the sim backend's incarnation guard (pointer + pid +
-// incarnation + SmallFn = 56 bytes) still fits the scheduler's 56-byte
-// inline event pool: routine protocol timers — which capture `this` plus a
-// few ids — stay allocation-free end to end. Larger captures fall back to
-// one heap allocation.
+// sized so that the incarnation guard both backends wrap a timer in
+// (Context::TimerGuard: pointer + pid + incarnation + SmallFn = 56 bytes)
+// still fits the scheduler's 56-byte inline event pool: routine protocol
+// timers — which capture `this` plus a few ids — stay allocation-free end
+// to end. Larger captures fall back to one heap allocation.
 using SmallFn = InlineFn<32, alignof(void*)>;
 static_assert(sizeof(SmallFn) == SmallFn::kInlineSize + sizeof(void*),
-              "SmallFn layout drifted: the sim timer guard is sized to the "
+              "SmallFn layout drifted: the timer guard is sized to the "
               "scheduler's inline event pool");
 
 class Process;
@@ -149,14 +160,24 @@ class Process;
 //   harness surface  attach/node, harnessAt/post, trace/traffic harvest —
 //                    reserved for the driver (core::Experiment and the
 //                    workload generator), never for protocol code.
+//
+// The virtual members are the backend's part; everything else is answered
+// from the host state kept here.
 class Context {
  public:
-  virtual ~Context() = default;
+  // Throws std::invalid_argument on an invalid latency model. The payload
+  // arena locks its free lists when `threadSafeArena` holds, for backends
+  // that release a payload on another thread than the one that built it.
+  Context(Topology topo, LatencyModel latency, bool threadSafeArena);
+  virtual ~Context();
+
+  Context(const Context&) = delete;
+  Context& operator=(const Context&) = delete;
 
   // ---- node surface: time, topology, transport ----------------------------
 
   [[nodiscard]] virtual SimTime now() const = 0;
-  [[nodiscard]] virtual const Topology& topology() const = 0;
+  [[nodiscard]] const Topology& topology() const { return topo_; }
 
   // Sends one payload to many destinations as a SINGLE send event: the
   // sender's Lamport clock ticks once (iff any destination is in another
@@ -180,32 +201,40 @@ class Context {
   // execution context (the sim scheduler / the process's thread).
   template <class F>
   EventId timer(ProcessId pid, SimTime delay, F&& fn) {
-    return scheduleTimer(pid, delay, SmallFn(std::forward<F>(fn)));
+    return scheduleTimer(
+        pid, delay,
+        TimerGuard{this, pid, incarnation(pid), SmallFn(std::forward<F>(fn))});
   }
   virtual void cancelTimer(EventId id) = 0;
 
   // ---- node surface: failures and incarnations -----------------------------
 
-  [[nodiscard]] virtual bool crashed(ProcessId pid) const = 0;
-  [[nodiscard]] virtual uint32_t incarnation(ProcessId pid) const = 0;
-  [[nodiscard]] virtual int aliveInGroup(GroupId g) const = 0;
+  [[nodiscard]] bool crashed(ProcessId pid) const { return at(pid).crashed; }
+  [[nodiscard]] uint32_t incarnation(ProcessId pid) const {
+    return at(pid).incarnation;
+  }
 
   // Registers a callback fired whenever a process crashes. `owner` is the
   // process hosting the listener (the oracle failure detector registers
   // one per process): listeners die with their owner's incarnation, so a
   // recovered process's FRESH detector is the only one still listening.
-  virtual void addCrashListener(ProcessId owner,
-                                std::function<void(ProcessId)> fn) = 0;
+  void addCrashListener(ProcessId owner, std::function<void(ProcessId)> fn) {
+    crashListeners_.push_back({owner, incarnation(owner), std::move(fn)});
+  }
   // Same contract, fired whenever a process RECOVERS (after the fresh node
   // is attached and before its onStart). Used for suspicion retraction.
-  virtual void addRecoveryListener(ProcessId owner,
-                                   std::function<void(ProcessId)> fn) = 0;
+  void addRecoveryListener(ProcessId owner,
+                           std::function<void(ProcessId)> fn) {
+    recoveryListeners_.push_back({owner, incarnation(owner), std::move(fn)});
+  }
 
   // ---- node surface: modified Lamport-clock instrumentation ---------------
 
   // Current modified-Lamport clock value of `pid` (paper §2.3: only
   // inter-group sends tick it; receives jump to max(LC, sendTs)).
-  [[nodiscard]] virtual uint64_t lamport(ProcessId pid) const = 0;
+  [[nodiscard]] uint64_t lamport(ProcessId pid) const {
+    return at(pid).lamport.load(std::memory_order_relaxed);
+  }
   // Record an A-XCast event (local event: stamped with the current clock).
   virtual void recordCast(ProcessId pid, const AppMsgPtr& m) = 0;
   // Record an A-Deliver event.
@@ -213,12 +242,12 @@ class Context {
 
   // ---- plane surface -------------------------------------------------------
 
-  [[nodiscard]] virtual const LatencyModel& latencyModel() const = 0;
+  [[nodiscard]] const LatencyModel& latencyModel() const { return latency_; }
 
   // Recycler for per-interval protocol payloads (see common/arena.hpp).
-  // Owned by the backend so pooled payloads may be held by ANY node or
-  // in-flight event: the arena is destroyed after all of them.
-  [[nodiscard]] virtual ArenaPool& payloadArena() = 0;
+  // Owned here so pooled payloads may be held by ANY node or in-flight
+  // event: the arena is destroyed after all of them.
+  [[nodiscard]] ArenaPool& payloadArena() { return arena_; }
 
   // Installs a NON-OWNING channel hook (null to remove). The hook must stay
   // alive for as long as the backend dispatches events. Layer
@@ -246,9 +275,13 @@ class Context {
 
   // ---- harness surface: hosting --------------------------------------------
 
-  // Takes ownership of the node hosting process `pid`.
-  virtual void attach(ProcessId pid, std::unique_ptr<Process> node) = 0;
-  [[nodiscard]] virtual Process& node(ProcessId pid) = 0;
+  // Takes ownership of the node hosting process `pid`, replacing (and
+  // destroying) the one it held.
+  void attach(ProcessId pid, std::unique_ptr<Process> node);
+  [[nodiscard]] Process& node(ProcessId pid) {
+    assert(at(pid).node != nullptr);
+    return *at(pid).node;
+  }
 
   // ---- harness surface: driver-plane scheduling ----------------------------
 
@@ -267,25 +300,169 @@ class Context {
   virtual void post(ProcessId pid, SmallFn fn) = 0;
 
   // ---- harness surface: harvest --------------------------------------------
+  //
+  // On the threaded backend the per-process answers below are read once
+  // its threads have joined.
 
   [[nodiscard]] virtual const RunTrace& trace() const = 0;
-  [[nodiscard]] virtual const TrafficStats& traffic() const = 0;
+  // Messages handed to the network, per layer: the senders' counters
+  // summed.
+  [[nodiscard]] TrafficStats traffic() const;
   // Time of the last non-FD packet handed to the network. The quiescence
   // verifier compares this against the last cast (paper §5.2 / Prop. A.9).
-  [[nodiscard]] virtual SimTime lastAlgorithmicSend() const = 0;
+  [[nodiscard]] SimTime lastAlgorithmicSend() const;
   // True if the process crashed at least once, even if it has recovered
   // since: the paper's "correct process" means NEVER crashed.
-  [[nodiscard]] virtual bool everCrashed(ProcessId pid) const = 0;
+  [[nodiscard]] bool everCrashed(ProcessId pid) const {
+    return at(pid).everCrashed;
+  }
   // Per-process "took part in the protocol" flags for the genuineness
   // checker; only isAlgorithmic layers count (the paper's accounting
   // treats the failure detector as an oracle).
-  [[nodiscard]] virtual bool everSentAlgorithmic(ProcessId pid) const = 0;
-  [[nodiscard]] virtual bool everReceivedAlgorithmic(ProcessId pid) const = 0;
+  [[nodiscard]] bool everSentAlgorithmic(ProcessId pid) const {
+    return at(pid).sentAlgo;
+  }
+  [[nodiscard]] bool everReceivedAlgorithmic(ProcessId pid) const {
+    return at(pid).recvAlgo;
+  }
 
  protected:
-  // Backend hook behind the timer() template: schedule `fn` on `pid`'s
-  // execution context after `delay`, guarded against crash/reincarnation.
-  virtual EventId scheduleTimer(ProcessId pid, SimTime delay, SmallFn fn) = 0;
+  // Suppresses a timer whose process crashed — or crashed AND recovered —
+  // before it fired: a recovered process is a new incarnation, and the old
+  // incarnation's timers must not fire into the fresh node (their captures
+  // point into the destroyed one). 56 bytes, the scheduler's inline event
+  // size (see SmallFn), so routine protocol timers do not allocate.
+  struct TimerGuard {
+    const Context* ctx;
+    ProcessId pid;
+    uint32_t inc;
+    SmallFn fn;
+    void operator()() {
+      if (!ctx->crashed(pid) && ctx->incarnation(pid) == inc) fn();
+    }
+  };
+
+  // Backend hook behind the timer() template: schedule `guard` on `pid`'s
+  // execution context after `delay`.
+  virtual EventId scheduleTimer(ProcessId pid, SimTime delay,
+                                TimerGuard guard) = 0;
+
+  // ---- for the backends: the host state, one implementation ---------------
+
+  [[nodiscard]] const LatencyDraw& latencyDraw() const { return draw_; }
+
+  // Throws std::logic_error, naming `who`, if a process has no node.
+  void requireNodes(const char* who) const;
+
+  // The send event of one fan-out (paper §2.3, rule 2): stamped LC+1 if
+  // any copy leaves the sender's group, LC otherwise; the sender's clock
+  // advances to the stamp, which every copy carries.
+  uint64_t stampSend(ProcessId from, const std::vector<ProcessId>& tos) {
+    bool leaves = false;
+    for (ProcessId to : tos) leaves |= !topo_.sameGroup(from, to);
+    std::atomic<uint64_t>& lc = at(from).lamport;
+    const uint64_t ts = lc.load(std::memory_order_relaxed) + (leaves ? 1 : 0);
+    lc.store(ts, std::memory_order_relaxed);
+    return ts;
+  }
+  // A send under `layer` at `when`: an algorithmic one marks the sender as
+  // taking part (genuineness) and moves its last algorithmic send.
+  void noteSend(ProcessId from, Layer layer, SimTime when) {
+    if (!isAlgorithmic(layer)) return;
+    ProcState& s = at(from);
+    s.sentAlgo = true;
+    s.lastAlgoSend = when;
+  }
+  // One copy handed to the network, counted against its sender.
+  void countCopy(ProcessId from, Layer layer, bool interGroup) {
+    TrafficStats::Counter& c = at(from).traffic.at(layer);
+    ++(interGroup ? c.inter : c.intra);
+  }
+  // A copy stamped `sendTs` arrives at `to`: nothing if `to` is crashed,
+  // else the receive event (paper §2.3, rule 3: the clock jumps to
+  // max(LC, sendTs)), the genuineness flag and the node's handler.
+  void receive(ProcessId from, ProcessId to, const PayloadPtr& payload,
+               uint64_t sendTs, Layer layer);
+
+  // The trace entries of an A-XCast and an A-Deliver at `when`, stamped
+  // with the process's clock; a delivery takes the process's next order.
+  [[nodiscard]] CastEvent castEvent(ProcessId pid, const AppMsgPtr& m,
+                                    SimTime when) const {
+    return CastEvent{pid, m->id, m->dest, lamport(pid), when};
+  }
+  [[nodiscard]] DeliveryEvent deliveryEvent(ProcessId pid, MsgId msg,
+                                            SimTime when) {
+    ProcState& s = at(pid);
+    return DeliveryEvent{pid, msg, s.lamport.load(std::memory_order_relaxed),
+                         when, s.order++};
+  }
+
+  // Fault-plane mutators, for a backend that injects crashes. A crash
+  // marks the process, then the backend records it and fires the crash
+  // listeners. A recovery starts the next incarnation (crashed cleared),
+  // purges the dead incarnation's listeners, attaches the fresh node,
+  // then the backend records it and fires the recovery listeners.
+  void markCrashed(ProcessId pid) {
+    ProcState& s = at(pid);
+    s.crashed = true;
+    s.everCrashed = true;
+  }
+  void beginIncarnation(ProcessId pid) {
+    ProcState& s = at(pid);
+    ++s.incarnation;
+    s.crashed = false;
+  }
+  void purgeListeners(ProcessId pid);
+  void fireCrashListeners(ProcessId subject) {
+    dispatch(crashListeners_, subject);
+  }
+  void fireRecoveryListeners(ProcessId subject) {
+    dispatch(recoveryListeners_, subject);
+  }
+
+ private:
+  // Everything the host keeps for one process. Cache-line aligned: on the
+  // threaded backend each record is written by its process's thread only,
+  // and two threads' writes must never share a line.
+  struct alignas(64) ProcState {
+    std::unique_ptr<Process> node;
+    // Written by the owning process only; atomic because a batched cast is
+    // recorded on the threaded backend's driver thread, which reads it.
+    std::atomic<uint64_t> lamport{0};
+    SimTime lastAlgoSend = -1;
+    uint64_t order = 0;  // per-process delivery sequence number
+    uint32_t incarnation = 0;
+    bool crashed = false;
+    bool everCrashed = false;
+    bool sentAlgo = false;
+    bool recvAlgo = false;
+    TrafficStats traffic;  // copies this process sent
+  };
+
+  // One crash/recovery listener, owned by a process incarnation: dispatch
+  // skips (and purge removes) entries whose owner has moved on.
+  struct OwnedListener {
+    ProcessId owner;
+    uint32_t inc;
+    std::function<void(ProcessId)> fn;
+  };
+  void dispatch(const std::vector<OwnedListener>& listeners,
+                ProcessId subject);
+
+  [[nodiscard]] ProcState& at(ProcessId pid) {
+    return procs_[static_cast<size_t>(pid)];
+  }
+  [[nodiscard]] const ProcState& at(ProcessId pid) const {
+    return procs_[static_cast<size_t>(pid)];
+  }
+
+  Topology topo_;
+  LatencyModel latency_;
+  LatencyDraw draw_;
+  ArenaPool arena_;  // before the nodes: destroyed after them
+  std::vector<ProcState> procs_;
+  std::vector<OwnedListener> crashListeners_;
+  std::vector<OwnedListener> recoveryListeners_;
 };
 
 // Base class of a hosted process. A Process hosts the whole per-process
@@ -333,5 +510,16 @@ class Process {
   ProcessId pid_;
   GroupId gid_;
 };
+
+inline void Context::receive(ProcessId from, ProcessId to,
+                             const PayloadPtr& payload, uint64_t sendTs,
+                             Layer layer) {
+  ProcState& s = at(to);
+  if (s.crashed) return;  // to a crashed process: vanishes
+  const uint64_t lc = s.lamport.load(std::memory_order_relaxed);
+  s.lamport.store(std::max(lc, sendTs), std::memory_order_relaxed);
+  if (isAlgorithmic(layer)) s.recvAlgo = true;
+  s.node->onMessage(from, payload);
+}
 
 }  // namespace wanmc::exec

@@ -48,19 +48,16 @@ bool dueLater(const E& a, const E& b) {
 
 ThreadedRuntime::ThreadedRuntime(Topology topo, LatencyModel latency,
                                  uint64_t seed)
-    : topo_(std::move(topo)),
-      latency_(latency),
-      latencyDraw_(latency_),
-      seed_(seed),
+    : Context(std::move(topo), latency, /*threadSafeArena=*/true),
       sleepCapUs_(std::clamp<int64_t>(
-          std::min(latency_.intraMin, latency_.interMin), 20, 100)) {
-  latency_.validate();
-  const size_t n = static_cast<size_t>(topo_.numProcesses());
+          std::min(latencyModel().intraMin, latencyModel().interMin), 20,
+          100)) {
+  const size_t n = static_cast<size_t>(topology().numProcesses());
   per_ = std::vector<PerThread>(n);
   for (size_t p = 0; p < n; ++p) {
     // Same forking discipline as the sim: one independent stream per
     // process, all derived from the run seed.
-    per_[p].rng = SplitMix64(seed_).fork(static_cast<uint64_t>(p) + 1);
+    per_[p].rng = SplitMix64(seed).fork(static_cast<uint64_t>(p) + 1);
   }
   rings_.resize(n);
   for (size_t c = 0; c < n; ++c) {
@@ -74,13 +71,6 @@ ThreadedRuntime::~ThreadedRuntime() {
   if (running_.load(std::memory_order_acquire)) stop();
 }
 
-void ThreadedRuntime::attach(ProcessId pid, std::unique_ptr<Process> node) {
-  assert(!running_.load(std::memory_order_relaxed) &&
-         "attach() before start()");
-  assert(pid >= 0 && pid < topo_.numProcesses());
-  per_[static_cast<size_t>(pid)].node = std::move(node);
-}
-
 int64_t ThreadedRuntime::monoUs() const {
   if (!running_.load(std::memory_order_relaxed) && !stopped_) return 0;
   return std::chrono::duration_cast<std::chrono::microseconds>(
@@ -92,10 +82,7 @@ SimTime ThreadedRuntime::now() const { return monoUs(); }
 
 void ThreadedRuntime::start() {
   assert(!running_.load(std::memory_order_relaxed));
-  for (size_t p = 0; p < per_.size(); ++p)
-    if (per_[p].node == nullptr)
-      throw std::logic_error("ThreadedRuntime::start: process " +
-                             std::to_string(p) + " has no attached node");
+  requireNodes("ThreadedRuntime::start");
   t0_ = std::chrono::steady_clock::now();
   running_.store(true, std::memory_order_release);
   for (size_t p = 0; p < per_.size(); ++p)
@@ -111,7 +98,7 @@ void ThreadedRuntime::threadMain(ProcessId pid) {
   tlsSlot = pid;
   const PreciseSleeps precise;
   PerThread& me = per_[static_cast<size_t>(pid)];
-  me.node->onStart();
+  node(pid).onStart();
   while (!stopFlag_.load(std::memory_order_acquire)) {
     size_t work = drainRings(pid, /*waiting=*/false);
 
@@ -172,13 +159,7 @@ size_t ThreadedRuntime::drainRings(ProcessId pid, bool waiting) {
 }
 
 void ThreadedRuntime::deliverEnvelope(ProcessId to, Envelope& e) {
-  PerThread& me = per_[static_cast<size_t>(to)];
-  // Receive event (rule 3): the receiver's clock jumps to
-  // max(LC, ts(send(m))). Relaxed: only this thread writes its clock.
-  const uint64_t lc = me.lamport.load(std::memory_order_relaxed);
-  me.lamport.store(std::max(lc, e.sendTs), std::memory_order_relaxed);
-  if (isAlgorithmic(e.payload->layer())) me.recvAlgo = true;
-  me.node->onMessage(e.from, e.payload);
+  receive(e.from, to, e.payload, e.sendTs, e.payload->layer());
 }
 
 void ThreadedRuntime::pushBlocking(int consumer, int producer, Envelope e) {
@@ -198,16 +179,6 @@ void ThreadedRuntime::pushBlocking(int consumer, int producer, Envelope e) {
   }
 }
 
-void ThreadedRuntime::bumpAlgoSend(ProcessId from, SimTime when) {
-  per_[static_cast<size_t>(from)].sentAlgo = true;
-  // Monotonic max; several sender threads race here, so CAS-max.
-  int64_t cur = lastAlgoSend_.load(std::memory_order_relaxed);
-  while (when > cur && !lastAlgoSend_.compare_exchange_weak(
-                           cur, when, std::memory_order_release,
-                           std::memory_order_relaxed)) {
-  }
-}
-
 void ThreadedRuntime::multicast(ProcessId from,
                                 const std::vector<ProcessId>& tos,
                                 PayloadPtr payload) {
@@ -218,30 +189,18 @@ void ThreadedRuntime::multicast(ProcessId from,
 
   PerThread& me = per_[static_cast<size_t>(from)];
   const Layer layer = payload->layer();
+  // One send event, one §2.3 stamp for the whole fan-out.
+  const uint64_t sendTs = stampSend(from, tos);
+  noteSend(from, layer, monoUs());
 
-  // Modified Lamport clock (paper §2.3, rule 2): stamp LC+1 iff the
-  // fan-out leaves the group; one tick for the whole fan-out.
-  bool anyInter = false;
-  for (ProcessId to : tos) anyInter |= !topo_.sameGroup(from, to);
-  const uint64_t sendTs =
-      me.lamport.load(std::memory_order_relaxed) + (anyInter ? 1 : 0);
-  me.lamport.store(sendTs, std::memory_order_relaxed);
-
-  if (isAlgorithmic(layer)) bumpAlgoSend(from, monoUs());
-
-  auto& counter = me.traffic.at(layer);
   for (ProcessId to : tos) {
-    const bool inter = !topo_.sameGroup(from, to);
-    if (inter) {
-      ++counter.inter;
-    } else {
-      ++counter.intra;
-    }
+    const bool inter = !topology().sameGroup(from, to);
+    countCopy(from, layer, inter);
     // The emulated WAN delay is drawn on the sender's own stream and rides
     // in the envelope; the receiver defers delivery until the deadline.
     Envelope e;
     e.payload = payload;
-    e.dueUs = monoUs() + latencyDraw_(inter, me.rng);
+    e.dueUs = monoUs() + latencyDraw()(inter, me.rng);
     e.sendTs = sendTs;
     e.from = from;
     pushBlocking(to, tlsSlot >= 0 ? tlsSlot : from, std::move(e));
@@ -249,16 +208,16 @@ void ThreadedRuntime::multicast(ProcessId from,
 }
 
 EventId ThreadedRuntime::scheduleTimer(ProcessId pid, SimTime delay,
-                                       SmallFn fn) {
+                                       TimerGuard guard) {
   assert((tlsSlot == pid || !running_.load(std::memory_order_relaxed)) &&
          "a process may only arm its own timers");
   return per_[static_cast<size_t>(pid)].sched.at(monoUs() + delay,
-                                                 std::move(fn));
+                                                 std::move(guard));
 }
 
 void ThreadedRuntime::cancelTimer(EventId id) {
   // The id names no owner: the queue is the calling thread's own.
-  assert(tlsSlot >= 0 && tlsSlot < topo_.numProcesses() &&
+  assert(tlsSlot >= 0 && tlsSlot < topology().numProcesses() &&
          "a process may only cancel its own timers, on its own thread");
   per_[static_cast<size_t>(tlsSlot)].sched.cancel(id);
 }
@@ -278,16 +237,14 @@ void ThreadedRuntime::harnessCancel(EventId id) {
 }
 
 void ThreadedRuntime::post(ProcessId pid, SmallFn fn) {
-  assert(pid >= 0 && pid < topo_.numProcesses());
+  assert(pid >= 0 && pid < topology().numProcesses());
   Envelope e;
   e.cmd = std::move(fn);
   pushBlocking(pid, tlsSlot >= 0 ? tlsSlot : driverSlot(), std::move(e));
 }
 
 void ThreadedRuntime::recordCast(ProcessId pid, const AppMsgPtr& m) {
-  const uint64_t lc =
-      per_[static_cast<size_t>(pid)].lamport.load(std::memory_order_relaxed);
-  CastEvent ev{pid, m->id, m->dest, lc, monoUs()};
+  const CastEvent ev = castEvent(pid, m, monoUs());
   // Unbatched casts record on the sender's thread; batched carriers are
   // recorded by the driver's flush path. Each appends to its OWN slice.
   if (tlsSlot == pid) {
@@ -298,11 +255,9 @@ void ThreadedRuntime::recordCast(ProcessId pid, const AppMsgPtr& m) {
 }
 
 void ThreadedRuntime::recordDelivery(ProcessId pid, MsgId msg) {
-  PerThread& me = per_[static_cast<size_t>(pid)];
   assert(tlsSlot == pid && "deliveries are recorded on the owning thread");
-  me.deliveries.push_back(
-      DeliveryEvent{pid, msg, me.lamport.load(std::memory_order_relaxed),
-                    monoUs(), me.perProcOrder++});
+  per_[static_cast<size_t>(pid)].deliveries.push_back(
+      deliveryEvent(pid, msg, monoUs()));
   // Release pairs with the driver's acquire in deliveredCount(): the
   // termination ledger must observe the trace entry it counted.
   delivered_.fetch_add(1, std::memory_order_release);
@@ -379,11 +334,6 @@ void ThreadedRuntime::mergeTraces() {
               if (a.process != b.process) return a.process < b.process;
               return a.order < b.order;
             });
-  for (const PerThread& p : per_)
-    for (int l = 0; l < kNumLayers; ++l) {
-      traffic_.perLayer[l].intra += p.traffic.perLayer[l].intra;
-      traffic_.perLayer[l].inter += p.traffic.perLayer[l].inter;
-    }
 }
 
 }  // namespace wanmc::exec

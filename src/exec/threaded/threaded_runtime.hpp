@@ -10,17 +10,23 @@
 // calibration bench re-runs the A1 latency/throughput sweep here and plots
 // sim vs. real.
 //
-// Scope (v1): crash-free, loss-free, partition-free runs only. The
-// injection axes (crash/recover, partitions, LossModel, reliable channels,
-// bootstrap) are deterministic-sim features; core::Experiment rejects
-// configurations that arm them on this backend. crashed() is constantly
-// false and incarnation() constantly 0, so the stacks' guard paths compile
-// and run but never trigger.
+// Scope: the host state — node, incarnation and crash flags, Lamport
+// clock, participation flags, traffic counters, listeners, timer guard —
+// is exec::Context's, the same code the sim runs. What this backend adds
+// is a real clock, per-thread queues and rings, and per-thread trace
+// slices. It has no fault-injection entry points: nothing here crashes a
+// process, cuts a link or drops a copy, so the crash state stays at its
+// initial values and the listeners never fire. core::Experiment rejects
+// configurations that arm crash/recover, partitions, loss, reliable
+// channels or bootstrap on this backend.
 //
 // Threading model
-//   * N process threads, one per pid; thread i owns per_[i]: its node, its
-//     timer queue, its deferred-message queue, its RNG, its Lamport clock,
-//     and its slice of the trace. Only thread i touches them.
+//   * N process threads, one per pid; thread i owns per_[i] — its timer
+//     queue, its deferred-message queue, its RNG and its slice of the
+//     trace — and process i's record in exec::Context: its node, its
+//     Lamport clock, its flags and traffic counters. Only thread i writes
+//     them; the records are cache-line aligned, so no two threads' writes
+//     share a line.
 //   * The driver (the thread that calls run(), slot N) owns the harness
 //     queue: scripted casts, workload arrivals, batch windows. It reaches
 //     a process ONLY via post(), which crosses on a ring like any message.
@@ -28,8 +34,8 @@
 //     with run(now) on the real clock, so a timer armed after a pass may
 //     land behind the window start (see the calendar notes in
 //     scheduler.hpp). An id carries no owner: cancelTimer cancels on the
-//     calling thread's own queue, the only one a process may touch. No
-//     incarnation guard wraps a timer, as nothing crashes here.
+//     calling thread's own queue, the only one a process may touch. Every
+//     timer is wrapped in exec::Context's incarnation guard, as on the sim.
 //   * Crossings: rings_[consumer][producer]. multicast() pushes one
 //     envelope per destination on the sender's own thread; the receiver
 //     defers it in a min-heap on its emulated-latency deadline, then
@@ -59,7 +65,9 @@
 //     own timer slack to 1 ns (Linux), so the kernel ends a sleep at its
 //     deadline rather than up to 50 µs after it.
 //   * Shutdown: stop() raises a flag, joins every thread, then merges the
-//     per-thread trace slices into one RunTrace ordered by wall time.
+//     per-thread trace slices into one RunTrace ordered by wall time. The
+//     per-process harvest answers (traffic, last algorithmic send, the
+//     participation flags) are read from the records after the join.
 #pragma once
 
 #include <atomic>
@@ -71,7 +79,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "common/rng.hpp"
 #include "exec/context.hpp"
 #include "exec/threaded/spsc.hpp"
@@ -118,37 +125,14 @@ class ThreadedRuntime final : public Context {
   // ---- exec::Context: node surface ----------------------------------------
 
   [[nodiscard]] SimTime now() const override;
-  [[nodiscard]] const Topology& topology() const override { return topo_; }
   void multicast(ProcessId from, const std::vector<ProcessId>& tos,
                  PayloadPtr payload) override;
   void cancelTimer(EventId id) override;
-  [[nodiscard]] bool crashed(ProcessId) const override { return false; }
-  [[nodiscard]] uint32_t incarnation(ProcessId) const override { return 0; }
-  [[nodiscard]] int aliveInGroup(GroupId g) const override {
-    return topo_.groupSize(g);
-  }
-  void addCrashListener(ProcessId owner,
-                        std::function<void(ProcessId)> fn) override {
-    // Stored for interface parity; never fired (no crashes here).
-    crashListeners_.emplace_back(owner, std::move(fn));
-  }
-  void addRecoveryListener(ProcessId owner,
-                           std::function<void(ProcessId)> fn) override {
-    recoveryListeners_.emplace_back(owner, std::move(fn));
-  }
-  [[nodiscard]] uint64_t lamport(ProcessId pid) const override {
-    return per_[static_cast<size_t>(pid)].lamport.load(
-        std::memory_order_relaxed);
-  }
   void recordCast(ProcessId pid, const AppMsgPtr& m) override;
   void recordDelivery(ProcessId pid, MsgId msg) override;
 
   // ---- exec::Context: plane surface ---------------------------------------
 
-  [[nodiscard]] const LatencyModel& latencyModel() const override {
-    return latency_;
-  }
-  [[nodiscard]] ArenaPool& payloadArena() override { return arena_; }
   void setChannelHook(ChannelHook* hook) override;
   void channelSend(ProcessId from, ProcessId to, PayloadPtr payload,
                    Layer accountLayer) override;
@@ -157,30 +141,14 @@ class ThreadedRuntime final : public Context {
 
   // ---- exec::Context: harness surface -------------------------------------
 
-  void attach(ProcessId pid, std::unique_ptr<Process> node) override;
-  [[nodiscard]] Process& node(ProcessId pid) override {
-    return *per_[static_cast<size_t>(pid)].node;
-  }
   EventId harnessAt(SimTime when, SmallFn fn) override;
   void harnessCancel(EventId id) override;
   void post(ProcessId pid, SmallFn fn) override;
   [[nodiscard]] const RunTrace& trace() const override { return trace_; }
-  [[nodiscard]] const TrafficStats& traffic() const override {
-    return traffic_;
-  }
-  [[nodiscard]] SimTime lastAlgorithmicSend() const override {
-    return lastAlgoSend_.load(std::memory_order_acquire);
-  }
-  [[nodiscard]] bool everCrashed(ProcessId) const override { return false; }
-  [[nodiscard]] bool everSentAlgorithmic(ProcessId pid) const override {
-    return per_[static_cast<size_t>(pid)].sentAlgo;
-  }
-  [[nodiscard]] bool everReceivedAlgorithmic(ProcessId pid) const override {
-    return per_[static_cast<size_t>(pid)].recvAlgo;
-  }
 
  protected:
-  EventId scheduleTimer(ProcessId pid, SimTime delay, SmallFn fn) override;
+  EventId scheduleTimer(ProcessId pid, SimTime delay,
+                        TimerGuard guard) override;
 
  private:
   // One message or command crossing a thread boundary.
@@ -192,22 +160,14 @@ class ThreadedRuntime final : public Context {
     ProcessId from = kNoProcess;
   };
 
-  // Everything thread `pid` owns. alignas keeps two threads' states off a
-  // shared cache line.
+  // What thread `pid` owns besides process `pid`'s record in
+  // exec::Context. alignas keeps two threads' states off a shared cache
+  // line.
   struct alignas(64) PerThread {
-    std::unique_ptr<Process> node;
     sim::Scheduler sched;         // protocol timers
     std::vector<Envelope> inbox;  // latency-deferred messages, min-heap
     std::deque<SmallFn> posted;   // commands set aside by a waiting push
     SplitMix64 rng{0};            // latency-emulation draws
-    // Modified Lamport clock. Atomic (relaxed) because recordCast for a
-    // BATCHED cast runs on the driver thread and reads the sender's clock;
-    // all writes stay on the owning thread.
-    std::atomic<uint64_t> lamport{0};
-    uint64_t perProcOrder = 0;
-    bool sentAlgo = false;
-    bool recvAlgo = false;
-    TrafficStats traffic;
     // Trace slices, merged at stop().
     std::vector<CastEvent> casts;
     std::vector<DeliveryEvent> deliveries;
@@ -226,17 +186,11 @@ class ThreadedRuntime final : public Context {
   // Returns the envelopes handled.
   size_t drainRings(ProcessId pid, bool waiting);
   void mergeTraces();
-  void bumpAlgoSend(ProcessId from, SimTime when);
 
   // Driver-slot index (process slots are [0, N)).
-  [[nodiscard]] int driverSlot() const { return topo_.numProcesses(); }
+  [[nodiscard]] int driverSlot() const { return topology().numProcesses(); }
 
-  Topology topo_;
-  LatencyModel latency_;
-  LatencyDraw latencyDraw_;  // each sender draws from its own stream
-  uint64_t seed_;
   int64_t sleepCapUs_;  // longest idle sleep (see "Waiting" above)
-  ArenaPool arena_{/*threadSafe=*/true};
 
   std::vector<PerThread> per_;
   // rings_[consumer][producer]; producers are the N process threads plus
@@ -247,21 +201,13 @@ class ThreadedRuntime final : public Context {
   // Driver-slice trace entries (recordCast of batched casts).
   std::vector<CastEvent> driverCasts_;
 
-  std::vector<std::pair<ProcessId, std::function<void(ProcessId)>>>
-      crashListeners_;
-  std::vector<std::pair<ProcessId, std::function<void(ProcessId)>>>
-      recoveryListeners_;
-
   std::atomic<bool> running_{false};
   std::atomic<bool> stopFlag_{false};
   bool stopped_ = false;
   std::atomic<uint64_t> delivered_{0};
-  std::atomic<int64_t> lastAlgoSend_{-1};
   std::chrono::steady_clock::time_point t0_{};
 
-  // Merged at stop().
-  RunTrace trace_;
-  TrafficStats traffic_;
+  RunTrace trace_;  // merged at stop()
 };
 
 }  // namespace wanmc::exec

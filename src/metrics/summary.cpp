@@ -57,10 +57,7 @@ void Summary::merge(const Summary& other) {
   for (size_t k = 0; k < other.perDestSize.size(); ++k)
     perDestSize[k].merge(other.perDestSize[k]);
   for (const auto& [deg, n] : other.latencyDegrees) latencyDegrees[deg] += n;
-  for (int l = 0; l < kNumLayers; ++l) {
-    traffic.perLayer[l].intra += other.traffic.perLayer[l].intra;
-    traffic.perLayer[l].inter += other.traffic.perLayer[l].inter;
-  }
+  traffic += other.traffic;
   faults.crashes += other.faults.crashes;
   faults.recoveries += other.faults.recoveries;
   faults.partitionsCut += other.faults.partitionsCut;

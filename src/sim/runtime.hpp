@@ -1,8 +1,9 @@
 // The simulation runtime: scheduler + network + processes + instrumentation.
 //
-// Runtime is the deterministic implementation of exec::Context (the
-// execution-backend interface every protocol stack is written against; see
-// src/exec/context.hpp). It implements the paper's system model (§2.1):
+// Runtime is the deterministic backend of exec::Context (the execution
+// context every protocol stack is written against, and the per-process host
+// state both backends share; see src/exec/context.hpp). It implements the
+// paper's system model (§2.1):
 //   * asynchronous message passing — per-message latency is drawn uniformly
 //     from [min,max] ranges, one range for intra-group and one (orders of
 //     magnitude larger) for inter-group links;
@@ -12,20 +13,22 @@
 //   * benign crash-stop failures — a crashed process sends nothing, receives
 //     nothing, and fires no timers from the crash instant on.
 //
-// It also implements the paper's cost model (§2.3): a modified Lamport clock
-// per process where ONLY inter-group sends tick the clock. Every A-XCast and
-// A-Deliver is recorded against that clock so that latency degrees can be
-// measured, not asserted.
+// The paper's cost model (§2.3) — a modified Lamport clock per process where
+// ONLY inter-group sends tick the clock — is kept by exec::Context. Every
+// A-XCast and A-Deliver is recorded against that clock so that latency
+// degrees can be measured, not asserted. What this backend adds is virtual
+// time, the event queue, the seeded network and the fault-injection entry
+// points (crash, recover, partitions, drop filter, loss).
 #pragma once
 
 #include <cassert>
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "common/hot.hpp"
 #include "common/ids.hpp"
 #include "common/message.hpp"
@@ -49,34 +52,9 @@ using Node = exec::Process;
 class Runtime final : public exec::Context {
  public:
   Runtime(Topology topo, LatencyModel latency, uint64_t seed)
-      : topo_(std::move(topo)),
-        latency_(latency),
+      : exec::Context(std::move(topo), latency, /*threadSafeArena=*/false),
         rng_(SplitMix64(seed).fork(0xa11ce)),
-        lossRng_(SplitMix64(seed).fork(0x105eca11)),
-        lamport_(static_cast<size_t>(topo_.numProcesses()), 0),
-        crashed_(static_cast<size_t>(topo_.numProcesses()), 0),
-        everCrashed_(static_cast<size_t>(topo_.numProcesses()), 0),
-        incarnation_(static_cast<size_t>(topo_.numProcesses()), 0),
-        nodes_(static_cast<size_t>(topo_.numProcesses()), nullptr),
-        sentAlgo_(static_cast<size_t>(topo_.numProcesses()), 0),
-        recvAlgo_(static_cast<size_t>(topo_.numProcesses()), 0),
-        perProcOrder_(static_cast<size_t>(topo_.numProcesses()), 0),
-        latencyDraw_(latency_) {
-    latency_.validate();
-  }
-
-  Runtime(const Runtime&) = delete;
-  Runtime& operator=(const Runtime&) = delete;
-
-  // ---- wiring ------------------------------------------------------------
-
-  // Takes ownership of the node hosting process `pid`.
-  void attach(ProcessId pid, std::unique_ptr<Node> node) override;
-
-  [[nodiscard]] Node& node(ProcessId pid) override {
-    assert(owned_[static_cast<size_t>(pid)]);
-    return *nodes_[static_cast<size_t>(pid)];
-  }
+        lossRng_(SplitMix64(seed).fork(0x105eca11)) {}
 
   // ---- simulation control --------------------------------------------------
 
@@ -88,13 +66,6 @@ class Runtime final : public exec::Context {
 
   [[nodiscard]] SimTime now() const override { return sched_.now(); }
   [[nodiscard]] Scheduler& scheduler() { return sched_; }
-  [[nodiscard]] const Topology& topology() const override { return topo_; }
-  [[nodiscard]] SplitMix64& rng() { return rng_; }
-
-  // Recycler for per-interval protocol payloads (see common/arena.hpp).
-  // Owned by the runtime so pooled payloads may be held by ANY node or
-  // in-flight event: the arena is destroyed after all of them.
-  [[nodiscard]] ArenaPool& payloadArena() override { return payloadArena_; }
 
   // ---- messaging (used by Node) -------------------------------------------
 
@@ -116,14 +87,10 @@ class Runtime final : public exec::Context {
   // loss never perturbs the latency draws of the copies that survive, and
   // p = 0 consumes no randomness at all (byte-identical to today).
   void setLossRate(double p);
-  [[nodiscard]] double lossRate() const { return lossP_; }
 
   // ---- reliable-channel substrate -----------------------------------------
 
   void setChannelHook(ChannelHook* hook) override { channelHook_ = hook; }
-  [[nodiscard]] const LatencyModel& latencyModel() const override {
-    return latency_;
-  }
 
   WANMC_HOT void channelSend(ProcessId from, ProcessId to, PayloadPtr payload,
                              Layer accountLayer) override;
@@ -133,33 +100,17 @@ class Runtime final : public exec::Context {
 
   // ---- timers --------------------------------------------------------------
 
-  // Node timers are registered through exec::Context::timer, which lands in
-  // scheduleTimer below; the callable is stored inline in the scheduler's
-  // event pool when it fits (see EventCallable and exec::SmallFn), so
-  // routine protocol timers do not allocate.
+  // Node timers are registered through exec::Context::timer, which wraps
+  // them in the context's TimerGuard and lands in scheduleTimer below; the
+  // guard is stored inline in the scheduler's event pool when it fits (see
+  // EventCallable and exec::SmallFn), so routine protocol timers do not
+  // allocate.
   void cancelTimer(EventId id) override { sched_.cancel(id); }
 
   // ---- failures ------------------------------------------------------------
 
   void crash(ProcessId pid);
   void scheduleCrash(ProcessId pid, SimTime when);
-  void addCrashListener(ProcessId owner,
-                        std::function<void(ProcessId)> fn) override {
-    crashListeners_.push_back(
-        {owner, incarnation(owner), std::move(fn)});
-  }
-  void addRecoveryListener(ProcessId owner,
-                           std::function<void(ProcessId)> fn) override {
-    recoveryListeners_.push_back(
-        {owner, incarnation(owner), std::move(fn)});
-  }
-  [[nodiscard]] bool crashed(ProcessId pid) const override {
-    return crashed_[static_cast<size_t>(pid)] != 0;
-  }
-  [[nodiscard]] bool everCrashed(ProcessId pid) const override {
-    return everCrashed_[static_cast<size_t>(pid)] != 0;
-  }
-  [[nodiscard]] int aliveInGroup(GroupId g) const override;
 
   // ---- recovery ------------------------------------------------------------
   //
@@ -180,10 +131,6 @@ class Runtime final : public exec::Context {
   // Scheduled recovery at `when` (>= now). Recovering a process that is
   // not crashed at fire time is a no-op.
   void scheduleRecover(ProcessId pid, SimTime when);
-
-  [[nodiscard]] uint32_t incarnation(ProcessId pid) const override {
-    return incarnation_[static_cast<size_t>(pid)];
-  }
 
   // ---- dynamic link state --------------------------------------------------
   //
@@ -215,10 +162,6 @@ class Runtime final : public exec::Context {
 
   // ---- instrumentation -----------------------------------------------------
 
-  [[nodiscard]] uint64_t lamport(ProcessId pid) const override {
-    return lamport_[static_cast<size_t>(pid)];
-  }
-
   void recordCast(ProcessId pid, const AppMsgPtr& m) override;
   void recordDelivery(ProcessId pid, MsgId msg) override;
 
@@ -241,20 +184,6 @@ class Runtime final : public exec::Context {
 
   [[nodiscard]] const RunTrace& trace() const override { return trace_; }
   [[nodiscard]] RunTrace& trace() { return trace_; }
-  [[nodiscard]] const TrafficStats& traffic() const override {
-    return traffic_;
-  }
-
-  [[nodiscard]] SimTime lastAlgorithmicSend() const override {
-    return lastAlgoSend_;
-  }
-
-  [[nodiscard]] bool everSentAlgorithmic(ProcessId pid) const override {
-    return sentAlgo_[static_cast<size_t>(pid)] != 0;
-  }
-  [[nodiscard]] bool everReceivedAlgorithmic(ProcessId pid) const override {
-    return recvAlgo_[static_cast<size_t>(pid)] != 0;
-  }
 
   // ---- harness surface (exec::Context) ------------------------------------
 
@@ -271,27 +200,11 @@ class Runtime final : public exec::Context {
   void post(ProcessId, exec::SmallFn fn) override { fn(); }
 
  protected:
-  EventId scheduleTimer(ProcessId pid, SimTime delay,
-                        exec::SmallFn fn) override {
-    return sched_.at(sched_.now() + delay,
-                     TimerGuard{this, pid, incarnation(pid), std::move(fn)});
+  EventId scheduleTimer(ProcessId, SimTime delay, TimerGuard guard) override {
+    return sched_.at(sched_.now() + delay, std::move(guard));
   }
 
  private:
-  // Suppresses a timer whose process crashed — or crashed AND recovered —
-  // before it fired: a recovered process is a new incarnation, and the old
-  // incarnation's timers must not fire into the fresh node (their captures
-  // point into the destroyed one). Sized to stay inline in the scheduler's
-  // event pool (see exec::SmallFn::kInlineSize).
-  struct TimerGuard {
-    Runtime* rt;
-    ProcessId pid;
-    uint32_t inc;
-    exec::SmallFn fn;
-    void operator()() {
-      if (!rt->crashed(pid) && rt->incarnation(pid) == inc) fn();
-    }
-  };
   static_assert(sizeof(TimerGuard) <= EventCallable::kInlineSize,
                 "protocol timers must stay inline in the event pool");
 
@@ -344,35 +257,18 @@ class Runtime final : public exec::Context {
   }
   WANMC_HOT void deliverCopy(Fanout& f, ProcessId to);
 
-  Topology topo_;
-  ArenaPool payloadArena_;  // first: destroyed after nodes and events
-  LatencyModel latency_;
+  // One wire copy's fate, the same for a fan-out copy and a channel packet:
+  // counted against its sender under `layer`, then dropped on a cut link,
+  // by the drop filter or by the loss coin (nullopt), else delayed by a
+  // latency draw. Link state and the filter draw nothing and the coins
+  // come from their own stream, so a dropped copy never shifts the latency
+  // draws of the copies that do go out.
+  WANMC_HOT std::optional<SimTime> wireDelay(ProcessId from, ProcessId to,
+                                             Layer layer, const Payload& p);
+
   SplitMix64 rng_;
   SplitMix64 lossRng_;  // separate stream: loss never perturbs latency draws
   Scheduler sched_;
-
-  // One crash/recovery listener, owned by a process incarnation: dispatch
-  // skips (and purge removes) entries whose owner has moved on.
-  struct OwnedListener {
-    ProcessId owner;
-    uint32_t inc;
-    std::function<void(ProcessId)> fn;
-  };
-  void dispatchListeners(const std::vector<OwnedListener>& listeners,
-                         ProcessId subject) {
-    // Indexed loop + per-entry copy: a callback may register further
-    // listeners while we iterate, reallocating the vector under us.
-    for (size_t i = 0; i < listeners.size(); ++i) {
-      OwnedListener l = listeners[i];
-      if (incarnation(l.owner) == l.inc) l.fn(subject);
-    }
-  }
-  static void purgeListeners(std::vector<OwnedListener>& listeners,
-                             ProcessId owner, uint32_t liveInc) {
-    std::erase_if(listeners, [owner, liveInc](const OwnedListener& l) {
-      return l.owner == owner && l.inc != liveInc;
-    });
-  }
 
   // One scheduled partition. `side` stays fixed; the partition moves
   // through scheduled -> active -> healed (heal() can also cancel a
@@ -386,16 +282,10 @@ class Runtime final : public exec::Context {
   void adjustGroupCuts(const GroupSet& side, int delta);
   [[nodiscard]] bool groupLinkCut(GroupId a, GroupId b) const {
     return groupCut_[static_cast<size_t>(a) *
-                         static_cast<size_t>(topo_.numGroups()) +
+                         static_cast<size_t>(topology().numGroups()) +
                      static_cast<size_t>(b)] != 0;
   }
 
-  std::vector<uint64_t> lamport_;
-  std::vector<uint8_t> crashed_;
-  std::vector<uint8_t> everCrashed_;
-  std::vector<uint32_t> incarnation_;
-  std::vector<Node*> nodes_;
-  std::vector<std::unique_ptr<Node>> owned_;
   NodeFactory nodeFactory_;
 
   // Dynamic link state. `anyLinkState_` gates the per-copy check so runs
@@ -407,22 +297,12 @@ class Runtime final : public exec::Context {
   DropFilter drop_;
   ChannelHook* channelHook_ = nullptr;
   double lossP_ = 0;  // iid per-copy drop probability
-  std::vector<OwnedListener> crashListeners_;
-  std::vector<OwnedListener> recoveryListeners_;
   std::vector<RunObserver*> castObservers_;
   std::vector<RunObserver*> deliveryObservers_;
   RunTrace trace_;
-  TrafficStats traffic_;
-  SimTime lastAlgoSend_ = -1;
-  std::vector<uint8_t> sentAlgo_;
-  std::vector<uint8_t> recvAlgo_;
-  std::vector<uint64_t> perProcOrder_;
 
-  std::deque<Fanout> fanoutSlab_;      // stable addresses for Delivery
+  std::deque<Fanout> fanoutSlab_;  // stable addresses for Delivery
   std::vector<Fanout*> fanoutFree_;
-  std::vector<uint8_t> interScratch_;  // per-destination flags, reused
-
-  exec::LatencyDraw latencyDraw_;  // draws from rng_
 };
 
 }  // namespace wanmc::sim

@@ -1,11 +1,12 @@
-// Edge-case tests for the runtime's batch-send semantics (the paper's
-// one-event-per-multicast clock rule), for starting a runtime that lacks a
-// node (both backends), for timer cancellation and back-pressure on the
-// threaded backend, and for consensus corner cases that the protocol-level
-// tests exercise only indirectly.
+// Edge-case tests for the batch-send semantics of both backends (the
+// paper's one-event-per-multicast clock rule), for starting a runtime that
+// lacks a node (both backends), for timer cancellation and back-pressure
+// on the threaded backend, and for consensus corner cases that the
+// protocol-level tests exercise only indirectly.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -25,13 +26,17 @@ struct TagPayload final : Payload {
   [[nodiscard]] std::string debugString() const override { return "tag"; }
 };
 
-class Probe final : public sim::Node {
+// Counts the copies that reach it, on whichever thread delivers them.
+class Probe final : public exec::Process {
  public:
-  using sim::Node::Node;
-  std::vector<std::pair<ProcessId, uint64_t>> got;  // (from, lamport-at-rcv)
-  void onMessage(ProcessId from, const PayloadPtr&) override {
-    got.push_back({from, runtime().lamport(pid())});
+  Probe(exec::Context& ctx, ProcessId pid, std::atomic<int>& arrived)
+      : exec::Process(ctx, pid), arrived_(arrived) {}
+  void onMessage(ProcessId, const PayloadPtr&) override {
+    arrived_.fetch_add(1, std::memory_order_release);
   }
+
+ private:
+  std::atomic<int>& arrived_;
 };
 
 sim::Runtime makeRt(int groups, int procs) {
@@ -39,49 +44,83 @@ sim::Runtime makeRt(int groups, int procs) {
                       sim::LatencyModel::fixed(kMs, 100 * kMs), 1);
 }
 
-TEST(Multicast, OneEventOneTickManyCopies) {
-  sim::Runtime rt = makeRt(2, 2);
-  std::vector<Probe*> probes;
-  for (ProcessId p = 0; p < 4; ++p) {
-    auto n = std::make_unique<Probe>(rt, p);
-    probes.push_back(n.get());
-    rt.attach(p, std::move(n));
+// Hosts a Probe on every process of a groups x procs topology on each
+// backend in turn, runs one fan-out from p0 to `tos` on p0's own context,
+// waits until `copies` copies have arrived, and hands the host to `check`.
+// On threads the checks are harvest reads, made after stop().
+void fanOutOnBothBackends(int groups, int procs,
+                          const std::vector<ProcessId>& tos, int copies,
+                          const std::function<void(exec::Context&)>& check) {
+  const Topology topo(groups, procs);
+  const auto latency = sim::LatencyModel::fixed(kMs, 100 * kMs);
+  for (const exec::Backend backend :
+       {exec::Backend::kSim, exec::Backend::kThreaded}) {
+    SCOPED_TRACE(exec::backendName(backend));
+    std::atomic<int> arrived{0};
+    std::atomic<bool> sent{false};
+    // Attaches the probes and arms the fan-out as a harness event, which
+    // posts it to p0 (inline on the sim, onto p0's thread on threads).
+    const auto setUp = [&](exec::Context& ctx) {
+      for (ProcessId p = 0; p < topo.numProcesses(); ++p)
+        ctx.attach(p, std::make_unique<Probe>(ctx, p, arrived));
+      ctx.harnessAt(0, [&ctx, &tos, &sent] {
+        ctx.post(0, [&ctx, &tos, &sent] {
+          ctx.multicast(0, tos, std::make_shared<const TagPayload>(1));
+          sent.store(true, std::memory_order_release);
+        });
+      });
+    };
+    if (backend == exec::Backend::kSim) {
+      sim::Runtime rt(topo, latency, 1);
+      setUp(rt);
+      rt.start();
+      rt.run();
+      EXPECT_TRUE(sent.load());
+      EXPECT_EQ(arrived.load(), copies);
+      check(rt);
+      continue;
+    }
+    exec::ThreadedRuntime rt(topo, latency, 1);
+    setUp(rt);
+    rt.start();
+    EXPECT_TRUE(rt.run(30 * kSec, [&] {
+      return sent.load(std::memory_order_acquire) &&
+             arrived.load(std::memory_order_acquire) == copies;
+    }));
+    rt.stop();
+    EXPECT_EQ(arrived.load(), copies);
+    check(rt);
   }
-  rt.start();
+}
+
+TEST(Multicast, OneEventOneTickManyCopies) {
   // Fan-out to intra (p1) and inter (p2, p3) destinations: ONE send event,
   // one tick, every copy carries the same stamp (paper §2.3 / Thm 4.1
   // proof style).
-  rt.multicast(0, {1, 2, 3}, std::make_shared<const TagPayload>(1));
-  EXPECT_EQ(rt.lamport(0), 1u);  // ticked once, not three times
-  rt.run();
-  EXPECT_EQ(rt.lamport(1), 1u);  // intra receiver jumps to the shared stamp
-  EXPECT_EQ(rt.lamport(2), 1u);
-  EXPECT_EQ(rt.lamport(3), 1u);
-  // Per-link counting is still per copy.
-  EXPECT_EQ(rt.traffic().at(Layer::kProtocol).intra, 1u);
-  EXPECT_EQ(rt.traffic().at(Layer::kProtocol).inter, 2u);
+  fanOutOnBothBackends(2, 2, {1, 2, 3}, 3, [](exec::Context& ctx) {
+    EXPECT_EQ(ctx.lamport(0), 1u);  // ticked once, not three times
+    EXPECT_EQ(ctx.lamport(1), 1u);  // intra receiver jumps to the stamp
+    EXPECT_EQ(ctx.lamport(2), 1u);
+    EXPECT_EQ(ctx.lamport(3), 1u);
+    // Per-link counting is still per copy.
+    EXPECT_EQ(ctx.traffic().at(Layer::kProtocol).intra, 1u);
+    EXPECT_EQ(ctx.traffic().at(Layer::kProtocol).inter, 2u);
+  });
 }
 
 TEST(Multicast, IntraOnlyFanOutDoesNotTick) {
-  sim::Runtime rt = makeRt(1, 3);
-  for (ProcessId p = 0; p < 3; ++p)
-    rt.attach(p, std::make_unique<Probe>(rt, p));
-  rt.start();
-  rt.multicast(0, {1, 2}, std::make_shared<const TagPayload>(1));
-  EXPECT_EQ(rt.lamport(0), 0u);
-  rt.run();
-  EXPECT_EQ(rt.lamport(1), 0u);
-  EXPECT_EQ(rt.lamport(2), 0u);
+  fanOutOnBothBackends(1, 3, {1, 2}, 2, [](exec::Context& ctx) {
+    EXPECT_EQ(ctx.lamport(0), 0u);
+    EXPECT_EQ(ctx.lamport(1), 0u);
+    EXPECT_EQ(ctx.lamport(2), 0u);
+  });
 }
 
 TEST(Multicast, EmptyDestinationListIsANoop) {
-  sim::Runtime rt = makeRt(1, 2);
-  for (ProcessId p = 0; p < 2; ++p)
-    rt.attach(p, std::make_unique<Probe>(rt, p));
-  rt.start();
-  rt.multicast(0, {}, std::make_shared<const TagPayload>(1));
-  EXPECT_EQ(rt.lamport(0), 0u);
-  EXPECT_EQ(rt.traffic().at(Layer::kProtocol).total(), 0u);
+  fanOutOnBothBackends(1, 2, {}, 0, [](exec::Context& ctx) {
+    EXPECT_EQ(ctx.lamport(0), 0u);
+    EXPECT_EQ(ctx.traffic().at(Layer::kProtocol).total(), 0u);
+  });
 }
 
 // ---------------------------------------------------------------------------

@@ -26,10 +26,14 @@ Rules
                          fingerprint-affecting code: pointer order is
                          allocator order, not a deterministic order.
   D4  guarded-timers     Every raw Scheduler::at registration outside the
-                         runtime itself (src/sim/) must be annotated with
-                         the incarnation/liveness guard that protects it.
-                         Node code should use Runtime::timer (TimerGuard);
-                         harness code that schedules raw events must check
+                         two backends (src/sim/, src/exec/) must be
+                         annotated with the incarnation/liveness guard
+                         that protects it. A registration is `.at(` on
+                         any name declared as a Scheduler (in the file or
+                         its header) or on the scheduler() accessor. Node
+                         code should use Context::timer, which both
+                         backends wrap in one TimerGuard; harness code
+                         that schedules raw events must check
                          crash/incarnation state at fire time and say so.
   D5  hot-no-alloc       No heap allocation (non-placement new,
                          make_unique/make_shared, malloc family,
@@ -96,7 +100,7 @@ RULES = {
     "D3": ("no-pointer-keys",
            "pointer-keyed container in fingerprint scope"),
     "D4": ("guarded-timers",
-           "raw Scheduler::at outside the runtime without a guard note"),
+           "raw Scheduler::at outside the backends without a guard note"),
     "D5": ("hot-no-alloc",
            "heap allocation inside a WANMC_HOT region"),
     "D6": ("backend-agnostic",
@@ -276,9 +280,11 @@ def fingerprint_scope(path: str) -> bool:
 
 
 def d4_in_scope(path: str) -> bool:
-    # The runtime/scheduler implement the guard substrate; everything else
-    # in src/ must route timers through it or document its own guard.
-    return in_dir(path, "src") and not in_dir(path, "src/sim")
+    # Both backends arm timers through exec::Context's TimerGuard, so they
+    # (and the scheduler) are the guard substrate; everything else in src/
+    # must route timers through it or document its own guard.
+    return (in_dir(path, "src") and not in_dir(path, "src/sim")
+            and not in_dir(path, "src/exec"))
 
 
 def d6_in_scope(path: str) -> bool:
@@ -406,20 +412,36 @@ def check_d3(sf: SourceFile) -> list[Finding]:
     return findings
 
 
-D4_RE = re.compile(r"(?:\bscheduler\s*\(\s*\)|\bsched_)\s*\.\s*at\s*\(")
+# A name declared with the Scheduler type: a member (`sim::Scheduler
+# sched;`), a parameter, or an accessor (`Scheduler& scheduler()`).
+SCHED_DECL_RE = re.compile(
+    r"\b(?:sim\s*::\s*)?Scheduler\s*[&*]?\s*([A-Za-z_]\w*)\s*[;={(),]")
 
 
-def check_d4(sf: SourceFile) -> list[Finding]:
+def d4_registration_re(sf: SourceFile, extra_code: str) -> re.Pattern:
+    """`.at(` (or `->at(`) on a Scheduler: a name declared as one in this
+    file or its companion header, the runtime's scheduler() accessor, or
+    its sched_ member."""
+    names = {"scheduler", "sched_"}
+    for text in (sf.code, extra_code):
+        names.update(SCHED_DECL_RE.findall(text))
+    alts = "|".join(re.escape(n) for n in sorted(names))
+    return re.compile(
+        r"\b(?:" + alts + r")\s*(?:\(\s*\))?\s*(?:\.|->)\s*at\s*\(")
+
+
+def check_d4(sf: SourceFile, companions: dict[str, str]) -> list[Finding]:
     if not d4_in_scope(sf.path):
         return []
+    registration = d4_registration_re(sf, companions.get(sf.path, ""))
     findings = []
     for lineno, line in enumerate(sf.code_lines, start=1):
-        if D4_RE.search(line):
+        if registration.search(line):
             findings.append(Finding(
                 sf.path, lineno, "D4",
                 "raw Scheduler::at registration: the callback will fire "
                 "even if its process crashed or reincarnated. Use "
-                "Runtime::timer (TimerGuard) for node timers; a harness "
+                "Context::timer (TimerGuard) for node timers; a harness "
                 "event must check crash/incarnation state at fire time "
                 "and document it via wanmc-lint: allow(D4)"))
     return findings
@@ -613,7 +635,7 @@ def lint_file(path: str, display: str,
     findings += check_d1(sf)
     findings += check_d2(sf, companions)
     findings += check_d3(sf)
-    findings += check_d4(sf)
+    findings += check_d4(sf, companions)
     findings += check_d5(sf)
     findings += check_d6(sf)
     findings += check_d7(sf)
@@ -648,7 +670,8 @@ def collect_files(root: str, paths: list[str]) -> list[tuple[str, str]]:
 
 def build_companions(files: list[tuple[str, str]]) -> dict[str, str]:
     """Map each .cpp to the stripped text of its same-stem header so D2
-    sees member declarations when linting the implementation file."""
+    and D4 see member declarations when linting the implementation
+    file."""
     header_text: dict[str, str] = {}
     for full, rel in files:
         if rel.endswith((".hpp", ".h")):
@@ -695,7 +718,7 @@ def run_self_test(root: str) -> int:
         findings += check_d1(sf)
         findings += check_d2(sf, {})
         findings += check_d3(sf)
-        findings += check_d4(sf)
+        findings += check_d4(sf, {})
         findings += check_d5(sf)
         findings += check_d6(sf)
         findings += check_d7(sf)
