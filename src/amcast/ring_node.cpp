@@ -29,10 +29,7 @@ void RingNode::xcast(const AppMsgPtr& m) {
   const GroupId g1 = firstGroup(*m);
   auto start = std::make_shared<const RingPayload>(RingPayload::Kind::kStart,
                                                    m, 0, gid());
-  std::vector<ProcessId> tos;
-  for (ProcessId q : topology().members(g1))
-    if (q != pid()) tos.push_back(q);
-  sendToMany(tos, start);
+  sendToMany(peers_.of(GroupSet::single(g1)), start);
   if (gid() == g1) noteCandidate(m, /*defined=*/false, 0);
 }
 
@@ -132,10 +129,7 @@ void RingNode::pumpQueue() {
         // group; our own group learns locally.
         auto a = std::make_shared<const RingPayload>(RingPayload::Kind::kAck,
                                                      c.msg, c.ts, gid());
-        std::vector<ProcessId> tos;
-        for (ProcessId q : topology().membersOf(m.dest))
-          if (topology().group(q) != gid()) tos.push_back(q);
-        sendToMany(tos, a);
+        sendToMany(ackDests_.of(m.dest.without(gid())), a);
         acked_.insert(id);
       }
     }

@@ -107,6 +107,8 @@ class RingNode final : public core::XcastNode {
   std::set<MsgId> forwarded_;
   std::set<MsgId> done_;
   std::map<consensus::Instance, ConsensusValue> decisionBuffer_;
+  MemberLists peers_{topology(), pid()};  // kStart: g1's members minus self
+  MemberLists ackDests_{topology()};  // gk's ack: m's addressees outside gk
 };
 
 }  // namespace wanmc::amcast

@@ -8,7 +8,6 @@
 #include "abcast/sequencer_node.hpp"
 #include "amcast/a1_node.hpp"
 #include "amcast/ring_node.hpp"
-#include "amcast/rodrigues_node.hpp"
 #include "amcast/skeen_node.hpp"
 #include "amcast/viabcast_node.hpp"
 #include "common/batch.hpp"
@@ -34,9 +33,11 @@ std::unique_ptr<XcastNode> makeNode(ProtocolKind kind, exec::Context& rt,
     case ProtocolKind::kDelporte00:
       return std::make_unique<amcast::RingNode>(rt, pid, stack);
     case ProtocolKind::kRodrigues98:
-      return std::make_unique<amcast::RodriguesNode>(rt, pid, stack);
+      return std::make_unique<amcast::SkeenNode>(
+          rt, pid, stack, amcast::SkeenVariant::kRodrigues98);
     case ProtocolKind::kSkeen87:
-      return std::make_unique<amcast::SkeenNode>(rt, pid, stack);
+      return std::make_unique<amcast::SkeenNode>(
+          rt, pid, stack, amcast::SkeenVariant::kSkeen87);
     case ProtocolKind::kViaBcast:
       return std::make_unique<amcast::ViaBcastNode>(rt, pid, stack);
     case ProtocolKind::kA2:

@@ -11,10 +11,26 @@ namespace wanmc::exec {
 
 namespace {
 // Which slot (process index, or driverSlot) the current thread IS. -1 on
-// threads the runtime never adopted (e.g. a test's main thread before
+// threads no runtime has adopted (e.g. a test's main thread outside
 // run()). Identity, not data: used only for ownership asserts and for
 // routing recordCast to the right trace slice.
 thread_local int tlsSlot = -1;
+
+// Adopts the calling thread as `slot` while in scope: a process thread for
+// its whole life, the driver for one run(). The destructor restores the
+// earlier slot, so a thread that drove one runtime and then calls another
+// outside that one's run() is no slot of it (it would otherwise push on the
+// old driver slot's ring index).
+class AdoptSlot {
+ public:
+  explicit AdoptSlot(int slot) : saved_(tlsSlot) { tlsSlot = slot; }
+  ~AdoptSlot() { tlsSlot = saved_; }
+  AdoptSlot(const AdoptSlot&) = delete;
+  AdoptSlot& operator=(const AdoptSlot&) = delete;
+
+ private:
+  int saved_;
+};
 
 // Sets the calling thread's timer slack to 1 ns while in scope, so that a
 // sleep ends at its deadline instead of up to the default 50 µs later.
@@ -95,7 +111,7 @@ void ThreadedRuntime::sleepUntil(int64_t wakeUs) const {
 }
 
 void ThreadedRuntime::threadMain(ProcessId pid) {
-  tlsSlot = pid;
+  const AdoptSlot adopt(pid);
   const PreciseSleeps precise;
   PerThread& me = per_[static_cast<size_t>(pid)];
   node(pid).onStart();
@@ -283,7 +299,7 @@ void ThreadedRuntime::deliverFromChannel(ProcessId, ProcessId,
 bool ThreadedRuntime::run(SimTime wallBudgetUs,
                           const std::function<bool()>& done) {
   assert(running_.load(std::memory_order_relaxed) && "start() first");
-  tlsSlot = driverSlot();
+  const AdoptSlot adopt(driverSlot());
   const PreciseSleeps precise;
   for (;;) {
     driverSched_.run(monoUs());

@@ -27,9 +27,11 @@
 //     Lamport clock, its flags and traffic counters. Only thread i writes
 //     them; the records are cache-line aligned, so no two threads' writes
 //     share a line.
-//   * The driver (the thread that calls run(), slot N) owns the harness
-//     queue: scripted casts, workload arrivals, batch windows. It reaches
-//     a process ONLY via post(), which crosses on a ring like any message.
+//   * The driver (the thread that calls run(), slot N until run()
+//     returns) owns the harness queue: scripted casts, workload arrivals,
+//     batch windows. It reaches a process ONLY via post(), which crosses
+//     on a ring like any message; a post from a thread that is no slot
+//     (before run(), or after it) crosses on the driver's ring too.
 //   * Timer queues are the sim's Scheduler, one per owning thread, fired
 //     with run(now) on the real clock, so a timer armed after a pass may
 //     land behind the window start (see the calendar notes in

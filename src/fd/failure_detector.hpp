@@ -49,9 +49,9 @@ class FailureDetector {
   // partition, corrected premature timeout: same incarnation, it kept all
   // its protocol state); true — the process RECOVERED (a fresh amnesiac
   // incarnation that kept nothing). Layers that re-introduce state on
-  // retraction (e.g. RodriguesNode re-sending pending kData) must branch
-  // on it: a rehabilitated process only lacks what it never received, a
-  // fresh incarnation lacks everything.
+  // retraction (e.g. SkeenNode's Rodrigues98 variant re-sending pending
+  // kData) must branch on it: a rehabilitated process only lacks what it
+  // never received, a fresh incarnation lacks everything.
   using RetractionCb = std::function<void(ProcessId, bool freshIncarnation)>;
 
   virtual ~FailureDetector() = default;

@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "abcast/sequencer_node.hpp"
-#include "amcast/rodrigues_node.hpp"
+#include "amcast/skeen_node.hpp"
 #include "core/experiment.hpp"
 #include "sim/runtime.hpp"
 #include "testing/scenario.hpp"
@@ -156,9 +156,10 @@ TEST(Rodrigues98, IdsAcrossTheScopeBandDeliverInOneOrder) {
   sim::Runtime rt(Topology(2, 3),
                   sim::LatencyModel{kMs, 2 * kMs, 95 * kMs, 110 * kMs}, 1);
   const core::StackConfig stack;
-  std::vector<amcast::RodriguesNode*> nodes;
+  std::vector<amcast::SkeenNode*> nodes;
   for (ProcessId p = 0; p < 6; ++p) {
-    auto n = std::make_unique<amcast::RodriguesNode>(rt, p, stack);
+    auto n = std::make_unique<amcast::SkeenNode>(
+        rt, p, stack, amcast::SkeenVariant::kRodrigues98);
     nodes.push_back(n.get());
     rt.attach(p, std::move(n));
   }
@@ -171,7 +172,7 @@ TEST(Rodrigues98, IdsAcrossTheScopeBandDeliverInOneOrder) {
         makeAppMessage(ids[i], sender, GroupSet::of({0, 1})));
   }
   rt.run();
-  auto orderAt = [](const amcast::RodriguesNode* n) {
+  auto orderAt = [](const amcast::SkeenNode* n) {
     std::vector<MsgId> order;
     for (const AppMsgPtr& m : n->delivered()) order.push_back(m->id);
     return order;

@@ -6,12 +6,14 @@
 // The adversity tests pin the handshake's failure paths: donor crash
 // mid-transfer (retry), rejoin inside an unhealed partition (no completion
 // until heal), a second crash racing the offer (stale-session drop), and a
-// joining donor (deny + advance).
+// joining donor (deny + advance). The vote-rejoin tests crash a Skeen87 or
+// Rodrigues98 addressee while the timestamp votes are in flight.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/experiment.hpp"
 #include "testing/scenario.hpp"
 #include "verify/properties.hpp"
@@ -221,6 +223,74 @@ TEST(BootstrapAdversity, JoiningDonorDeniesAndRejoinerAdvances) {
   EXPECT_EQ(sequenceSince(r, 0, 640 * kMs), seqs.at(3));
   EXPECT_EQ(sequenceSince(r, 1, 800 * kMs), seqs.at(3));
 }
+
+// ---------------------------------------------------------------------------
+// Vote-ordering rejoins (Skeen87, Rodrigues98). A Skeen87 process whose
+// dead incarnation voted on m must not vote on m again: peers that decided
+// on the first vote keep it and the others take the second, so m's final
+// timestamp, and the order around it, would differ between correct
+// processes. Rodrigues98 re-votes by design (consensus fixes one
+// maximum); the sweep runs it as the other user of the same install merge.
+// ---------------------------------------------------------------------------
+
+TEST(VoteRejoin, Skeen87RejoinDuringVoteExchangeKeepsPrefixOrder) {
+  // p1 votes on p0's cast at ~101 ms and crashes at 105 ms, before p3's
+  // cast or any group-1 vote reaches group 0 (95-110 ms after sending). It
+  // recovers at 150 ms and hears of both casts while it is still joining
+  // (its snapshot request leaves after the 162 ms settle).
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Experiment ex(cfg(ProtocolKind::kSkeen87, 2, 3, seed));
+    ex.castAt(100 * kMs, 0, GroupSet::of({0, 1}));
+    ex.castAt(100 * kMs, 3, GroupSet::of({0, 1}));
+    ex.crashAt(1, 105 * kMs);
+    ex.recoverAt(1, 150 * kMs);
+    auto r = ex.run(60 * kSec);
+    const auto v = r.checkAtomicSuite();
+    EXPECT_TRUE(v.empty()) << "seed " << seed << ": " << v[0];
+    EXPECT_EQ(r.rejoins.size(), 1u) << "seed " << seed;
+    EXPECT_EQ(r.trace.deliveries.size(), 12u) << "seed " << seed;
+  }
+}
+
+// Each seed draws 2 or 3 groups of 3, 2-7 casts at 90-210 ms to {0, 1} or
+// to every group from any process but p1, and a crash of p1 at 95-155 ms
+// with its recovery 1-150 ms later: the crash and the joining window fall
+// among the votes in flight. Among these runs are rejoiners that hear of
+// a message before the install and whose donor holds the dead
+// incarnation's vote on it.
+class VoteRejoinSweep : public ::testing::TestWithParam<ProtocolKind> {};
+
+TEST_P(VoteRejoinSweep, EveryRunSafeWithOneRejoin) {
+  const ProtocolKind kind = GetParam();
+  for (uint64_t seed = 1; seed <= 100; ++seed) {
+    SplitMix64 rng(seed);
+    const auto groups = static_cast<int>(rng.uniform(2, 3));
+    Experiment ex(cfg(kind, groups, 3, seed));
+    const auto casts = rng.uniform(2, 7);
+    for (int64_t i = 0; i < casts; ++i) {
+      const SimTime when = rng.uniform(90 * kMs, 210 * kMs);
+      const GroupSet dest = rng.uniform(0, 1) == 0 ? GroupSet::of({0, 1})
+                                                   : GroupSet::all(groups);
+      auto sender = static_cast<ProcessId>(rng.uniform(0, 3 * groups - 2));
+      if (sender >= 1) ++sender;  // anyone but p1
+      ex.castAt(when, sender, dest);
+    }
+    const SimTime crash = rng.uniform(95 * kMs, 155 * kMs);
+    ex.crashAt(1, crash);
+    ex.recoverAt(1, crash + rng.uniform(1 * kMs, 150 * kMs));
+    auto r = ex.run(60 * kSec);
+    const auto v = r.checkAtomicSuite();
+    EXPECT_TRUE(v.empty()) << "seed " << seed << ": " << v[0];
+    EXPECT_EQ(r.rejoins.size(), 1u) << "seed " << seed;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Protocols, VoteRejoinSweep,
+    ::testing::Values(ProtocolKind::kSkeen87, ProtocolKind::kRodrigues98),
+    [](const auto& info) {
+      return wanmc::testing::protocolTestName(info.param);
+    });
 
 // ---------------------------------------------------------------------------
 // Unarmed: the plane does not exist, nothing changes.

@@ -1,8 +1,8 @@
 // Edge-case tests for the batch-send semantics of both backends (the
 // paper's one-event-per-multicast clock rule), for starting a runtime that
-// lacks a node (both backends), for timer cancellation and back-pressure
-// on the threaded backend, and for consensus corner cases that the
-// protocol-level tests exercise only indirectly.
+// lacks a node (both backends), for timer cancellation, back-pressure and
+// the driver slot on the threaded backend, and for consensus corner cases
+// that the protocol-level tests exercise only indirectly.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -240,6 +240,38 @@ TEST(ThreadedBackpressure, TwoProcessesFloodingEachOtherFromOnStartFinish) {
   }));
   rt.stop();
   EXPECT_EQ(received.load(), 2 * kCopies);
+}
+
+// ---------------------------------------------------------------------------
+// The driver slot lasts one run(): a thread that drove one runtime and then
+// posts to another before that one's run() is no slot of it, so the command
+// crosses on the second runtime's driver ring, not on the ring index of the
+// first runtime's driver slot (6 here, past the 3 rings of a 2-process
+// runtime).
+// ---------------------------------------------------------------------------
+
+TEST(ThreadedDriver, PostAfterAnotherRuntimesRunCrossesOnTheDriverRing) {
+  const auto latency = sim::LatencyModel::fixed(kMs, 100 * kMs);
+  {
+    std::atomic<int> started{0};
+    exec::ThreadedRuntime first(Topology(2, 3), latency, 1);
+    for (ProcessId p = 0; p < 6; ++p)
+      first.attach(p, std::make_unique<StartCounter>(first, p, started));
+    first.start();
+    EXPECT_TRUE(first.run(10 * kSec, [&started] { return started == 6; }));
+    first.stop();
+  }
+  std::atomic<int> started{0};
+  std::atomic<bool> ran{false};
+  exec::ThreadedRuntime second(Topology(1, 2), latency, 1);
+  for (ProcessId p = 0; p < 2; ++p)
+    second.attach(p, std::make_unique<StartCounter>(second, p, started));
+  second.post(0, [&ran] { ran.store(true, std::memory_order_release); });
+  second.start();
+  EXPECT_TRUE(second.run(10 * kSec, [&ran] {
+    return ran.load(std::memory_order_acquire);
+  }));
+  second.stop();
 }
 
 // ---------------------------------------------------------------------------
