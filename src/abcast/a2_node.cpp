@@ -9,9 +9,7 @@ A2Node::A2Node(exec::Context& rt, ProcessId pid, const core::StackConfig& cfg)
     : core::XcastNode(rt, pid, cfg) {
   groupConsensus_ = &addGroupConsensus();
   groupConsensus_->onDecide(
-      [this](consensus::Instance k, const ConsensusValue& v) {
-        onDecided(k, v);
-      });
+      [this](consensus::Instance, const ConsensusValue&) { drainDecisions(); });
   rm().onDeliver([this](const AppMsgPtr& m) {
     // Task 2 (lines 6-7).
     if (adelivered_.count(m->id)) return;
@@ -40,19 +38,12 @@ void A2Node::tryPropose() {
   groupConsensus_->propose(K_, std::move(proposal));
 }
 
-void A2Node::onDecided(consensus::Instance k, const ConsensusValue& v) {
-  decisionBuffer_[k] = v;
-  drainDecisions();
-}
-
 void A2Node::drainDecisions() {
-  if (joining()) return;  // decisions buffer until the snapshot install
+  if (joining()) return;  // decisions wait until the snapshot install
   while (!awaitingBundles_) {
-    auto it = decisionBuffer_.find(K_);
-    if (it == decisionBuffer_.end()) return;
-    const ConsensusValue v = std::move(it->second);
-    decisionBuffer_.erase(it);
-    handleDecided(K_, v.get<MsgBundle>());
+    const ConsensusValue* v = groupConsensus_->decision(K_);
+    if (v == nullptr) return;
+    handleDecided(K_, v->get<MsgBundle>());
   }
 }
 
@@ -128,8 +119,6 @@ uint64_t A2Node::BootState::approxBytes() const {
   b += 8 * adelivered.size();
   for (const auto& [r, byGroup] : msgs)
     for (const auto& [g, bundle] : byGroup) b += 16 + 24 * bundle.size();
-  for (const auto& [k, v] : decisionBuffer)
-    b += 8 + 24 * v.get<MsgBundle>().size();
   return b;
 }
 
@@ -142,7 +131,6 @@ std::shared_ptr<bootstrap::ProtocolState> A2Node::snapshotProtocolState()
   s->rdelivered = rdelivered_;
   s->adelivered = adelivered_;
   s->msgs = msgs_;
-  s->decisionBuffer = decisionBuffer_;
   s->awaitingBundles = awaitingBundles_;
   return s;
 }
@@ -163,13 +151,13 @@ void A2Node::installProtocolState(const bootstrap::Snapshot& snap) {
       if (slot.empty()) slot = bundle;
     }
   if (snap.donorGroup == gid()) {
-    // Group-scoped pieces: the R-Delivered working set, the buffered
-    // group-consensus decisions and the proposal clock describe the
-    // donor's OWN group — only a groupmate's apply here.
+    // Group-scoped pieces: the R-Delivered working set and the proposal
+    // clock describe the donor's OWN group — only a groupmate's apply
+    // here, as only a groupmate installs the snapshot's group-consensus
+    // decisions.
     propK_ = std::max(propK_, s->propK);
     for (const auto& [id, m] : s->rdelivered)
       if (adelivered_.count(id) == 0) rdelivered_[id] = m;
-    for (const auto& [k, v] : s->decisionBuffer) decisionBuffer_.emplace(k, v);
   }
   // Messages R-Delivered during the joining window that the donor already
   // A-Delivered leave the working set: the suffix replay delivers them.
@@ -180,17 +168,16 @@ void A2Node::installProtocolState(const bootstrap::Snapshot& snap) {
   // forever — so derive it from the merged table instead.
   const auto rIt = msgs_.find(K_);
   awaitingBundles_ = rIt != msgs_.end() && rIt->second.count(gid()) != 0;
-  // Rounds and decisions below the merged clock can never be consumed —
-  // drop them instead of leaking.
+  // Rounds below the merged clock can never be consumed — drop them
+  // instead of leaking.
   msgs_.erase(msgs_.begin(), msgs_.lower_bound(K_));
-  decisionBuffer_.erase(decisionBuffer_.begin(),
-                        decisionBuffer_.lower_bound(K_));
 }
 
 void A2Node::resumeAfterInstall() {
   // Round K_ may already be completable from the merged bundle table; then
-  // drain decisions buffered during the window and rejoin the proposal
-  // loop (K_ <= barrier_ restarts rounds even with an empty working set).
+  // apply the decisions reached during the window or installed, and rejoin
+  // the proposal loop (K_ <= barrier_ restarts rounds even with an empty
+  // working set).
   tryCompleteRound();
   drainDecisions();
   tryPropose();

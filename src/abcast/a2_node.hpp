@@ -73,8 +73,8 @@ class A2Node : public core::XcastNode {
   }
 
   // Bootstrap snapshot surface: round/barrier clocks, the
-  // RDELIVERED-minus-ADELIVERED working set, buffered bundles and
-  // decisions. Inherited
+  // RDELIVERED-minus-ADELIVERED working set and the buffered bundles; the
+  // group's decisions travel in the snapshot's consensus part. Inherited
   // unchanged by ViaBcastNode (donor and rejoiner run the same stack).
   [[nodiscard]] std::shared_ptr<bootstrap::ProtocolState>
   snapshotProtocolState() const override;
@@ -89,14 +89,12 @@ class A2Node : public core::XcastNode {
     std::map<MsgId, AppMsgPtr> rdelivered;
     std::set<MsgId> adelivered;
     std::map<uint64_t, std::map<GroupId, MsgBundle>> msgs;
-    std::map<consensus::Instance, ConsensusValue> decisionBuffer;
     bool awaitingBundles = false;
     [[nodiscard]] uint64_t approxBytes() const override;
   };
 
   // Task 4 guard (line 11).
   void tryPropose();
-  void onDecided(consensus::Instance k, const ConsensusValue& v);
   void drainDecisions();
   // Lines 15-23, entered when the decision for round K_ is available.
   void handleDecided(uint64_t k, const MsgBundle& bundle);
@@ -112,7 +110,6 @@ class A2Node : public core::XcastNode {
   std::set<MsgId> adelivered_;
   // Msgs: round -> group -> bundle.
   std::map<uint64_t, std::map<GroupId, MsgBundle>> msgs_;
-  std::map<consensus::Instance, ConsensusValue> decisionBuffer_;
   bool awaitingBundles_ = false;  // decided round K_, waiting for line 16
   MemberLists otherGroups_{topology()};  // line 15's addressees
 

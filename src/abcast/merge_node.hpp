@@ -16,9 +16,9 @@
 // provided the heartbeat period is at least the inter-group delay; the
 // wall-clock merge delay grows with the heartbeat period — exactly the
 // rate-vs-delay tradeoff [1] studies. The algorithm is never quiescent and,
-// used as a multicast (messages sent to addressees only, heartbeats still
-// global), it is not genuine — which is why it evades the paper's lower
-// bounds (different model, see §6).
+// used as a multicast (every event still sent to every process, data
+// delivered at addressees only), it is not genuine — which is why it evades
+// the paper's lower bounds (different model, see §6).
 #pragma once
 
 #include <cstdint>
@@ -47,8 +47,8 @@ struct MergePayload final : Payload {
 
 struct MergeOptions {
   SimTime heartbeatPeriod = 200 * kMs;  // >= max inter-group delay => deg. 1
-  // Broadcast mode sends data to everyone; multicast mode sends data to the
-  // addressees only (heartbeats are global either way).
+  // Both modes send every event, data and heartbeats, to every process;
+  // multicast mode merges and delivers data at its addressees only.
   bool multicastMode = false;
 };
 

@@ -25,9 +25,7 @@ A1Node::A1Node(exec::Context& rt, ProcessId pid, const core::StackConfig& cfg,
   if (first) streams_.resize(static_cast<size_t>(topology().numProcesses()));
   groupConsensus_ = &addGroupConsensus();
   groupConsensus_->onDecide(
-      [this](consensus::Instance k, const ConsensusValue& v) {
-        onDecided(k, v);
-      });
+      [this](consensus::Instance, const ConsensusValue&) { drainDecisions(); });
   rm().onDeliver([this](const AppMsgPtr& m) {
     noteMessage(m);
     tryPropose();
@@ -111,31 +109,17 @@ void A1Node::tryPropose() {
   groupConsensus_->propose(K_, std::move(set));
 }
 
-void A1Node::onDecided(consensus::Instance k, const ConsensusValue& v) {
-  // The decision for the current instance applies at once (handleDecided
-  // drains the buffer behind it); a later one waits, shared, in the buffer.
-  if (k == K_ && !joining()) {
-    handleDecided(k, v.get<A1EntrySet>());
-    return;
-  }
-  decisionBuffer_.insert_or_assign(k, v);
-  drainDecisions();
-}
-
 void A1Node::drainDecisions() {
   // Decisions are applied in group-clock order: the sequence of instances a
   // group executes is the same on all members (paper Lemma A.1), but a
-  // member that lags can receive the DECIDE for instance k' > K_ early.
-  // While joining, decisions only accumulate in the buffer: applying one
-  // against the amnesiac clock could A-Deliver before the snapshot lands,
-  // making the suffix replay a within-incarnation duplicate.
+  // member that lags can receive the DECIDE for instance k' > K_ early; it
+  // waits in the service's decided table until the clock reaches k'.
+  // While joining, nothing is applied: a decision applied against the
+  // amnesiac clock could A-Deliver before the snapshot lands, making the
+  // suffix replay a within-incarnation duplicate.
   if (joining()) return;
-  for (auto it = decisionBuffer_.find(K_); it != decisionBuffer_.end();
-       it = decisionBuffer_.find(K_)) {
-    const ConsensusValue v = std::move(it->second);
-    decisionBuffer_.erase(it);
-    handleDecided(K_, v.get<A1EntrySet>());
-  }
+  while (const ConsensusValue* v = groupConsensus_->decision(K_))
+    handleDecided(K_, v->get<A1EntrySet>());
 }
 
 void A1Node::handleDecided(consensus::Instance k, const A1EntrySet& entries) {
@@ -181,7 +165,6 @@ void A1Node::handleDecided(consensus::Instance k, const A1EntrySet& entries) {
   // just reached s1 may already have all their remote proposals buffered.
   for (MsgId id : newlyS1) checkStage1(id);
   tryPropose();
-  drainDecisions();
 }
 
 PayloadPtr A1Node::stamp(const AppMsgPtr& m, uint64_t k) {
@@ -315,8 +298,6 @@ uint64_t A1Node::BootState::approxBytes() const {
   for (const auto& [id, p] : pending) b += 40 + p.msg->body.size();
   b += 8 * adelivered.size();
   for (const auto& [id, ps] : tsProposals) b += 8 + 16 * ps.size();
-  for (const auto& [k, v] : decisionBuffer)
-    b += 8 + 48 * v.get<A1EntrySet>().size();
   return b;
 }
 
@@ -329,7 +310,6 @@ std::shared_ptr<bootstrap::ProtocolState> A1Node::snapshotProtocolState()
   // wanmc-lint: allow(D2): insert into an ordered container
   s->adelivered.insert(adelivered_.begin(), adelivered_.end());
   s->tsProposals = tsProposals_;
-  s->decisionBuffer = decisionBuffer_;
   return s;
 }
 
@@ -345,25 +325,22 @@ void A1Node::installProtocolState(const bootstrap::Snapshot& snap) {
     for (const auto& [g, ts] : ps)
       tsProposals_[id][g] = std::max(tsProposals_[id][g], ts);
   if (snap.donorGroup == gid()) {
-    // Group-scoped pieces: the group clock, the proposal clock, the
-    // pending stages/timestamps and the buffered decisions all describe
-    // the DONOR's group's ordering progress — only a groupmate's apply.
-    // Clocks advance to the donor's; on a pending id both sides know, the
-    // donor's entry wins (its stage is at least as advanced).
+    // Group-scoped pieces: the group clock, the proposal clock and the
+    // pending stages/timestamps describe the DONOR's group's ordering
+    // progress — only a groupmate's apply. (The donor's group decisions
+    // come with the snapshot's consensus part, which likewise only a
+    // groupmate installs.) Clocks advance to the donor's; on a pending id
+    // both sides know, the donor's entry wins (its stage is at least as
+    // advanced).
     K_ = std::max(K_, s->K);
     propK_ = std::max(propK_, s->propK);
     for (const auto& [id, p] : s->pending)
       setPending(id, p.msg, p.stage, p.ts);
-    for (const auto& [k, v] : s->decisionBuffer) decisionBuffer_.emplace(k, v);
   }
   for (MsgId id : s->adelivered) {
     erasePending(id);
     tsProposals_.erase(id);
   }
-  // Decisions for instances the donor already executed can never drain
-  // (the clock is past them) — drop them instead of leaking.
-  decisionBuffer_.erase(decisionBuffer_.begin(),
-                        decisionBuffer_.lower_bound(K_));
 }
 
 void A1Node::resumeAfterInstall() {

@@ -50,8 +50,8 @@
 // minimum per group instead of scanning. An s1 entry with every proposal
 // in waits in the main index from handleDecided's setPending to its
 // checkStage1.
-// Decisions arrive as shared values (common/consensus_value.hpp); the
-// decision buffer holds them without copying. The A-Delivered ids, which
+// Decisions are read, shared (common/consensus_value.hpp), from the group
+// consensus service's decided table. The A-Delivered ids, which
 // every R-Deliver, decided entry and (TS, m) copy checks and which grow
 // for the whole run, are a hash set; the snapshot orders them. The (TS, m)
 // fan-out reuses one member list per destination set (MemberLists).
@@ -145,8 +145,8 @@ class A1Node final : public core::XcastNode {
  protected:
   void onProtocolMessage(ProcessId from, const PayloadPtr& p) override;
 
-  // Bootstrap snapshot surface (core/stack_node.hpp): the full A1 ordering
-  // state — group clock, pending table, stamp proposals, decision buffer.
+  // Bootstrap snapshot surface (core/stack_node.hpp): group clock, pending
+  // table, stamp proposals (the decisions are in the consensus part).
   [[nodiscard]] std::shared_ptr<bootstrap::ProtocolState>
   snapshotProtocolState() const override;
   void installProtocolState(const bootstrap::Snapshot& s) override;
@@ -193,7 +193,6 @@ class A1Node final : public core::XcastNode {
     std::map<MsgId, Pend> pending;
     std::set<MsgId> adelivered;
     std::map<MsgId, std::map<GroupId, uint64_t>> tsProposals;
-    std::map<consensus::Instance, ConsensusValue> decisionBuffer;
     [[nodiscard]] uint64_t approxBytes() const override;
   };
 
@@ -215,8 +214,7 @@ class A1Node final : public core::XcastNode {
   void noteMessage(const AppMsgPtr& m);
   // Line 14-17: propose all pending s0/s2 messages to the next instance.
   void tryPropose();
-  // Lines 18-32: handle the decision of instance k.
-  void onDecided(consensus::Instance k, const ConsensusValue& v);
+  // Lines 18-32: apply the decided instances from K_ on, in clock order.
   void drainDecisions();
   void handleDecided(consensus::Instance k, const A1EntrySet& entries);
   // Lines 33-40: all remote proposals for a stage-s1 message are in.
@@ -238,8 +236,6 @@ class A1Node final : public core::XcastNode {
   std::unordered_set<MsgId> adelivered_;
   // Remote (and own) timestamp proposals per pending message, per group.
   std::map<MsgId, std::map<GroupId, uint64_t>> tsProposals_;
-  // Decisions that arrived before our clock reached their instance.
-  std::map<consensus::Instance, ConsensusValue> decisionBuffer_;
   uint64_t instancesDecided_ = 0;
   // The (TS, m) fan-out lists: the members of m.dest minus our group.
   MemberLists tsDests_{topology()};

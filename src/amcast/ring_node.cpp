@@ -11,9 +11,7 @@ RingNode::RingNode(exec::Context& rt, ProcessId pid,
     : core::XcastNode(rt, pid, cfg) {
   groupConsensus_ = &addGroupConsensus();
   groupConsensus_->onDecide(
-      [this](consensus::Instance k, const ConsensusValue& v) {
-        onDecided(k, v);
-      });
+      [this](consensus::Instance, const ConsensusValue&) { drainDecisions(); });
 }
 
 GroupId RingNode::nextGroup(const AppMessage& m, GroupId g) {
@@ -72,20 +70,11 @@ void RingNode::tryPropose() {
   groupConsensus_->propose(K_, std::move(set));
 }
 
-void RingNode::onDecided(consensus::Instance k, const ConsensusValue& v) {
-  decisionBuffer_[k] = v;
-  drainDecisions();
-}
-
 void RingNode::drainDecisions() {
-  // Buffer-only while joining (see A1Node::drainDecisions).
+  // In clock order, and nothing while joining (see A1Node::drainDecisions).
   if (joining()) return;
-  for (auto it = decisionBuffer_.find(K_); it != decisionBuffer_.end();
-       it = decisionBuffer_.find(K_)) {
-    const ConsensusValue v = std::move(it->second);
-    decisionBuffer_.erase(it);
-    handleDecided(K_, v.get<A1EntrySet>());
-  }
+  while (const ConsensusValue* v = groupConsensus_->decision(K_))
+    handleDecided(K_, v->get<A1EntrySet>());
 }
 
 void RingNode::handleDecided(uint64_t k, const A1EntrySet& entries) {
@@ -104,7 +93,6 @@ void RingNode::handleDecided(uint64_t k, const A1EntrySet& entries) {
   K_ = std::max(maxTs, K_) + 1;
   pumpQueue();
   tryPropose();
-  drainDecisions();
 }
 
 void RingNode::pumpQueue() {
@@ -155,8 +143,6 @@ uint64_t RingNode::BootState::approxBytes() const {
   for (const auto& [id, c] : candidates) b += 40 + c.msg->body.size();
   for (const auto& [id, c] : agreed) b += 40 + c.msg->body.size();
   b += 8 * (queue.size() + acked.size() + forwarded.size() + done.size());
-  for (const auto& [k, v] : decisionBuffer)
-    b += 8 + 48 * v.get<A1EntrySet>().size();
   return b;
 }
 
@@ -171,7 +157,6 @@ std::shared_ptr<bootstrap::ProtocolState> RingNode::snapshotProtocolState()
   s->acked = acked_;
   s->forwarded = forwarded_;
   s->done = done_;
-  s->decisionBuffer = decisionBuffer_;
   return s;
 }
 
@@ -188,16 +173,15 @@ void RingNode::installProtocolState(const bootstrap::Snapshot& snap) {
     // Group-scoped pieces: the clocks, the agreed queue and the candidate
     // table describe the DONOR's group's position on each message's ring —
     // only a groupmate's apply. The queue and its bookkeeping are produced
-    // only by decisions, and the joining gate kept drainDecisions
-    // buffer-only, so the local ones are empty and the donor's are adopted
-    // wholesale.
+    // only by decisions, and the joining gate kept drainDecisions from
+    // applying any, so the local ones are empty and the donor's are
+    // adopted wholesale.
     K_ = std::max(K_, s->K);
     propK_ = std::max(propK_, s->propK);
     queue_ = s->queue;
     agreed_ = s->agreed;
     forwarded_ = s->forwarded;
     for (const auto& [id, c] : s->candidates) candidates_[id] = c;
-    for (const auto& [k, v] : s->decisionBuffer) decisionBuffer_.emplace(k, v);
   }
   for (auto it = acked_.begin(); it != acked_.end();)
     it = done_.count(*it) ? acked_.erase(it) : std::next(it);
@@ -205,8 +189,6 @@ void RingNode::installProtocolState(const bootstrap::Snapshot& snap) {
     it = (done_.count(it->first) || agreed_.count(it->first))
              ? candidates_.erase(it)
              : std::next(it);
-  decisionBuffer_.erase(decisionBuffer_.begin(),
-                        decisionBuffer_.lower_bound(K_));
 }
 
 void RingNode::resumeAfterInstall() {

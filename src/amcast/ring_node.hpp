@@ -78,7 +78,6 @@ class RingNode final : public core::XcastNode {
     std::set<MsgId> acked;
     std::set<MsgId> forwarded;
     std::set<MsgId> done;
-    std::map<consensus::Instance, ConsensusValue> decisionBuffer;
     [[nodiscard]] uint64_t approxBytes() const override;
   };
 
@@ -90,7 +89,6 @@ class RingNode final : public core::XcastNode {
 
   void noteCandidate(const AppMsgPtr& m, bool defined, uint64_t ts);
   void tryPropose();
-  void onDecided(consensus::Instance k, const ConsensusValue& v);
   void drainDecisions();
   void handleDecided(uint64_t k, const A1EntrySet& entries);
   // The head of the process queue may now be forwardable / deliverable.
@@ -106,7 +104,6 @@ class RingNode final : public core::XcastNode {
   std::set<MsgId> acked_;
   std::set<MsgId> forwarded_;
   std::set<MsgId> done_;
-  std::map<consensus::Instance, ConsensusValue> decisionBuffer_;
   MemberLists peers_{topology(), pid()};  // kStart: g1's members minus self
   MemberLists ackDests_{topology()};  // gk's ack: m's addressees outside gk
 };

@@ -103,9 +103,6 @@ class Plane {
   [[nodiscard]] const std::vector<Rejoin>& rejoins() const {
     return rejoins_;
   }
-  [[nodiscard]] bool joining(ProcessId pid) const {
-    return eps_[static_cast<size_t>(pid)].joining;
-  }
 
  private:
   struct Endpoint {

@@ -50,10 +50,10 @@ struct ConsensusScopeState {
 };
 
 struct Snapshot {
-  // Group of the donating process. Group-scoped blob pieces — per-group
-  // consensus decision buffers, R-Delivered working sets, proposal clocks —
-  // describe the DONOR's group; installs only merge them when the donor is
-  // a groupmate of the rejoiner.
+  // Group of the donating process. Group-scoped blob pieces — group
+  // clocks, R-Delivered working sets, proposal clocks — describe the
+  // DONOR's group; installs only merge them when the donor is a groupmate
+  // of the rejoiner (who alone has the donor's group consensus scope).
   GroupId donorGroup = kNoGroup;
   std::vector<ConsensusScopeState> consensus;
   // Messages the donor's reliable-multicast endpoint R-Delivered, installed

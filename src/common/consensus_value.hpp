@@ -7,11 +7,11 @@
 //
 // A ConsensusValue is immutable and shared. An entry set or a bundle is
 // allocated once, when it is proposed; every payload, estimate, acked value,
-// decision, decision buffer and snapshot that carries it afterwards holds
-// the same object, so a copy costs a reference count, not a deep copy.
-// Nothing can change a value under its holders, which is also what lets a
-// payload's value cross threads on the threaded backend. Scalar timestamps
-// are stored inline and never allocate.
+// decision and snapshot that carries it afterwards holds the same object,
+// so a copy costs a reference count, not a deep copy. Nothing can change a
+// value under its holders, which is also what lets a payload's value cross
+// threads on the threaded backend. Scalar timestamps are stored inline and
+// never allocate.
 #pragma once
 
 #include <algorithm>

@@ -36,7 +36,8 @@
 // table, and its round state with it, so that
 // table stays as small as the number of instances in flight however long
 // the run; copies that arrive afterwards stop at the decided table and
-// write nothing.
+// write nothing. The group stacks (A1, A2, Delporte00) read their decisions
+// there, through decision(), each in its own clock order.
 //
 // The service runs over whatever member set it is given. The atomic
 // multicast / broadcast algorithms instantiate it per group (intra-group
@@ -102,12 +103,21 @@ class ConsensusService final {
 
   void onDecide(DecideCb cb) { decideCbs_.push_back(std::move(cb)); }
 
+  // The decision of instance k, installed ones included; null while k is
+  // undecided here. The pointer stays valid: no decision is ever erased.
+  [[nodiscard]] const ConsensusValue* decision(Instance k) const {
+    auto it = decided_.find(k);
+    return it == decided_.end() ? nullptr : &it->second.value;
+  }
+
   // Bootstrap plane (src/bootstrap/): the decided-instance table is part of
   // a donor's snapshot, and a rejoining incarnation installs it SILENTLY —
   // no decide callbacks fire, because the donated protocol state already
-  // reflects every decision's effect. An installed decision is not one this
-  // incarnation reached: a copy of such an instance still runs it (ACKs a
-  // PROPOSE, relays a DECIDE) without firing a callback. The install also
+  // reflects the effect of every decision below the donor's clock; a group
+  // stack reads those above it through decision() once its clock gets
+  // there. An installed decision is not one this incarnation reached: a
+  // copy of such an instance still runs it (ACKs a PROPOSE, relays a
+  // DECIDE) without firing a callback. The install also
   // arms the decision retransmission (onMessage): the rejoiner can answer
   // stragglers stuck in instances it never personally ran.
   // decisions() builds the instance-ordered table on demand, for the

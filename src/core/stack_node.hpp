@@ -99,8 +99,8 @@ class StackNode : public exec::Process {
       case Layer::kConsensus: {
         const auto& cp =
             static_cast<const consensus::ConsensusPayload&>(*payload);
-        auto it = consensusByScope_.find(cp.scope);
-        if (it == consensusByScope_.end()) {
+        auto it = consensus_.find(cp.scope);
+        if (it == consensus_.end()) {
           consensus::ConsensusService* svc = onUnknownConsensusScope(from, cp);
           if (svc == nullptr) return;  // not a participant of that scope
           svc->onMessage(from, cp);
@@ -130,16 +130,16 @@ class StackNode : public exec::Process {
   }
 
  protected:
-  // Creates a consensus service over `members` under scope id `scope`.
+  // Creates a consensus service over `members` under scope id `scope`, once:
+  // a later call returns the first, whose detector callbacks capture it.
   consensus::ConsensusService& addConsensus(uint64_t scope,
                                             std::vector<ProcessId> members) {
-    auto svc = std::make_unique<consensus::ConsensusService>(
-        runtime(), pid(), std::move(members), fd_.get(), scope,
-        cfg_.consensusRoundTimeout);
-    auto* raw = svc.get();
-    consensusByScope_[scope] = raw;
-    ownedConsensus_.push_back(std::move(svc));
-    return *raw;
+    auto& svc = consensus_[scope];
+    if (svc == nullptr)
+      svc = std::make_unique<consensus::ConsensusService>(
+          runtime(), pid(), std::move(members), fd_.get(), scope,
+          cfg_.consensusRoundTimeout);
+    return *svc;
   }
 
   // Convention: the per-group consensus service uses the group id as scope.
@@ -149,8 +149,8 @@ class StackNode : public exec::Process {
   }
 
   [[nodiscard]] consensus::ConsensusService* findConsensus(uint64_t scope) {
-    auto it = consensusByScope_.find(scope);
-    return it == consensusByScope_.end() ? nullptr : it->second;
+    auto it = consensus_.find(scope);
+    return it == consensus_.end() ? nullptr : it->second.get();
   }
 
   // Hook for stacks that create consensus services dynamically (e.g. the
@@ -164,7 +164,7 @@ class StackNode : public exec::Process {
   // owns (per-group and dynamically-created scopes alike).
   template <class Fn>
   void forEachConsensus(Fn&& fn) {
-    for (auto& [scope, svc] : consensusByScope_) fn(scope, *svc);
+    for (auto& [scope, svc] : consensus_) fn(scope, *svc);
   }
 
   virtual void startProtocol() {}
@@ -179,8 +179,8 @@ class StackNode : public exec::Process {
   StackConfig cfg_;
   std::unique_ptr<fd::FailureDetector> fd_;
   std::unique_ptr<rmcast::ReliableMulticast> rm_;
-  std::map<uint64_t, consensus::ConsensusService*> consensusByScope_;
-  std::vector<std::unique_ptr<consensus::ConsensusService>> ownedConsensus_;
+  std::map<uint64_t, std::unique_ptr<consensus::ConsensusService>>
+      consensus_;  // by scope
 };
 
 // Base class of every atomic multicast / broadcast protocol node: exposes
@@ -230,7 +230,9 @@ class XcastNode : public StackNode, public bootstrap::Participant {
     // propose or deliver until the suffix replay has fixed the prefix.
     // Consensus decisions first (silent): scopes this incarnation has not
     // (re)created yet — Rodrigues98 per-message scopes — are skipped; the
-    // protocol blob carries their outcomes.
+    // protocol blob carries their outcomes. A donor's group scope is found
+    // only at a groupmate; the group stacks (A1, A2, Delporte00) apply its
+    // decisions above their clock when they resume.
     for (const auto& cs : s.consensus)
       if (auto* svc = findConsensus(cs.scope))
         svc->installDecisions(cs.decisions);
@@ -276,7 +278,7 @@ class XcastNode : public StackNode, public bootstrap::Participant {
   // must survive the merge (union sets, most-advanced-stage wins).
   virtual void installProtocolState(const bootstrap::Snapshot& /*s*/) {}
   // Rejoiner side, after the replay: kick the protocol's progress paths
-  // (drain buffered decisions, re-propose, pump queues).
+  // (apply waiting decisions, re-propose, pump queues).
   virtual void resumeAfterInstall() {}
   // Called by subclasses at the A-XCast event (before any sends). Batch
   // carriers are ordering-layer artifacts: their constituents were already

@@ -5,15 +5,20 @@
 // and resumes as a full protocol participant — for EVERY protocol stack.
 // The adversity tests pin the handshake's failure paths: donor crash
 // mid-transfer (retry), rejoin inside an unhealed partition (no completion
-// until heal), a second crash racing the offer (stale-session drop), and a
-// joining donor (deny + advance). The vote-rejoin tests crash a Skeen87 or
+// until heal), a second crash racing the offer (stale-session drop), a
+// joining donor (deny + advance), and a lagging donor (decisions above its
+// clock apply at resume). The vote-rejoin tests crash a Skeen87 or
 // Rodrigues98 addressee while the timestamp votes are in flight.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "consensus/consensus.hpp"
 #include "core/experiment.hpp"
 #include "testing/scenario.hpp"
 #include "verify/properties.hpp"
@@ -222,6 +227,68 @@ TEST(BootstrapAdversity, JoiningDonorDeniesAndRejoinerAdvances) {
   const auto seqs = r.trace.sequences();
   EXPECT_EQ(sequenceSince(r, 0, 640 * kMs), seqs.at(3));
   EXPECT_EQ(sequenceSince(r, 1, 800 * kMs), seqs.at(3));
+}
+
+TEST(BootstrapAdversity, LaggingDonorsDecisionsAboveItsClockApplyAtResume) {
+  // The group stacks apply their group's decisions in clock order, reading
+  // them from the consensus service. Here the donor lags. In one group of
+  // three, p2 casts every 20 or 50 ms. Every consensus copy to p0 of the
+  // first instance it hears of after 300 ms is dropped until 1.2 s, so
+  // p0's clock stalls there while it decides the next instances with its
+  // groupmates. p1 crashes at 400 ms and recovers at 700 ms; p2's
+  // bootstrap packets are dropped, so p0, the first candidate, donates.
+  // For each stack one of the two periods has p0 hold, above its clock,
+  // decisions that p1's new incarnation never reaches itself. p1 must
+  // apply them once its clock gets there: running those instances again
+  // would leave it a round timeout behind p0.
+  for (ProtocolKind kind : {ProtocolKind::kFritzke98, ProtocolKind::kA1,
+                            ProtocolKind::kDelporte00, ProtocolKind::kA2}) {
+    for (SimTime every : {20 * kMs, 50 * kMs}) {
+      for (uint64_t seed = 1; seed <= 5; ++seed) {
+        const std::string tag = std::string(protocolName(kind)) + " every " +
+                                std::to_string(every / kMs) + " ms seed " +
+                                std::to_string(seed);
+        const RunConfig c = cfg(kind, 1, 3, seed);
+        Experiment ex(c);
+        for (SimTime t = 50 * kMs; t <= 2500 * kMs; t += every)
+          ex.castAllAt(t, 2);
+        std::optional<consensus::Instance> stalled;
+        ex.runtime().setDropFilter(
+            [&](ProcessId from, ProcessId to, const Payload& p) {
+              if (p.layer() == Layer::kBootstrap) return from == 2;
+              const SimTime now = ex.runtime().now();
+              if (to != 0 || p.layer() != Layer::kConsensus ||
+                  now < 300 * kMs || now >= 1200 * kMs)
+                return false;
+              const auto k =
+                  static_cast<const consensus::ConsensusPayload&>(p).instance;
+              if (!stalled) stalled = k;
+              return k == *stalled;
+            });
+        ex.crashAt(1, 400 * kMs);
+        ex.recoverAt(1, 700 * kMs);
+        auto r = ex.run(60 * kSec);
+
+        const auto v = r.checkAtomicSuite();
+        EXPECT_TRUE(v.empty()) << tag << ": " << v[0];
+        expectRejoinSafe(r, tag);
+        ASSERT_EQ(r.rejoins.size(), 1u) << tag;
+        const SimTime installedAt = r.rejoins[0].installedAt;
+        std::map<MsgId, SimTime> atP0;
+        for (const DeliveryEvent& d : r.trace.deliveries)
+          if (d.process == 0) atP0.emplace(d.msg, d.when);
+        SimTime behind = 0;  // p1's largest lag behind p0 after the install
+        size_t earned = 0;
+        for (const DeliveryEvent& d : r.trace.deliveries) {
+          if (d.process != 1 || d.when <= installedAt) continue;
+          ++earned;
+          behind = std::max(behind, d.when - atP0.at(d.msg));
+        }
+        EXPECT_GT(earned, 0u) << tag;
+        EXPECT_LT(behind, c.stack.consensusRoundTimeout) << tag;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

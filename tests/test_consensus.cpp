@@ -457,14 +457,22 @@ TEST(Consensus, InstalledDecisionRunsOnLocalDecisionIgnoresLateCopies) {
     // A decision installed from a snapshot is not one this incarnation
     // reached: the service still takes part in the instance (it ACKs the
     // PROPOSE and relays the DECIDE), and no decide callback fires,
-    // because the donated state already reflects the decision.
+    // because the donated state already reflects the decision. decision()
+    // reads it from the install on, as the group stacks do at resume.
     ServiceUnderTest t;
-    t.host->svc->installDecisions({{5, num(50)}});
+    consensus::ConsensusService& svc = *t.host->svc;
+    EXPECT_EQ(svc.decision(5), nullptr);
+    svc.installDecisions({{5, num(50)}});
+    ASSERT_NE(svc.decision(5), nullptr);
+    EXPECT_EQ(svc.decision(5)->get<uint64_t>(), 50u);
     // p2 coordinates round 1 of instance 5: members[(5 + 1 - 1) % 3].
     t.deliver(2, Type::kPropose, 5);
     t.deliver(2, Type::kDecide, 5);
     for (const auto* peer : t.peers) EXPECT_EQ(peer->got, ackThenDecide);
     EXPECT_TRUE(t.host->decisions.empty());
+    // Decided here as well now; the table still holds the one value.
+    ASSERT_NE(svc.decision(5), nullptr);
+    EXPECT_EQ(svc.decision(5)->get<uint64_t>(), 50u);
   }
   {
     // Once the service decided the instance itself, a late ACK, DECIDE
