@@ -56,15 +56,12 @@ RowResult runProtocol(core::ProtocolKind kind, int groups, int procs,
   // of the groups — over many messages every process tends to be an
   // addressee of something, which would mask non-genuine machinery.
   {
-    core::RunConfig pc = cfg;
-    // [1] is probed in multicast mode: as a pure broadcast, genuineness is
+    // [1] is probed with a multicast: as a pure broadcast, genuineness is
     // vacuous (every process is an addressee).
     const bool subsetProbe = groups > 1 &&
                              (!core::isBroadcastProtocol(kind) ||
                               kind == core::ProtocolKind::kDetMerge00);
-    if (kind == core::ProtocolKind::kDetMerge00)
-      pc.merge.multicastMode = true;
-    core::Experiment probe(pc);
+    core::Experiment probe(cfg);
     probe.castAt(kMs, 0,
                  subsetProbe ? GroupSet::of({0}) : GroupSet::all(groups),
                  "probe");

@@ -12,7 +12,7 @@ A2Node::A2Node(exec::Context& rt, ProcessId pid, const core::StackConfig& cfg)
       [this](consensus::Instance, const ConsensusValue&) { drainDecisions(); });
   rm().onDeliver([this](const AppMsgPtr& m) {
     // Task 2 (lines 6-7).
-    if (adelivered_.count(m->id)) return;
+    if (ordered(m->id)) return;
     rdelivered_[m->id] = m;
     tryPropose();
   });
@@ -22,7 +22,7 @@ void A2Node::xcast(const AppMsgPtr& m) {
   recordXcast(m);
   // line 5: R-MCast m to the sender's own group only — the bundle exchange
   // of round K propagates it across groups.
-  rm().rmcastTo(m, topology().members(gid()));
+  rm().rmcastOwnGroup(m);
 }
 
 void A2Node::tryPropose() {
@@ -81,7 +81,7 @@ void A2Node::tryCompleteRound() {
   MsgBundle toDeliver;
   for (const auto& [g, bundle] : byGroup)
     for (const AppMsgPtr& m : bundle)
-      if (!adelivered_.count(m->id)) toDeliver.push_back(m);
+      if (!ordered(m->id)) toDeliver.push_back(m);
   // ...A-Delivered in a deterministic order (line 19): by message id.
   canonicalize(toDeliver);
   toDeliver.erase(std::unique(toDeliver.begin(), toDeliver.end(),
@@ -91,9 +91,8 @@ void A2Node::tryCompleteRound() {
                   toDeliver.end());
 
   for (const AppMsgPtr& m : toDeliver) {
-    adelivered_.insert(m->id);  // line 20
     rdelivered_.erase(m->id);
-    if (shouldDeliver(*m)) adeliver(m);
+    adeliver(m);  // line 20 (ADELIVERED is XcastNode::ordered)
   }
 
   msgs_.erase(K_);
@@ -116,7 +115,6 @@ void A2Node::tryCompleteRound() {
 uint64_t A2Node::BootState::approxBytes() const {
   uint64_t b = 24;  // the three clocks
   for (const auto& [id, m] : rdelivered) b += 40 + m->body.size();
-  b += 8 * adelivered.size();
   for (const auto& [r, byGroup] : msgs)
     for (const auto& [g, bundle] : byGroup) b += 16 + 24 * bundle.size();
   return b;
@@ -129,7 +127,6 @@ std::shared_ptr<bootstrap::ProtocolState> A2Node::snapshotProtocolState()
   s->propK = propK_;
   s->barrier = barrier_;
   s->rdelivered = rdelivered_;
-  s->adelivered = adelivered_;
   s->msgs = msgs_;
   s->awaitingBundles = awaitingBundles_;
   return s;
@@ -139,12 +136,11 @@ void A2Node::installProtocolState(const bootstrap::Snapshot& snap) {
   const auto* s = dynamic_cast<const BootState*>(snap.protocol.get());
   if (s == nullptr) return;
   // Merge, never clobber. Rounds are lockstep across groups, so the round
-  // clocks, the A-Delivered set and the bundle table are meaningful from
-  // any donor; bundles that arrived during the joining window survive
-  // (fill-if-absent, like the wire path).
+  // clocks and the bundle table are meaningful from any donor (as is the
+  // snapshot's ordered part, ADELIVERED); bundles that arrived during the
+  // joining window survive (fill-if-absent, like the wire path).
   K_ = std::max(K_, s->K);
   barrier_ = std::max(barrier_, s->barrier);
-  adelivered_.insert(s->adelivered.begin(), s->adelivered.end());
   for (const auto& [r, byGroup] : s->msgs)
     for (const auto& [g, bundle] : byGroup) {
       auto& slot = msgs_[r][g];
@@ -157,11 +153,11 @@ void A2Node::installProtocolState(const bootstrap::Snapshot& snap) {
     // decisions.
     propK_ = std::max(propK_, s->propK);
     for (const auto& [id, m] : s->rdelivered)
-      if (adelivered_.count(id) == 0) rdelivered_[id] = m;
+      if (!ordered(id)) rdelivered_[id] = m;
   }
   // Messages R-Delivered during the joining window that the donor already
   // A-Delivered leave the working set: the suffix replay delivers them.
-  for (MsgId id : s->adelivered) rdelivered_.erase(id);
+  for (MsgId id : snap.ordered) rdelivered_.erase(id);
   // awaitingBundles_ asserts "round K_'s own-group bundle is decided and
   // sits in msgs_[K_][gid()]". The donor's flag speaks about ITS group's
   // slot — adopting it from a cross-group donor would stall drainDecisions

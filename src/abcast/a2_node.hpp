@@ -18,11 +18,14 @@
 // quiescence lower bound. A process stops after the first round that
 // delivers nothing, the paper's rule; §5.3's remark that other prediction
 // strategies "could be used" is not implemented.
+//
+// The same node is the non-genuine multicast of the paper's introduction
+// (ProtocolKind::kViaBcast): every process orders every message, and
+// XcastNode::adeliver A-Delivers it at its addressees only.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <string>
 
 #include "common/consensus_value.hpp"
@@ -65,17 +68,10 @@ class A2Node : public core::XcastNode {
  protected:
   void onProtocolMessage(ProcessId from, const PayloadPtr& p) override;
 
-  // Hook for the non-genuine broadcast-based multicast of the paper's
-  // introduction: the ordering machinery runs at every process, but only
-  // addressees A-Deliver. Default: deliver everywhere (true broadcast).
-  [[nodiscard]] virtual bool shouldDeliver(const AppMessage&) const {
-    return true;
-  }
-
   // Bootstrap snapshot surface: round/barrier clocks, the
   // RDELIVERED-minus-ADELIVERED working set and the buffered bundles; the
-  // group's decisions travel in the snapshot's consensus part. Inherited
-  // unchanged by ViaBcastNode (donor and rejoiner run the same stack).
+  // group's decisions travel in the snapshot's consensus part, ADELIVERED
+  // in its ordered ids.
   [[nodiscard]] std::shared_ptr<bootstrap::ProtocolState>
   snapshotProtocolState() const override;
   void installProtocolState(const bootstrap::Snapshot& s) override;
@@ -87,7 +83,6 @@ class A2Node : public core::XcastNode {
     uint64_t propK = 1;
     uint64_t barrier = 0;
     std::map<MsgId, AppMsgPtr> rdelivered;
-    std::set<MsgId> adelivered;
     std::map<uint64_t, std::map<GroupId, MsgBundle>> msgs;
     bool awaitingBundles = false;
     [[nodiscard]] uint64_t approxBytes() const override;
@@ -106,8 +101,8 @@ class A2Node : public core::XcastNode {
   uint64_t K_ = 1;
   uint64_t propK_ = 1;
   uint64_t barrier_ = 0;
-  std::map<MsgId, AppMsgPtr> rdelivered_;  // RDELIVERED \ ADELIVERED, by id
-  std::set<MsgId> adelivered_;
+  // RDELIVERED \ ADELIVERED, by id; ADELIVERED is XcastNode::ordered.
+  std::map<MsgId, AppMsgPtr> rdelivered_;
   // Msgs: round -> group -> bundle.
   std::map<uint64_t, std::map<GroupId, MsgBundle>> msgs_;
   bool awaitingBundles_ = false;  // decided round K_, waiting for line 16

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <iterator>
-#include <set>
 
 namespace wanmc::abcast {
 
@@ -56,9 +55,8 @@ void MergeNode::publish(bool heartbeat, const AppMsgPtr& msg) {
   lastSentAt_ = now();
   auto ev = makeEvent(heartbeat, msg, ts);
   // [1]'s model has publishers cast to EVERY subscriber (that is what keeps
-  // every stream frontier moving); in multicast mode non-addressees receive
-  // the event but only use it as a frontier advance — advanceStream filters
-  // the merge buffer by addressee.
+  // every stream frontier moving); a non-addressee of a data event merges
+  // it too, and adeliver skips it there.
   sendToMany(others_, ev);
   advanceStream(pid(), ev);
 }
@@ -80,11 +78,7 @@ void MergeNode::onProtocolMessage(ProcessId from, const PayloadPtr& p) {
 void MergeNode::applyEvent(ProcessId pub, Stream& s,
                            const MergePayload& ev) {
   s.frontierTs = ev.eventTs;
-  if (!ev.isHeartbeat) {
-    const bool addressee =
-        !opts_.multicastMode || ev.msg->dest.contains(gid());
-    if (addressee) mergeBuf_[{ev.eventTs, pub, ev.seq}] = ev.msg;
-  }
+  if (!ev.isHeartbeat) mergeBuf_[{ev.eventTs, pub, ev.seq}] = ev.msg;
   ++s.nextSeq;
 }
 
@@ -184,11 +178,11 @@ void MergeNode::installProtocolState(const bootstrap::Snapshot& snap) {
   }
   for (const auto& [key, m] : s->mergeBuf) mergeBuf_.emplace(key, m);
   // Events the donor already merged out may still sit in our buffer (they
-  // arrived during the joining window); the suffix replay covers them.
-  std::set<MsgId> done;
-  for (const AppMsgPtr& m : snap.suffix) done.insert(m->id);
+  // arrived during the joining window); the suffix replay covers them. The
+  // buffer holds stream events, batch carriers included: the ordered ids
+  // name them, the suffix's casts do not.
   for (auto it = mergeBuf_.begin(); it != mergeBuf_.end();)
-    it = done.count(it->second->id) ? mergeBuf_.erase(it) : std::next(it);
+    it = ordered(it->second->id) ? mergeBuf_.erase(it) : std::next(it);
   // The publisher handoff: continue the dead incarnation's event counter
   // past everything any subscriber could have seen of it.
   const Stream& self = streams_[static_cast<size_t>(pid())];

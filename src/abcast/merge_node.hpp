@@ -16,14 +16,14 @@
 // provided the heartbeat period is at least the inter-group delay; the
 // wall-clock merge delay grows with the heartbeat period — exactly the
 // rate-vs-delay tradeoff [1] studies. The algorithm is never quiescent and,
-// used as a multicast (every event still sent to every process, data
-// delivered at addressees only), it is not genuine — which is why it evades
-// the paper's lower bounds (different model, see §6).
+// used as a multicast (a cast to some of the groups: every event is still
+// sent to and merged at every process, and XcastNode::adeliver delivers
+// data at addressees only), it is not genuine — which is why it evades the
+// paper's lower bounds (different model, see §6).
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "core/stack_node.hpp"
@@ -47,9 +47,6 @@ struct MergePayload final : Payload {
 
 struct MergeOptions {
   SimTime heartbeatPeriod = 200 * kMs;  // >= max inter-group delay => deg. 1
-  // Both modes send every event, data and heartbeats, to every process;
-  // multicast mode merges and delivers data at its addressees only.
-  bool multicastMode = false;
 };
 
 class MergeNode final : public core::XcastNode {

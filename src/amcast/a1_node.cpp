@@ -41,7 +41,7 @@ void A1Node::xcast(const AppMsgPtr& m) {
 void A1Node::noteMessage(const AppMsgPtr& m) {
   // Uniform integrity: only destination processes handle m.
   if (!m->dest.contains(gid())) return;
-  if (pending_.count(m->id) || adelivered_.count(m->id)) return;
+  if (pending_.count(m->id) || ordered(m->id)) return;
   setPending(m->id, m, Stage::s0, K_);  // lines 11-13
 }
 
@@ -129,7 +129,7 @@ void A1Node::handleDecided(consensus::Instance k, const A1EntrySet& entries) {
 
   for (const A1Entry& e : entries) {
     const AppMsgPtr& m = e.msg;
-    if (adelivered_.count(m->id)) continue;  // already done here
+    if (ordered(m->id)) continue;  // already done here
     uint64_t ts = k;
     Stage stage = Stage::s1;
 
@@ -186,7 +186,7 @@ void A1Node::onProtocolMessage(ProcessId from, const PayloadPtr& p) {
   noteMessage(ts->msg);  // line 10: (TS, m) also introduces m
   // A late copy for an A-Delivered m has nothing left to decide; recording
   // it would leave a stamp-table entry that nothing ever removes.
-  if (adelivered_.count(id) == 0) {
+  if (!ordered(id)) {
     uint64_t& proposal = tsProposals_[id][ts->fromGroup];
     proposal = std::max(proposal, ts->ts);
     checkStage1(id);
@@ -282,7 +282,6 @@ void A1Node::adeliveryTest() {
       if (w.blocks(key)) return;
 
     AppMsgPtr m = best.msg;
-    adelivered_.insert(id);
     erasePending(id);
     tsProposals_.erase(id);
     adeliver(m);
@@ -296,7 +295,6 @@ void A1Node::adeliveryTest() {
 uint64_t A1Node::BootState::approxBytes() const {
   uint64_t b = 16;  // the two clocks
   for (const auto& [id, p] : pending) b += 40 + p.msg->body.size();
-  b += 8 * adelivered.size();
   for (const auto& [id, ps] : tsProposals) b += 8 + 16 * ps.size();
   return b;
 }
@@ -307,8 +305,6 @@ std::shared_ptr<bootstrap::ProtocolState> A1Node::snapshotProtocolState()
   s->K = K_;
   s->propK = propK_;
   s->pending = pending_;
-  // wanmc-lint: allow(D2): insert into an ordered container
-  s->adelivered.insert(adelivered_.begin(), adelivered_.end());
   s->tsProposals = tsProposals_;
   return s;
 }
@@ -318,7 +314,6 @@ void A1Node::installProtocolState(const bootstrap::Snapshot& snap) {
   if (s == nullptr) return;
   // Merge, never clobber: messages that arrived during the joining window
   // must survive.
-  adelivered_.insert(s->adelivered.begin(), s->adelivered.end());
   // Timestamp proposals are per-(message, group) facts learned over the
   // wire — meaningful from any donor; most-advanced wins.
   for (const auto& [id, ps] : s->tsProposals)
@@ -337,7 +332,7 @@ void A1Node::installProtocolState(const bootstrap::Snapshot& snap) {
     for (const auto& [id, p] : s->pending)
       setPending(id, p.msg, p.stage, p.ts);
   }
-  for (MsgId id : s->adelivered) {
+  for (MsgId id : snap.ordered) {
     erasePending(id);
     tsProposals_.erase(id);
   }

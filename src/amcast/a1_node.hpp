@@ -51,10 +51,10 @@
 // in waits in the main index from handleDecided's setPending to its
 // checkStage1.
 // Decisions are read, shared (common/consensus_value.hpp), from the group
-// consensus service's decided table. The A-Delivered ids, which
-// every R-Deliver, decided entry and (TS, m) copy checks and which grow
-// for the whole run, are a hash set; the snapshot orders them. The (TS, m)
-// fan-out reuses one member list per destination set (MemberLists).
+// consensus service's decided table. Every R-Deliver, decided entry and
+// (TS, m) copy checks XcastNode's ordered set, the one record of what this
+// process has A-Delivered. The (TS, m) fan-out reuses one member list per
+// destination set (MemberLists).
 #pragma once
 
 #include <array>
@@ -62,7 +62,6 @@
 #include <map>
 #include <set>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -191,7 +190,6 @@ class A1Node final : public core::XcastNode {
     uint64_t K = 1;
     uint64_t propK = 1;
     std::map<MsgId, Pend> pending;
-    std::set<MsgId> adelivered;
     std::map<MsgId, std::map<GroupId, uint64_t>> tsProposals;
     [[nodiscard]] uint64_t approxBytes() const override;
   };
@@ -233,7 +231,6 @@ class A1Node final : public core::XcastNode {
   std::vector<Missing> missing_;        // by group
   std::vector<uint32_t> nextSeq_;       // by group; 0 = numbers none
   std::vector<Stream> streams_;         // by sender; empty once rejoined
-  std::unordered_set<MsgId> adelivered_;
   // Remote (and own) timestamp proposals per pending message, per group.
   std::map<MsgId, std::map<GroupId, uint64_t>> tsProposals_;
   uint64_t instancesDecided_ = 0;

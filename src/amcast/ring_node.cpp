@@ -49,7 +49,7 @@ void RingNode::onProtocolMessage(ProcessId /*from*/, const PayloadPtr& p) {
 }
 
 void RingNode::noteCandidate(const AppMsgPtr& m, bool defined, uint64_t ts) {
-  if (done_.count(m->id) || agreed_.count(m->id) || candidates_.count(m->id))
+  if (ordered(m->id) || agreed_.count(m->id) || candidates_.count(m->id))
     return;
   candidates_[m->id] = Cand{m, defined, ts};
   tryPropose();
@@ -82,7 +82,7 @@ void RingNode::handleDecided(uint64_t k, const A1EntrySet& entries) {
   for (const A1Entry& e : entries) {
     const MsgId id = e.msg->id;
     candidates_.erase(id);
-    if (done_.count(id) || agreed_.count(id)) continue;
+    if (ordered(id) || agreed_.count(id)) continue;
     // g1 defines the timestamp as the consensus instance number; later
     // groups adopt the handed-over one and push their clock past it.
     const uint64_t ts = (e.stage == Stage::s0) ? k : e.ts;
@@ -129,7 +129,6 @@ void RingNode::pumpQueue() {
     agreed_.erase(id);
     forwarded_.erase(id);
     acked_.erase(id);
-    done_.insert(id);
     adeliver(msg);
   }
 }
@@ -142,7 +141,7 @@ uint64_t RingNode::BootState::approxBytes() const {
   uint64_t b = 16;
   for (const auto& [id, c] : candidates) b += 40 + c.msg->body.size();
   for (const auto& [id, c] : agreed) b += 40 + c.msg->body.size();
-  b += 8 * (queue.size() + acked.size() + forwarded.size() + done.size());
+  b += 8 * (queue.size() + acked.size() + forwarded.size());
   return b;
 }
 
@@ -156,18 +155,15 @@ std::shared_ptr<bootstrap::ProtocolState> RingNode::snapshotProtocolState()
   s->agreed = agreed_;
   s->acked = acked_;
   s->forwarded = forwarded_;
-  s->done = done_;
   return s;
 }
 
 void RingNode::installProtocolState(const bootstrap::Snapshot& snap) {
   const auto* s = dynamic_cast<const BootState*>(snap.protocol.get());
   if (s == nullptr) return;
-  // Global facts, valid from any donor: the delivered set (the suffix
-  // replay performs the actual deliveries) and final-group acks (gk
-  // broadcasts them to every destination process). Acks DO land during
-  // the joining window (union them).
-  done_.insert(s->done.begin(), s->done.end());
+  // Final-group acks are global facts, valid from any donor (gk broadcasts
+  // them to every destination process), as is the snapshot's ordered part.
+  // Acks DO land during the joining window (union them).
   acked_.insert(s->acked.begin(), s->acked.end());
   if (snap.donorGroup == gid()) {
     // Group-scoped pieces: the clocks, the agreed queue and the candidate
@@ -184,9 +180,9 @@ void RingNode::installProtocolState(const bootstrap::Snapshot& snap) {
     for (const auto& [id, c] : s->candidates) candidates_[id] = c;
   }
   for (auto it = acked_.begin(); it != acked_.end();)
-    it = done_.count(*it) ? acked_.erase(it) : std::next(it);
+    it = ordered(*it) ? acked_.erase(it) : std::next(it);
   for (auto it = candidates_.begin(); it != candidates_.end();)
-    it = (done_.count(it->first) || agreed_.count(it->first))
+    it = (ordered(it->first) || agreed_.count(it->first))
              ? candidates_.erase(it)
              : std::next(it);
 }

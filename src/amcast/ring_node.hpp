@@ -77,7 +77,6 @@ class RingNode final : public core::XcastNode {
     std::map<MsgId, Cand> agreed;
     std::set<MsgId> acked;
     std::set<MsgId> forwarded;
-    std::set<MsgId> done;
     [[nodiscard]] uint64_t approxBytes() const override;
   };
 
@@ -103,7 +102,6 @@ class RingNode final : public core::XcastNode {
   std::map<MsgId, Cand> agreed_;              // decided messages + final ts
   std::set<MsgId> acked_;
   std::set<MsgId> forwarded_;
-  std::set<MsgId> done_;
   MemberLists peers_{topology(), pid()};  // kStart: g1's members minus self
   MemberLists ackDests_{topology()};  // gk's ack: m's addressees outside gk
 };

@@ -131,7 +131,7 @@ consensus::ConsensusService* SkeenNode::onUnknownConsensusScope(
 
 void SkeenNode::noteMessage(const AppMsgPtr& m) {
   if (!m->dest.contains(gid())) return;
-  if (delivered_.count(m->id) || pending_.count(m->id)) return;
+  if (ordered(m->id) || pending_.count(m->id)) return;
   Pend& p = pending_[m->id];
   p.msg = m;
   if (variant_ == SkeenVariant::kRodrigues98) {
@@ -229,7 +229,6 @@ void SkeenNode::tryDeliver() {
     if (best == nullptr || !best->decided) return;
 
     AppMsgPtr m = best->msg;
-    delivered_.insert(bestId);
     pending_.erase(bestId);
     adeliver(m);
   }
@@ -243,7 +242,7 @@ uint64_t SkeenNode::BootState::approxBytes() const {
   uint64_t b = 8;
   for (const auto& [id, p] : pending)
     b += 48 + p.msg->body.size() + 16 * p.votes.size();
-  return b + 8 * delivered.size();
+  return b;
 }
 
 std::shared_ptr<bootstrap::ProtocolState> SkeenNode::snapshotProtocolState()
@@ -251,7 +250,6 @@ std::shared_ptr<bootstrap::ProtocolState> SkeenNode::snapshotProtocolState()
   auto s = std::make_shared<BootState>();
   s->clock = clock_;
   s->pending = pending_;
-  s->delivered = delivered_;
   return s;
 }
 
@@ -261,10 +259,9 @@ void SkeenNode::installProtocolState(const bootstrap::Snapshot& snap) {
   // Clock first: every vote this incarnation casts must land above
   // everything the donor has already ordered.
   clock_ = std::max(clock_, s->clock);
-  delivered_.insert(s->delivered.begin(), s->delivered.end());
 
   for (const auto& [id, dp] : s->pending) {
-    if (delivered_.count(id)) continue;
+    if (ordered(id)) continue;
     // First sight via the snapshot: noteMessage records m (a Rodrigues98
     // rejoiner also recreates its consensus scope and casts OUR vote; the
     // donor's myVote is its own).
@@ -283,7 +280,7 @@ void SkeenNode::installProtocolState(const bootstrap::Snapshot& snap) {
   }
   // Entries the donor delivered may still linger locally (vote intake
   // during the joining window): drop them, the suffix replay covers them.
-  for (MsgId id : s->delivered) pending_.erase(id);
+  for (MsgId id : snap.ordered) pending_.erase(id);
 }
 
 void SkeenNode::resumeAfterInstall() {

@@ -46,7 +46,6 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -124,7 +123,6 @@ class SkeenNode final : public core::XcastNode {
   struct BootState final : bootstrap::ProtocolState {
     uint64_t clock = 1;
     std::map<MsgId, Pend> pending;
-    std::set<MsgId> delivered;
     [[nodiscard]] uint64_t approxBytes() const override;
   };
 
@@ -138,7 +136,6 @@ class SkeenNode final : public core::XcastNode {
   const SkeenVariant variant_;
   uint64_t clock_ = 1;
   std::map<MsgId, Pend> pending_;
-  std::set<MsgId> delivered_;
   MemberLists peers_{topology(), pid()};  // m's addressees minus this process
   // kRodrigues98: consensus packets that raced ahead of their kData/kVote
   // introduction.

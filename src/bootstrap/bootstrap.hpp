@@ -17,7 +17,8 @@
 //      and replies kOffer. A donor that is itself still joining replies
 //      kDeny, which advances the rejoiner to the next candidate at once.
 //   4. The rejoiner installs the snapshot (consensus decisions, rmcast
-//      delivered set, protocol state, delivery-suffix replay) and resumes.
+//      delivered set, ordered ids, protocol state, delivery-suffix replay)
+//      and resumes.
 //      A retry timer re-issues the request against the next candidate if
 //      the donor crashed or the reply was lost (e.g. an unhealed
 //      partition): candidates cycle forever, so the rejoin completes as

@@ -9,11 +9,12 @@
 // into a Snapshot, the rejoiner installs it, replays the delivery suffix it
 // missed, and resumes as a full protocol participant.
 //
-// A Snapshot has three protocol-agnostic parts — the consensus decisions per
-// scope, the reliable-multicast delivered set, and the donor's A-Deliver
-// history in delivery order (the "suffix" the rejoiner replays) — plus one
-// opaque, protocol-owned ProtocolState blob (clocks, pending tables,
-// sequencer assignments, merge stream frontiers...). The plane only moves
+// A Snapshot has four protocol-agnostic parts — the consensus decisions per
+// scope, the reliable-multicast delivered set, the ids of every message the
+// donor's order has fixed, and the donor's A-Deliver history in delivery
+// order (the "suffix" the rejoiner replays) — plus one opaque,
+// protocol-owned ProtocolState blob (clocks, pending tables, sequencer
+// assignments, merge stream frontiers...). The plane only moves
 // snapshots around; their content is the business of the stack that made
 // them.
 #pragma once
@@ -60,6 +61,11 @@ struct Snapshot {
   // as silently-delivered so stale wire copies cannot re-enter the rejoined
   // protocol as fresh messages.
   std::vector<AppMsgPtr> rmDelivered;
+  // Ascending ids of every message whose order the donor had fixed, batch
+  // carriers and messages addressed elsewhere included (XcastNode's
+  // ordered set). Merged into the rejoiner's set before its ProtocolState,
+  // whose install prunes by them.
+  std::vector<MsgId> ordered;
   // The donor's full A-Deliver history, in delivery order. The rejoiner
   // replays the entries addressed to its own group: its new incarnation
   // then owns a delivery sequence order-consistent with the donor's.
@@ -73,6 +79,7 @@ struct Snapshot {
     uint64_t b = 0;
     for (const auto& cs : consensus) b += 16 + 24 * cs.decisions.size();
     for (const auto& m : rmDelivered) b += 24 + m->body.size();
+    b += 8 * ordered.size();
     for (const auto& m : suffix) b += 24 + m->body.size();
     if (protocol) b += protocol->approxBytes();
     return b;
@@ -80,8 +87,9 @@ struct Snapshot {
 };
 
 // The surface a protocol stack exposes to the bootstrap plane. XcastNode
-// implements it once for all stacks (consensus + rmcast + suffix replay)
-// and delegates the protocol-specific blob to per-protocol virtuals.
+// implements it once for all stacks (consensus, rmcast, ordered ids and
+// suffix replay) and delegates the protocol-specific blob to per-protocol
+// virtuals.
 class Participant {
  public:
   virtual ~Participant() = default;

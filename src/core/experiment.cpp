@@ -9,7 +9,6 @@
 #include "amcast/a1_node.hpp"
 #include "amcast/ring_node.hpp"
 #include "amcast/skeen_node.hpp"
-#include "amcast/viabcast_node.hpp"
 #include "common/batch.hpp"
 #include "core/batcher.hpp"
 #include "exec/threaded/threaded_runtime.hpp"
@@ -39,7 +38,6 @@ std::unique_ptr<XcastNode> makeNode(ProtocolKind kind, exec::Context& rt,
       return std::make_unique<amcast::SkeenNode>(
           rt, pid, stack, amcast::SkeenVariant::kSkeen87);
     case ProtocolKind::kViaBcast:
-      return std::make_unique<amcast::ViaBcastNode>(rt, pid, stack);
     case ProtocolKind::kA2:
       return std::make_unique<abcast::A2Node>(rt, pid, stack);
     case ProtocolKind::kSousa02:
@@ -181,11 +179,12 @@ void Experiment::validateCast(ProcessId sender, const GroupSet& dest) const {
        << "beyond the topology's " << topo.numGroups();
     throw std::invalid_argument(os.str());
   }
-  // DetMerge00's multicast mode legitimately delivers at addressees only;
-  // every other broadcast protocol requires the full group set.
-  const bool multicastCapable =
-      !isBroadcastProtocol(cfg_.protocol) ||
-      (cfg_.protocol == ProtocolKind::kDetMerge00 && cfg_.merge.multicastMode);
+  // DetMerge00 sends and merges every event at every process, so a cast to
+  // some of the groups is still ordered everywhere and A-Delivered at its
+  // addressees only; every other broadcast protocol requires the full
+  // group set.
+  const bool multicastCapable = !isBroadcastProtocol(cfg_.protocol) ||
+                                cfg_.protocol == ProtocolKind::kDetMerge00;
   if (!multicastCapable && dest != topo.allGroups()) {
     std::ostringstream os;
     os << "castAt: " << protocolName(cfg_.protocol)

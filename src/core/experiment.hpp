@@ -109,8 +109,13 @@ inline constexpr ProtocolInfo kProtocols[] = {
      "Delporte & Fauconnier 00 [4]", false, {}},
     {ProtocolKind::kRodrigues98, "rodrigues98", "Rodrigues98",
      "Rodrigues et al. 98 [10]", false, {.recoveredRejoins = true}},
-    // Broadcast-based: every process participates. Same replay gap as A1
-    // for the rejoin (observed in the crash-recover cells).
+    // The non-genuine multicast of the paper's introduction: A-BCast every
+    // message with A2 and deliver it at the addressees only. It inherits
+    // A2's latency degree of 1, beating the genuine lower bound of 2 (Prop.
+    // 3.1/3.2) precisely because every process works on every message:
+    // O(n^2) messages however few groups are addressed (the Tradeoff.*
+    // tests in tests/test_integration.cpp). Same replay gap as A1 for the
+    // rejoin (observed in the crash-recover cells).
     {ProtocolKind::kViaBcast, "viabcast", "ViaBcast",
      "non-genuine via A-BCast", false, {.genuine = false}},
     // [2] assumes a failure-free system.

@@ -7,10 +7,12 @@
 // consensus scope, mirroring the modular structure of the paper's proofs.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <map>
 #include <memory>
 #include <set>
+#include <unordered_set>
 #include <vector>
 
 #include "bootstrap/bootstrap.hpp"
@@ -186,10 +188,12 @@ class StackNode : public exec::Process {
 // Base class of every atomic multicast / broadcast protocol node: exposes
 // the A-XCast entry point and the A-Deliver callback, and records both
 // events against the modified Lamport clock for latency-degree measurement.
+// adeliver is the one A-Deliver path, so uniform integrity (§2.2) is one
+// rule here: each ordered id is recorded once, delivered at addressees only.
 // It is also the stacks' one bootstrap::Participant implementation: the
 // protocol-agnostic snapshot parts (consensus decisions, rmcast delivered
-// set, delivery-suffix replay) live here, the protocol-specific blob is
-// delegated to the per-protocol virtuals below.
+// set, ordered ids, delivery-suffix replay) live here, the protocol-specific
+// blob is delegated to the per-protocol virtuals below.
 class XcastNode : public StackNode, public bootstrap::Participant {
  public:
   using DeliverCb = std::function<void(const AppMsgPtr&)>;
@@ -220,6 +224,9 @@ class XcastNode : public StackNode, public bootstrap::Participant {
       s->consensus.push_back({scope, svc.decisions()});
     });
     s->rmDelivered = rm().snapshotDelivered();
+    // wanmc-lint: allow(D2): collect then sort
+    s->ordered.assign(ordered_.begin(), ordered_.end());
+    std::sort(s->ordered.begin(), s->ordered.end());
     s->suffix = deliveredList_;  // full history, in delivery order
     s->protocol = snapshotProtocolState();
     return s;
@@ -237,6 +244,7 @@ class XcastNode : public StackNode, public bootstrap::Participant {
       if (auto* svc = findConsensus(cs.scope))
         svc->installDecisions(cs.decisions);
     rm().installDelivered(s.rmDelivered);
+    ordered_.insert(s.ordered.begin(), s.ordered.end());
     installProtocolState(s);
     // Replay the donor's delivery history restricted to messages this
     // process is an addressee of (identical to the full history for a
@@ -266,6 +274,12 @@ class XcastNode : public StackNode, public bootstrap::Participant {
   // proposal INITIATION (never message intake) while it is raised.
   [[nodiscard]] bool joining() const { return joining_; }
 
+  // True once m's order is fixed here: this incarnation handed m to
+  // adeliver, or its snapshot donor had.
+  [[nodiscard]] bool ordered(MsgId id) const {
+    return ordered_.count(id) != 0;
+  }
+
   // Protocol-specific snapshot blob (clocks, pending tables, sequencer
   // assignments...). Donor side; null means "nothing beyond the generic
   // parts".
@@ -273,9 +287,10 @@ class XcastNode : public StackNode, public bootstrap::Participant {
   snapshotProtocolState() const {
     return nullptr;
   }
-  // Rejoiner side: MERGE the donated blob into local state. Runs before
-  // the suffix replay; messages that arrived during the joining window
-  // must survive the merge (union sets, most-advanced-stage wins).
+  // Rejoiner side: MERGE the donated blob into local state. Runs after
+  // s.ordered joins ordered() and before the suffix replay; messages that
+  // arrived during the joining window must survive the merge (union sets,
+  // most-advanced-stage wins).
   virtual void installProtocolState(const bootstrap::Snapshot& /*s*/) {}
   // Rejoiner side, after the replay: kick the protocol's progress paths
   // (apply waiting decisions, re-propose, pump queues).
@@ -288,12 +303,15 @@ class XcastNode : public StackNode, public bootstrap::Participant {
     if (!m->batch) runtime().recordCast(pid(), m);
   }
 
-  // Called by subclasses at the A-Deliver event. A batch carrier expands
-  // into its constituent casts in batch-internal order: the stacks decide
-  // a total order on carriers, so every addressee performs the same
+  // Called by subclasses once m's order is fixed, addressee or not:
+  // records m's id, then A-Delivers m at addressees only. A batch carrier
+  // expands into its constituent casts in batch-internal order: the stacks
+  // decide a total order on carriers, so every addressee performs the same
   // expansion at its carrier-delivery point and per-message prefix order
   // is inherited from the carrier order.
   void adeliver(const AppMsgPtr& m) {
+    ordered_.insert(m->id);
+    if (!m->dest.contains(gid())) return;
     if (const BatchMessage* b = asBatch(m)) {
       for (const AppMsgPtr& c : b->casts) deliverOne(c);
       return;
@@ -310,6 +328,9 @@ class XcastNode : public StackNode, public bootstrap::Participant {
 
   std::vector<DeliverCb> deliverCbs_;
   std::vector<AppMsgPtr> deliveredList_;
+  // Every id handed to adeliver, batch carriers included. Every stack's
+  // intake reads it and it grows for the whole run: a hash set.
+  std::unordered_set<MsgId> ordered_;
   bool joining_ = false;
 };
 

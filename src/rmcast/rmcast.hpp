@@ -25,10 +25,9 @@
 // Per message, a process keeps one Seen entry, in a hash table keyed by
 // message id. rmcast sends to an addressee list built once per destination
 // set (MemberLists). The relay is sent on first sight only, to the
-// own-group peer list built once at construction (or, for rmcastTo, to the
-// explicit list cut down to the own group); every later copy is a single
-// hash lookup, plus a copy count under kUniform, the one mode that reads
-// it.
+// own-group peer list built once at construction; every later copy is a
+// single hash lookup, plus a copy count under kUniform, the one mode that
+// reads it.
 #pragma once
 
 #include <algorithm>
@@ -49,13 +48,12 @@ namespace wanmc::rmcast {
 struct RmPayload final : Payload {
   AppMsgPtr msg;
   bool isRelay = false;
-  // Non-empty when the caller overrode the destination set (rmcastTo):
-  // receivers then deliver iff they appear in this list, regardless of
-  // m->dest. A2 uses this to R-MCast within the sender's group only.
-  std::vector<ProcessId> explicitDests;
+  // Set by rmcastOwnGroup: the copy travels within the sender's group only,
+  // and every process it reaches is an addressee, whatever m->dest says.
+  bool ownGroup = false;
 
-  RmPayload(AppMsgPtr m, bool relay, std::vector<ProcessId> dests = {})
-      : msg(std::move(m)), isRelay(relay), explicitDests(std::move(dests)) {}
+  RmPayload(AppMsgPtr m, bool relay, bool own = false)
+      : msg(std::move(m)), isRelay(relay), ownGroup(own) {}
   [[nodiscard]] Layer layer() const override {
     return Layer::kReliableMulticast;
   }
@@ -80,8 +78,9 @@ class ReliableMulticast {
   // not be a member of any destination group.
   void rmcast(const AppMsgPtr& m);
 
-  // R-MCast m to an explicit process set (A2 uses "the sender's group").
-  void rmcastTo(const AppMsgPtr& m, const std::vector<ProcessId>& dests);
+  // R-MCast m to the caller's own group, whatever m->dest says (A2's
+  // line 5).
+  void rmcastOwnGroup(const AppMsgPtr& m);
 
   void onMessage(ProcessId from, const RmPayload& p);
 
@@ -119,11 +118,10 @@ class ReliableMulticast {
     bool delivered = false;
   };
 
-  // One copy of m from `copyFrom`; `explicitDests` is the rmcastTo list,
-  // null for a cast to m->dest. The first sight relays m.
-  void sight(const AppMsgPtr& m, ProcessId copyFrom,
-             const std::vector<ProcessId>* explicitDests);
-  void relay(Seen& s, const std::vector<ProcessId>* explicitDests);
+  // One copy of m from `copyFrom`; `ownGroup` marks an rmcastOwnGroup
+  // copy. The first sight relays m.
+  void sight(const AppMsgPtr& m, ProcessId copyFrom, bool ownGroup);
+  void relay(Seen& s, bool ownGroup);
   void maybeDeliver(Seen& s);
 
   exec::Context& rt_;

@@ -274,8 +274,9 @@ TEST(DetMerge00, TotalOrderUnderConcurrentPublishers) {
 }
 
 TEST(DetMerge00, MulticastModeDeliversAtAddresseesOnly) {
+  // A cast to some of the groups: every process merges it, the shared
+  // addressee rule (XcastNode::adeliver) delivers it at groups 0 and 1.
   auto c = fixedCfg(ProtocolKind::kDetMerge00, 3, 1);
-  c.merge.multicastMode = true;
   c.merge.heartbeatPeriod = 200 * kMs;
   Experiment ex(c);
   auto id = ex.castAt(300 * kMs, 0, GroupSet::of({0, 1}), "x");

@@ -8,7 +8,9 @@
 // until heal), a second crash racing the offer (stale-session drop), a
 // joining donor (deny + advance), and a lagging donor (decisions above its
 // clock apply at resume). The vote-rejoin tests crash a Skeen87 or
-// Rodrigues98 addressee while the timestamp votes are in flight.
+// Rodrigues98 addressee while the timestamp votes are in flight, and the
+// merge-rejoin test a batched DetMerge00 subscriber before it hears of any
+// event.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -358,6 +360,38 @@ INSTANTIATE_TEST_SUITE_P(
     [](const auto& info) {
       return wanmc::testing::protocolTestName(info.param);
     });
+
+// ---------------------------------------------------------------------------
+// A batched DetMerge00 rejoin. p1 crashes and recovers before any event of
+// its peers reaches it, so its fresh streams merge batch carriers while it
+// is still joining. The install must drop from its merge buffer every
+// carrier the donor had already delivered; pruned by the suffix's
+// constituent casts instead, those carriers stayed and p1 delivered their
+// casts a second time.
+// ---------------------------------------------------------------------------
+
+TEST(MergeRejoin, BatchedEarlyRejoinDeliversEachCastOnce) {
+  const ProcessId senders[] = {0, 2, 3};
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    for (SimTime crash : {100 * kUs, 300 * kUs, 600 * kUs}) {
+      RunConfig c = cfg(ProtocolKind::kDetMerge00, 2, 2, seed);
+      c.latency = sim::LatencyModel{kMs, 2 * kMs, 20 * kMs, 30 * kMs};
+      c.merge.heartbeatPeriod = 10 * kMs;
+      c.stack.batchWindow = 5 * kMs;
+      c.stack.batchMaxSize = 8;
+      Experiment ex(c);
+      for (int i = 0; i < 30; ++i) ex.castAllAt(i * 5 * kMs, senders[i % 3]);
+      ex.crashAt(1, crash);
+      ex.recoverAt(1, crash + 200 * kUs);
+      auto r = ex.run(2 * kSec);
+      const std::string tag = "seed " + std::to_string(seed) +
+                              ", crash at " + std::to_string(crash) + " us";
+      const auto v = r.checkAtomicSuite();
+      EXPECT_TRUE(v.empty()) << tag << ": " << v[0];
+      EXPECT_EQ(r.rejoins.size(), 1u) << tag;
+    }
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Unarmed: the plane does not exist, nothing changes.

@@ -171,12 +171,6 @@ struct MulticastRow {
   std::map<int, uint64_t> msgsByD;  // at k = kTableK
 };
 
-RunConfig multicastConfig(ProtocolKind kind, int groups, int d) {
-  RunConfig c = wanFixed(kind, groups, d);
-  c.merge.multicastMode = true;  // [1] delivers at the addressees only
-  return c;
-}
-
 // The multicast, sent by the first process of `senderGroup`: k - 1 is the
 // last destination group, k an extra group outside the destination set.
 std::vector<Cast> multicastFrom(int senderGroup, int k, int d) {
@@ -188,11 +182,11 @@ MulticastRow measureMulticast(ProtocolKind kind) {
   for (int k : kKs) {
     const int d = kTableD;
     row.deltaByK[k] = std::min(
-        run(multicastConfig(kind, k, d), multicastFrom(k - 1, k, d)).minDelta,
-        run(multicastConfig(kind, k + 1, d), multicastFrom(k, k, d)).minDelta);
+        run(wanFixed(kind, k, d), multicastFrom(k - 1, k, d)).minDelta,
+        run(wanFixed(kind, k + 1, d), multicastFrom(k, k, d)).minDelta);
   }
   for (int d : kDs)
-    row.msgsByD[d] = castMessages(multicastConfig(kind, kTableK, d),
+    row.msgsByD[d] = castMessages(wanFixed(kind, kTableK, d),
                                   multicastFrom(kTableK - 1, kTableK, d));
   return row;
 }

@@ -98,7 +98,7 @@ TEST(RMcastNonUniform, ExplicitDestOverride) {
   // A2's usage: R-MCast to the sender's own group although m.dest = Gamma.
   Fixture f(2, 2);
   auto m = makeAppMessage(1, 0, GroupSet::all(2));
-  f.hosts[0]->rm.rmcastTo(m, {0, 1});
+  f.hosts[0]->rm.rmcastOwnGroup(m);
   f.rt.run();
   EXPECT_EQ(f.hosts[0]->delivered, std::vector<MsgId>{1});
   EXPECT_EQ(f.hosts[1]->delivered, std::vector<MsgId>{1});

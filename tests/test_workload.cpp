@@ -312,10 +312,22 @@ TEST(Validation, CastAtRejectsBadArguments) {
 }
 
 TEST(Validation, BroadcastProtocolsRequireFullGroupSet) {
-  Experiment ex(wanCfg(ProtocolKind::kA2, 3, 1, 1));
-  EXPECT_THROW(ex.castAt(kMs, 0, GroupSet::of({0, 1})),
-               std::invalid_argument);
-  EXPECT_NO_THROW(ex.castAllAt(kMs, 0));
+  // DetMerge00 merges every event at every process, so a cast to some of
+  // the groups is a multicast there, A-Delivered at its addressees only.
+  for (ProtocolKind kind : {ProtocolKind::kA2, ProtocolKind::kSousa02,
+                            ProtocolKind::kVicente02,
+                            ProtocolKind::kDetMerge00}) {
+    Experiment ex(wanCfg(kind, 3, 1, 1));
+    const char* name = core::protocolName(kind);
+    if (kind == ProtocolKind::kDetMerge00) {
+      EXPECT_NO_THROW(ex.castAt(kMs, 0, GroupSet::of({0, 1}))) << name;
+    } else {
+      EXPECT_THROW(ex.castAt(kMs, 0, GroupSet::of({0, 1})),
+                   std::invalid_argument)
+          << name;
+    }
+    EXPECT_NO_THROW(ex.castAllAt(kMs, 0)) << name;
+  }
 }
 
 TEST(Validation, TopologyRejectsGroupSetCeiling) {

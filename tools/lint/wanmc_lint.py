@@ -58,6 +58,13 @@ Rules
                          code that needs them reads the row or iterates the
                          roster. makeNode, next to the roster, is the one
                          switch that names concrete node classes.
+  D8  one-delivery-path  No `recordDelivery(` call outside XcastNode
+                         (src/core/stack_node.hpp) and the two backends
+                         that implement it (src/sim/, src/exec/). Stacks
+                         A-Deliver through XcastNode::adeliver, which
+                         records the id in the one ordered set and delivers
+                         at addressees only: the paper's uniform integrity
+                         as one rule.
 
 Suppression
 -----------
@@ -107,13 +114,15 @@ RULES = {
            "concrete backend named outside backend/harness code"),
     "D7": ("one-roster",
            "switch over ProtocolKind outside the protocol roster"),
+    "D8": ("one-delivery-path",
+           "A-Delivery recorded around XcastNode::adeliver"),
 }
 
 ALLOW_RE = re.compile(
-    r"//\s*wanmc-lint:\s*allow\(\s*(D[1-7])\s*\)\s*(:?\s*(.*))?$")
+    r"//\s*wanmc-lint:\s*allow\(\s*(D[1-8])\s*\)\s*(:?\s*(.*))?$")
 
 # `// expect: D1 D5` directives inside fixture files drive --self-test.
-EXPECT_RE = re.compile(r"//\s*expect:\s*((?:D[1-7]\s*)+)$", re.MULTILINE)
+EXPECT_RE = re.compile(r"//\s*expect:\s*((?:D[1-8]\s*)+)$", re.MULTILINE)
 
 
 @dataclass
@@ -582,6 +591,31 @@ def check_d7(sf: SourceFile) -> list[Finding]:
     return findings
 
 
+D8_CALL_RE = re.compile(r"\brecordDelivery\s*\(")
+
+
+def d8_in_scope(path: str) -> bool:
+    """D8 scope: everything but XcastNode's header, the one A-Deliver path,
+    and the two backends, which declare and implement recordDelivery."""
+    return (path != "src/core/stack_node.hpp" and
+            not path.startswith(("src/sim/", "src/exec/")))
+
+
+def check_d8(sf: SourceFile) -> list[Finding]:
+    if not d8_in_scope(sf.path):
+        return []
+    findings = []
+    for lineno, line in enumerate(sf.code_lines, start=1):
+        if D8_CALL_RE.search(line):
+            findings.append(Finding(
+                sf.path, lineno, "D8",
+                "A-Delivery recorded around XcastNode::adeliver: hand the "
+                "message to adeliver, which records its id in the one "
+                "ordered set and delivers it at addressees only (uniform "
+                "integrity, paper section 2.2)"))
+    return findings
+
+
 # --------------------------------------------------------------------------
 # Driver.
 # --------------------------------------------------------------------------
@@ -639,6 +673,7 @@ def lint_file(path: str, display: str,
     findings += check_d5(sf)
     findings += check_d6(sf)
     findings += check_d7(sf)
+    findings += check_d8(sf)
     findings = apply_suppressions(sf, findings)
     findings.sort(key=lambda f: (f.line, f.rule))
     return findings
@@ -722,6 +757,7 @@ def run_self_test(root: str) -> int:
         findings += check_d5(sf)
         findings += check_d6(sf)
         findings += check_d7(sf)
+        findings += check_d8(sf)
         findings = apply_suppressions(sf, findings)
         got = {f.rule for f in findings}
         if got != expected:
