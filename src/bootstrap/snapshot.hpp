@@ -20,8 +20,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/consensus_value.hpp"
@@ -47,7 +47,7 @@ struct ProtocolState {
 // rejoiner would double-apply them.
 struct ConsensusScopeState {
   uint64_t scope = 0;
-  std::map<uint64_t, ConsensusValue> decisions;  // instance -> decided value
+  std::vector<std::pair<uint64_t, ConsensusValue>> decisions;  // ascending
 };
 
 struct Snapshot {

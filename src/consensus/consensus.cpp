@@ -61,21 +61,20 @@ ConsensusService::RoundState& ConsensusService::InstanceState::roundState(
   return rs;
 }
 
-std::map<Instance, ConsensusValue> ConsensusService::decisions() const {
-  std::map<Instance, ConsensusValue> out;
-  // wanmc-lint: allow(D2): insert into an ordered container
-  for (const auto& [k, d] : decided_) out.emplace(k, d.value);
+ConsensusService::DecisionList ConsensusService::decisions() const {
+  DecisionList out;
+  decided_.forEach(
+      [&](Instance k, const Decision& d) { out.emplace_back(k, d.value); });
   return out;
 }
 
-void ConsensusService::installDecisions(
-    const std::map<Instance, ConsensusValue>& ds) {
-  for (const auto& [k, v] : ds) decided_.emplace(k, Decision{v, false});
+void ConsensusService::installDecisions(const DecisionList& ds) {
+  for (const auto& [k, v] : ds)
+    if (auto [d, added] = decided_.tryEmplace(k); added) d.value = v;
 }
 
 void ConsensusService::propose(Instance k, ConsensusValue v) {
-  if (auto d = decided_.find(k); d != decided_.end() && d->second.here)
-    return;
+  if (const Decision* d = decided_.find(k); d != nullptr && d->here) return;
   auto& st = instances_[k];
   if (st.joined) return;  // one proposal per instance
   st.joined = true;
@@ -158,8 +157,9 @@ void ConsensusService::coordinatorMaybePropose(Instance k, InstanceState& st,
 void ConsensusService::decide(Instance k, uint32_t r, ConsensusValue v) {
   // No round state is read once the instance is decided: release it.
   instances_.erase(k);
-  auto [it, fresh] = decided_.try_emplace(k, Decision{v, true});
-  it->second.here = true;  // an installed decision is now ours too
+  auto [d, fresh] = decided_.tryEmplace(k);
+  if (fresh) d.value = v;
+  d.here = true;  // an installed decision is now ours too
   // Decide BEFORE relaying: the decide event must not inherit the Lamport
   // tick of the (possibly inter-group) relay broadcast.
   if (fresh)
@@ -169,7 +169,7 @@ void ConsensusService::decide(Instance k, uint32_t r, ConsensusValue v) {
 }
 
 void ConsensusService::onMessage(ProcessId from, const ConsensusPayload& p) {
-  if (auto d = decided_.find(p.instance); d != decided_.end()) {
+  if (const Decision* d = decided_.find(p.instance)) {
     // Decision retransmission (armed with the round timeout): an estimate
     // for an instance we decided means the sender is stuck in a round the
     // rest of us finished long ago — an amnesiac rejoin catching up.
@@ -178,12 +178,12 @@ void ConsensusService::onMessage(ProcessId from, const ConsensusPayload& p) {
     if (p.type == ConsensusPayload::Type::kEstimate && roundTimeout_ != 0) {
       rt_.send(self_, from,
                makePayload(scope_, p.instance, 0,
-                           ConsensusPayload::Type::kDecide, d->second.value));
+                           ConsensusPayload::Type::kDecide, d->value));
       return;
     }
     // Any other copy for an instance decided here cannot change the
     // outcome: it writes nothing and recreates no working state.
-    if (d->second.here) return;
+    if (d->here) return;
   }
   auto& st = instances_[p.instance];
   switch (p.type) {

@@ -28,14 +28,14 @@
 // process proposes is the one object every payload, estimate, acked value
 // and decision refers to.
 //
-// A process keeps two hash tables of instances. The working table holds
-// the instances it has not decided: its own estimate and, per round, the
-// estimates and ACKs it collected, in plain vectors searched linearly
-// (a round holds at most one entry per group member). The decided table
-// holds every decision. Deciding erases the instance from the working
-// table, and its round state with it, so that
-// table stays as small as the number of instances in flight however long
-// the run; copies that arrive afterwards stop at the decided table and
+// A process keeps two tables of instances. The working table (hashed)
+// holds the instances it has not decided: its own estimate and, per round,
+// the estimates and ACKs it collected, in plain vectors searched linearly
+// (a round holds at most one entry per group member). The decided table,
+// indexed by instance (common/id_table.hpp), holds every decision. Deciding
+// erases the instance from the working table, and its round state with it,
+// so that table stays as small as the number of instances in flight however
+// long the run; copies that arrive afterwards stop at the decided table and
 // write nothing. The group stacks (A1, A2, Delporte00) read their decisions
 // there, through decision(), each in its own clock order.
 //
@@ -48,13 +48,14 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/consensus_value.hpp"
+#include "common/id_table.hpp"
 #include "common/ids.hpp"
 #include "common/message.hpp"
 #include "fd/failure_detector.hpp"
@@ -106,8 +107,8 @@ class ConsensusService final {
   // The decision of instance k, installed ones included; null while k is
   // undecided here. The pointer stays valid: no decision is ever erased.
   [[nodiscard]] const ConsensusValue* decision(Instance k) const {
-    auto it = decided_.find(k);
-    return it == decided_.end() ? nullptr : &it->second.value;
+    const Decision* d = decided_.find(k);
+    return d == nullptr ? nullptr : &d->value;
   }
 
   // Bootstrap plane (src/bootstrap/): the decided-instance table is part of
@@ -120,10 +121,11 @@ class ConsensusService final {
   // DECIDE) without firing a callback. The install also
   // arms the decision retransmission (onMessage): the rejoiner can answer
   // stragglers stuck in instances it never personally ran.
-  // decisions() builds the instance-ordered table on demand, for the
-  // snapshot; nothing on the ordering path calls it.
-  [[nodiscard]] std::map<Instance, ConsensusValue> decisions() const;
-  void installDecisions(const std::map<Instance, ConsensusValue>& ds);
+  // decisions() lists them in instance order, for the snapshot; nothing
+  // on the ordering path calls it.
+  using DecisionList = std::vector<std::pair<Instance, ConsensusValue>>;
+  [[nodiscard]] DecisionList decisions() const;
+  void installDecisions(const DecisionList& ds);
 
   // Instances in the working table: those this process has joined or heard
   // of but not decided. 0 once every instance it took part in is decided.
@@ -194,7 +196,7 @@ class ConsensusService final {
   uint64_t scope_;
   SimTime roundTimeout_ = 0;
   std::unordered_map<Instance, InstanceState> instances_;  // undecided here
-  std::unordered_map<Instance, Decision> decided_;
+  IdTable<Decision> decided_;
   std::vector<DecideCb> decideCbs_;
   // Members whose fresh incarnation has not yet sent a round-1 PROPOSE.
   std::vector<ProcessId> rejoined_;

@@ -7,16 +7,15 @@
 // consensus scope, mirroring the modular structure of the paper's proofs.
 #pragma once
 
-#include <algorithm>
 #include <cassert>
 #include <map>
 #include <memory>
 #include <set>
-#include <unordered_set>
 #include <vector>
 
 #include "bootstrap/bootstrap.hpp"
 #include "common/batch.hpp"
+#include "common/id_table.hpp"
 #include "common/message.hpp"
 #include "consensus/consensus.hpp"
 #include "fd/failure_detector.hpp"
@@ -224,9 +223,7 @@ class XcastNode : public StackNode, public bootstrap::Participant {
       s->consensus.push_back({scope, svc.decisions()});
     });
     s->rmDelivered = rm().snapshotDelivered();
-    // wanmc-lint: allow(D2): collect then sort
-    s->ordered.assign(ordered_.begin(), ordered_.end());
-    std::sort(s->ordered.begin(), s->ordered.end());
+    ordered_.forEach([&](MsgId id) { s->ordered.push_back(id); });
     s->suffix = deliveredList_;  // full history, in delivery order
     s->protocol = snapshotProtocolState();
     return s;
@@ -244,7 +241,7 @@ class XcastNode : public StackNode, public bootstrap::Participant {
       if (auto* svc = findConsensus(cs.scope))
         svc->installDecisions(cs.decisions);
     rm().installDelivered(s.rmDelivered);
-    ordered_.insert(s.ordered.begin(), s.ordered.end());
+    for (MsgId id : s.ordered) ordered_.insert(id);
     installProtocolState(s);
     // Replay the donor's delivery history restricted to messages this
     // process is an addressee of (identical to the full history for a
@@ -276,9 +273,7 @@ class XcastNode : public StackNode, public bootstrap::Participant {
 
   // True once m's order is fixed here: this incarnation handed m to
   // adeliver, or its snapshot donor had.
-  [[nodiscard]] bool ordered(MsgId id) const {
-    return ordered_.count(id) != 0;
-  }
+  [[nodiscard]] bool ordered(MsgId id) const { return ordered_.contains(id); }
 
   // Protocol-specific snapshot blob (clocks, pending tables, sequencer
   // assignments...). Donor side; null means "nothing beyond the generic
@@ -328,9 +323,10 @@ class XcastNode : public StackNode, public bootstrap::Participant {
 
   std::vector<DeliverCb> deliverCbs_;
   std::vector<AppMsgPtr> deliveredList_;
-  // Every id handed to adeliver, batch carriers included. Every stack's
-  // intake reads it and it grows for the whole run: a hash set.
-  std::unordered_set<MsgId> ordered_;
+  // Every id handed to adeliver, batch carriers included; every stack's
+  // intake reads it. One bit per id, not a delivered-below watermark: under
+  // A1 a process orders only the ids addressed to its group.
+  IdSet ordered_;
   bool joining_ = false;
 };
 

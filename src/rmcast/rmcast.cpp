@@ -29,10 +29,20 @@ void ReliableMulticast::onMessage(ProcessId from, const RmPayload& p) {
   sight(p.msg, from, p.ownGroup);
 }
 
+std::pair<ReliableMulticast::Seen&, bool> ReliableMulticast::seenOf(
+    MsgId id) {
+  auto [index, added] = seen_.tryEmplace(id);
+  if (added) {
+    if (recordCount_ % kChunk == 0)
+      records_.push_back(std::make_unique<Seen[]>(kChunk));
+    index = recordCount_++;
+  }
+  return {records_[index / kChunk][index % kChunk], added};
+}
+
 void ReliableMulticast::sight(const AppMsgPtr& m, ProcessId copyFrom,
                               bool ownGroup) {
-  auto [it, fresh] = seen_.try_emplace(m->id);
-  Seen& s = it->second;
+  auto [s, fresh] = seenOf(m->id);
   if (fresh) {
     s.msg = m;
     relay(s, ownGroup);

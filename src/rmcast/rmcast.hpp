@@ -22,23 +22,23 @@
 //    domain-based scheme). Used by the Fritzke-et-al. baseline, which the
 //    paper contrasts with A1's non-uniform choice.
 //
-// Per message, a process keeps one Seen entry, in a hash table keyed by
-// message id. rmcast sends to an addressee list built once per destination
-// set (MemberLists). The relay is sent on first sight only, to the
-// own-group peer list built once at construction; every later copy is a
-// single hash lookup, plus a copy count under kUniform, the one mode that
-// reads it.
+// Per message, a process keeps one Seen record at a stable address. A table
+// indexed by message id (common/id_table.hpp) holds its position, not the
+// record, since A2's rmcast sees only its own group's carriers. rmcast
+// sends to an addressee list built once per destination set (MemberLists).
+// The relay is sent on first sight only, to the own-group peer list; every
+// later copy is one table lookup, plus a copy count under kUniform.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <set>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "common/id_table.hpp"
 #include "common/ids.hpp"
 #include "common/message.hpp"
 #include "exec/context.hpp"
@@ -92,19 +92,16 @@ class ReliableMulticast {
   // as fresh R-Delivers. The export is in message-id order.
   [[nodiscard]] std::vector<AppMsgPtr> snapshotDelivered() const {
     std::vector<AppMsgPtr> out;
-    // wanmc-lint: allow(D2): collect then sort
-    for (const auto& [id, s] : seen_)
+    seen_.forEach([&](MsgId, uint32_t i) {
+      const Seen& s = records_[i / kChunk][i % kChunk];
       if (s.delivered) out.push_back(s.msg);
-    std::sort(out.begin(), out.end(),
-              [](const AppMsgPtr& a, const AppMsgPtr& b) {
-                return a->id < b->id;
-              });
+    });
     return out;
   }
   // An installed entry counts as seen, so it is never relayed again.
   void installDelivered(const std::vector<AppMsgPtr>& msgs) {
     for (const AppMsgPtr& m : msgs) {
-      Seen& s = seen_[m->id];
+      Seen& s = seenOf(m->id).first;
       s.msg = m;
       s.delivered = true;
     }
@@ -118,6 +115,8 @@ class ReliableMulticast {
     bool delivered = false;
   };
 
+  // The record of message `id`, and whether this call created it.
+  std::pair<Seen&, bool> seenOf(MsgId id);
   // One copy of m from `copyFrom`; `ownGroup` marks an rmcastOwnGroup
   // copy. The first sight relays m.
   void sight(const AppMsgPtr& m, ProcessId copyFrom, bool ownGroup);
@@ -130,7 +129,12 @@ class ReliableMulticast {
   MemberLists castDests_;         // rmcast's addressees, minus self
   std::vector<ProcessId> peers_;  // own group minus self, ascending pid
   std::vector<DeliverCb> deliverCbs_;
-  std::unordered_map<MsgId, Seen> seen_;
+  // Seen records in first-sight order, kChunk to an allocation: a deliver
+  // callback may R-MCast while sight() still holds its record.
+  static constexpr uint32_t kChunk = 64;
+  std::vector<std::unique_ptr<Seen[]>> records_;
+  uint32_t recordCount_ = 0;
+  IdTable<uint32_t> seen_;  // message id -> record index
 };
 
 }  // namespace wanmc::rmcast

@@ -255,6 +255,22 @@ TEST(Consensus, NoInterGroupTrafficForGroupScopedInstances) {
   EXPECT_GT(f.rt.traffic().at(Layer::kConsensus).intra, 0u);
 }
 
+TEST(Consensus, DecisionPointerOutlivesLaterDecisions) {
+  // decision(k) points into the decided table, and a group stack reads
+  // through it while later instances decide: no insert may move it.
+  Fixture f(3);
+  for (int p = 0; p < 3; ++p) f.hosts[p]->svc->propose(1, num(11));
+  f.rt.run();
+  const ConsensusValue* first = f.hosts[0]->svc->decision(1);
+  ASSERT_NE(first, nullptr);
+  for (Instance k = 2; k <= 10001; ++k)
+    for (int p = 0; p < 3; ++p) f.hosts[p]->svc->propose(k, num(k));
+  f.rt.run();
+  EXPECT_EQ(f.hosts[0]->decisionOrder.size(), 10001u);
+  EXPECT_EQ(f.hosts[0]->svc->decision(1), first);
+  EXPECT_EQ(first->get<uint64_t>(), 11u);
+}
+
 TEST(EarlyConsensus, AcrossGroupsCostsTwoDelaysAndQuadraticMessages) {
   // §6's accounting of [11], run across k groups of d: every member decides
   // at modified-Lamport degree 2 (every clock starts at 0), and the

@@ -1,7 +1,9 @@
 // Unit tests for reliable multicast (non-uniform and uniform variants).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "rmcast/rmcast.hpp"
 #include "sim/runtime.hpp"
@@ -168,6 +170,34 @@ TEST(RMcast, ManyMessagesAllDelivered) {
   }
   f.rt.run();
   for (auto* h : f.hosts) EXPECT_EQ(h->delivered.size(), 50u);
+}
+
+TEST(RMcast, DeliverCallbackMayRMcastWhileItsRecordIsInUse) {
+  // sight() holds m's record while m's deliver callbacks run. The second
+  // callback here R-MCasts 200 fresh messages per original, adding records
+  // meanwhile; the third then reads m through the same record.
+  Fixture f(1, 3);
+  RmHost& h = *f.hosts[0];
+  MsgId next = 1000;
+  h.rm.onDeliver([&](const AppMsgPtr& m) {
+    if (m->id >= 1000) return;  // only the originals cascade
+    for (int i = 0; i < 200; ++i)
+      h.rm.rmcast(makeAppMessage(next++, 0, GroupSet::single(0)));
+  });
+  std::vector<MsgId> third;
+  h.rm.onDeliver([&](const AppMsgPtr& m) { third.push_back(m->id); });
+  for (MsgId id = 1; id <= 3; ++id)
+    h.rm.rmcast(makeAppMessage(id, 0, GroupSet::single(0)));
+  f.rt.run();
+  std::vector<MsgId> want = {1, 2, 3};
+  for (MsgId id = 1000; id < next; ++id) want.push_back(id);
+  std::sort(third.begin(), third.end());
+  EXPECT_EQ(third, want);
+  for (auto* host : f.hosts) {
+    std::vector<MsgId> got = host->delivered;
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, want) << "p" << host->pid();
+  }
 }
 
 }  // namespace
