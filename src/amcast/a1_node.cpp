@@ -41,27 +41,30 @@ void A1Node::xcast(const AppMsgPtr& m) {
 void A1Node::noteMessage(const AppMsgPtr& m) {
   // Uniform integrity: only destination processes handle m.
   if (!m->dest.contains(gid())) return;
-  if (pending_.count(m->id) || ordered(m->id)) return;
+  const Pend* p = pending_.find(m->id);
+  if ((p != nullptr && p->msg) || ordered(m->id)) return;
   setPending(m->id, m, Stage::s0, K_);  // lines 11-13
 }
 
 void A1Node::setPending(MsgId id, const AppMsgPtr& m, Stage stage,
                         uint64_t ts) {
-  auto [it, fresh] = pending_.try_emplace(id);
-  Pend& p = it->second;
+  Pend& p = pending_.tryEmplace(id).first;
+  const bool indexed = p.msg != nullptr;
   Index::node_type node;  // re-keyed and moved across, never reallocated
-  if (!fresh) {
+  if (indexed) {
     auto [index, key] = slotOf(p, id);
     node = index->extract(key);
   }
-  const bool was = !fresh && proposable(p.stage);
+  const bool was = indexed && proposable(p.stage);
   if (proposable(stage) && !was) {
     proposable_.insert(id);
   } else if (!proposable(stage) && was) {
     proposable_.erase(id);
   }
-  p = Pend{m, stage, ts,
-           stage == Stage::s1 ? firstMissing(id, m->dest) : kNoGroup};
+  p.msg = m;
+  p.stage = stage;
+  p.ts = ts;
+  p.filed = stage == Stage::s1 ? firstMissing(p) : kNoGroup;
   auto [index, key] = slotOf(p, id);
   if (node.empty()) {
     index->insert(key);
@@ -72,12 +75,14 @@ void A1Node::setPending(MsgId id, const AppMsgPtr& m, Stage stage,
 }
 
 void A1Node::erasePending(MsgId id) {
-  auto it = pending_.find(id);
-  if (it == pending_.end()) return;
-  auto [index, key] = slotOf(it->second, id);
-  index->erase(key);
-  if (proposable(it->second.stage)) proposable_.erase(id);
-  pending_.erase(it);
+  const Pend* p = pending_.find(id);
+  if (p == nullptr) return;
+  if (p->msg) {
+    auto [index, key] = slotOf(*p, id);
+    index->erase(key);
+    if (proposable(p->stage)) proposable_.erase(id);
+  }
+  pending_.erase(id);
 }
 
 std::pair<A1Node::Index*, A1Node::Key> A1Node::slotOf(const Pend& p,
@@ -88,11 +93,10 @@ std::pair<A1Node::Index*, A1Node::Key> A1Node::slotOf(const Pend& p,
   return {&w.above, {p.ts, id}};
 }
 
-GroupId A1Node::firstMissing(MsgId id, GroupSet dest) const {
-  auto it = tsProposals_.find(id);
-  for (GroupId g : dest.without(gid()))
-    if (it == tsProposals_.end() || it->second.count(g) == 0) return g;
-  return kNoGroup;
+GroupId A1Node::firstMissing(const Pend& p) const {
+  const uint64_t lacking =
+      p.msg->dest.without(gid()).bits() & ~p.stamped.bits();
+  return lacking == 0 ? kNoGroup : std::countr_zero(lacking);
 }
 
 void A1Node::tryPropose() {
@@ -102,7 +106,7 @@ void A1Node::tryPropose() {
   A1EntrySet set;  // canonical: proposable_ iterates in id order
   set.reserve(proposable_.size());
   for (MsgId id : proposable_) {
-    const Pend& p = pending_.at(id);
+    const Pend& p = *pending_.find(id);
     set.push_back(A1Entry{p.msg, p.stage, p.ts});
   }
   propK_ = K_ + 1;  // line 17
@@ -140,7 +144,7 @@ void A1Node::handleDecided(consensus::Instance k, const A1EntrySet& entries) {
       stage = Stage::s3;
     } else if (m->dest.size() > 1) {
       // lines 21-24: define this group's proposal (= k) and exchange it.
-      tsProposals_[m->id][gid()] = k;
+      pending_.tryEmplace(m->id).first.addStamp(gid(), k);
       sendToMany(tsDests_.of(m->dest.without(gid())), stamp(m, k));  // line 24
       newlyS1.push_back(m->id);
     } else if (stageSkipping_) {
@@ -149,7 +153,7 @@ void A1Node::handleDecided(consensus::Instance k, const A1EntrySet& entries) {
       // which for one group degenerates to an extra consensus instance.
       stage = Stage::s3;
     } else {
-      tsProposals_[m->id][gid()] = k;
+      pending_.tryEmplace(m->id).first.addStamp(gid(), k);
       newlyS1.push_back(m->id);
     }
     setPending(m->id, m, stage, ts);  // line 30: add or update
@@ -185,10 +189,9 @@ void A1Node::onProtocolMessage(ProcessId from, const PayloadPtr& p) {
   const MsgId id = ts->msg->id;
   noteMessage(ts->msg);  // line 10: (TS, m) also introduces m
   // A late copy for an A-Delivered m has nothing left to decide; recording
-  // it would leave a stamp-table entry that nothing ever removes.
+  // it would leave a pending record that nothing ever removes.
   if (!ordered(id)) {
-    uint64_t& proposal = tsProposals_[id][ts->fromGroup];
-    proposal = std::max(proposal, ts->ts);
+    pending_.tryEmplace(id).first.addStamp(ts->fromGroup, ts->ts);
     checkStage1(id);
   }
   noteCopy(from, *ts);
@@ -235,22 +238,20 @@ void A1Node::noteCopy(ProcessId from, const TsPayload& ts) {
 }
 
 void A1Node::checkStage1(MsgId id) {
-  auto it = pending_.find(id);
-  if (it == pending_.end()) return;
-  const Pend& p = it->second;
-  if (p.stage != Stage::s1) return;
+  const Pend* found = pending_.find(id);
+  if (found == nullptr || found->stage != Stage::s1) return;
+  const Pend& p = *found;
 
   // line 33: one proposal from every remote destination group. Until then
   // m waits filed under the first group it lacks.
-  const GroupId missing = firstMissing(id, p.msg->dest);
+  const GroupId missing = firstMissing(p);
   if (missing != kNoGroup) {
     if (missing != p.filed) setPending(id, p.msg, Stage::s1, p.ts);
     return;
   }
 
-  uint64_t max = 0;  // line 34: TSset includes our own proposal (p.ts)
-  for (const auto& [g, ts] : tsProposals_[id]) max = std::max(max, ts);
-  max = std::max(max, p.ts);
+  // line 34: TSset includes our own proposal (p.ts)
+  const uint64_t max = std::max(p.maxStamp, p.ts);
 
   if (stageSkipping_ && p.ts >= max) {
     // line 35-36: our group proposed the final timestamp; its clock is
@@ -276,14 +277,13 @@ void A1Node::adeliveryTest() {
   while (!pendingByTs_.empty()) {
     const Key key = *pendingByTs_.begin();
     const MsgId id = key.second;
-    const Pend& best = pending_.at(id);
+    const Pend& best = *pending_.find(id);
     if (best.stage != Stage::s3) return;
     for (const Missing& w : missing_)
       if (w.blocks(key)) return;
 
     AppMsgPtr m = best.msg;
     erasePending(id);
-    tsProposals_.erase(id);
     adeliver(m);
   }
 }
@@ -294,8 +294,11 @@ void A1Node::adeliveryTest() {
 
 uint64_t A1Node::BootState::approxBytes() const {
   uint64_t b = 16;  // the two clocks
-  for (const auto& [id, p] : pending) b += 40 + p.msg->body.size();
-  for (const auto& [id, ps] : tsProposals) b += 8 + 16 * ps.size();
+  for (const auto& [id, p] : pending) {
+    if (p.msg) b += 40 + p.msg->body.size();
+    if (!p.stamped.empty())
+      b += 8 + 16 * static_cast<uint64_t>(p.stamped.size());
+  }
   return b;
 }
 
@@ -304,8 +307,8 @@ std::shared_ptr<bootstrap::ProtocolState> A1Node::snapshotProtocolState()
   auto s = std::make_shared<BootState>();
   s->K = K_;
   s->propK = propK_;
-  s->pending = pending_;
-  s->tsProposals = tsProposals_;
+  pending_.forEach(
+      [&](MsgId id, const Pend& p) { s->pending.emplace_back(id, p); });
   return s;
 }
 
@@ -315,34 +318,36 @@ void A1Node::installProtocolState(const bootstrap::Snapshot& snap) {
   // Merge, never clobber: messages that arrived during the joining window
   // must survive.
   // Timestamp proposals are per-(message, group) facts learned over the
-  // wire — meaningful from any donor; most-advanced wins.
-  for (const auto& [id, ps] : s->tsProposals)
-    for (const auto& [g, ts] : ps)
-      tsProposals_[id][g] = std::max(tsProposals_[id][g], ts);
-  if (snap.donorGroup == gid()) {
-    // Group-scoped pieces: the group clock, the proposal clock and the
-    // pending stages/timestamps describe the DONOR's group's ordering
-    // progress — only a groupmate's apply. (The donor's group decisions
-    // come with the snapshot's consensus part, which likewise only a
-    // groupmate installs.) Clocks advance to the donor's; on a pending id
-    // both sides know, the donor's entry wins (its stage is at least as
-    // advanced).
+  // wire — meaningful from any donor: the groups heard from unite and the
+  // largest proposal wins.
+  // Group-scoped pieces: the group clock, the proposal clock and the
+  // pending stages/timestamps describe the DONOR's group's ordering
+  // progress — only a groupmate's apply. (The donor's group decisions come
+  // with the snapshot's consensus part, which likewise only a groupmate
+  // installs.) Clocks advance to the donor's; on a pending id both sides
+  // know, the donor's entry wins (its stage is at least as advanced).
+  const bool groupmate = snap.donorGroup == gid();
+  if (groupmate) {
     K_ = std::max(K_, s->K);
     propK_ = std::max(propK_, s->propK);
-    for (const auto& [id, p] : s->pending)
-      setPending(id, p.msg, p.stage, p.ts);
   }
-  for (MsgId id : snap.ordered) {
-    erasePending(id);
-    tsProposals_.erase(id);
+  for (const auto& [id, d] : s->pending) {
+    if (!d.stamped.empty()) {
+      Pend& p = pending_.tryEmplace(id).first;
+      p.stamped = GroupSet(p.stamped.bits() | d.stamped.bits());
+      p.maxStamp = std::max(p.maxStamp, d.maxStamp);
+    }
+    if (groupmate && d.msg) setPending(id, d.msg, d.stage, d.ts);
   }
+  for (MsgId id : snap.ordered) erasePending(id);
 }
 
 void A1Node::resumeAfterInstall() {
   drainDecisions();
   std::vector<MsgId> s1;
-  for (const auto& [id, p] : pending_)
+  pending_.forEach([&](MsgId id, const Pend& p) {
     if (p.stage == Stage::s1) s1.push_back(id);
+  });
   for (MsgId id : s1) checkStage1(id);  // remote proposals may be in already
   adeliveryTest();
   tryPropose();

@@ -43,13 +43,19 @@
 // nothing, and a rejoined receiver cannot know which copies its dead
 // incarnation got, so it keeps no stream.
 //
-// The pending table carries indexes kept in step by setPending and
-// erasePending: the ids of the s0/s2 entries, in id order (the canonical
-// proposal of a new instance), and every entry by (ts, id), each s1 entry
-// under the first group it lacks (Missing), so ADeliveryTest reads one
-// minimum per group instead of scanning. An s1 entry with every proposal
-// in waits in the main index from handleDecided's setPending to its
-// checkStage1.
+// The pending table holds one record per message not yet A-Delivered,
+// indexed by message id (common/id_table.hpp): its stage and timestamp,
+// and, of the proposals exchanged at lines 21-24, which groups' are in and
+// the largest, all that lines 33-34 read. A record leaves at A-Delivery or
+// when an install finds the message ordered, and a page with it once its
+// last id goes. A record may hold proposals before its message: an install
+// from a donor in another group brings them without the stage. The table
+// carries indexes kept in step by setPending and erasePending: the ids of
+// the s0/s2 entries, in id order (the canonical proposal of a new
+// instance), and every entry by (ts, id), each s1 entry under the first
+// group it lacks (Missing), so ADeliveryTest reads one minimum per group
+// instead of scanning. An s1 entry with every proposal in waits in the
+// main index from handleDecided's setPending to its checkStage1.
 // Decisions are read, shared (common/consensus_value.hpp), from the group
 // consensus service's decided table. Every R-Deliver, decided entry and
 // (TS, m) copy checks XcastNode's ordered set, the one record of what this
@@ -57,9 +63,9 @@
 // destination set (MemberLists).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
-#include <map>
 #include <set>
 #include <string>
 #include <utility>
@@ -67,6 +73,7 @@
 
 #include "channel/channel.hpp"
 #include "common/consensus_value.hpp"
+#include "common/id_table.hpp"
 #include "core/stack_node.hpp"
 
 namespace wanmc::amcast {
@@ -118,10 +125,21 @@ class A1Node final : public core::XcastNode {
   [[nodiscard]] uint64_t consensusInstancesDecided() const {
     return instancesDecided_;
   }
-  [[nodiscard]] size_t pendingCount() const { return pending_.size(); }
-  // Messages with timestamp proposals on record; empty once every pending
+  [[nodiscard]] size_t pendingCount() const {
+    size_t n = 0;
+    pending_.forEach([&](MsgId, const Pend& p) { n += p.msg ? 1 : 0; });
+    return n;
+  }
+  // Messages with timestamp proposals on record; none once every pending
   // message is A-Delivered.
-  [[nodiscard]] size_t stampTableSize() const { return tsProposals_.size(); }
+  [[nodiscard]] size_t stampTableSize() const {
+    size_t n = 0;
+    pending_.forEach(
+        [&](MsgId, const Pend& p) { n += p.stamped.empty() ? 0 : 1; });
+    return n;
+  }
+  // Pages the pending table holds; none once it is empty.
+  [[nodiscard]] size_t pendingPages() const { return pending_.pages(); }
   [[nodiscard]] const consensus::ConsensusService& groupConsensus() const {
     return *groupConsensus_;
   }
@@ -144,8 +162,9 @@ class A1Node final : public core::XcastNode {
  protected:
   void onProtocolMessage(ProcessId from, const PayloadPtr& p) override;
 
-  // Bootstrap snapshot surface (core/stack_node.hpp): group clock, pending
-  // table, stamp proposals (the decisions are in the consensus part).
+  // Bootstrap snapshot surface (core/stack_node.hpp): group clock and
+  // pending table, proposals included (the decisions are in the consensus
+  // part).
   [[nodiscard]] std::shared_ptr<bootstrap::ProtocolState>
   snapshotProtocolState() const override;
   void installProtocolState(const bootstrap::Snapshot& s) override;
@@ -153,10 +172,17 @@ class A1Node final : public core::XcastNode {
 
  private:
   struct Pend {
-    AppMsgPtr msg;
-    Stage stage = Stage::s0;
+    AppMsgPtr msg;  // null: proposals only, stage s0, in no index
     uint64_t ts = 0;
+    uint64_t maxStamp = 0;  // the largest proposal in `stamped`
+    GroupSet stamped;       // groups whose proposal is in, own included
     GroupId filed = kNoGroup;  // s1: the first group it lacks, if any
+    Stage stage = Stage::s0;
+
+    void addStamp(GroupId g, uint64_t proposal) {
+      stamped.add(g);
+      maxStamp = std::max(maxStamp, proposal);
+    }
   };
 
   using Key = std::pair<uint64_t, MsgId>;  // (ts, id)
@@ -189,8 +215,7 @@ class A1Node final : public core::XcastNode {
   struct BootState final : bootstrap::ProtocolState {
     uint64_t K = 1;
     uint64_t propK = 1;
-    std::map<MsgId, Pend> pending;
-    std::map<MsgId, std::map<GroupId, uint64_t>> tsProposals;
+    std::vector<std::pair<MsgId, Pend>> pending;  // ascending id
     [[nodiscard]] uint64_t approxBytes() const override;
   };
 
@@ -200,8 +225,8 @@ class A1Node final : public core::XcastNode {
   void erasePending(MsgId id);
   // The index an entry sits in, and its key there.
   [[nodiscard]] std::pair<Index*, Key> slotOf(const Pend& p, MsgId id);
-  // The lowest remote destination group with no proposal for m yet.
-  [[nodiscard]] GroupId firstMissing(MsgId id, GroupSet dest) const;
+  // The lowest remote destination group with no proposal for p.msg yet.
+  [[nodiscard]] GroupId firstMissing(const Pend& p) const;
 
   // Line 24's payload, numbered for each remote destination group.
   [[nodiscard]] PayloadPtr stamp(const AppMsgPtr& m, uint64_t k);
@@ -225,14 +250,12 @@ class A1Node final : public core::XcastNode {
 
   uint64_t K_ = 1;      // this group's clock == next consensus instance
   uint64_t propK_ = 1;  // lowest instance we may still propose to
-  std::map<MsgId, Pend> pending_;
+  IdTable<Pend> pending_;
   Index pendingByTs_;                   // every entry not filed under a group
   std::set<MsgId> proposable_;          // s0/s2 entries
   std::vector<Missing> missing_;        // by group
   std::vector<uint32_t> nextSeq_;       // by group; 0 = numbers none
   std::vector<Stream> streams_;         // by sender; empty once rejoined
-  // Remote (and own) timestamp proposals per pending message, per group.
-  std::map<MsgId, std::map<GroupId, uint64_t>> tsProposals_;
   uint64_t instancesDecided_ = 0;
   // The (TS, m) fan-out lists: the members of m.dest minus our group.
   MemberLists tsDests_{topology()};

@@ -1,10 +1,12 @@
-// Per-process tables keyed by a message id or a consensus instance, which
-// grow for the whole run. Both key spaces are dense (core::Experiment numbers
-// messages from 1, the CastIndex contract; a group's consensus instances
-// follow its clock), so an id is not hashed: its high bits pick a page,
-// found in a directory ordered by page number or, for the page of the last
-// mutating call, at once. A lone far id costs one page. Iteration is
-// ascending, and a page never moves, so neither does a value stored in it.
+// Per-process tables keyed by a message id or a consensus instance. Most
+// grow for the whole run; one working table, A1's pending messages, is
+// shrunk by erase, which frees a page once its last id goes. Both key
+// spaces are dense (core::Experiment numbers messages from 1, the CastIndex
+// contract; a group's consensus instances follow its clock), so an id is
+// not hashed: its high bits pick a page, found in a directory ordered by
+// page number or, for the page of the last insert, at once. A lone far id
+// costs one page. Iteration is ascending, and a page never moves, so
+// neither does a value stored in it.
 #pragma once
 
 #include <algorithm>
@@ -50,6 +52,23 @@ class IdTable {
     const bool added = (last_->used >> (id % kSlots) & 1) == 0;
     last_->used |= uint64_t{1} << (id % kSlots);
     return {last_->slots[id % kSlots], added};
+  }
+  // Drops the value under id, if any, leaving T{} in its slot. The page
+  // goes once its last id does; no other value moves.
+  void erase(uint64_t id) {
+    const auto it = lowerBound(id / kSlots);
+    if (it == pages_.end() || it->no != id / kSlots) return;
+    Page& p = *it->page;
+    const uint64_t bit = uint64_t{1} << (id % kSlots);
+    if ((p.used & bit) == 0) return;
+    p.used &= ~bit;
+    p.slots[id % kSlots] = T{};
+    if (p.used != 0) return;
+    if (last_ == &p) {
+      last_ = nullptr;
+      lastNo_ = UINT64_MAX;
+    }
+    pages_.erase(it);
   }
   // fn(id, value) for every id stored, ascending.
   template <class Fn>

@@ -1,5 +1,7 @@
 #include "rmcast/rmcast.hpp"
 
+#include <algorithm>
+
 namespace wanmc::rmcast {
 
 ReliableMulticast::ReliableMulticast(exec::Context& rt, ProcessId self,
@@ -47,9 +49,11 @@ void ReliableMulticast::sight(const AppMsgPtr& m, ProcessId copyFrom,
     s.msg = m;
     relay(s, ownGroup);
   }
-  if (uniformity_ == Uniformity::kUniform &&
-      rt_.topology().sameGroup(copyFrom, self_))
-    s.copiesFrom.insert(copyFrom);
+  if (uniformity_ == Uniformity::kUniform && s.addressee && !s.delivered &&
+      copyFrom != self_ && rt_.topology().sameGroup(copyFrom, self_) &&
+      std::find(s.copiesFrom.begin(), s.copiesFrom.end(), copyFrom) ==
+          s.copiesFrom.end())
+    s.copiesFrom.push_back(copyFrom);
   maybeDeliver(s);
 }
 
@@ -73,9 +77,8 @@ void ReliableMulticast::maybeDeliver(Seen& s) {
     const auto groupSize = static_cast<size_t>(
         rt_.topology().groupSize(rt_.topology().group(self_)));
     // Our own sighting counts as one copy.
-    const size_t copies =
-        s.copiesFrom.size() + (s.copiesFrom.count(self_) == 0 ? 1 : 0);
-    if (copies < groupSize / 2 + 1) return;
+    if (s.copiesFrom.size() + 1 < groupSize / 2 + 1) return;
+    s.copiesFrom = std::vector<ProcessId>();  // nothing reads it any more
   }
   s.delivered = true;
   for (const auto& cb : deliverCbs_) cb(s.msg);

@@ -27,13 +27,13 @@
 // record, since A2's rmcast sees only its own group's carriers. rmcast
 // sends to an addressee list built once per destination set (MemberLists).
 // The relay is sent on first sight only, to the own-group peer list; every
-// later copy is one table lookup, plus a copy count under kUniform.
+// later copy is one table lookup, plus, under kUniform until R-Deliver, a
+// scan of the few own-group senders seen so far.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -108,10 +108,14 @@ class ReliableMulticast {
   }
 
  private:
+  // 48 bytes. Under kUniform an undelivered addressee's record lists the
+  // distinct own-group processes other than itself that sent it a copy;
+  // the list is released at R-Deliver, and a non-uniform stack never
+  // fills it. No bitmask: Topology bounds no group's size.
   struct Seen {
     AppMsgPtr msg;
-    std::set<ProcessId> copiesFrom;  // distinct own-group senders, kUniform
-    bool addressee = false;          // fixed on first sight
+    std::vector<ProcessId> copiesFrom;
+    bool addressee = false;  // fixed on first sight
     bool delivered = false;
   };
 

@@ -172,7 +172,8 @@ TEST(A1, QuiescentAfterFiniteCasts) {
 TEST(A1, TablesEmptyAfterQuiescentWorkload) {
   // Once every cast is A-Delivered everywhere nothing may stay behind. In
   // particular a (TS, m) copy that arrives after m was A-Delivered must not
-  // leave a stamp-table entry that no later step removes, and a consensus
+  // leave a pending record that no later step removes, the pending table
+  // must have freed every page, and a consensus
   // copy that arrives after its instance decided must not bring the
   // instance back into the working table.
   Experiment ex(cfg(3, 3, 5));
@@ -183,6 +184,7 @@ TEST(A1, TablesEmptyAfterQuiescentWorkload) {
     const auto& node = dynamic_cast<amcast::A1Node&>(ex.node(p));
     EXPECT_EQ(node.pendingCount(), 0u) << "p" << p;
     EXPECT_EQ(node.stampTableSize(), 0u) << "p" << p;
+    EXPECT_EQ(node.pendingPages(), 0u) << "p" << p;
     EXPECT_GT(node.consensusInstancesDecided(), 0u) << "p" << p;
     EXPECT_EQ(node.groupConsensus().activeInstances(), 0u) << "p" << p;
   }

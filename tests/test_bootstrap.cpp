@@ -8,9 +8,10 @@
 // until heal), a second crash racing the offer (stale-session drop), a
 // joining donor (deny + advance), and a lagging donor (decisions above its
 // clock apply at resume). The vote-rejoin tests crash a Skeen87 or
-// Rodrigues98 addressee while the timestamp votes are in flight, and the
+// Rodrigues98 addressee while the timestamp votes are in flight, the
 // merge-rejoin test a batched DetMerge00 subscriber before it hears of any
-// event.
+// event, and the A1 cross-group test a process alone in its group while
+// the other group's proposals wait on it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "amcast/a1_node.hpp"
 #include "common/rng.hpp"
 #include "consensus/consensus.hpp"
 #include "core/experiment.hpp"
@@ -390,6 +392,72 @@ TEST(MergeRejoin, BatchedEarlyRejoinDeliversEachCastOnce) {
       EXPECT_TRUE(v.empty()) << tag << ": " << v[0];
       EXPECT_EQ(r.rejoins.size(), 1u) << tag;
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// An A1 rejoiner with no live groupmate installs from a donor in another
+// group. The donor's pending records bring the proposals other groups made
+// for messages still waiting on the rejoiner's group, but not their stages,
+// which only a groupmate's apply. For a message the rejoiner has not heard
+// of yet, its record holds those proposals alone until a (TS, m) copy
+// introduces the message.
+// ---------------------------------------------------------------------------
+
+TEST(A1CrossGroupRejoin, ProposalsInstalledBeforeTheirMessage) {
+  // p0 is alone in group 0. m2 and m3 are cast to both groups while it is
+  // down: group 1 decides its proposals for them and waits for group 0's.
+  // Reliable channels re-offer the copies sent to the dead incarnation to
+  // the new one; dropping its R-MCast and (TS, m) copies until a second
+  // after the recovery makes the install (about 0.37 s after it) come
+  // first. The install marks m2 and m3 R-Delivered, so a resent (TS, m)
+  // copy is what introduces each to p0.
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    const std::string tag = "seed " + std::to_string(seed);
+    RunConfig c = cfg(ProtocolKind::kA1, 2, 2, seed);
+    c.groupSizes = {1, 2};
+    c.stack.reliableChannels = true;
+    Experiment ex(c);
+    const SimTime recover = 800 * kMs;
+    const SimTime heal = recover + kSec;
+    ex.runtime().setDropFilter(
+        [&](ProcessId, ProcessId to, const Payload& p) {
+          const SimTime now = ex.runtime().now();
+          return to == 0 && now >= recover && now < heal &&
+                 (p.layer() == Layer::kReliableMulticast ||
+                  p.layer() == Layer::kProtocol);
+        });
+    const GroupSet both = GroupSet::of({0, 1});
+    std::vector<MsgId> casts = {ex.castAt(100 * kMs, 1, both)};
+    ex.crashAt(0, 300 * kMs);
+    casts.push_back(ex.castAt(400 * kMs, 2, both));
+    casts.push_back(ex.castAt(450 * kMs, 1, both));
+    ex.recoverAt(0, recover);
+    const auto first = ex.run(heal);
+    ASSERT_EQ(first.rejoins.size(), 1u) << tag;
+    {
+      const auto& p0 = dynamic_cast<amcast::A1Node&>(ex.node(0));
+      EXPECT_EQ(p0.pendingCount(), 0u) << tag;
+      EXPECT_EQ(p0.stampTableSize(), 2u) << tag;  // m2's and m3's
+    }
+    casts.push_back(ex.castAt(3 * kSec, 1, both));
+    auto r = ex.run(120 * kSec);
+
+    const auto v = r.checkAtomicSuite();
+    EXPECT_TRUE(v.empty()) << tag << ": " << v[0];
+    expectRejoinSafe(r, tag);
+    EXPECT_EQ(r.rejoins.size(), 1u) << tag;
+    // Every incarnation A-Delivers every cast once; p0's new one replays
+    // m1 from the snapshot and earns the rest.
+    const auto seqs = r.trace.sequences();
+    for (std::vector<MsgId> seq :
+         {seqs.at(1), seqs.at(2), sequenceSince(r, 0, recover)}) {
+      std::sort(seq.begin(), seq.end());
+      EXPECT_EQ(seq, casts) << tag;
+    }
+    const auto& p0 = dynamic_cast<amcast::A1Node&>(ex.node(0));
+    EXPECT_EQ(p0.stampTableSize(), 0u) << tag;
+    EXPECT_EQ(p0.pendingPages(), 0u) << tag;
   }
 }
 

@@ -1,5 +1,6 @@
 // Unit tests for the id-indexed tables (common/id_table.hpp): IdSet and
-// IdTable, keyed by message ids and consensus instances.
+// IdTable, keyed by message ids and consensus instances, and IdTable's
+// erase, which A1's pending table uses.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -148,6 +149,101 @@ TEST(IdTable, StoredValueNeverMoves) {
   for (uint64_t id = 1; id <= 100000; ++id) t.tryEmplace(id);
   EXPECT_EQ(t.find(kept), first);
   EXPECT_EQ(*first, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(IdTable, EraseOfAnAbsentIdIsANoOp) {
+  IdTable<uint64_t> t;
+  t.erase(5);  // empty table
+  t.tryEmplace(5).first = 50;
+  t.erase(6);                  // page allocated, slot unused
+  t.erase(uint64_t{1} << 40);  // no page
+  t.erase(UINT64_MAX);
+  EXPECT_EQ(t.pages(), 1u);
+  ASSERT_NE(t.find(5), nullptr);
+  EXPECT_EQ(*t.find(5), 50u);
+}
+
+TEST(IdTable, ErasingThePagesLastIdFreesIt) {
+  // Ids 2 and 3 share a page whatever the page size (a power of two >= 2).
+  // Values own heap memory, so a slot read or written through a freed page
+  // shows under ASan.
+  const uint64_t far = uint64_t{1} << 40;
+  IdTable<std::vector<int>> t;
+  t.tryEmplace(2).first = {2};
+  t.tryEmplace(3).first = {3};
+  t.tryEmplace(far).first = {4};  // the last insert: far's is the shortcut
+  ASSERT_EQ(t.pages(), 2u);
+  t.erase(2);
+  EXPECT_EQ(t.pages(), 2u);  // 3 keeps the page
+  EXPECT_EQ(t.find(2), nullptr);
+  t.erase(3);
+  EXPECT_EQ(t.pages(), 1u);
+  EXPECT_EQ(t.find(3), nullptr);
+  auto [low, lowAdded] = t.tryEmplace(3);
+  EXPECT_TRUE(lowAdded);
+  EXPECT_TRUE(low.empty());  // a fresh page: T{}
+  EXPECT_EQ(t.pages(), 2u);
+  // Now 3's page is the shortcut; erase the other page, then this one.
+  t.erase(far);
+  EXPECT_EQ(t.pages(), 1u);
+  EXPECT_EQ(t.find(far), nullptr);
+  t.erase(3);
+  EXPECT_EQ(t.pages(), 0u);
+  EXPECT_EQ(t.find(3), nullptr);
+  auto [again, added] = t.tryEmplace(3);
+  EXPECT_TRUE(added);
+  EXPECT_TRUE(again.empty());
+  again.push_back(5);
+  EXPECT_EQ(*t.find(3), std::vector<int>{5});
+  EXPECT_EQ(t.pages(), 1u);
+}
+
+TEST(IdTable, ErasedSlotHoldsAFreshValue) {
+  // An id erased from a page that stays holds T{} when added again.
+  IdTable<std::vector<int>> t;
+  t.tryEmplace(2).first = {1, 2, 3};
+  t.tryEmplace(3);
+  t.erase(2);
+  auto [v, added] = t.tryEmplace(2);
+  EXPECT_TRUE(added);
+  EXPECT_TRUE(v.empty());
+}
+
+TEST(IdTable, ErasesThatShiftTheDirectoryMoveNoValue) {
+  // Pages freed ahead of a stored value's page in the directory shift its
+  // directory entry, never the page.
+  const uint64_t kept = uint64_t{1} << 30;
+  const uint64_t mid = 5000;
+  IdTable<std::vector<int>> t;
+  t.tryEmplace(kept).first = {1, 2, 3};
+  for (uint64_t id = 1; id <= 10000; ++id)
+    t.tryEmplace(id).first = {static_cast<int>(id)};
+  const std::vector<int>* keptAt = t.find(kept);
+  const std::vector<int>* midAt = t.find(mid);
+  for (uint64_t id = 1; id <= 10000; ++id)
+    if (id != mid) t.erase(id);
+  EXPECT_EQ(t.pages(), 2u);
+  EXPECT_EQ(t.find(kept), keptAt);
+  EXPECT_EQ(*keptAt, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(t.find(mid), midAt);
+  EXPECT_EQ(*midAt, std::vector<int>{5000});
+}
+
+TEST(IdTable, ForEachSkipsErasedIds) {
+  IdTable<uint64_t> t;
+  for (uint64_t id = 1; id <= 300; ++id) t.tryEmplace(id).first = id;
+  for (uint64_t id = 1; id <= 300; ++id)
+    if (id % 3 != 0 || (id >= 64 && id < 128)) t.erase(id);  // and a page
+  std::vector<uint64_t> ids;
+  t.forEach([&](uint64_t id, uint64_t v) {
+    EXPECT_EQ(v, id);
+    ids.push_back(id);
+  });
+  std::vector<uint64_t> want;
+  for (uint64_t id = 3; id <= 300; id += 3)
+    if (id < 64 || id >= 128) want.push_back(id);
+  EXPECT_EQ(ids, want);
+  EXPECT_EQ(t.pages(), 4u);  // 64 slots a page: 0-63, 128-191, ...
 }
 
 }  // namespace

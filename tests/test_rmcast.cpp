@@ -161,6 +161,28 @@ TEST(RMcastUniform, SingleProcessGroups) {
     EXPECT_EQ(f.hosts[p]->delivered, std::vector<MsgId>{1});
 }
 
+TEST(RMcastUniform, CountsDistinctSendersNotCopies) {
+  // One group of 5: a majority is 3 copies, p1's own sighting included.
+  // Every relay to p1 but p0's is dropped, so p1 gets two copies of m,
+  // p0's R-MCast and p0's relay, from one sender: two senders with p1.
+  Fixture f(1, 5, Uniformity::kUniform);
+  f.rt.setDropFilter([](ProcessId from, ProcessId to, const Payload& p) {
+    const auto* rm = dynamic_cast<const RmPayload*>(&p);
+    return rm != nullptr && rm->isRelay && to == 1 && from != 0;
+  });
+  auto m = makeAppMessage(1, 0, GroupSet::single(0));
+  f.hosts[0]->rm.rmcast(m);
+  f.rt.run();
+  EXPECT_TRUE(f.hosts[1]->delivered.empty());
+  for (ProcessId p : {0, 2, 3, 4})
+    EXPECT_EQ(f.hosts[p]->delivered, std::vector<MsgId>{1}) << "p" << p;
+  // Let p2's relay through: a third sender.
+  f.hosts[1]->rm.onMessage(2, RmPayload(m, /*relay=*/true));
+  EXPECT_EQ(f.hosts[1]->delivered, std::vector<MsgId>{1});
+  f.hosts[1]->rm.onMessage(3, RmPayload(m, /*relay=*/true));
+  EXPECT_EQ(f.hosts[1]->delivered, std::vector<MsgId>{1});  // once
+}
+
 TEST(RMcast, ManyMessagesAllDelivered) {
   Fixture f(3, 2);
   for (MsgId i = 1; i <= 50; ++i) {
