@@ -254,7 +254,6 @@ struct ProbePayload final : wanmc::Payload {
   [[nodiscard]] wanmc::Layer layer() const override {
     return wanmc::Layer::kProtocol;
   }
-  [[nodiscard]] std::string debugString() const override { return "bench"; }
 };
 
 class ProbeNode final : public wanmc::sim::Node {

@@ -61,9 +61,12 @@ void A2Node::handleDecided(uint64_t k, const MsgBundle& bundle) {
 void A2Node::onProtocolMessage(ProcessId /*from*/, const PayloadPtr& p) {
   const auto* b = dynamic_cast<const BundlePayload*>(p.get());
   assert(b != nullptr && "A2 protocol layer speaks BundlePayload only");
-  // Task 3 (lines 8-10).
-  auto& slot = msgs_[b->round][b->fromGroup];
-  if (slot.empty()) slot = b->msgs;
+  // Task 3 (lines 8-10). Every member of a group ships the same bundle, so
+  // the copies for a round this process has completed carry nothing new.
+  if (b->round >= K_) {
+    auto& slot = msgs_[b->round][b->fromGroup];
+    if (slot.empty()) slot = b->msgs;
+  }
   barrier_ = std::max(barrier_, b->round);
   tryPropose();
   tryCompleteRound();
@@ -128,7 +131,6 @@ std::shared_ptr<bootstrap::ProtocolState> A2Node::snapshotProtocolState()
   s->barrier = barrier_;
   s->rdelivered = rdelivered_;
   s->msgs = msgs_;
-  s->awaitingBundles = awaitingBundles_;
   return s;
 }
 
@@ -159,9 +161,8 @@ void A2Node::installProtocolState(const bootstrap::Snapshot& snap) {
   // A-Delivered leave the working set: the suffix replay delivers them.
   for (MsgId id : snap.ordered) rdelivered_.erase(id);
   // awaitingBundles_ asserts "round K_'s own-group bundle is decided and
-  // sits in msgs_[K_][gid()]". The donor's flag speaks about ITS group's
-  // slot — adopting it from a cross-group donor would stall drainDecisions
-  // forever — so derive it from the merged table instead.
+  // sits in msgs_[K_][gid()]": the snapshot does not carry the donor's flag,
+  // which speaks about ITS group's slot, so derive it from the merged table.
   const auto rIt = msgs_.find(K_);
   awaitingBundles_ = rIt != msgs_.end() && rIt->second.count(gid()) != 0;
   // Rounds below the merged clock can never be consumed — drop them

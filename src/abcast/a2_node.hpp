@@ -22,11 +22,14 @@
 // The same node is the non-genuine multicast of the paper's introduction
 // (ProtocolKind::kViaBcast): every process orders every message, and
 // XcastNode::adeliver A-Delivers it at its addressees only.
+//
+// A message leaves RDELIVERED \ ADELIVERED at its A-Delivery and a round's
+// bundles leave when the round completes. Every member of a group ships
+// the same bundle, so a copy that arrives for a completed round is dropped.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <string>
 
 #include "common/consensus_value.hpp"
 #include "core/stack_node.hpp"
@@ -42,10 +45,6 @@ struct BundlePayload final : Payload {
   BundlePayload(uint64_t r, MsgBundle b, GroupId g)
       : round(r), msgs(std::move(b)), fromGroup(g) {}
   [[nodiscard]] Layer layer() const override { return Layer::kProtocol; }
-  [[nodiscard]] std::string debugString() const override {
-    return "bundle(r=" + std::to_string(round) +
-           ",n=" + std::to_string(msgs.size()) + ")";
-  }
 };
 
 class A2Node : public core::XcastNode {
@@ -84,7 +83,6 @@ class A2Node : public core::XcastNode {
     uint64_t barrier = 0;
     std::map<MsgId, AppMsgPtr> rdelivered;
     std::map<uint64_t, std::map<GroupId, MsgBundle>> msgs;
-    bool awaitingBundles = false;
     [[nodiscard]] uint64_t approxBytes() const override;
   };
 
@@ -103,7 +101,7 @@ class A2Node : public core::XcastNode {
   uint64_t barrier_ = 0;
   // RDELIVERED \ ADELIVERED, by id; ADELIVERED is XcastNode::ordered.
   std::map<MsgId, AppMsgPtr> rdelivered_;
-  // Msgs: round -> group -> bundle.
+  // Msgs: round -> group -> bundle, for rounds K_ and above.
   std::map<uint64_t, std::map<GroupId, MsgBundle>> msgs_;
   bool awaitingBundles_ = false;  // decided round K_, waiting for line 16
   MemberLists otherGroups_{topology()};  // line 15's addressees

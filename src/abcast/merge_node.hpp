@@ -39,10 +39,6 @@ struct MergePayload final : Payload {
   MergePayload(bool hb, AppMsgPtr m, uint64_t ts, uint64_t s)
       : isHeartbeat(hb), msg(std::move(m)), eventTs(ts), seq(s) {}
   [[nodiscard]] Layer layer() const override { return Layer::kProtocol; }
-  [[nodiscard]] std::string debugString() const override {
-    return std::string(isHeartbeat ? "merge-hb(" : "merge-data(") +
-           std::to_string(eventTs) + ")";
-  }
 };
 
 struct MergeOptions {

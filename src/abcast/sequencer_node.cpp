@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <iterator>
 
 namespace wanmc::abcast {
 
@@ -28,23 +27,25 @@ void SequencerNode::xcast(const AppMsgPtr& m) {
 }
 
 void SequencerNode::noteData(const AppMsgPtr& m, ProcessId holder) {
-  if (data_.count(m->id) == 0) {
-    data_[m->id] = m;
+  if (ordered(m->id)) return;  // a late copy
+  Rec& r = pending_[m->id];
+  if (r.msg == nullptr) {
+    r.msg = m;
     optimistic_.push_back(m->id);  // optimistic delivery
-    if (snOf_.count(m->id) == 0) unsequenced_.insert(m->id);
     // Sequence BEFORE echoing: the SEQ broadcast doubles as the
     // sequencer's echo, so the sequencing hop and the echo hop run in
     // parallel and the final delivery stays at latency degree 2.
     maybeSequence();
+    if (ordered(m->id)) return;  // sequenced and delivered at once
     if (mode_ == SequencerMode::kUniformEcho &&
         currentSequencer() != pid()) {
       auto echo = std::make_shared<const SeqPayload>(SeqPayload::Kind::kEcho,
                                                      m, m->id, 0);
       sendToMany(everyoneElse(), echo);
     }
-    echoes_[m->id].insert(pid());
+    r.holders.insert(pid());
   }
-  echoes_[m->id].insert(holder);
+  r.holders.insert(holder);
   tryFinalDeliver();
 }
 
@@ -59,16 +60,17 @@ void SequencerNode::onProtocolMessage(ProcessId from, const PayloadPtr& p) {
       break;
     }
     case SeqPayload::Kind::kSeq: {
-      if (snOf_.count(sp->msgId) == 0) {
-        snOf_[sp->msgId] = sp->sn;
-        assigned_[sp->sn] = sp->msgId;
-        unsequenced_.erase(sp->msgId);
+      if (ordered(sp->msgId)) break;  // a late copy
+      Rec& r = pending_[sp->msgId];
+      if (!r.sn) {
+        r.sn = sp->sn;
+        bySn_[sp->sn] = sp->msgId;
         nextSn_ = std::max(nextSn_, sp->sn + 1);
       }
       // The SEQ broadcast doubles as the sequencer's echo. In [12] it also
       // carries m, as A1's (TS, m) does (paper footnote 4): a data copy
       // lost with its crashed sender cannot stall delivery.
-      echoes_[sp->msgId].insert(from);
+      r.holders.insert(from);
       if (sp->msg != nullptr) {
         noteData(sp->msg, from);
       } else {
@@ -93,36 +95,36 @@ void SequencerNode::maybeSequence() {
   if (currentSequencer() != pid()) return;
   // Assign sequence numbers to every known-but-unsequenced message, in
   // message-id order for determinism within a batch.
-  while (!unsequenced_.empty()) {
-    const MsgId id = *unsequenced_.begin();
-    unsequenced_.erase(unsequenced_.begin());
-    if (snOf_.count(id)) continue;
+  for (auto& [id, r] : pending_) {
+    if (r.msg == nullptr || r.sn) continue;
     const uint64_t sn = nextSn_++;
-    snOf_[id] = sn;
-    assigned_[sn] = id;
+    r.sn = sn;
+    bySn_[sn] = id;
     auto seq = std::make_shared<const SeqPayload>(
         SeqPayload::Kind::kSeq,
-        mode_ == SequencerMode::kOptimisticNonUniform ? data_.at(id) : nullptr,
-        id, sn);
+        mode_ == SequencerMode::kOptimisticNonUniform ? r.msg : nullptr, id,
+        sn);
     sendToMany(everyoneElse(), seq);
   }
   tryFinalDeliver();
 }
 
 void SequencerNode::tryFinalDeliver() {
-  if (joining()) return;  // data/sn/echoes buffer; delivery waits
+  if (joining()) return;  // records buffer; delivery waits
   const size_t majority =
       static_cast<size_t>(topology().numProcesses()) / 2 + 1;
-  for (auto it = assigned_.find(nextDeliver_); it != assigned_.end();
-       it = assigned_.find(nextDeliver_)) {
-    const MsgId id = it->second;
-    auto d = data_.find(id);
-    if (d == data_.end()) return;  // sn known, payload still in flight
+  for (auto it = bySn_.find(nextDeliver_); it != bySn_.end();
+       it = bySn_.find(nextDeliver_)) {
+    auto r = pending_.find(it->second);
+    if (r->second.msg == nullptr) return;  // payload still in flight
     if (mode_ == SequencerMode::kUniformEcho &&
-        echoes_[id].size() < majority)
+        r->second.holders.size() < majority)
       return;  // stability: a majority must hold m before final delivery
+    const AppMsgPtr m = std::move(r->second.msg);
     ++nextDeliver_;
-    adeliver(d->second);
+    bySn_.erase(it);
+    pending_.erase(r);
+    adeliver(m);
   }
 }
 
@@ -132,20 +134,17 @@ void SequencerNode::tryFinalDeliver() {
 
 uint64_t SequencerNode::BootState::approxBytes() const {
   uint64_t b = 16;
-  for (const auto& [id, m] : data) b += 32 + m->body.size();
-  for (const auto& [id, es] : echoes) b += 8 + 8 * es.size();
-  b += 16 * (assigned.size() + snOf.size()) + 8 * unsequenced.size();
+  for (const auto& [id, r] : pending) {
+    b += 16 + 8 * r.holders.size();
+    if (r.msg) b += 32 + r.msg->body.size();
+  }
   return b;
 }
 
 std::shared_ptr<bootstrap::ProtocolState>
 SequencerNode::snapshotProtocolState() const {
   auto s = std::make_shared<BootState>();
-  s->data = data_;
-  s->echoes = echoes_;
-  s->assigned = assigned_;
-  s->snOf = snOf_;
-  s->unsequenced = unsequenced_;
+  s->pending = pending_;
   s->nextSn = nextSn_;
   s->nextDeliver = nextDeliver_;
   return s;
@@ -154,21 +153,26 @@ SequencerNode::snapshotProtocolState() const {
 void SequencerNode::installProtocolState(const bootstrap::Snapshot& snap) {
   const auto* s = dynamic_cast<const BootState*>(snap.protocol.get());
   if (s == nullptr) return;
-  for (const auto& [id, m] : s->data) data_.emplace(id, m);
-  for (const auto& [id, es] : s->echoes)
-    echoes_[id].insert(es.begin(), es.end());
-  // Assignments are sequencer-issued and globally consistent: fill-if-
-  // absent in either direction.
-  for (const auto& [sn, id] : s->assigned) assigned_.emplace(sn, id);
-  for (const auto& [id, sn] : s->snOf) snOf_.emplace(id, sn);
-  unsequenced_.insert(s->unsequenced.begin(), s->unsequenced.end());
-  for (auto it = unsequenced_.begin(); it != unsequenced_.end();)
-    it = snOf_.count(*it) ? unsequenced_.erase(it) : std::next(it);
+  // Copies that arrived during the joining window for messages the donor
+  // has A-Delivered: the suffix replay delivers them.
+  std::erase_if(pending_, [&](const auto& e) { return ordered(e.first); });
+  std::erase_if(bySn_,
+                [&](const auto& e) { return !pending_.contains(e.second); });
+  // Merge the donor's records: holders unite; the payload and the
+  // assignment, sequencer-issued and globally consistent, fill if absent.
+  for (const auto& [id, d] : s->pending) {
+    Rec& r = pending_[id];
+    if (r.msg == nullptr) r.msg = d.msg;
+    r.holders.insert(d.holders.begin(), d.holders.end());
+    if (!r.sn && d.sn) {
+      r.sn = d.sn;
+      bySn_.emplace(*d.sn, id);
+    }
+  }
   // The handoff: never reuse a number the donor saw assigned, even numbers
   // the dead incarnation handed out moments before crashing (they reached
   // the donor by serve time).
-  nextSn_ = std::max({nextSn_, s->nextSn,
-                      assigned_.empty() ? 0 : assigned_.rbegin()->first + 1});
+  nextSn_ = std::max(nextSn_, s->nextSn);
   // The suffix replay covers exactly sn 0 .. nextDeliver-1 of the donor.
   nextDeliver_ = std::max(nextDeliver_, s->nextDeliver);
 }

@@ -19,10 +19,16 @@
 //
 // Both are implemented by one node parameterized on Mode; the sequencer
 // fails over to the lowest unsuspected process id.
+//
+// A process keeps one record per message it has not A-Delivered (payload,
+// sequence number, processes known to hold it) and an sn -> id index; both
+// entries leave at the A-Delivery, and a later copy of any kind stops at
+// XcastNode::ordered().
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "core/stack_node.hpp"
@@ -39,12 +45,6 @@ struct SeqPayload final : Payload {
   SeqPayload(Kind k, AppMsgPtr m, MsgId id, uint64_t s)
       : kind(k), msg(std::move(m)), msgId(id), sn(s) {}
   [[nodiscard]] Layer layer() const override { return Layer::kProtocol; }
-  [[nodiscard]] std::string debugString() const override {
-    return std::string(kind == Kind::kData   ? "seq-data(m"
-                       : kind == Kind::kSeq ? "seq-sn(m"
-                                            : "seq-echo(m") +
-           std::to_string(msgId) + ")";
-  }
 };
 
 enum class SequencerMode {
@@ -68,21 +68,24 @@ class SequencerNode final : public core::XcastNode {
  protected:
   void onProtocolMessage(ProcessId from, const PayloadPtr& p) override;
 
-  // Bootstrap snapshot surface. Carries the sequencer handoff: nextSn is
-  // re-based past every assignment the donor has seen, so a recovered
-  // process that becomes (or returns as) sequencer never reuses a number.
+  // Bootstrap snapshot surface: the records and the two clocks. Carries the
+  // sequencer handoff: nextSn is past every assignment the donor has seen,
+  // so a recovered process that becomes (or returns as) sequencer never
+  // reuses a number.
   [[nodiscard]] std::shared_ptr<bootstrap::ProtocolState>
   snapshotProtocolState() const override;
   void installProtocolState(const bootstrap::Snapshot& s) override;
   void resumeAfterInstall() override;
 
  private:
+  struct Rec {
+    AppMsgPtr msg;               // null: sn known, payload still in flight
+    std::optional<uint64_t> sn;  // empty: not sequenced yet
+    std::set<ProcessId> holders;  // [13]'s stability test counts them
+  };
+
   struct BootState final : bootstrap::ProtocolState {
-    std::map<MsgId, AppMsgPtr> data;
-    std::map<MsgId, std::set<ProcessId>> echoes;
-    std::map<uint64_t, MsgId> assigned;
-    std::map<MsgId, uint64_t> snOf;
-    std::set<MsgId> unsequenced;
+    std::map<MsgId, Rec> pending;
     uint64_t nextSn = 0;
     uint64_t nextDeliver = 0;
     [[nodiscard]] uint64_t approxBytes() const override;
@@ -97,12 +100,9 @@ class SequencerNode final : public core::XcastNode {
   void tryFinalDeliver();
 
   SequencerMode mode_;
-  std::map<MsgId, AppMsgPtr> data_;
-  std::map<MsgId, std::set<ProcessId>> echoes_;
-  std::map<uint64_t, MsgId> assigned_;   // sn -> msg
-  std::map<MsgId, uint64_t> snOf_;
-  std::set<MsgId> unsequenced_;          // data seen, no sn yet (in arrival order via set? we keep ids)
-  uint64_t nextSn_ = 0;                  // sequencer-local
+  std::map<MsgId, Rec> pending_;  // by id: every message not A-Delivered
+  std::map<uint64_t, MsgId> bySn_;  // sn -> id, for records in pending_
+  uint64_t nextSn_ = 0;  // above every sn this process has seen
   uint64_t nextDeliver_ = 0;
   std::vector<MsgId> optimistic_;
   MemberLists peers_{topology(), pid()};

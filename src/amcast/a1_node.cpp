@@ -318,8 +318,10 @@ void A1Node::installProtocolState(const bootstrap::Snapshot& snap) {
   // Merge, never clobber: messages that arrived during the joining window
   // must survive.
   // Timestamp proposals are per-(message, group) facts learned over the
-  // wire — meaningful from any donor: the groups heard from unite and the
-  // largest proposal wins.
+  // wire — meaningful from any donor for a message addressed to this group:
+  // the groups heard from unite and the largest proposal wins. A cross-group
+  // donor's records for other messages are skipped, as no (TS, m) copy or
+  // A-Delivery would ever remove them here.
   // Group-scoped pieces: the group clock, the proposal clock and the
   // pending stages/timestamps describe the DONOR's group's ordering
   // progress — only a groupmate's apply. (The donor's group decisions come
@@ -332,7 +334,8 @@ void A1Node::installProtocolState(const bootstrap::Snapshot& snap) {
     propK_ = std::max(propK_, s->propK);
   }
   for (const auto& [id, d] : s->pending) {
-    if (!d.stamped.empty()) {
+    if (!d.stamped.empty() &&
+        (groupmate || (d.msg && d.msg->dest.contains(gid())))) {
       Pend& p = pending_.tryEmplace(id).first;
       p.stamped = GroupSet(p.stamped.bits() | d.stamped.bits());
       p.maxStamp = std::max(p.maxStamp, d.maxStamp);

@@ -67,7 +67,6 @@
 #include <array>
 #include <cstdint>
 #include <set>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -94,10 +93,6 @@ struct TsPayload final : Payload {
   TsPayload(AppMsgPtr m, uint64_t t, GroupId g, Seq n)
       : msg(std::move(m)), ts(t), fromGroup(g), seq(n) {}
   [[nodiscard]] Layer layer() const override { return Layer::kProtocol; }
-  [[nodiscard]] std::string debugString() const override {
-    return "TS(m" + std::to_string(msg->id) + "," + std::to_string(ts) +
-           ",g" + std::to_string(fromGroup) + ")";
-  }
 };
 
 // The two stacks this class runs. They differ in two ways that only ever

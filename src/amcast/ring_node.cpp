@@ -25,8 +25,8 @@ void RingNode::xcast(const AppMsgPtr& m) {
   assert(!m->dest.empty());
   recordXcast(m);
   const GroupId g1 = firstGroup(*m);
-  auto start = std::make_shared<const RingPayload>(RingPayload::Kind::kStart,
-                                                   m, 0, gid());
+  auto start =
+      std::make_shared<const RingPayload>(RingPayload::Kind::kStart, m, 0);
   sendToMany(peers_.of(GroupSet::single(g1)), start);
   if (gid() == g1) noteCandidate(m, /*defined=*/false, 0);
 }
@@ -42,6 +42,8 @@ void RingNode::onProtocolMessage(ProcessId /*from*/, const PayloadPtr& p) {
       noteCandidate(rp->msg, /*defined=*/true, rp->ts);
       break;
     case RingPayload::Kind::kAck:
+      // Every member of gk acks: the copies after the first find m ordered.
+      if (ordered(rp->msg->id)) break;
       acked_.insert(rp->msg->id);
       pumpQueue();
       break;
@@ -110,13 +112,13 @@ void RingNode::pumpQueue() {
         // two groups, for fault tolerance: any correct member keeps the
         // chain alive).
         auto h = std::make_shared<const RingPayload>(
-            RingPayload::Kind::kHandover, c.msg, c.ts, gid());
+            RingPayload::Kind::kHandover, c.msg, c.ts);
         sendToMany(topology().members(next), h);
       } else {
         // We are gk: acknowledge to every destination process outside our
         // group; our own group learns locally.
         auto a = std::make_shared<const RingPayload>(RingPayload::Kind::kAck,
-                                                     c.msg, c.ts, gid());
+                                                     c.msg, c.ts);
         sendToMany(ackDests_.of(m.dest.without(gid())), a);
         acked_.insert(id);
       }

@@ -15,6 +15,10 @@
 // members of a group forward to all members of the next, for fault
 // tolerance). Figure 1a contrasts this with A1's degree 2 at O(k^2 d^2):
 // the two algorithms sit on opposite sides of a latency/bandwidth tradeoff.
+//
+// A message's state (candidate, agreed entry, forwarded and acked marks)
+// leaves at its A-Delivery; a later copy of any kind, gk's other acks
+// included, stops at XcastNode::ordered().
 #pragma once
 
 #include <cstdint>
@@ -31,19 +35,11 @@ struct RingPayload final : Payload {
   enum class Kind : uint8_t { kStart, kHandover, kAck };
   Kind kind = Kind::kStart;
   AppMsgPtr msg;
-  uint64_t ts = 0;       // final timestamp (handover / ack)
-  GroupId fromGroup = kNoGroup;
+  uint64_t ts = 0;  // final timestamp (handover / ack)
 
-  RingPayload(Kind k, AppMsgPtr m, uint64_t t, GroupId g)
-      : kind(k), msg(std::move(m)), ts(t), fromGroup(g) {}
+  RingPayload(Kind k, AppMsgPtr m, uint64_t t)
+      : kind(k), msg(std::move(m)), ts(t) {}
   [[nodiscard]] Layer layer() const override { return Layer::kProtocol; }
-  [[nodiscard]] std::string debugString() const override {
-    return std::string("ring-") +
-           (kind == Kind::kStart ? "start"
-            : kind == Kind::kHandover ? "handover"
-                                      : "ack") +
-           "(m" + std::to_string(msg->id) + ")";
-  }
 };
 
 class RingNode final : public core::XcastNode {

@@ -67,11 +67,6 @@ struct SkeenPayload final : Payload {
   SkeenPayload(Kind k, AppMsgPtr m, uint64_t t, ProcessId v = kNoProcess)
       : kind(k), msg(std::move(m)), ts(t), voter(v) {}
   [[nodiscard]] Layer layer() const override { return Layer::kProtocol; }
-  [[nodiscard]] std::string debugString() const override {
-    return std::string(kind == Kind::kData ? "skeen-data(m" : "skeen-vote(m") +
-           std::to_string(msg->id) + "," + std::to_string(ts) +
-           (voter == kNoProcess ? "" : ",v" + std::to_string(voter)) + ")";
-  }
 };
 
 // kSkeen87 [2]: each process decides the maximum vote itself.

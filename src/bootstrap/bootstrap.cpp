@@ -17,14 +17,6 @@ constexpr SimTime kRetry = 400 * kMs;
 constexpr SimTime kSettleSlack = 50 * kMs;
 }  // namespace
 
-std::string BootstrapPayload::debugString() const {
-  const char* k = kind == Kind::kAnnounce ? "announce"
-                  : kind == Kind::kRequest ? "request"
-                  : kind == Kind::kOffer   ? "offer"
-                                           : "deny";
-  return std::string("boot-") + k + "(s" + std::to_string(session) + ")";
-}
-
 Plane::Plane(exec::Context& rt)
     : rt_(rt),
       // One settle window covers every copy that was in flight toward a
@@ -177,8 +169,8 @@ void Plane::onMessage(ProcessId self, ProcessId from, const Payload& p) {
       const size_t replayed = e.node->installSnapshot(*bp.snapshot);
       ++stats_.snapshotsInstalled;
       stats_.suffixMessages += replayed;
-      rejoins_.push_back(Rejoin{self, e.session, rt_.now(),
-                                static_cast<uint64_t>(replayed)});
+      rejoins_.push_back(
+          Rejoin{self, rt_.now(), static_cast<uint64_t>(replayed)});
       break;
     }
     case BootstrapPayload::Kind::kDeny:

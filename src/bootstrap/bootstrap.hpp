@@ -40,7 +40,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "bootstrap/snapshot.hpp"
@@ -69,14 +68,12 @@ struct BootstrapPayload final : Payload {
                    std::shared_ptr<const Snapshot> snap = nullptr)
       : kind(k), session(s), snapshot(std::move(snap)) {}
   [[nodiscard]] Layer layer() const override { return Layer::kBootstrap; }
-  [[nodiscard]] std::string debugString() const override;
 };
 
 // One completed rejoin, for catch-up latency measurement (the Experiment
 // surfaces these in RunResult).
 struct Rejoin {
   ProcessId pid = kNoProcess;
-  uint32_t session = 0;
   SimTime installedAt = 0;
   uint64_t suffixReplayed = 0;
 };

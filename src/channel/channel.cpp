@@ -2,33 +2,12 @@
 
 #include <algorithm>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 
 #include "common/arena.hpp"
 #include "common/hot.hpp"
 
 namespace wanmc::channel {
-
-std::string DataPacket::debugString() const {
-  std::ostringstream os;
-  os << "chan-data{seq=" << seq << " inc=" << senderInc << " to="
-     << receiverInc << " " << inner->debugString() << "}";
-  return os.str();
-}
-
-std::string AckPacket::debugString() const {
-  std::ostringstream os;
-  os << "chan-ack{cum=" << cumAck;
-  if (numHoles > 0) {
-    os << " holes=";
-    for (uint32_t h = 0; h < numHoles; ++h)
-      os << "[" << holes[h].from << "," << holes[h].to << ")";
-    os << " sack=" << sackTo;
-  }
-  os << " inc=" << receiverInc << " of=" << senderInc << "}";
-  return os.str();
-}
 
 Plane::Plane(exec::Context& rt, Config cfg)
     : rt_(rt), cfg_(cfg), n_(rt.topology().numProcesses()) {

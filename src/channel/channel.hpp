@@ -100,7 +100,6 @@ struct DataPacket final : Payload {
   uint32_t receiverInc = 0;  // the receiver incarnation it is addressed to
 
   [[nodiscard]] Layer layer() const override { return innerLayer; }
-  [[nodiscard]] std::string debugString() const override;
 };
 
 // A run of missing seqs [from, to).
@@ -124,7 +123,6 @@ struct AckPacket final : Payload {
   uint32_t senderInc = 0;  // the sender incarnation whose space it describes
 
   [[nodiscard]] Layer layer() const override { return Layer::kChannel; }
-  [[nodiscard]] std::string debugString() const override;
 };
 
 class Plane final : public exec::ChannelHook {

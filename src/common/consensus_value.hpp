@@ -18,7 +18,6 @@
 #include <compare>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <type_traits>
 #include <variant>
 #include <vector>
@@ -31,16 +30,6 @@ namespace wanmc {
 // s0 -> s1 -> s2 -> s3, possibly skipping s1/s2 (single-group messages) or
 // s2 (groups whose proposal equals the final timestamp).
 enum class Stage : uint8_t { s0 = 0, s1 = 1, s2 = 2, s3 = 3 };
-
-[[nodiscard]] constexpr const char* stageName(Stage s) {
-  switch (s) {
-    case Stage::s0: return "s0";
-    case Stage::s1: return "s1";
-    case Stage::s2: return "s2";
-    case Stage::s3: return "s3";
-  }
-  return "?";
-}
 
 // One entry of an A1 consensus proposal: a message together with the stage
 // it was proposed in and its current timestamp. The AppMessage pointer
@@ -133,7 +122,5 @@ inline bool valueEquals(const ConsensusValue& a, const ConsensusValue& b) {
   }
   return b.empty();  // both empty
 }
-
-[[nodiscard]] std::string valueDebugString(const ConsensusValue& v);
 
 }  // namespace wanmc

@@ -90,7 +90,6 @@ inline AppMsgPtr makeAppMessage(MsgId id, ProcessId sender, GroupSet dest,
 struct Payload {
   virtual ~Payload() = default;
   [[nodiscard]] virtual Layer layer() const = 0;
-  [[nodiscard]] virtual std::string debugString() const = 0;
 };
 
 using PayloadPtr = std::shared_ptr<const Payload>;

@@ -5,19 +5,6 @@
 
 namespace wanmc::consensus {
 
-std::string ConsensusPayload::debugString() const {
-  const char* t = "?";
-  switch (type) {
-    case Type::kEstimate: t = "EST"; break;
-    case Type::kPropose: t = "PROP"; break;
-    case Type::kAck: t = "ACK"; break;
-    case Type::kNack: t = "NACK"; break;
-    case Type::kDecide: t = "DEC"; break;
-  }
-  return std::string(t) + "(k=" + std::to_string(instance) +
-         ",r=" + std::to_string(round) + "," + valueDebugString(value) + ")";
-}
-
 namespace {
 
 std::shared_ptr<const ConsensusPayload> makePayload(

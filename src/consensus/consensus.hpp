@@ -49,7 +49,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -76,7 +75,6 @@ struct ConsensusPayload final : Payload {
   uint32_t estRound = 0;  // round in which `value` was last locked
 
   [[nodiscard]] Layer layer() const override { return Layer::kConsensus; }
-  [[nodiscard]] std::string debugString() const override;
 };
 
 class ConsensusService final {

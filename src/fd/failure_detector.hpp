@@ -31,7 +31,6 @@
 
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -168,9 +167,6 @@ struct HeartbeatPayload final : Payload {
   HeartbeatPayload(uint64_t s, uint32_t i) : seq(s), inc(i) {}
   [[nodiscard]] Layer layer() const override {
     return Layer::kFailureDetector;
-  }
-  [[nodiscard]] std::string debugString() const override {
-    return "hb(" + std::to_string(seq) + ",i" + std::to_string(inc) + ")";
   }
 };
 

@@ -34,7 +34,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -56,10 +55,6 @@ struct RmPayload final : Payload {
       : msg(std::move(m)), isRelay(relay), ownGroup(own) {}
   [[nodiscard]] Layer layer() const override {
     return Layer::kReliableMulticast;
-  }
-  [[nodiscard]] std::string debugString() const override {
-    return std::string(isRelay ? "rm-relay(m" : "rm(m") +
-           std::to_string(msg->id) + ")";
   }
 };
 

@@ -144,7 +144,6 @@ class Runtime final : public exec::Context {
   // (time, insertion-sequence) order every other event obeys.
 
   using PartitionId = uint32_t;
-  static constexpr PartitionId kNoPartition = UINT32_MAX;
 
   // Cut `side` from the rest of the topology during [from, until).
   // `until` = kTimeNever keeps the partition until heal()/healAll().

@@ -10,14 +10,17 @@
 // clock apply at resume). The vote-rejoin tests crash a Skeen87 or
 // Rodrigues98 addressee while the timestamp votes are in flight, the
 // merge-rejoin test a batched DetMerge00 subscriber before it hears of any
-// event, and the A1 cross-group test a process alone in its group while
-// the other group's proposals wait on it.
+// event, and the A1 cross-group tests a process alone in its group while
+// the other groups' proposals are in flight. The quiescent-snapshot test
+// checks, for every stack, that nothing of a message outlives its
+// A-Delivery.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "amcast/a1_node.hpp"
@@ -26,6 +29,7 @@
 #include "core/experiment.hpp"
 #include "testing/scenario.hpp"
 #include "verify/properties.hpp"
+#include "workload/spec.hpp"
 
 namespace wanmc {
 namespace {
@@ -62,6 +66,11 @@ std::vector<MsgId> sequenceSince(const core::RunResult& r, ProcessId pid,
   return out;
 }
 
+// Approximate size of p's protocol snapshot blob (every stack ships one).
+uint64_t protocolBytes(Experiment& ex, ProcessId p) {
+  return ex.node(p).makeSnapshot()->protocol->approxBytes();
+}
+
 void expectRejoinSafe(const core::RunResult& r, const std::string& tag) {
   auto ctx = r.checkContext();
   for (auto&& v : verify::checkUniformIntegrity(ctx))
@@ -90,8 +99,10 @@ TEST_P(RejoinSmoke, RecoveredProcessRejoins) {
   };
   cast(100 * kMs, 0);       // delivered before the crash
   cast(500 * kMs, 3);       // cast while p1 is down
+  cast(750 * kMs, 5);       // copies land in the joining window
   cast(2 * kSec, 2);        // cast after the install
   const MsgId last = cast(2500 * kMs, 4);
+  const uint64_t emptyState = protocolBytes(ex, 1);
   auto r = ex.run(120 * kSec);
 
   expectRejoinSafe(r, protocolName(kind));
@@ -108,6 +119,9 @@ TEST_P(RejoinSmoke, RecoveredProcessRejoins) {
   const auto mine = sequenceSince(r, 1, recoverAt);
   EXPECT_EQ(mine, seqs.at(2)) << protocolName(kind);
   EXPECT_TRUE(std::find(mine.begin(), mine.end(), last) != mine.end());
+  // Nothing the joining window or the install brought in outlives its
+  // message's A-Delivery.
+  EXPECT_EQ(protocolBytes(ex, 1), emptyState) << protocolName(kind);
 
   // Catch-up accounting: the install happened within the settle window
   // plus one request round-trip, and the rejoiner delivered after it.
@@ -401,7 +415,8 @@ TEST(MergeRejoin, BatchedEarlyRejoinDeliversEachCastOnce) {
 // for messages still waiting on the rejoiner's group, but not their stages,
 // which only a groupmate's apply. For a message the rejoiner has not heard
 // of yet, its record holds those proposals alone until a (TS, m) copy
-// introduces the message.
+// introduces the message. Proposals for messages addressed elsewhere stay
+// with the donor.
 // ---------------------------------------------------------------------------
 
 TEST(A1CrossGroupRejoin, ProposalsInstalledBeforeTheirMessage) {
@@ -460,6 +475,77 @@ TEST(A1CrossGroupRejoin, ProposalsInstalledBeforeTheirMessage) {
     EXPECT_EQ(p0.pendingPages(), 0u) << tag;
   }
 }
+
+TEST(A1CrossGroupRejoin, ProposalsForOtherGroupsStayWithTheDonor) {
+  // p0 is alone in group 0 and rejoins from a donor in another group while
+  // that group orders casts addressed to groups 1 and 2 only. No (TS, m)
+  // copy or A-Delivery of those casts ever reaches p0, so a proposal the
+  // install took for one of them would stay in p0's table for good.
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    const std::string tag = "seed " + std::to_string(seed);
+    RunConfig c = cfg(ProtocolKind::kA1, 3, 2, seed);
+    c.groupSizes = {1, 2, 2};
+    c.stack.reliableChannels = true;
+    Experiment ex(c);
+    ex.crashAt(0, 300 * kMs);
+    ex.recoverAt(0, 800 * kMs);
+    const GroupSet dest = GroupSet::of({1, 2});
+    for (int i = 0; i < 8; ++i)
+      ex.castAt(900 * kMs + i * 10 * kMs, static_cast<ProcessId>(1 + i % 4),
+                dest);
+    auto r = ex.run(120 * kSec);
+
+    ASSERT_EQ(r.rejoins.size(), 1u) << tag;
+    const auto v = r.checkAtomicSuite();
+    EXPECT_TRUE(v.empty()) << tag << ": " << v[0];
+    expectRejoinSafe(r, tag);
+    const auto& p0 = dynamic_cast<amcast::A1Node&>(ex.node(0));
+    EXPECT_EQ(p0.stampTableSize(), 0u) << tag;
+    EXPECT_EQ(p0.pendingPages(), 0u) << tag;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Quiescence: a stack keeps a message's ordering state only until it is
+// A-Delivered, so once every cast is delivered everywhere each process's
+// protocol snapshot is as small as before the first cast. A late copy
+// (another member's bundle, ack or SEQ) must not bring any of it back.
+// ---------------------------------------------------------------------------
+
+class QuiescentSnapshot
+    : public ::testing::TestWithParam<std::tuple<ProtocolKind, bool>> {};
+
+TEST_P(QuiescentSnapshot, ProtocolStateBackToItsSizeBeforeTheRun) {
+  const auto [kind, batched] = GetParam();
+  RunConfig c = cfg(kind, 3, 3);
+  c.stack.bootstrap.armed = false;
+  if (batched) {
+    c.stack.batchWindow = 5 * kMs;
+    c.stack.batchMaxSize = 8;
+  }
+  Experiment ex(c);
+  ex.addWorkload(workload::Spec::openLoopPoisson(300, 3 * kMs, 2));
+  std::vector<uint64_t> before;
+  for (ProcessId p = 0; p < 9; ++p) before.push_back(protocolBytes(ex, p));
+  auto r = ex.run();
+
+  const auto v = r.checkAtomicSuite();
+  ASSERT_TRUE(v.empty()) << v[0];
+  EXPECT_EQ(r.trace.casts.size(), 300u);
+  for (ProcessId p = 0; p < 9; ++p)
+    EXPECT_EQ(protocolBytes(ex, p), before[static_cast<size_t>(p)])
+        << "p" << p;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Protocols, QuiescentSnapshot,
+    ::testing::Combine(::testing::ValuesIn(wanmc::testing::allProtocols()),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      return std::string(
+                 wanmc::testing::protocolTestName(std::get<0>(info.param))) +
+             (std::get<1>(info.param) ? "_Batched" : "_Unbatched");
+    });
 
 // ---------------------------------------------------------------------------
 // Unarmed: the plane does not exist, nothing changes.

@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <memory>
 #include <stdexcept>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -25,9 +24,6 @@ struct TestMsg final : Payload {
   explicit TestMsg(int i) : id(i) {}
   int id;
   [[nodiscard]] Layer layer() const override { return Layer::kProtocol; }
-  [[nodiscard]] std::string debugString() const override {
-    return "t" + std::to_string(id);
-  }
 };
 
 class ChanHost final : public sim::Node {

@@ -24,7 +24,6 @@ struct PingPayload final : Payload {
   int tag;
   explicit PingPayload(int t) : tag(t) {}
   [[nodiscard]] Layer layer() const override { return Layer::kProtocol; }
-  [[nodiscard]] std::string debugString() const override { return "ping"; }
 };
 
 class Probe final : public sim::Node {

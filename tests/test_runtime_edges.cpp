@@ -23,7 +23,6 @@ struct TagPayload final : Payload {
   int tag;
   explicit TagPayload(int t) : tag(t) {}
   [[nodiscard]] Layer layer() const override { return Layer::kProtocol; }
-  [[nodiscard]] std::string debugString() const override { return "tag"; }
 };
 
 // Counts the copies that reach it, on whichever thread delivers them.

@@ -245,7 +245,6 @@ struct EchoPayload final : Payload {
   int tag;
   explicit EchoPayload(int t) : tag(t) {}
   [[nodiscard]] Layer layer() const override { return Layer::kProtocol; }
-  [[nodiscard]] std::string debugString() const override { return "echo"; }
 };
 
 class Probe final : public sim::Node {
